@@ -2,7 +2,7 @@
 
 Usage::
 
-    qma <command> --config <path> [--out <dir>] [--seed <u64>] [--jobs <k>]
+    qma <command> --config <path> [--out <dir>] [--seed <u64>]
 
 Commands
 --------
@@ -24,7 +24,7 @@ Config format
 -------------
 An INI-like text format with ``#`` comments and six known sections::
 
-    [run]          command, n, seed, jobs
+    [run]          command, n, seed
     [fields]       <name> = <field expression>
     [quadrature]   sphere_pow, radial_nodes, t_nodes, delta, peak_scale,
                    sup_samples
@@ -34,7 +34,8 @@ An INI-like text format with ``#`` comments and six known sections::
                    positivity, monotonicity, cln
     [output]       dir, format (csv | json | both)
 
-Unknown sections or keys are rejected with the offending line number.
+Unknown sections or keys, and negative tolerances, are rejected with the
+offending line number.
 ``parse_config`` and ``render_config`` are exact inverses on valid configs.
 
 Field expressions
@@ -83,12 +84,12 @@ from .monge_ampere import (fundamental_mass_exact, fundamental_mass_limit_coeffi
 from .potential import boundary_mass_residual, boundary_measure_density, lelong_jensen
 from .quadrature import StarShapedRule, radial_ball_integral
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 COMMANDS = ("verify", "ma", "fundamental", "lelong", "jensen", "boundary", "cln")
 
 # typed key tables; every config key must appear here (or be a field name)
-_RUN_KEYS = {"command": "str", "n": "int", "seed": "int", "jobs": "int"}
+_RUN_KEYS = {"command": "str", "n": "int", "seed": "int"}
 _QUAD_KEYS = {"sphere_pow": "int", "radial_nodes": "int", "t_nodes": "int",
               "delta": "float", "peak_scale": "float", "sup_samples": "int"}
 _PARAM_KEYS = {"r": "float", "r1": "float", "r2": "float", "level": "float",
@@ -112,7 +113,6 @@ class RunConfig:
     command: str
     n: int = 1
     seed: int = 0
-    jobs: int = None
     fields: dict = dataclasses.field(default_factory=dict)
     quadrature: dict = dataclasses.field(default_factory=dict)
     params: dict = dataclasses.field(default_factory=dict)
@@ -210,19 +210,20 @@ def parse_config(text):
     seed = run.get("seed", 0)
     if not 0 <= seed < 2 ** 64:
         raise ConfigError("seed must fit in an unsigned 64-bit integer")
-    jobs = run.get("jobs")
-    if jobs is not None and jobs < 1:
-        raise ConfigError("jobs must be a positive integer")
+    tolerances = typed("tolerances", _TOL_KEYS)
+    for key, value in tolerances.items():
+        if value < 0:
+            raise ConfigError(f"line {raw['tolerances'][key][0]}: tolerance {key!r} "
+                              f"must not be negative")
 
     return RunConfig(
         command=run["command"],
         n=run.get("n", 1),
         seed=seed,
-        jobs=jobs,
         fields={k: v for k, (_, v) in raw["fields"].items()},
         quadrature=typed("quadrature", _QUAD_KEYS),
         params=typed("params", _PARAM_KEYS),
-        tolerances=typed("tolerances", _TOL_KEYS),
+        tolerances=tolerances,
         output_dir=out.get("dir", "."),
         output_format=fmt,
     )
@@ -244,8 +245,6 @@ def render_config(cfg):
     """Canonical text for a RunConfig; parse_config(render_config(c)) == c."""
     lines = ["[run]", f"command = {cfg.command}", f"n = {cfg.n}",
              f"seed = {cfg.seed}"]
-    if cfg.jobs is not None:
-        lines.append(f"jobs = {cfg.jobs}")
     if cfg.fields:
         lines += ["", "[fields]"]
         lines += [f"{k} = {v}" for k, v in cfg.fields.items()]
@@ -933,7 +932,6 @@ def run_command(cfg):
         "command": cfg.command,
         "n": cfg.n,
         "seed": cfg.seed,
-        "jobs": cfg.jobs,
         "passed": all(s == "pass" for s in evaluated),
         "summary": summary,
         "rows": rows,
@@ -953,8 +951,6 @@ def _build_arg_parser():
     ap.add_argument("--config", required=True, help="path to the run config")
     ap.add_argument("--out", help="output directory (default: [output] dir)")
     ap.add_argument("--seed", type=int, help="override the configured seed")
-    ap.add_argument("--jobs", type=int,
-                    help="worker cap (or env QMA_JOBS); results do not depend on it")
     return ap
 
 
@@ -975,16 +971,6 @@ def main(argv=None):
             if not 0 <= args.seed < 2 ** 64:
                 raise ConfigError("seed must fit in an unsigned 64-bit integer")
             cfg.seed = args.seed
-        jobs = args.jobs
-        if jobs is None and os.environ.get("QMA_JOBS"):
-            try:
-                jobs = int(os.environ["QMA_JOBS"])
-            except ValueError:
-                raise ConfigError("QMA_JOBS must be an integer")
-        if jobs is not None:
-            if jobs < 1:
-                raise ConfigError("jobs must be a positive integer")
-            cfg.jobs = jobs
         report = run_command(cfg)
         out_dir = args.out if args.out is not None else cfg.output_dir
         written = write_outputs(cfg, report, out_dir)

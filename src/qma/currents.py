@@ -15,8 +15,8 @@ Everything quantitative reduces to evaluating top-form densities
 
 in batch over quadrature nodes: the constant factor contributes a fixed
 index mask, each laplacian contributes its antisymmetric delta matrix, and
-the expansion runs over signed matchings of the remaining indices with a
-permanent over the participating fields.  On top of that sit:
+``monge_ampere.mixed_pfaffian`` expands the signed matchings of the
+remaining indices over the assignments of the factors.  On top of that sit:
 
 * ``bt_product``       wedge with another laplacian (degree +2);
 * ``cln_norm``         integral of T ^ beta^p over a ball;
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 from scipy import ndimage
@@ -43,30 +42,12 @@ from scipy import ndimage
 import dataclasses
 
 from .errors import DimensionError
-from .exterior import ExtElement, beta, perm_sign, random_strongly_positive
+from .exterior import ExtElement, beta, random_strongly_positive
 from .calculus import FormField, delta_matrices, laplace
 from .fields import GridField, InvShift, Polynomial, invshift, normsq
-from .monge_ampere import _batched_permanent, _to_real
+from .monge_ampere import _to_real, mixed_pfaffian
 from .quadrature import (BallQuadrature, ball_moment_coefficient,
                          gauss_legendre_panels, sobol_sphere, sphere_area)
-
-
-@lru_cache(maxsize=None)
-def _matchings_of(indices):
-    """Signed perfect matchings of an arbitrary even index tuple; the sign
-    slot is left to the caller (pairs only)."""
-    out = []
-
-    def rec(remaining, acc):
-        if not remaining:
-            out.append(tuple(acc))
-            return
-        a = remaining[0]
-        for t in range(1, len(remaining)):
-            rec(remaining[1:t] + remaining[t + 1:], acc + [(a, remaining[t])])
-
-    rec(tuple(indices), [])
-    return tuple(out)
 
 
 def _std_j(n):
@@ -85,22 +66,12 @@ def wedge_top_density(n, constant_coeffs, dmats, check_tol=1e-8):
     The 2-form attached to D is sum_{i<j} 2 D_ij w^i w^j, i.e. exactly the
     laplacian when D is the delta matrix of a potential.
     """
-    m = len(dmats)
-    npts = dmats[0].shape[0] if m else None
-    if npts is None:
+    if not dmats:
         raise ValueError("at least one delta matrix is required")
-    total = np.zeros(npts, dtype=complex)
+    total = np.zeros(len(dmats[0]), dtype=complex)
     for mask, cval in constant_coeffs.items():
-        rest = tuple(i for i in range(2 * n) if not mask >> i & 1)
-        if len(rest) != 2 * m:
-            raise DimensionError("constant factor degree does not complement the products")
-        fixed = tuple(i for i in range(2 * n) if mask >> i & 1)
-        for pairs in _matchings_of(rest):
-            sign = perm_sign(list(fixed) + [v for p in pairs for v in p])
-            p = np.stack([np.stack([dmats[i][:, a, b] for (a, b) in pairs], axis=1)
-                          for i in range(m)], axis=1)
-            total += (complex(cval) * sign) * _batched_permanent(p)
-    return _to_real((2.0 ** m) * total, "current density", check_tol)
+        total += complex(cval) * mixed_pfaffian(n, dmats, mask)
+    return _to_real((2.0 ** len(dmats)) * total, "current density", check_tol)
 
 
 class RegularizedCurrent:
@@ -302,11 +273,15 @@ class RadialProfile:
     errors: np.ndarray
 
     def monotone_violations(self, slack=3.0):
-        """Indices k where the profile decreases beyond combined error bars."""
+        """Indices k where the profile decreases beyond combined error bars,
+        or where a value or error at k or k + 1 is not finite."""
         bad = []
         for k in range(len(self.radii) - 1):
+            finite = np.isfinite([self.values[k], self.values[k + 1],
+                                  self.errors[k], self.errors[k + 1]]).all()
             allowed = slack * (self.errors[k] + self.errors[k + 1])
-            if self.values[k] > self.values[k + 1] + allowed + 1e-12 * abs(self.values[k + 1]):
+            if not finite or (self.values[k] > self.values[k + 1] + allowed
+                              + 1e-12 * abs(self.values[k + 1])):
                 bad.append(k)
         return bad
 

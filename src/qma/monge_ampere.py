@@ -7,8 +7,13 @@ matchings of {0..2n-1} gives
 
     density(u) = 2^n n! * sum_M sign(M) * prod_s D[a_s, b_s],
 
-with D the antisymmetric delta matrix of u, and the polarized (mixed)
-version replaces the product by a permanent over the participating fields.
+with D the antisymmetric delta matrix of u; the polarized (mixed) version
+also sums over the assignments of the fields to the pairs.  Every
+top-degree density in the package (these two, the current densities
+T ^ beta^p and the boundary measure) is this one signed sum, a mixed
+Pfaffian: ``mixed_pfaffian`` evaluates it from a term table cached per
+(n, constant mask, factor-multiplicity pattern), with one gather and
+multiply per pair slot and one dot with the integer coefficients.
 For twice-differentiable u the density agrees with n! times the Moore
 determinant of the hyperhermitian Hessian matrix
 
@@ -26,6 +31,7 @@ limit 8^n n! pi^(2n) / (2n)! concentrating at the origin.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -65,15 +71,68 @@ def perfect_matchings(n):
     return tuple(out)
 
 
-def _matching_product(dmats, n):
-    """sum_M sign(M) prod_s D[:, a_s, b_s] for a batch of delta matrices."""
-    total = np.zeros(dmats.shape[0], dtype=complex)
-    for pairs, sign in perfect_matchings(n):
-        term = np.full(dmats.shape[0], float(sign), dtype=complex)
-        for a, b in pairs:
-            term = term * dmats[:, a, b]
-        total += term
-    return total
+# entries of the (points x terms) product array evaluated per chunk of points
+_TERM_BUDGET = 1 << 20
+
+
+@lru_cache(maxsize=None)
+def _term_table(n, mask, labels):
+    """Signed terms of the matching expansion of ``mixed_pfaffian``.
+
+    ``labels[s]`` names the factor array of product slot s (equal labels
+    mark one array repeated), and ``mask`` the indices a constant factor
+    already occupies.  Returns (coefs, slots): one entry per matching of
+    the free indices and distinct assignment of the labels to its pairs,
+    with coefficient sign * prod_i k_i! (k_i the multiplicity of label i)
+    in ``coefs``, and per slot a (label, a, b) triple whose index arrays
+    hold that slot's pair for every entry.  Slots are ordered by label, so
+    each slot gathers from a single factor.
+    """
+    fixed = [i for i in range(2 * n) if mask >> i & 1]
+    rest = [i for i in range(2 * n) if not mask >> i & 1]
+    if len(rest) != 2 * len(labels):
+        raise DimensionError("constant factor degree does not complement the products")
+    slot_labels = sorted(labels)
+    weight = math.prod(math.factorial(labels.count(k)) for k in set(labels))
+    assignments = sorted(set(itertools.permutations(slot_labels)))
+    coefs, pairs_of = [], []
+    for pairs, _ in perfect_matchings(len(labels)):
+        pairs = [(rest[a], rest[b]) for a, b in pairs]
+        sign = perm_sign(fixed + [v for pair in pairs for v in pair])
+        for assign in assignments:
+            coefs.append(sign * weight)
+            pairs_of.append([pair for _, pair in sorted(zip(assign, pairs))])
+    coefs = np.array(coefs, dtype=float)
+    index = np.array(pairs_of, dtype=np.intp)  # (terms, slots, 2)
+    coefs.setflags(write=False)
+    index.setflags(write=False)
+    return coefs, tuple((label, index[:, s, 0], index[:, s, 1])
+                        for s, label in enumerate(slot_labels))
+
+
+def mixed_pfaffian(n, factors, mask=0):
+    """sum_M sign(mask, M) sum_sigma prod_s F_sigma(s)[:, a_s, b_s].
+
+    ``factors`` are m batched antisymmetric matrices (N, 2n, 2n); M runs
+    over the perfect matchings {(a_s, b_s)} of the 2m indices outside
+    ``mask``, sign(mask, M) is the parity of (mask indices, a_1, b_1, ...)
+    as a permutation, and sigma over the assignments of the factors to the
+    pairs.  Passing one array several times (``[D] * n``) merges the
+    assignments that only permute it, so the term count is
+    (2m-1)!! * m! / prod_i k_i!.  Returns a complex (N,) array.
+    """
+    labels = tuple(next(j for j, g in enumerate(factors) if g is f) for f in factors)
+    coefs, slots = _term_table(n, mask, labels)
+    npts = len(factors[0])
+    out = np.empty(npts, dtype=complex)
+    step = max(1, _TERM_BUDGET // len(coefs))
+    for lo in range(0, npts, step):
+        prod = None
+        for label, a, b in slots:
+            vals = factors[label][lo:lo + step, a, b]
+            prod = vals if prod is None else prod * vals
+        out[lo:lo + step] = prod @ coefs
+    return out
 
 
 def _to_real(arr, what, check_tol):
@@ -88,45 +147,28 @@ def _to_real(arr, what, check_tol):
 def ma_density(u, pts, check_tol=1e-8):
     """Monge-Ampere density of u at the sample points (real array).
 
-    Computed as 2^n n! sum over signed perfect matchings of products of
-    delta-matrix entries, from a single batched Hessian sweep.
+    Computed as 2^n times the matching expansion of n copies of the delta
+    matrix, from a single batched Hessian sweep.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     n = u.n
     dm = delta_matrices(u, pts)
-    vals = (2.0 ** n) * math.factorial(n) * _matching_product(dm, n)
+    vals = (2.0 ** n) * mixed_pfaffian(n, [dm] * n)
     return _to_real(vals, "Monge-Ampere density", check_tol)
 
 
 def ma_density_from_hessians(n, hessians, check_tol=1e-8):
     """Density from precomputed real Hessians (N, 4n, 4n)."""
     dm = delta_from_hessians(n, np.asarray(hessians, dtype=float))
-    vals = (2.0 ** n) * math.factorial(n) * _matching_product(dm, n)
+    vals = (2.0 ** n) * mixed_pfaffian(n, [dm] * n)
     return _to_real(vals, "Monge-Ampere density", check_tol)
-
-
-def _batched_permanent(mats):
-    """Permanents of a (N, k, k) stack via the subset-sum expansion."""
-    nmat, k, _ = mats.shape
-    total = np.zeros(nmat, dtype=mats.dtype)
-    for subset in range(1, 1 << k):
-        cols = [j for j in range(k) if subset >> j & 1]
-        rowsums = mats[:, :, cols].sum(axis=2)
-        prod = rowsums[:, 0]
-        for i in range(1, k):
-            prod = prod * rowsums[:, i]
-        if (k - len(cols)) % 2:
-            total -= prod
-        else:
-            total += prod
-    return total
 
 
 def mixed_ma(fields, pts, check_tol=1e-8):
     """Polarized Monge-Ampere density of n fields (symmetric, multilinear).
 
-    mixed(u, u, ..., u) equals ma_density(u).  Cost grows like
-    (2n-1)!! * 2^n per point; fine for the supported n <= 8.
+    mixed(u, u, ..., u) equals ma_density(u).  Costs (2n-1)!! * n! terms
+    per point.
     """
     fields = list(fields)
     n = fields[0].n
@@ -136,13 +178,7 @@ def mixed_ma(fields, pts, check_tol=1e-8):
         raise DimensionError("fields live on different spaces")
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     dms = [delta_matrices(f, pts) for f in fields]
-    total = np.zeros(len(pts), dtype=complex)
-    for pairs, sign in perfect_matchings(n):
-        # P[b, i, s] = D^(i)[a_s, b_s]; permanent sums over assignments
-        p = np.stack([np.stack([dms[i][:, a, b] for (a, b) in pairs], axis=1)
-                      for i in range(n)], axis=1)
-        total += float(sign) * _batched_permanent(p)
-    vals = (2.0 ** n) * total
+    vals = (2.0 ** n) * mixed_pfaffian(n, dms)
     return _to_real(vals, "mixed Monge-Ampere density", check_tol)
 
 

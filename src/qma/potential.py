@@ -8,7 +8,12 @@ outward unit normal, the first-order operators applied to phi, and the
 second-order delta matrices:
 
     density = 2^(n-1) (n-1)! * sum_{i != j} sum_{matchings of the rest}
-              sign * n_{i0} * (grad_{j1} phi) * prod delta_{ab} phi.
+              sign * n_{i0} * (grad_{j1} phi) * prod delta_{ab} phi,
+
+which is half the top-form density of laplace(phi)^(n-1) wedged with the
+2-form of the antisymmetric matrix n_0 g_1^T - g_1 n_0^T (g_1 the
+grad_{j1} phi column), so it is evaluated by the same matching expansion
+as every other top-degree density.
 
 The Lelong-Jensen identity ties three quantities together:
 
@@ -32,12 +37,11 @@ from scipy.optimize import brentq
 
 from .errors import DegenerateLevelSetError, DimensionError
 from .calculus import delta_matrices, nabla_matrices
-from .exterior import perm_sign
 from .fields import ChainField, QuadraticForm, ScalarField
-from .monge_ampere import _to_real, ma_density, mixed_ma
+from .monge_ampere import _to_real, ma_density, mixed_ma, mixed_pfaffian
 from .quadrature import (BallQuadrature, EllipsoidRule, SphereRule,
-                         gauss_legendre_panels, sobol_sphere, sphere_area)
-from .currents import _matchings_of
+                         gauss_legendre_panels, halving_estimate, sobol_sphere,
+                         sphere_area)
 
 _GRAD_FLOOR = 1e-6
 
@@ -78,23 +82,13 @@ def boundary_measure_density(phi, pts, check_tol=1e-8):
     v0, v1 = nabla_matrices(n)
     n0 = (grads / norms[:, None]) @ v0.T          # n_{i0}
     g1 = grads @ v1.T                             # grad_{j1} phi
+    # sum_{i != j} n_{i0} grad_{j1} phi pairs i with j like the 2-form of
+    # the antisymmetric A = n0 g1^T - g1 n0^T: half the wedge density of
+    # [A] + [D] * (n - 1)
+    a = n0[:, :, None] * g1[:, None, :] - g1[:, :, None] * n0[:, None, :]
     dmat = delta_matrices(phi, pts)
-    total = np.zeros(len(pts), dtype=complex)
-    idx = range(2 * n)
-    for i in idx:
-        for j in idx:
-            if i == j:
-                continue
-            rest = tuple(m for m in idx if m != i and m != j)
-            pair_val = n0[:, i] * g1[:, j]
-            for pairs in _matchings_of(rest):
-                sign = perm_sign([i, j] + [v for p in pairs for v in p])
-                prod = pair_val.copy()
-                for a, b in pairs:
-                    prod = prod * dmat[:, a, b]
-                total += sign * prod
-    scale = 2 ** (n - 1) * math.factorial(n - 1)
-    return _to_real(scale * total, "boundary measure density", check_tol)
+    total = (2.0 ** (n - 1)) * mixed_pfaffian(n, [a] + [dmat] * (n - 1))
+    return _to_real(total, "boundary measure density", check_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -221,22 +215,16 @@ def sublevel_integral(phi, t, fn, center=None, sphere_pow=9, radial_nodes=12,
     dirs = sobol_sphere(d, sphere_pow, seed)
     area = sphere_area(n)
 
-    def accumulate(n_dirs):
-        w_dir = area / n_dirs
-        acc = 0.0
-        r_hint = 1.0
-        for theta in dirs[:n_dirs]:
-            edge = _ray_root(phi, t, center, theta, r_hint)
-            r_hint = edge
-            rho, w = gauss_legendre_panels([0.0, edge], radial_nodes)
-            pts = center[None, :] + rho[:, None] * theta[None, :]
-            vals = np.asarray(fn(pts), dtype=float)
-            acc += w_dir * float(np.sum(w * vals * rho ** (d - 1)))
-        return acc
-
-    full = accumulate(len(dirs))
-    half = accumulate(len(dirs) // 2)
-    return full, abs(full - half)
+    contrib = np.empty(len(dirs))
+    r_hint = 1.0
+    for i, theta in enumerate(dirs):
+        edge = _ray_root(phi, t, center, theta, r_hint)
+        r_hint = edge
+        rho, w = gauss_legendre_panels([0.0, edge], radial_nodes)
+        pts = center[None, :] + rho[:, None] * theta[None, :]
+        vals = np.asarray(fn(pts), dtype=float)
+        contrib[i] = float(np.sum(w * vals * rho ** (d - 1)))
+    return halving_estimate(contrib, np.full(len(dirs), area / len(dirs)))
 
 
 # ---------------------------------------------------------------------------

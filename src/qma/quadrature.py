@@ -141,6 +141,22 @@ def sphere_area(n):
     return 2.0 * math.pi ** (2 * n) / math.factorial(2 * n - 1)
 
 
+def halving_estimate(contrib, weights):
+    """(full, |full - half|) for a rule with per-direction contributions.
+
+    full = sum_i weights_i * contrib_i; half is the same sum over the
+    leading half of the directions, rescaled by total weight over prefix
+    weight (prefixes of a Sobol sequence at powers of two are again
+    balanced node sets).
+    """
+    contrib = np.asarray(contrib, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    nh = len(contrib) // 2
+    full = float(contrib @ weights)
+    half = float(contrib[:nh] @ weights[:nh]) * (weights.sum() / weights[:nh].sum())
+    return full, abs(full - half)
+
+
 def radial_ball_integral(n, fn_rho, r, peak_scale=None, nodes=32):
     """Integral over B(0, r) of a radial function fn_rho(rho) (vectorized).
 
@@ -206,25 +222,20 @@ class BallQuadrature:
             graded_breaks(self.radius ** 2, peak_scale), radial_nodes)
         self.chunk = int(chunk)
 
-    def _accumulate(self, fn, n_dirs):
-        dirs = self.dirs[:n_dirs]
-        area = sphere_area(self.n)
-        total = 0.0
+    def integrate(self, fn):
+        n_dirs = len(self.dirs)
+        per_dir = np.zeros(n_dirs)
         rows_per_block = max(1, self.chunk // n_dirs)
         tw = self.t_weights * self.t_nodes ** (2 * self.n - 1)
         for start in range(0, len(self.t_nodes), rows_per_block):
             t = self.t_nodes[start:start + rows_per_block]
             rho = np.sqrt(t)
             pts = (self.center[None, None, :]
-                   + rho[:, None, None] * dirs[None, :, :]).reshape(-1, 4 * self.n)
+                   + rho[:, None, None] * self.dirs[None, :, :]).reshape(-1, 4 * self.n)
             vals = np.asarray(fn(pts), dtype=float).reshape(len(t), n_dirs)
-            total += float(np.sum(tw[start:start + rows_per_block] * vals.mean(axis=1)))
-        return area * 0.5 * total
-
-    def integrate(self, fn):
-        full = self._accumulate(fn, len(self.dirs))
-        half = self._accumulate(fn, len(self.dirs) // 2)
-        return full, abs(full - half)
+            per_dir += tw[start:start + rows_per_block] @ vals
+        weights = np.full(n_dirs, sphere_area(self.n) * 0.5 / n_dirs)
+        return halving_estimate(per_dir, weights)
 
 
 class SphereRule:
@@ -241,11 +252,7 @@ class SphereRule:
         self.weights = np.full(len(self.points), area / len(self.points))
 
     def integrate(self, fn):
-        vals = np.asarray(fn(self.points), dtype=float)
-        full = float(vals @ self.weights)
-        nh = len(vals) // 2
-        half = float(vals[:nh] @ self.weights[:nh]) * 2.0
-        return full, abs(full - half)
+        return halving_estimate(fn(self.points), self.weights)
 
 
 class EllipsoidRule:
@@ -282,12 +289,7 @@ class EllipsoidRule:
         self.normals = grad_dir / np.linalg.norm(grad_dir, axis=1)[:, None]
 
     def integrate(self, fn):
-        vals = np.asarray(fn(self.points), dtype=float)
-        full = float(vals @ self.weights)
-        nh = len(vals) // 2
-        half = float(vals[:nh] @ self.weights[:nh]) * (self.weights.sum()
-                                                       / self.weights[:nh].sum())
-        return full, abs(full - half)
+        return halving_estimate(fn(self.points), self.weights)
 
 
 class StarShapedRule:
@@ -335,9 +337,4 @@ class StarShapedRule:
         raise DegenerateLevelSetError("could not bracket the level set")
 
     def integrate(self, fn):
-        vals = np.asarray(fn(self.points), dtype=float)
-        full = float(vals @ self.weights)
-        nh = len(vals) // 2
-        half = float(vals[:nh] @ self.weights[:nh]) * (self.weights.sum()
-                                                       / self.weights[:nh].sum())
-        return full, abs(full - half)
+        return halving_estimate(fn(self.points), self.weights)

@@ -31,8 +31,11 @@ PI2 = math.pi**2
 def test_parse_config_minimal():
     cfg = parse_config("[run]\ncommand = verify\n")
     assert cfg == RunConfig(command="verify")
-    assert cfg.n == 1 and cfg.seed == 0 and cfg.jobs is None
+    assert cfg.n == 1 and cfg.seed == 0
     assert cfg.output_dir == "." and cfg.output_format == "both"
+    # a zero tolerance is valid; negative ones are rejected (see below)
+    zero = parse_config("[run]\ncommand = verify\n[tolerances]\nmass = 0.0\n")
+    assert zero.tolerances == {"mass": 0.0}
 
 
 def test_parse_config_full_round_trip():
@@ -42,7 +45,6 @@ def test_parse_config_full_round_trip():
         command = jensen
         n = 2
         seed = 42
-        jobs = 4
 
         [fields]
         phi = normsq()
@@ -65,7 +67,7 @@ def test_parse_config_full_round_trip():
         format = csv
         """)
     cfg = parse_config(text)
-    assert cfg.command == "jensen" and cfg.n == 2 and cfg.jobs == 4
+    assert cfg.command == "jensen" and cfg.n == 2
     assert cfg.fields == {"phi": "normsq()", "v": "x0^2 + 3/2"}
     assert cfg.quadrature == {"sphere_pow": 8, "t_nodes": 24}
     assert cfg.params["radii"] == [0.5, 1.0]
@@ -92,7 +94,9 @@ def test_parse_config_full_round_trip():
     ("[run]\nn = 1\n", "missing required key 'command'"),
     ("[run]\ncommand = destroy\n", "unknown command 'destroy'"),
     ("[run]\ncommand = verify\nseed = -1\n", "unsigned 64-bit"),
-    ("[run]\ncommand = verify\njobs = 0\n", "jobs must be a positive integer"),
+    ("[run]\ncommand = verify\njobs = 4\n", "line 3: unknown key 'jobs' in \\[run\\]"),
+    ("[run]\ncommand = verify\n[tolerances]\nmass = -1e-6\n",
+     "line 4: tolerance 'mass' must not be negative"),
     ("[run]\ncommand = verify\n[output]\nformat = yaml\n", "csv, json or both"),
     ("[run]\ncommand = verify\n[fields]\nnormsq = x0\n", "reserved"),
     ("[run]\ncommand = verify\n[fields]\nx3 = x0\n", "reserved"),
@@ -221,7 +225,7 @@ def test_cmd_verify(tmp_path, capsys):
     assert all(r.endswith(",pass") for r in rows[1:])
 
     report = json.loads((tmp_path / "out" / "verify.json").read_text())
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["passed"] is True
     assert report["seed"] == 7
     assert report["summary"] == {"checks": 12}
@@ -471,35 +475,6 @@ def test_seed_override_flag(tmp_path):
     assert _run("ma", cfg, tmp_path / "out", "--seed", "123") == 0
     report = json.loads((tmp_path / "out" / "ma.json").read_text())
     assert report["seed"] == 123
-
-
-def test_jobs_precedence_and_invariance(tmp_path, monkeypatch):
-    cfg = _write(tmp_path, "ma.ini", """\
-        [run]
-        command = ma
-        n = 1
-
-        [fields]
-        u = normsq()
-        """)
-    monkeypatch.setenv("QMA_JOBS", "3")
-    assert _run("ma", cfg, tmp_path / "env") == 0
-    report = json.loads((tmp_path / "env" / "ma.json").read_text())
-    assert report["jobs"] == 3
-    # the flag wins over the environment
-    assert _run("ma", cfg, tmp_path / "flag", "--jobs", "5") == 0
-    report = json.loads((tmp_path / "flag" / "ma.json").read_text())
-    assert report["jobs"] == 5
-    # worker count never changes the numbers
-    assert ((tmp_path / "env" / "ma.csv").read_bytes()
-            == (tmp_path / "flag" / "ma.csv").read_bytes())
-
-
-def test_invalid_jobs_env(tmp_path, monkeypatch, capsys):
-    cfg = _write(tmp_path, "v.ini", "[run]\ncommand = verify\n")
-    monkeypatch.setenv("QMA_JOBS", "lots")
-    assert _run("verify", cfg, tmp_path / "out") == 1
-    assert "QMA_JOBS" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):

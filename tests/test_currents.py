@@ -165,6 +165,12 @@ def test_radial_profile_monotone_violations():
     dip = RadialProfile(radii, np.array([1.0, 0.9, 1.0]), np.full(3, 0.01))
     assert dip.monotone_violations(slack=3.0) == [0]
     assert dip.monotone_violations(slack=10.0) == []
+    # NaN > x is False; a pair touching a non-finite value or error must
+    # still count as a violation
+    nan = RadialProfile(radii, np.array([1.0, np.nan, 1.3]), np.zeros(3))
+    assert nan.monotone_violations() == [0, 1]
+    wild = RadialProfile(radii, np.array([1.0, 1.1, np.inf]), np.array([0.0, 0.0, np.nan]))
+    assert wild.monotone_violations() == [1]
 
 
 def test_lelong_number_of_unit_current():
