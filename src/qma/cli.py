@@ -26,10 +26,8 @@ An INI-like text format with ``#`` comments and six known sections::
 
     [run]          command, n, seed
     [fields]       <name> = <field expression>
-    [quadrature]   sphere_pow, radial_nodes, t_nodes, delta, peak_scale,
-                   sup_samples
-    [params]       r, r1, r2, level, radii, eps, center, inner_radius,
-                   outer_radius, trials
+    [quadrature]   sphere_pow, radial_nodes, t_nodes, sup_samples
+    [params]       r, radii, eps, center, inner_radius, outer_radius, trials
     [tolerances]   identity, moore, mass, jensen, jensen_layered, boundary,
                    positivity, monotonicity, cln
     [output]       dir, format (csv | json | both)
@@ -91,9 +89,8 @@ COMMANDS = ("verify", "ma", "fundamental", "lelong", "jensen", "boundary", "cln"
 # typed key tables; every config key must appear here (or be a field name)
 _RUN_KEYS = {"command": "str", "n": "int", "seed": "int"}
 _QUAD_KEYS = {"sphere_pow": "int", "radial_nodes": "int", "t_nodes": "int",
-              "delta": "float", "peak_scale": "float", "sup_samples": "int"}
-_PARAM_KEYS = {"r": "float", "r1": "float", "r2": "float", "level": "float",
-               "radii": "floats", "eps": "floats", "center": "floats",
+              "sup_samples": "int"}
+_PARAM_KEYS = {"r": "float", "radii": "floats", "eps": "floats", "center": "floats",
                "inner_radius": "float", "outer_radius": "float", "trials": "int"}
 _TOL_KEYS = {"identity": "float", "moore": "float", "mass": "float",
              "jensen": "float", "jensen_layered": "float", "boundary": "float",

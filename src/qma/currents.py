@@ -45,17 +45,10 @@ from .errors import DimensionError
 from .exterior import ExtElement, beta, random_strongly_positive
 from .calculus import FormField, delta_matrices, laplace
 from .fields import GridField, InvShift, Polynomial, invshift, normsq
+from .hamilton import jmatrix
 from .monge_ampere import _to_real, mixed_pfaffian
 from .quadrature import (BallQuadrature, ball_moment_coefficient,
                          gauss_legendre_panels, sobol_sphere, sphere_area)
-
-
-def _std_j(n):
-    j = np.zeros((2 * n, 2 * n))
-    for l in range(n):
-        j[2 * l, 2 * l + 1] = 1.0
-        j[2 * l + 1, 2 * l] = -1.0
-    return j
 
 
 def wedge_top_density(n, constant_coeffs, dmats, check_tol=1e-8):
@@ -132,7 +125,7 @@ class RegularizedCurrent:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         mats = [delta_matrices(u, pts) for u in self.potentials]
         if pad:
-            half_j = np.broadcast_to(0.5 * _std_j(self.n).astype(complex),
+            half_j = np.broadcast_to(0.5 * jmatrix(self.n).astype(complex),
                                      (len(pts), 2 * self.n, 2 * self.n))
             mats.extend([half_j] * pad)
         if not mats:
@@ -258,9 +251,12 @@ def cln_ratio(fields, inner_radius, outer_radius, center=None, sup_samples=4096,
                             center[None, :]], axis=0)
     sups = []
     for u in fields:
-        sup = float(np.abs(u.values(block)).max())
+        with np.errstate(divide="ignore", invalid="ignore"):  # checked below
+            sup = float(np.abs(u.values(block)).max())
         if sup == 0.0:
             raise ValueError("a potential has zero sup-norm on the outer ball")
+        if not math.isfinite(sup):
+            raise ValueError("a potential is not finite on the outer ball")
         sups.append(sup)
     return norm / math.prod(sups)
 

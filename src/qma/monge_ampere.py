@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericalInconsistencyError
 from .calculus import delta_from_hessians, delta_matrices, delta_matrix, nabla_matrices
-from .hamilton import MAX_MATRIX_DIM, QMatrix, Quaternion, moore_det
+from .hamilton import MAX_MATRIX_DIM, QMatrix, Quaternion, jmatrix, moore_det
 from .exterior import perm_sign
 
 
@@ -287,11 +287,7 @@ def fundamental_delta_matrices(n, eps, pts):
         z0[:, 2 * l + 1] = x2 + 1j * x3
         z1[:, 2 * l + 1] = x0 + 1j * x1
     m = np.einsum("bi,bj->bij", z0, z1) - np.einsum("bi,bj->bij", z1, z0)
-    j_std = np.zeros((2 * n, 2 * n))
-    for l in range(n):
-        j_std[2 * l, 2 * l + 1] = 1.0
-        j_std[2 * l + 1, 2 * l] = -1.0
-    return (-4.0 / s[:, None, None] ** 3) * (np.conj(m) - s[:, None, None] * j_std[None])
+    return (-4.0 / s[:, None, None] ** 3) * (np.conj(m) - s[:, None, None] * jmatrix(n)[None])
 
 
 def fundamental_ma_density(n, eps, pts):

@@ -25,6 +25,15 @@ and ``lelong_jensen`` evaluates all three with residuals and quadrature
 error estimates.  Spherical and ellipsoidal level sets (quadratic phi) use
 exact surface rules; generic smooth star-shaped phi falls back to a
 co-area shell estimator.
+
+Off the quadratic path, the surface and sublevel rules share one ray
+engine over Sobol directions from a center: ``_ray_radii`` solves the
+crossing radii of every ray with one bracket chain (each ray's bracket
+starts from the previous ray's root), and ``_ray_panel_sums`` integrates
+along the rays on Gauss-Legendre panels, handing the integrand node blocks
+of at most ``_BLOCK_NODES`` points.  The co-area shell integrates
+f |grad phi| between the levels r - delta and r + delta; the sublevel rule
+integrates from the center out to the level t.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ import math
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import DegenerateLevelSetError, DimensionError
+from .errors import DegenerateLevelSetError, DimensionError, QuadratureError
 from .calculus import delta_matrices, nabla_matrices
 from .fields import ChainField, QuadraticForm, ScalarField
 from .monge_ampere import _to_real, ma_density, mixed_ma, mixed_pfaffian
@@ -44,6 +53,8 @@ from .quadrature import (BallQuadrature, EllipsoidRule, SphereRule,
                          sphere_area)
 
 _GRAD_FLOOR = 1e-6
+# most nodes per integrand call on the ray rules (bounds the kernels' batches)
+_BLOCK_NODES = 1024
 
 
 @dataclasses.dataclass
@@ -158,38 +169,72 @@ def surface_integral(phi, r, f=None, delta=None, sphere_pow=10, seed=0,
     return SurfaceResult(fine, abs(fine - coarse))
 
 
-def _ray_root(phi, level, center, theta, r_hint=1.0):
-    g = lambda rho: phi.value(center + rho * theta) - level
-    lo, hi = 1e-9, r_hint
-    glo = g(lo)
-    ghi = g(hi)
-    grow = 0
-    while glo * ghi > 0:
-        hi *= 2.0
-        ghi = g(hi)
-        grow += 1
-        if grow > 60:
-            raise DegenerateLevelSetError("level set does not cross a sample ray")
-    return brentq(g, lo, hi, xtol=1e-13, rtol=1e-13)
+def _ray_radii(phi, levels, center, dirs):
+    """(rays, len(levels)) radii where the rays center + rho * theta cross
+    the level sets {phi = level}.
+
+    Each root is bracketed in [1e-9, hi] with hi doubled until the sign
+    changes.  The first level starts from the previous ray's last root (1.0
+    on the first ray), each later level from max(that, 1.5 * this ray's
+    previous root).
+    """
+    radii = np.empty((len(dirs), len(levels)))
+    hint = 1.0
+    for i, theta in enumerate(dirs):
+        start = hint
+        for k, level in enumerate(levels):
+            g = lambda rho: phi.value(center + rho * theta) - level
+            lo, hi = 1e-9, start
+            glo = g(lo)
+            ghi = g(hi)
+            grow = 0
+            while glo * ghi > 0:
+                hi *= 2.0
+                ghi = g(hi)
+                grow += 1
+                if grow > 60:
+                    raise DegenerateLevelSetError("level set does not cross a sample ray")
+            radii[i, k] = brentq(g, lo, hi, xtol=1e-13, rtol=1e-13)
+            start = max(hint, radii[i, k] * 1.5)
+        hint = radii[i, -1]
+    return radii
+
+
+def _ray_panel_sums(fn, center, dirs, lo, hi, nodes, weight=None):
+    """Per-ray Gauss-Legendre sums of fn (* weight) * rho^(d-1) over the
+    panels [lo_i, hi_i] along the rays center + rho * dirs_i.
+
+    fn and weight see the nodes in blocks of at most _BLOCK_NODES points.
+    """
+    if np.any(hi <= lo):
+        raise QuadratureError("empty panel on a sample ray")
+    d = dirs.shape[1]
+    # the rule on [-1, 1], mapped to each panel as gauss_legendre_panels does
+    x, w = gauss_legendre_panels([-1.0, 1.0], nodes)
+    half = (0.5 * (hi - lo))[:, None]
+    rho = (0.5 * (lo + hi))[:, None] + half * x
+    w = (half * w).ravel()
+    pts = (center + rho[:, :, None] * dirs[:, None, :]).reshape(-1, d)
+    rho_pow = rho.ravel() ** (d - 1)
+    terms = np.empty(len(pts))
+    for s in range(0, len(pts), _BLOCK_NODES):
+        block = slice(s, s + _BLOCK_NODES)
+        vals = w[block] * np.asarray(fn(pts[block]), dtype=float)
+        if weight is not None:
+            vals = vals * weight(pts[block])
+        terms[block] = vals * rho_pow[block]
+    return terms.reshape(rho.shape).sum(axis=1)
 
 
 def _coarea_shell(phi, r, fn, delta, center, sphere_pow, seed, radial_nodes):
-    n = phi.n
-    d = 4 * n
-    dirs = sobol_sphere(d, sphere_pow, seed)
-    area = sphere_area(n)
-    w_dir = area / len(dirs)
+    dirs = sobol_sphere(4 * phi.n, sphere_pow, seed)
+    lo, hi = _ray_radii(phi, (r - delta, r + delta), center, dirs).T
+    gnorm = lambda pts: np.linalg.norm(phi.gradients(pts), axis=1)
+    sums = _ray_panel_sums(fn, center, dirs, lo, hi, radial_nodes, gnorm)
+    w_dir = sphere_area(phi.n) / len(dirs)
     total = 0.0
-    r_hint = 1.0
-    for theta in dirs:
-        lo = _ray_root(phi, r - delta, center, theta, r_hint)
-        hi = _ray_root(phi, r + delta, center, theta, max(r_hint, lo * 1.5))
-        r_hint = hi
-        rho, w = gauss_legendre_panels([lo, hi], radial_nodes)
-        pts = center[None, :] + rho[:, None] * theta[None, :]
-        gnorm = np.linalg.norm(phi.gradients(pts), axis=1)
-        vals = np.asarray(fn(pts), dtype=float)
-        total += w_dir * float(np.sum(w * vals * gnorm * rho ** (d - 1)))
+    for s in sums.tolist():   # a sequential float sum, ray by ray
+        total += w_dir * s
     return total / (2 * delta)
 
 
@@ -211,20 +256,10 @@ def sublevel_integral(phi, t, fn, center=None, sphere_pow=9, radial_nodes=12,
     center = np.zeros(4 * n) if center is None else np.asarray(center, dtype=float)
     if phi.value(center) >= t:
         return 0.0, 0.0
-    d = 4 * n
-    dirs = sobol_sphere(d, sphere_pow, seed)
-    area = sphere_area(n)
-
-    contrib = np.empty(len(dirs))
-    r_hint = 1.0
-    for i, theta in enumerate(dirs):
-        edge = _ray_root(phi, t, center, theta, r_hint)
-        r_hint = edge
-        rho, w = gauss_legendre_panels([0.0, edge], radial_nodes)
-        pts = center[None, :] + rho[:, None] * theta[None, :]
-        vals = np.asarray(fn(pts), dtype=float)
-        contrib[i] = float(np.sum(w * vals * rho ** (d - 1)))
-    return halving_estimate(contrib, np.full(len(dirs), area / len(dirs)))
+    dirs = sobol_sphere(4 * n, sphere_pow, seed)
+    edge = _ray_radii(phi, (t,), center, dirs)[:, 0]
+    contrib = _ray_panel_sums(fn, center, dirs, np.zeros(len(dirs)), edge, radial_nodes)
+    return halving_estimate(contrib, np.full(len(dirs), sphere_area(n) / len(dirs)))
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,10 @@ def test_parse_config_full_round_trip():
     ("[run]\ncommand = destroy\n", "unknown command 'destroy'"),
     ("[run]\ncommand = verify\nseed = -1\n", "unsigned 64-bit"),
     ("[run]\ncommand = verify\njobs = 4\n", "line 3: unknown key 'jobs' in \\[run\\]"),
+    ("[run]\ncommand = jensen\n[quadrature]\ndelta = 0.01\n",
+     "line 4: unknown key 'delta' in \\[quadrature\\]"),
+    ("[run]\ncommand = jensen\n[params]\nlevel = 1.0\n",
+     "line 4: unknown key 'level' in \\[params\\]"),
     ("[run]\ncommand = verify\n[tolerances]\nmass = -1e-6\n",
      "line 4: tolerance 'mass' must not be negative"),
     ("[run]\ncommand = verify\n[output]\nformat = yaml\n", "csv, json or both"),
@@ -412,6 +416,21 @@ def test_exit_1_on_command_mismatch(tmp_path, capsys):
     cfg = _write(tmp_path, "v.ini", "[run]\ncommand = verify\n")
     assert _run("ma", cfg, tmp_path / "out") == 1
     assert "config is for 'verify'" in capsys.readouterr().err
+
+
+def test_exit_1_on_cln_pole(tmp_path, capsys):
+    # -1/|q|^2 is infinite at the center, which the sup-norm sample contains
+    cfg = _write(tmp_path, "pole.ini", """\
+        [run]
+        command = cln
+        n = 1
+
+        [fields]
+        u = invshift(0)
+        """)
+    assert _run("cln", cfg, tmp_path / "out") == 1
+    assert "not finite on the outer ball" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "cln.json").exists()
 
 
 def test_exit_1_on_field_dimension_mismatch(tmp_path, capsys):

@@ -152,6 +152,9 @@ def test_cln_ratio_guards():
         cln_ratio([normsq(1)], 2.0, 1.0)
     with pytest.raises(ValueError):
         cln_ratio([Polynomial(1)], 0.5, 1.0)
+    # the sup-norm sample includes the center, where -1/|q|^2 has its pole
+    with pytest.raises(ValueError, match="not finite"):
+        cln_ratio([invshift(1)], 0.5, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from qma.calculus import z_field
 from qma.errors import DegenerateLevelSetError, DimensionError
 from qma.fields import Polynomial, normsq, quadform
 from qma.hamilton import QMatrix, Quaternion
-from qma.quadrature import sobol_sphere
+from qma.monge_ampere import ma_density
+from qma.quadrature import (gauss_legendre_panels, halving_estimate,
+                            sobol_sphere, sphere_area)
+from qma import potential
 from qma.potential import (
     NormalFrame,
     boundary_mass_residual,
@@ -116,6 +120,135 @@ def test_sublevel_integral_ray_path():
     assert val == pytest.approx(PI2 / 2, rel=1e-10)
     assert sublevel_integral(phi, -1.0, lambda pts: np.ones(len(pts)),
                              sphere_pow=5) == (0.0, 0.0)
+
+
+def test_ray_rules_raise_when_a_ray_misses_the_level_set():
+    # {x0^2 - x1^2 = 1} does not meet the rays with |theta_0| <= |theta_1|
+    x0, x1 = Polynomial.coordinate(1, 0), Polynomial.coordinate(1, 1)
+    phi = x0 * x0 - x1 * x1
+    with pytest.raises(DegenerateLevelSetError, match="does not cross"):
+        sublevel_integral(phi, 1.0, lambda pts: np.ones(len(pts)), sphere_pow=4)
+    with pytest.raises(DegenerateLevelSetError, match="does not cross"):
+        surface_integral(phi, 1.0, sphere_pow=4)
+
+
+# the per-ray loops that the shared ray chain replaced, kept as the oracle
+
+def _oracle_ray_root(phi, level, center, theta, r_hint=1.0):
+    g = lambda rho: phi.value(center + rho * theta) - level
+    lo, hi = 1e-9, r_hint
+    glo = g(lo)
+    ghi = g(hi)
+    grow = 0
+    while glo * ghi > 0:
+        hi *= 2.0
+        ghi = g(hi)
+        grow += 1
+        if grow > 60:
+            raise DegenerateLevelSetError("level set does not cross a sample ray")
+    return brentq(g, lo, hi, xtol=1e-13, rtol=1e-13)
+
+
+def _oracle_coarea_shell(phi, r, fn, delta, center, sphere_pow, seed, radial_nodes):
+    d = 4 * phi.n
+    dirs = sobol_sphere(d, sphere_pow, seed)
+    w_dir = sphere_area(phi.n) / len(dirs)
+    total = 0.0
+    r_hint = 1.0
+    for theta in dirs:
+        lo = _oracle_ray_root(phi, r - delta, center, theta, r_hint)
+        hi = _oracle_ray_root(phi, r + delta, center, theta, max(r_hint, lo * 1.5))
+        r_hint = hi
+        rho, w = gauss_legendre_panels([lo, hi], radial_nodes)
+        pts = center[None, :] + rho[:, None] * theta[None, :]
+        gnorm = np.linalg.norm(phi.gradients(pts), axis=1)
+        vals = np.asarray(fn(pts), dtype=float)
+        total += w_dir * float(np.sum(w * vals * gnorm * rho ** (d - 1)))
+    return total / (2 * delta)
+
+
+def _oracle_surface(phi, r, fn, sphere_pow, seed=0, radial_nodes=8):
+    center, delta = np.zeros(4 * phi.n), abs(r) * 1e-2
+    coarse = _oracle_coarea_shell(phi, r, fn, delta, center, sphere_pow, seed,
+                                  radial_nodes)
+    fine = _oracle_coarea_shell(phi, r, fn, delta / 2, center, sphere_pow, seed,
+                                radial_nodes)
+    return fine, abs(fine - coarse)
+
+
+def _oracle_sublevel(phi, t, fn, sphere_pow, seed=0, radial_nodes=12):
+    d = 4 * phi.n
+    center = np.zeros(d)
+    dirs = sobol_sphere(d, sphere_pow, seed)
+    contrib = np.empty(len(dirs))
+    r_hint = 1.0
+    for i, theta in enumerate(dirs):
+        edge = _oracle_ray_root(phi, t, center, theta, r_hint)
+        r_hint = edge
+        rho, w = gauss_legendre_panels([0.0, edge], radial_nodes)
+        pts = center[None, :] + rho[:, None] * theta[None, :]
+        vals = np.asarray(fn(pts), dtype=float)
+        contrib[i] = float(np.sum(w * vals * rho ** (d - 1)))
+    return halving_estimate(contrib, np.full(len(dirs), sphere_area(phi.n) / len(dirs)))
+
+
+def _radial_quartic():
+    # level 1.25 is the unit sphere
+    u = normsq(1)
+    return Polynomial(1, u.terms) + Polynomial.__mul__(u, u) * 0.25, 1.25
+
+
+def _shifted_quartic():
+    # the benchmark's non-quadratic exhaustion normsq() + x0^4 at n = 2
+    x0 = Polynomial.coordinate(2, 0)
+    return Polynomial(2, normsq(2).terms) + x0 * x0 * x0 * x0, 1.0
+
+
+def _integrand(kind, phi):
+    n = phi.n
+    v = Polynomial.coordinate(n, 0) * Polynomial.coordinate(n, 0) + 1.5
+    if kind == "ones":
+        return lambda pts: np.ones(len(pts))
+    if kind == "polynomial":
+        return (v * Polynomial.coordinate(n, 1) + 2).values
+    return lambda pts: ma_density(phi, pts) * v.values(pts)
+
+
+@pytest.mark.parametrize("geometry,sphere_pow", [(_radial_quartic, 5),
+                                                 (_shifted_quartic, 5),
+                                                 (_shifted_quartic, 6)])
+@pytest.mark.parametrize("kind", ["ones", "polynomial", "ma_density"])
+def test_ray_rules_match_per_ray_oracle(monkeypatch, geometry, sphere_pow, kind):
+    phi, level = geometry()
+    fn = _integrand(kind, phi)
+    want_sub = _oracle_sublevel(phi, level, fn, sphere_pow)
+    want_surf = _oracle_surface(phi, level, fn, sphere_pow)
+    # any node block size gives the same bits, down to one node per call
+    for block in (potential._BLOCK_NODES, 1, 10**9):
+        monkeypatch.setattr(potential, "_BLOCK_NODES", block)
+        assert sublevel_integral(phi, level, fn, sphere_pow=sphere_pow) == want_sub
+        surf = surface_integral(phi, level, fn, sphere_pow=sphere_pow)
+        assert (surf.value, surf.error) == want_surf
+
+
+@pytest.mark.parametrize("block", [None, 100])
+def test_ray_rules_call_the_integrand_once_per_block(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(potential, "_BLOCK_NODES", block)
+    block = potential._BLOCK_NODES
+    phi, level = _radial_quartic()
+    sizes = []
+
+    def fn(pts):
+        sizes.append(len(pts))
+        return np.ones(len(pts))
+
+    # 32 rays of 12 sublevel nodes; two shells of 32 rays of 8 nodes
+    sublevel_integral(phi, level, fn, sphere_pow=5, radial_nodes=12)
+    assert sizes == [min(block, 384 - s) for s in range(0, 384, block)]
+    sizes.clear()
+    surface_integral(phi, level, fn, sphere_pow=5, radial_nodes=8)
+    assert sizes == 2 * [min(block, 256 - s) for s in range(0, 256, block)]
 
 
 # ---------------------------------------------------------------------------
