@@ -223,10 +223,7 @@ def delta_matrix(u, x):
 
 def delta_matrices(u, pts):
     """Batched delta matrices: (N, 2n, 2n) complex from one Hessian sweep."""
-    v0, v1 = nabla_matrices(u.n)
-    h = u.hessians(pts)
-    a = np.einsum("im,bmk,jk->bij", v0, h, v1, optimize=True)
-    return 0.5 * (a - np.swapaxes(a, 1, 2))
+    return delta_from_hessians(u.n, u.hessians(pts))
 
 
 def delta_from_hessians(n, hess):

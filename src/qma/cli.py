@@ -70,7 +70,7 @@ import numpy as np
 
 from .calculus import closedness_residual, delta_matrix, laplace, nabla, z_field
 from .currents import RegularizedCurrent, cln_ratio, lelong_number
-from .errors import ConfigError, QmaError
+from .errors import ConfigError, NumericalInconsistencyError, QmaError
 from .exterior import beta, positivity_test, random_strongly_positive, top_coefficient
 from .fields import (Polynomial, ScalarField, field_product, field_scale,
                      field_sum, invshift, normsq, quadform)
@@ -509,7 +509,7 @@ def _render_csv(command, rows):
 
 
 def _render_json(report):
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _atomic_write(path, text):
@@ -550,7 +550,8 @@ def _require_n(cfg, lo, hi):
 
 
 def _parsed_fields(cfg, names=None):
-    """Parse the configured field expressions (all of them, or a named list)."""
+    """Parse the configured field expressions (all of them, or a named list);
+    each must live on H^n for the run's n."""
     names = sorted(cfg.fields) if names is None else list(names)
     out = {}
     for name in names:
@@ -561,6 +562,8 @@ def _parsed_fields(cfg, names=None):
             field = parse_field_expr(cfg.fields[name], cfg.n)
         except ConfigError as exc:
             raise ConfigError(f"field {name!r}: {exc}")
+        if field.n != cfg.n:
+            raise ConfigError(f"field {name!r} lives on H^{field.n}, run has n = {cfg.n}")
         out[name] = field
     return out
 
@@ -702,9 +705,6 @@ def _cmd_ma(cfg):
     if not cfg.fields:
         raise ConfigError("command 'ma' needs at least one entry in [fields]")
     fields = _parsed_fields(cfg)
-    for name, u in fields.items():
-        if u.n != n:
-            raise ConfigError(f"field {name!r} lives on H^{u.n}, run has n = {n}")
     r = _param(cfg, "r", 1.0)
     tol_moore = cfg.tolerances.get("moore", 1e-9)
     pts = _ball_points(n, r, 32, cfg.seed)
@@ -763,8 +763,6 @@ def _cmd_lelong(cfg):
     n = _require_n(cfg, 1, 2)
     fields = _parsed_fields(cfg, ["u"])
     u = fields["u"]
-    if u.n != n:
-        raise ConfigError(f"field 'u' lives on H^{u.n}, run has n = {n}")
     center = _param(cfg, "center", [0.0] * 4 * n)
     if len(center) != 4 * n:
         raise ConfigError(f"center needs {4 * n} components")
@@ -776,6 +774,15 @@ def _cmd_lelong(cfg):
 
     current = RegularizedCurrent.from_laplace(u)
     profile, nu = lelong_number(current, np.asarray(center), radii, **quad_opts)
+    if n == 1 and math.hypot(*center) <= profile.radii[-1]:
+        # on H^1, laplace of a pole is a point mass that no quadrature node
+        # sees; the grammar can only place a pole at the origin
+        with np.errstate(divide="ignore", invalid="ignore"):
+            at_origin = u.value(np.zeros(4))
+        if not math.isfinite(at_origin):
+            raise ConfigError("field 'u' is not finite at the origin, inside the "
+                              f"ball of radius {float(profile.radii[-1])!r}; its point "
+                              "mass cannot be measured by quadrature")
     bad = set(profile.monotone_violations(slack=slack))
     rows = []
     for k in range(len(profile.radii)):
@@ -794,9 +801,6 @@ def _cmd_jensen(cfg):
     n = _require_n(cfg, 1, 2)
     fields = _parsed_fields(cfg, ["phi", "v"])
     phi, v = fields["phi"], fields["v"]
-    for name, f in fields.items():
-        if f.n != n:
-            raise ConfigError(f"field {name!r} lives on H^{f.n}, run has n = {n}")
     r = _param(cfg, "r", required=True)
     tol = cfg.tolerances.get("jensen", 1e-3)
     tol_layered = cfg.tolerances.get("jensen_layered", 1e-2)
@@ -836,8 +840,6 @@ def _cmd_boundary(cfg):
     n = _require_n(cfg, 1, 2)
     fields = _parsed_fields(cfg, ["phi"])
     phi = fields["phi"]
-    if phi.n != n:
-        raise ConfigError(f"field 'phi' lives on H^{phi.n}, run has n = {n}")
     r = _param(cfg, "r", required=True)
     tol = cfg.tolerances.get("boundary", 1e-3)
     tol_pos = cfg.tolerances.get("positivity", 1e-9)
@@ -874,9 +876,6 @@ def _cmd_cln(cfg):
     if not cfg.fields:
         raise ConfigError("command 'cln' needs at least one entry in [fields]")
     fields = _parsed_fields(cfg)
-    for name, u in fields.items():
-        if u.n != n:
-            raise ConfigError(f"field {name!r} lives on H^{u.n}, run has n = {n}")
     inner = _param(cfg, "inner_radius", 0.5)
     outer = _param(cfg, "outer_radius", 1.0)
     if inner > outer:
@@ -917,9 +916,26 @@ _DISPATCH = {
 }
 
 
+def _require_finite(value, where):
+    """Raise at the first non-finite float inside a report value."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise NumericalInconsistencyError(f"{where} is not finite ({value!r})")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _require_finite(item, f"{where} key {key!r}")
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            _require_finite(item, f"{where} item {k}")
+
+
 def run_command(cfg):
     """Evaluate a parsed config; returns the full report dictionary."""
     rows, summary = _DISPATCH[cfg.command](cfg)
+    for i, row in enumerate(rows):
+        for column, value in row.items():
+            _require_finite(value, f"row {i} ({row[_COLUMNS[cfg.command][0]]}) "
+                                   f"column {column!r}")
+    _require_finite(summary, "summary")
     statuses = [row["status"] for row in rows]
     evaluated = [s for s in statuses if s != "info"]
     if not evaluated:

@@ -464,7 +464,7 @@ def integration_by_parts_residual(fields, radius=1.0, sphere_pow=9,
     return abs(lhs - rhs)
 
 
-def positivity_pairing_min(current, pts, trials=20, seed=0, tol_scale=True):
+def positivity_pairing_min(current, pts, trials=20, seed=0):
     """Smallest pairing density of T against sampled strongly positive
     elements of complementary degree (should be >= -1e-9 for positive T)."""
     n = current.n

@@ -17,6 +17,10 @@ level sets stay recognizable (exact sphere/ellipsoid quadrature), and
 
 All fields share pointwise ``value/gradient/hessian`` plus batched
 ``values/gradients/hessians`` (shape (N, 4n) in, used heavily by quadrature).
+
+A Polynomial's ``value`` and ``values`` share one walk over a cached term
+table per lane: exact points use the stored coefficients, float arrays use
+float(c), and a float point gives the same bits pointwise and batched.
 """
 
 from __future__ import annotations
@@ -103,6 +107,21 @@ def _zero_exponent(n):
     return (0,) * (4 * n)
 
 
+def _walk(table, x):
+    """Sum the table's terms at x from 0 in order, each power by repeated
+    multiplication; x[axis] is a scalar or a column of points."""
+    acc = 0
+    for c, factors in table:
+        term = c
+        for m, k in factors:
+            xm = p = x[m]
+            for _ in range(k - 1):
+                p = p * xm
+            term = term * p
+        acc = acc + term
+    return acc
+
+
 class Polynomial(ScalarField):
     """Sparse polynomial: {exponent tuple (len 4n): coefficient}.
 
@@ -111,7 +130,7 @@ class Polynomial(ScalarField):
     equality is structural.
     """
 
-    __slots__ = ("n", "terms", "_batch_cache", "_diff_cache")
+    __slots__ = ("n", "terms", "_tables", "_diff_cache")
 
     def __init__(self, n, terms=None):
         self.n = n
@@ -127,7 +146,7 @@ class Polynomial(ScalarField):
                 if c:
                     self.terms[expo] = self.terms.get(expo, 0) + c
             self.terms = {e: c for e, c in self.terms.items() if c}
-        self._batch_cache = None
+        self._tables = None
         self._diff_cache = {}
 
     # ------------------------------------------------------------------ build
@@ -228,15 +247,19 @@ class Polynomial(ScalarField):
         return cached
 
     # ------------------------------------------------------------------ evaluate
+    def _table(self, exact):
+        """The term table of one lane: (coefficient, ((axis, exponent), ...))
+        in sorted(terms) order; the float lane holds float(coefficient)."""
+        if self._tables is None:
+            table = tuple((self.terms[e], tuple((m, k) for m, k in enumerate(e) if k))
+                          for e in sorted(self.terms))
+            self._tables = (table, tuple((float(c), f) for c, f in table))
+        return self._tables[0 if exact else 1]
+
     def value(self, x):
-        acc = 0
-        for e, c in self.terms.items():
-            term = c
-            for xi, ei in zip(x, e):
-                if ei:
-                    term = term * xi ** ei
-            acc = acc + term
-        return acc
+        if isinstance(x, np.ndarray) and x.dtype == float:
+            return _walk(self._table(False), x.tolist())
+        return _walk(self._table(True), x)
 
     def gradient(self, x):
         return np.array([float(self.diff(m).value(x)) for m in range(self.dim)])
@@ -250,35 +273,9 @@ class Polynomial(ScalarField):
                 out[i, j] = out[j, i] = float(di.diff(j).value(x))
         return out
 
-    def _batch_data(self):
-        if self._batch_cache is None:
-            expos = np.array(sorted(self.terms), dtype=int).reshape(len(self.terms), self.dim)
-            coefs = np.array([float(self.terms[tuple(e)]) for e in expos])
-            self._batch_cache = (expos, coefs)
-        return self._batch_cache
-
     def values(self, pts):
         pts = np.asarray(pts, dtype=float)
-        if not self.terms:
-            return np.zeros(len(pts))
-        expos, coefs = self._batch_data()
-        out = np.zeros(len(pts))
-        # per-axis power tables keep this O(terms * dim) array ops
-        maxe = expos.max(axis=0)
-        powers = [None] * self.dim
-        for m in range(self.dim):
-            tab = np.empty((maxe[m] + 1, len(pts)))
-            tab[0] = 1.0
-            for k in range(1, maxe[m] + 1):
-                tab[k] = tab[k - 1] * pts[:, m]
-            powers[m] = tab
-        for t in range(len(coefs)):
-            term = np.full(len(pts), coefs[t])
-            for m in range(self.dim):
-                if expos[t, m]:
-                    term = term * powers[m][expos[t, m]]
-            out += term
-        return out
+        return np.zeros(len(pts)) + _walk(self._table(False), pts.T)
 
     def gradients(self, pts):
         return np.stack([self.diff(m).values(pts) for m in range(self.dim)], axis=1)

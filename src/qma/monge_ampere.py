@@ -218,7 +218,9 @@ def tau_hessians(u, pts):
 
 
 def moore_equivalence_residual(u, pts):
-    """max |density(u) - n! Moore(H(u))| over the sample points.
+    """max |density(u) - n! Moore(H(u))| over the sample points, or NaN
+    when any density or Moore value is not finite (a plain max would drop
+    the NaN and report agreement).
 
     The two sides are computed through genuinely different pipelines
     (matchings over delta matrices vs. the cyclic Moore expansion), so this
@@ -226,11 +228,11 @@ def moore_equivalence_residual(u, pts):
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     dens = ma_density(u, pts)
-    worst = 0.0
-    for t, x in enumerate(pts):
-        md = moore_det(hyperhermitian_hessian(u, x))
-        worst = max(worst, abs(dens[t] - math.factorial(u.n) * float(md)))
-    return worst
+    moore = np.array([math.factorial(u.n) * float(moore_det(hyperhermitian_hessian(u, x)))
+                      for x in pts])
+    if not (np.isfinite(dens).all() and np.isfinite(moore).all()):
+        return math.nan
+    return float(np.max(np.abs(dens - moore), initial=0.0))
 
 
 class PshResult:

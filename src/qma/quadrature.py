@@ -299,7 +299,7 @@ class StarShapedRule:
     """
 
     def __init__(self, field, level, center=None, sphere_pow=9, seed=0,
-                 r_max=None, tol=1e-12):
+                 r_max=None):
         n = field.n
         d = 4 * n
         self.n = n
@@ -315,7 +315,7 @@ class StarShapedRule:
             if flo * fhi > 0:
                 raise DegenerateLevelSetError(
                     "level set does not cross one of the sample rays")
-            radii[i] = brentq(f, lo, hi, xtol=tol)
+            radii[i] = brentq(f, lo, hi, xtol=1e-12)
         self.points = center[None, :] + radii[:, None] * dirs
         grads = field.gradients(self.points)
         gnorm = np.linalg.norm(grads, axis=1)

@@ -12,6 +12,7 @@ import pytest
 
 from qma.cli import (
     RunConfig,
+    _render_json,
     main,
     parse_config,
     parse_field_expr,
@@ -434,16 +435,66 @@ def test_exit_1_on_cln_pole(tmp_path, capsys):
 
 
 def test_exit_1_on_field_dimension_mismatch(tmp_path, capsys):
-    cfg = _write(tmp_path, "mismatch.ini", """\
+    for command, name, fields in (("ma", "u", "u = quadform([1, 0; 0, 1])"),
+                                  ("jensen", "phi", "phi = quadform([1, 0; 0, 1])\nv = x0"),
+                                  ("cln", "w", "u = x0^2\nw = quadform([1, 0; 0, 1])")):
+        cfg = tmp_path / f"{command}.ini"
+        cfg.write_text(f"[run]\ncommand = {command}\nn = 1\n\n[fields]\n{fields}\n"
+                       "\n[params]\nr = 1.0\n")
+        assert _run(command, cfg, tmp_path / "out") == 1
+        assert f"field '{name}' lives on H^2, run has n = 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_exit_1_on_non_finite_value(tmp_path, capsys):
+    # x0^16 overflows at radius 1e30: the densities are NaN, and a plain max
+    # over the Moore residuals would drop the NaN and let the row pass
+    cfg = _write(tmp_path, "overflow.ini", """\
         [run]
         command = ma
         n = 1
 
         [fields]
-        u = quadform([1, 0; 0, 1])
+        u = x0^16
+
+        [params]
+        r = 1e30
         """)
-    assert _run("ma", cfg, tmp_path / "out") == 1
-    assert "lives on H^2" in capsys.readouterr().err
+    with np.errstate(all="ignore"):
+        assert _run("ma", cfg, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert "row 0 (u) column 'min_density' is not finite (nan)" in err
+    assert not (tmp_path / "out").exists()
+    # the JSON writer never emits a bare NaN either
+    with pytest.raises(ValueError):
+        _render_json({"rows": [{"value": math.nan}]})
+
+
+@pytest.mark.parametrize("center, refused", [("0, 0, 0, 0", True), ("1, 0, 0, 0", True),
+                                             ("3, 0, 0, 0", False)])
+def test_exit_1_on_lelong_point_mass(tmp_path, capsys, center, refused):
+    # on H^1, laplace(-1/|q|^2) is a point mass at the origin that no
+    # quadrature node sees; it is refused when the largest ball holds it
+    cfg = _write(tmp_path, "mass.ini", f"""\
+        [run]
+        command = lelong
+        n = 1
+
+        [fields]
+        u = invshift(0)
+
+        [params]
+        radii = 0.25, 0.5, 1.0
+        center = {center}
+        """)
+    code = _run("lelong", cfg, tmp_path / "out")
+    if refused:
+        assert code == 1
+        assert "not finite at the origin" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+    else:
+        assert code != 1
+        assert (tmp_path / "out" / "lelong.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qma.errors import DimensionError, OracleError
 from qma.fields import (
@@ -87,6 +88,80 @@ def test_polynomial_batch_matches_pointwise():
     np.testing.assert_allclose(p.values(pts), [float(p.value(x)) for x in pts], rtol=1e-13)
     np.testing.assert_allclose(p.gradients(pts), [p.gradient(x) for x in pts], rtol=1e-13)
     np.testing.assert_allclose(p.hessians(pts), [p.hessian(x) for x in pts], rtol=1e-13)
+
+
+def _dict_walk(p, x):
+    """Reference pointwise evaluator: dict order, coefficient times pow."""
+    acc = 0
+    for e, c in p.terms.items():
+        term = c
+        for xi, ei in zip(x, e):
+            if ei:
+                term = term * xi ** ei
+        acc = acc + term
+    return acc
+
+
+def _power_tables(p, pts):
+    """Reference batched evaluator: per-axis power tables, sorted terms."""
+    pts = np.asarray(pts, dtype=float)
+    if not p.terms:
+        return np.zeros(len(pts))
+    expos = np.array(sorted(p.terms), dtype=int).reshape(len(p.terms), p.dim)
+    coefs = np.array([float(p.terms[tuple(e)]) for e in expos])
+    out = np.zeros(len(pts))
+    maxe = expos.max(axis=0)
+    powers = [None] * p.dim
+    for m in range(p.dim):
+        tab = np.empty((maxe[m] + 1, len(pts)))
+        tab[0] = 1.0
+        for k in range(1, maxe[m] + 1):
+            tab[k] = tab[k - 1] * pts[:, m]
+        powers[m] = tab
+    for t in range(len(coefs)):
+        term = np.full(len(pts), coefs[t])
+        for m in range(p.dim):
+            if expos[t, m]:
+                term = term * powers[m][expos[t, m]]
+        out += term
+    return out
+
+
+@st.composite
+def _polynomials_and_points(draw):
+    """A polynomial over H^n (n in {1, 2}) of degree <= 6 with rational
+    coefficients, possibly zero or constant, and 1 to 4 float points."""
+    n = draw(st.sampled_from([1, 2]))
+    d = 4 * n
+    monomial = st.lists(st.integers(0, d - 1), max_size=6).map(
+        lambda axes: tuple(axes.count(m) for m in range(d)))
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    terms = draw(st.dictionaries(monomial, coeff, max_size=6))
+    coord = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
+    pts = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=4))
+    return Polynomial(n, terms), np.array(pts)
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+@settings(max_examples=150)
+@given(_polynomials_and_points())
+@example((Polynomial(1), np.array([[0.5, -1.0, 2.0, 0.0]])))
+@example((Polynomial.constant(2, Fraction(-7, 3)), np.full((2, 8), 0.25)))
+def test_polynomial_one_walk_matches_reference_evaluators(case):
+    p, pts = case
+    batch = p.values(pts)
+    assert np.array_equal(batch, _power_tables(p, pts))
+    for x in pts:
+        # the float lane gives the same bits pointwise and batched, from an
+        # ndarray or a list of Python floats
+        assert _bits(p.value(x)) == _bits(p.values(x[None])[0])
+        assert _bits(p.value(x.tolist())) == _bits(p.value(x))
+        # the exact lane agrees with the reference walk to the last digit
+        exact = [Fraction(float(c)) for c in x]
+        assert p.value(exact) == _dict_walk(p, exact)
 
 
 # ---------------------------------------------------------------------------

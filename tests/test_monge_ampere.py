@@ -179,6 +179,16 @@ def test_moore_equivalence_on_mixed_fields(n):
     assert moore_equivalence_residual(u, pts) < 1e-9
 
 
+def test_moore_equivalence_residual_is_nan_on_non_finite_values():
+    # x0^16 overflows at 1e30, so the density there is NaN; max() over the
+    # points must not drop it and report the finite second point's residual
+    u = Polynomial.coordinate(1, 0) ** 16
+    pts = np.array([[1e30, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0]])
+    with np.errstate(all="ignore"):
+        assert math.isnan(moore_equivalence_residual(u, pts))
+    assert moore_equivalence_residual(u, pts[1:]) < 1e-9
+
+
 def test_psh_test_verdicts():
     rng = np.random.default_rng(12)
     pts = rng.standard_normal((20, 4))
