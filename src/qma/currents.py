@@ -269,15 +269,16 @@ class RadialProfile:
     errors: np.ndarray
 
     def monotone_violations(self, slack=3.0):
-        """Indices k where the profile decreases beyond combined error bars,
-        or where a value or error at k or k + 1 is not finite."""
+        """Indices k where the profile decreases beyond combined error bars
+        plus a rounding allowance of 1e-12 (relative, absolute below 1), or
+        where a value or error at k or k + 1 is not finite."""
         bad = []
         for k in range(len(self.radii) - 1):
             finite = np.isfinite([self.values[k], self.values[k + 1],
                                   self.errors[k], self.errors[k + 1]]).all()
             allowed = slack * (self.errors[k] + self.errors[k + 1])
             if not finite or (self.values[k] > self.values[k + 1] + allowed
-                              + 1e-12 * abs(self.values[k + 1])):
+                              + 1e-12 * max(1.0, abs(self.values[k + 1]))):
                 bad.append(k)
         return bad
 

@@ -7,16 +7,35 @@ provided, mirroring how much derivative information is trustworthy:
 * ``Polynomial``   exact sparse multivariate polynomials (Fraction or float
                    coefficients); differentiation is exact, so these drive
                    every identity that must hold to the last bit.
-* ``ClosedForm``   value with hand-written gradient and Hessian callables
-                   (e.g. the fundamental-solution family -1/(|q|^2 + eps)).
+* ``ClosedForm``   value with hand-written gradient and Hessian callables.
 * ``BlackBox``     value only; derivatives by central differences.
 
 ``QuadraticForm`` is a Polynomial subclass that remembers its matrix data so
-level sets stay recognizable (exact sphere/ellipsoid quadrature), and
-``GridField`` holds lattice samples for the mollification machinery.
+level sets stay recognizable (exact sphere/ellipsoid quadrature), ``InvShift``
+is the fundamental-solution family -1/(|q - a|^2 + eps), and ``GridField``
+holds lattice samples for the mollification machinery.
 
 All fields share pointwise ``value/gradient/hessian`` plus batched
 ``values/gradients/hessians`` (shape (N, 4n) in, used heavily by quadrature).
+A field states its math once, in its batched methods: ``ScalarField``'s
+pointwise trio returns row 0 of the batched trio at ``x[None]``.  Field
+sums, scalings and products, ``ChainField``, ``LinearSubstitution``,
+``InvShift`` and ``DerivedField``'s value and gradient work that way.  The
+exceptions define their own pointwise methods:
+
+* ``Polynomial``, whose scalar walk keeps Fraction points exact and keeps
+  the scalar ``value`` calls of the per-ray root solvers (about 197,000 in
+  a quartic n = 2 ``jensen`` run) off numpy, where a one-row array costs
+  more than the walk.  ``QuadraticForm`` inherits its ``value`` and takes
+  gradient and Hessian back to one row of its matrix forms.
+* ``ClosedForm``, ``BlackBox`` and ``GridField``, pointwise by contract;
+  their batched methods are the base class's loop over points (a
+  ``ClosedForm`` may pass vectorized callables instead).
+* ``DerivedField.hessian``, a difference of the parent's pointwise Hessian
+  with no batched formula; ``hessians`` loops over it.
+
+Every concrete field thus defines one side of each pointwise/batched pair;
+a field defining neither would send the two defaults into each other.
 
 A Polynomial's ``value`` and ``values`` share one walk over a cached term
 table per lane: exact points use the stored coefficients, float arrays use
@@ -51,15 +70,15 @@ class ScalarField:
     def dim(self):
         return 4 * self.n
 
-    # --- pointwise interface -------------------------------------------------
+    # --- pointwise interface: row 0 of the batched methods -------------------
     def value(self, x):
-        raise NotImplementedError
+        return float(self.values(np.asarray(x, dtype=float)[None])[0])
 
     def gradient(self, x):
-        raise NotImplementedError
+        return self.gradients(np.asarray(x, dtype=float)[None])[0]
 
     def hessian(self, x):
-        raise NotImplementedError
+        return self.hessians(np.asarray(x, dtype=float)[None])[0]
 
     def diff(self, axis):
         """The field d(self)/dx_axis.  Exact for polynomials, oracle-backed
@@ -67,7 +86,7 @@ class ScalarField:
         differencing the parent Hessian)."""
         return DerivedField(self, axis)
 
-    # --- batched interface ---------------------------------------------------
+    # --- batched interface: a loop over the pointwise methods ----------------
     def values(self, pts):
         pts = np.asarray(pts, dtype=float)
         return np.array([self.value(p) for p in pts])
@@ -318,11 +337,10 @@ class QuadraticForm(Polynomial):
         h = 2.0 * self.m_real
         return np.broadcast_to(h, (len(pts), *h.shape)).copy()
 
-    def gradient(self, x):
-        return 2.0 * self.m_real @ (np.asarray(x, dtype=float) - self.center)
-
-    def hessian(self, x):
-        return 2.0 * self.m_real.copy()
+    # one row of the matrix forms above, not Polynomial's walk over 4n(4n+1)/2
+    # second partials; value keeps the walk, whose Fraction points stay exact
+    gradient = ScalarField.gradient
+    hessian = ScalarField.hessian
 
 
 class ClosedForm(ScalarField):
@@ -434,12 +452,6 @@ class DerivedField(ScalarField):
         self.parent = parent
         self.axis = axis
 
-    def value(self, x):
-        return float(self.parent.gradient(x)[self.axis])
-
-    def gradient(self, x):
-        return np.asarray(self.parent.hessian(x))[self.axis].copy()
-
     def hessian(self, x):
         x = np.asarray(x, dtype=float)
         d = self.dim
@@ -471,18 +483,6 @@ class LinearSubstitution(ScalarField):
             raise DimensionError("substitution matrix has wrong shape")
         self.shift = np.zeros(4 * base.n) if shift is None else np.asarray(shift, dtype=float)
 
-    def _map(self, x):
-        return self.rmat @ np.asarray(x, dtype=float) + self.shift
-
-    def value(self, x):
-        return self.base.value(self._map(x))
-
-    def gradient(self, x):
-        return self.rmat.T @ self.base.gradient(self._map(x))
-
-    def hessian(self, x):
-        return self.rmat.T @ self.base.hessian(self._map(x)) @ self.rmat
-
     def values(self, pts):
         return self.base.values(np.asarray(pts, dtype=float) @ self.rmat.T + self.shift)
 
@@ -508,17 +508,6 @@ class ChainField(ScalarField):
         self.d2 = d2
         self.name = name
 
-    def value(self, x):
-        return float(self.f(self.phi.value(x)))
-
-    def gradient(self, x):
-        return float(self.d1(self.phi.value(x))) * self.phi.gradient(x)
-
-    def hessian(self, x):
-        t = self.phi.value(x)
-        g = self.phi.gradient(x)
-        return float(self.d2(t)) * np.outer(g, g) + float(self.d1(t)) * self.phi.hessian(x)
-
     def values(self, pts):
         return self.f(self.phi.values(pts))
 
@@ -542,15 +531,6 @@ class _SumField(ScalarField):
         self.n = a.n
         self.a, self.b = a, b
 
-    def value(self, x):
-        return self.a.value(x) + self.b.value(x)
-
-    def gradient(self, x):
-        return self.a.gradient(x) + self.b.gradient(x)
-
-    def hessian(self, x):
-        return self.a.hessian(x) + self.b.hessian(x)
-
     def values(self, pts):
         return self.a.values(pts) + self.b.values(pts)
 
@@ -566,15 +546,6 @@ class _ScaledField(ScalarField):
         self.n = a.n
         self.a = a
         self.s = float(s)
-
-    def value(self, x):
-        return self.s * self.a.value(x)
-
-    def gradient(self, x):
-        return self.s * self.a.gradient(x)
-
-    def hessian(self, x):
-        return self.s * self.a.hessian(x)
 
     def values(self, pts):
         return self.s * self.a.values(pts)
@@ -592,18 +563,6 @@ class _ProductField(ScalarField):
             raise DimensionError("field dimensions differ")
         self.n = a.n
         self.a, self.b = a, b
-
-    def value(self, x):
-        return self.a.value(x) * self.b.value(x)
-
-    def gradient(self, x):
-        return self.a.value(x) * self.b.gradient(x) + self.b.value(x) * self.a.gradient(x)
-
-    def hessian(self, x):
-        ga, gb = self.a.gradient(x), self.b.gradient(x)
-        cross = np.outer(ga, gb)
-        return (self.a.value(x) * self.b.hessian(x) + self.b.value(x) * self.a.hessian(x)
-                + cross + cross.T)
 
     def values(self, pts):
         return self.a.values(pts) * self.b.values(pts)
@@ -735,7 +694,7 @@ def quadform(a_matrix, center=None):
     return QuadraticForm(n, scalar.terms, a_matrix, m_real, ctr, 0.0)
 
 
-class InvShift(ClosedForm):
+class InvShift(ScalarField):
     """The fundamental-solution family u = -1/(|q - a|^2 + eps).
 
     eps = 0 is allowed; the field is then singular at the center and must not
@@ -745,40 +704,27 @@ class InvShift(ClosedForm):
     def __init__(self, n, eps=0.0, center=None):
         if eps < 0:
             raise ValueError("eps must be >= 0")
+        self.n = n
         self.eps = float(eps)
         self.center = np.zeros(4 * n) if center is None else np.asarray(center, dtype=float)
 
-        def s_of(y):
-            return self.eps + np.sum(y * y, axis=-1)
+    def _shifted(self, pts):
+        """(y, s): y = pts - center and s = eps + |y|^2 per point."""
+        y = np.asarray(pts, dtype=float) - self.center
+        return y, self.eps + np.sum(y * y, axis=-1)
 
-        def value(x):
-            return -1.0 / s_of(x - self.center)
+    def values(self, pts):
+        return -1.0 / self._shifted(pts)[1]
 
-        def grad(x):
-            y = x - self.center
-            return 2.0 * y / s_of(y) ** 2
+    def gradients(self, pts):
+        y, s = self._shifted(pts)
+        return 2.0 * y / s[:, None] ** 2
 
-        def hess(x):
-            y = x - self.center
-            s = s_of(y)
-            return 2.0 * np.eye(4 * n) / s ** 2 - 8.0 * np.outer(y, y) / s ** 3
-
-        def values(pts):
-            return -1.0 / s_of(pts - self.center)
-
-        def grads(pts):
-            y = pts - self.center
-            return 2.0 * y / s_of(y)[:, None] ** 2
-
-        def hessians(pts):
-            y = pts - self.center
-            s = s_of(y)
-            eye = np.eye(4 * n)
-            return (2.0 * eye[None] / s[:, None, None] ** 2
-                    - 8.0 * np.einsum("bi,bj->bij", y, y) / s[:, None, None] ** 3)
-
-        super().__init__(n, value, grad, hess, values, grads, hessians,
-                         name=f"invshift(eps={eps})")
+    def hessians(self, pts):
+        y, s = self._shifted(pts)
+        eye = np.eye(self.dim)
+        return (2.0 * eye[None] / s[:, None, None] ** 2
+                - 8.0 * np.einsum("bi,bj->bij", y, y) / s[:, None, None] ** 3)
 
 
 def invshift(n, eps=0.0, center=None):

@@ -134,16 +134,17 @@ def _as_callable(f, n):
     return f
 
 
-def surface_integral(phi, r, f=None, delta=None, sphere_pow=10, seed=0,
-                     center=None, radial_nodes=8):
+def surface_integral(phi, r, f=None, sphere_pow=10, seed=0, center=None,
+                     radial_nodes=8):
     """integral of f over the level set {phi = r} with respect to surface
     measure.
 
     Quadratic phi with positive definite part gets the exact sphere or
     ellipsoid rule; otherwise a co-area shell estimate
     (1/2 delta) * integral_{r-delta < phi < r+delta} f |grad phi| dV,
-    computed along Sobol rays from ``center``, with a delta-halving error
-    estimate.  Returns SurfaceResult (float() gives the value).
+    computed along Sobol rays from ``center`` at delta = |r|/100 (1/100
+    for r = 0), with a delta-halving error estimate.  Returns SurfaceResult
+    (float() gives the value).
     """
     n = phi.n
     fn = _as_callable(f, n)
@@ -162,8 +163,7 @@ def surface_integral(phi, r, f=None, delta=None, sphere_pow=10, seed=0,
         return SurfaceResult(val, err)
 
     center = np.zeros(4 * n) if center is None else np.asarray(center, dtype=float)
-    if delta is None:
-        delta = abs(r) * 1e-2 if r else 1e-2
+    delta = abs(r) * 1e-2 if r else 1e-2
     coarse = _coarea_shell(phi, r, fn, delta, center, sphere_pow, seed, radial_nodes)
     fine = _coarea_shell(phi, r, fn, delta / 2, center, sphere_pow, seed, radial_nodes)
     return SurfaceResult(fine, abs(fine - coarse))
@@ -239,7 +239,7 @@ def _coarea_shell(phi, r, fn, delta, center, sphere_pow, seed, radial_nodes):
 
 
 def sublevel_integral(phi, t, fn, center=None, sphere_pow=9, radial_nodes=12,
-                      seed=0, peak_scale=None):
+                      seed=0):
     """integral of fn over the sublevel set {phi < t} (value, error)."""
     n = phi.n
     geom = _quadratic_geometry(phi)
@@ -250,8 +250,8 @@ def sublevel_integral(phi, t, fn, center=None, sphere_pow=9, radial_nodes=12,
             if level <= 0:
                 return 0.0, 0.0
             quad = BallQuadrature(n, math.sqrt(level / m[0, 0]), center=a,
-                                  peak_scale=peak_scale, sphere_pow=sphere_pow,
-                                  radial_nodes=radial_nodes, seed=seed)
+                                  sphere_pow=sphere_pow, radial_nodes=radial_nodes,
+                                  seed=seed)
             return quad.integrate(fn)
     center = np.zeros(4 * n) if center is None else np.asarray(center, dtype=float)
     if phi.value(center) >= t:

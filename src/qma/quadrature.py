@@ -32,6 +32,9 @@ from scipy.optimize import brentq
 from .errors import DegenerateLevelSetError, DimensionError, QuadratureError
 from .fields import Polynomial
 
+# most nodes per integrand call of BallQuadrature (bounds its memory use)
+_BALL_CHUNK_NODES = 65536
+
 # ---------------------------------------------------------------------------
 # tier 1: exact moments
 
@@ -207,25 +210,23 @@ class BallQuadrature:
 
     ``integrate(fn)`` evaluates fn on (N, 4n) node blocks and returns
     (value, error_estimate); the estimate compares the full direction set
-    against its leading half.  Memory use is bounded by ``chunk`` nodes per
-    call.
+    against its leading half.  Memory use is bounded by
+    ``_BALL_CHUNK_NODES`` nodes per call.  Directions are antithetic.
     """
 
     def __init__(self, n, radius, center=None, peak_scale=None,
-                 sphere_pow=9, radial_nodes=16, seed=0, chunk=65536,
-                 antithetic=True):
+                 sphere_pow=9, radial_nodes=16, seed=0):
         self.n = n
         self.radius = float(radius)
         self.center = np.zeros(4 * n) if center is None else np.asarray(center, dtype=float)
-        self.dirs = sobol_sphere(4 * n, sphere_pow, seed, antithetic=antithetic)
+        self.dirs = sobol_sphere(4 * n, sphere_pow, seed, antithetic=True)
         self.t_nodes, self.t_weights = gauss_legendre_panels(
             graded_breaks(self.radius ** 2, peak_scale), radial_nodes)
-        self.chunk = int(chunk)
 
     def integrate(self, fn):
         n_dirs = len(self.dirs)
         per_dir = np.zeros(n_dirs)
-        rows_per_block = max(1, self.chunk // n_dirs)
+        rows_per_block = max(1, _BALL_CHUNK_NODES // n_dirs)
         tw = self.t_weights * self.t_nodes ** (2 * self.n - 1)
         for start in range(0, len(self.t_nodes), rows_per_block):
             t = self.t_nodes[start:start + rows_per_block]
@@ -239,14 +240,14 @@ class BallQuadrature:
 
 
 class SphereRule:
-    """Equal-weight Sobol rule on a round sphere; exposes outward normals."""
+    """Equal-weight antithetic Sobol rule on a round sphere; exposes outward
+    normals."""
 
-    def __init__(self, n, radius, center=None, sphere_pow=10, seed=0,
-                 antithetic=True):
+    def __init__(self, n, radius, center=None, sphere_pow=10, seed=0):
         self.n = n
         self.radius = float(radius)
         self.center = np.zeros(4 * n) if center is None else np.asarray(center, dtype=float)
-        self.normals = sobol_sphere(4 * n, sphere_pow, seed, antithetic=antithetic)
+        self.normals = sobol_sphere(4 * n, sphere_pow, seed, antithetic=True)
         self.points = self.center[None, :] + self.radius * self.normals
         area = sphere_area(n) * self.radius ** (4 * n - 1)
         self.weights = np.full(len(self.points), area / len(self.points))
@@ -257,14 +258,13 @@ class SphereRule:
 
 class EllipsoidRule:
     """Surface rule for a level set {(x-a)^T M (x-a) = level} of a
-    positive quadratic form (exact geometry, Sobol directions).
+    positive quadratic form (exact geometry, antithetic Sobol directions).
 
     Node weights carry the exact area element of the linear image of the
     sphere: det(B) * |B^(-T) theta| per unit sphere element, B = M^(-1/2).
     """
 
-    def __init__(self, m_real, center, level, sphere_pow=10, seed=0,
-                 antithetic=True):
+    def __init__(self, m_real, center, level, sphere_pow=10, seed=0):
         m_real = np.asarray(m_real, dtype=float)
         d = m_real.shape[0]
         if d % 4:
@@ -277,7 +277,7 @@ class EllipsoidRule:
             raise DegenerateLevelSetError("level must be positive")
         b = evecs @ np.diag(evals ** -0.5) @ evecs.T
         b_inv_t = evecs @ np.diag(evals ** 0.5) @ evecs.T
-        theta = sobol_sphere(d, sphere_pow, seed, antithetic=antithetic)
+        theta = sobol_sphere(d, sphere_pow, seed, antithetic=True)
         root = math.sqrt(level)
         self.center = np.asarray(center, dtype=float)
         self.points = self.center[None, :] + root * theta @ b.T
@@ -296,26 +296,32 @@ class StarShapedRule:
     """Surface rule for a level set {phi = level} star-shaped around a
     center: each Sobol ray is solved for its crossing radius by bracketed
     root finding, and the area element uses the field gradient.
+
+    Each ray's bracket [1e-9, hi] starts at the previous ray's root (1.0 on
+    the first ray) and doubles hi until the sign changes.
     """
 
-    def __init__(self, field, level, center=None, sphere_pow=9, seed=0,
-                 r_max=None):
+    def __init__(self, field, level, center=None, sphere_pow=9, seed=0):
         n = field.n
         d = 4 * n
         self.n = n
         center = np.zeros(d) if center is None else np.asarray(center, dtype=float)
         dirs = sobol_sphere(d, sphere_pow, seed)
-        if r_max is None:
-            r_max = self._bracket(field, level, center, dirs)
         radii = np.empty(len(dirs))
+        hint = 1.0
         for i, th in enumerate(dirs):
             f = lambda rho: field.value(center + rho * th) - level
-            lo, hi = 1e-9, r_max
+            lo, hi = 1e-9, hint
             flo, fhi = f(lo), f(hi)
-            if flo * fhi > 0:
-                raise DegenerateLevelSetError(
-                    "level set does not cross one of the sample rays")
-            radii[i] = brentq(f, lo, hi, xtol=1e-12)
+            grow = 0
+            while flo * fhi > 0:
+                hi *= 2.0
+                fhi = f(hi)
+                grow += 1
+                if grow > 60:
+                    raise DegenerateLevelSetError(
+                        "level set does not cross one of the sample rays")
+            radii[i] = hint = brentq(f, lo, hi, xtol=1e-12)
         self.points = center[None, :] + radii[:, None] * dirs
         grads = field.gradients(self.points)
         gnorm = np.linalg.norm(grads, axis=1)
@@ -325,16 +331,6 @@ class StarShapedRule:
         area = sphere_area(n)
         self.weights = (area / len(dirs)) * radii ** (d - 1) * gnorm / radial
         self.normals = grads / gnorm[:, None]
-
-    @staticmethod
-    def _bracket(field, level, center, dirs):
-        r = 1.0
-        for _ in range(60):
-            vals = field.values(center[None, :] + r * dirs[: min(32, len(dirs))])
-            if np.all(vals > level):
-                return r
-            r *= 2.0
-        raise DegenerateLevelSetError("could not bracket the level set")
 
     def integrate(self, fn):
         return halving_estimate(fn(self.points), self.weights)

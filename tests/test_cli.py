@@ -497,6 +497,29 @@ def test_exit_1_on_lelong_point_mass(tmp_path, capsys, center, refused):
         assert (tmp_path / "out" / "lelong.json").exists()
 
 
+def test_lelong_zero_measure_passes_despite_rounding_noise(tmp_path):
+    # with the pole of u outside every ball, laplace(u) vanishes there and
+    # the normalized masses are rounding noise around 0 (about 1e-18); a
+    # purely relative allowance failed the rows on it
+    cfg = _write(tmp_path, "noise.ini", """\
+        [run]
+        command = lelong
+        n = 1
+
+        [fields]
+        u = invshift(0)
+
+        [params]
+        radii = 0.25, 0.5, 1.0
+        center = 3, 0, 0, 0
+        """)
+    assert _run("lelong", cfg, tmp_path / "out") == 0
+    report = json.loads((tmp_path / "out" / "lelong.json").read_text())
+    assert report["summary"]["monotone_violations"] == []
+    assert [row["status"] for row in report["rows"]] == ["pass"] * 3
+    assert max(abs(row["normalized_mass"]) for row in report["rows"]) < 1e-15
+
+
 # ---------------------------------------------------------------------------
 # determinism and run options
 

@@ -174,6 +174,13 @@ def test_radial_profile_monotone_violations():
     assert nan.monotone_violations() == [0, 1]
     wild = RadialProfile(radii, np.array([1.0, 1.1, np.inf]), np.array([0.0, 0.0, np.nan]))
     assert wild.monotone_violations() == [1]
+    # rounding noise on a vanishing measure is no dip (the allowance is
+    # absolute below 1); a dip of 1e-9 relative on a large profile still is
+    noise = RadialProfile(radii, np.array([-1.7e-20, -2.0e-19, -1.8e-18]),
+                          np.array([4e-21, 3e-20, 2.8e-19]))
+    assert noise.monotone_violations() == []
+    big = RadialProfile(radii, np.array([1e6, 1e6 - 1e-3, 1e6]), np.zeros(3))
+    assert big.monotone_violations() == [0]
 
 
 def test_lelong_number_of_unit_current():

@@ -6,16 +6,22 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import qma.fields
 from qma.errors import DimensionError, OracleError
 from qma.fields import (
     BlackBox,
     ChainField,
     ClosedForm,
+    DerivedField,
     GridField,
     InvShift,
     LinearSubstitution,
     Polynomial,
     QuadraticForm,
+    ScalarField,
+    _ProductField,
+    _ScaledField,
+    _SumField,
     invshift,
     normsq,
     quadform,
@@ -425,6 +431,134 @@ def test_field_algebra_guards():
         invshift(1) + invshift(2)
     with pytest.raises(TypeError):
         normsq(1) + "x"
+
+
+# ---------------------------------------------------------------------------
+# the one-row rule: pointwise methods read row 0 of the batched ones
+
+
+def _pointwise_oracle(u, x):
+    """(value, gradient, Hessian) at x by the hand-written pointwise
+    formulas these fields used to carry, recursing through the oracle; a
+    Polynomial and DerivedField.hessian keep their own pointwise code."""
+    if isinstance(u, _SumField):
+        a, b = _pointwise_oracle(u.a, x), _pointwise_oracle(u.b, x)
+        return a[0] + b[0], a[1] + b[1], a[2] + b[2]
+    if isinstance(u, _ScaledField):
+        v, g, h = _pointwise_oracle(u.a, x)
+        return u.s * v, u.s * g, u.s * h
+    if isinstance(u, _ProductField):
+        (va, ga, ha), (vb, gb, hb) = _pointwise_oracle(u.a, x), _pointwise_oracle(u.b, x)
+        cross = np.outer(ga, gb)
+        return va * vb, va * gb + vb * ga, va * hb + vb * ha + cross + cross.T
+    if isinstance(u, ChainField):
+        t, g, h = _pointwise_oracle(u.phi, x)
+        return (float(u.f(t)), float(u.d1(t)) * g,
+                float(u.d2(t)) * np.outer(g, g) + float(u.d1(t)) * h)
+    if isinstance(u, LinearSubstitution):
+        v, g, h = _pointwise_oracle(u.base, u.rmat @ x + u.shift)
+        return v, u.rmat.T @ g, u.rmat.T @ h @ u.rmat
+    if isinstance(u, InvShift):
+        y = x - u.center
+        s = u.eps + np.sum(y * y, axis=-1)
+        return (-1.0 / s, 2.0 * y / s ** 2,
+                2.0 * np.eye(len(x)) / s ** 2 - 8.0 * np.outer(y, y) / s ** 3)
+    if isinstance(u, DerivedField):
+        _, g, h = _pointwise_oracle(u.parent, x)
+        return float(g[u.axis]), h[u.axis].copy(), u.hessian(x)
+    if isinstance(u, QuadraticForm):
+        return u.value(x), 2.0 * u.m_real @ (x - u.center), 2.0 * u.m_real.copy()
+    assert type(u) is Polynomial
+    return u.value(x), u.gradient(x), u.hessian(x)
+
+
+def _tanh_chain(phi):
+    th = np.tanh
+    return ChainField(phi, th, lambda t: 1.0 - th(t) ** 2,
+                      lambda t: -2.0 * th(t) * (1.0 - th(t) ** 2), name="tanh")
+
+
+@st.composite
+def _composite_fields_and_points(draw):
+    """A field over H^n (n in {1, 2}) built from InvShift, centered normsq
+    and cubic polynomial leaves by sums, scalings, products, tanh chains,
+    affine substitutions and partial derivatives, plus 1 to 3 points."""
+    n = draw(st.sampled_from([1, 2]))
+    d = 4 * n
+    small = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+    vec = st.lists(small, min_size=d, max_size=d).map(np.array)
+    leaves = st.one_of(
+        st.builds(lambda eps, c: InvShift(n, eps, c),
+                  st.floats(min_value=0.1, max_value=2.0), vec),
+        vec.map(lambda c: normsq(n, c)),
+        st.tuples(st.integers(0, d - 1), st.fractions(-2, 2, max_denominator=5)).map(
+            lambda mc: normsq(n) + mc[1] * Polynomial.coordinate(n, mc[0]) ** 3),
+    )
+
+    def extend(inner):
+        mat = st.lists(small, min_size=d * d, max_size=d * d).map(
+            lambda v: np.eye(d) + 0.5 * np.array(v).reshape(d, d))
+        return st.one_of(
+            st.builds(_SumField, inner, inner),
+            st.builds(_ScaledField, inner, small),
+            st.builds(_ProductField, inner, inner),
+            inner.map(_tanh_chain),
+            st.builds(LinearSubstitution, inner, mat, vec),
+            st.builds(DerivedField, inner, st.integers(0, d - 1)),
+        )
+
+    field = draw(st.recursive(leaves, extend, max_leaves=4))
+    pts = draw(st.lists(vec, min_size=1, max_size=3))
+    return field, pts
+
+
+def _close(got, want):
+    want = np.asarray(want, dtype=float)
+    np.testing.assert_allclose(got, want, rtol=1e-13,
+                               atol=1e-13 * max(1.0, float(np.abs(want).max())))
+
+
+@settings(max_examples=120)
+@given(_composite_fields_and_points())
+def test_pointwise_is_one_row_of_batched_and_matches_oracles(case):
+    u, pts = case
+    for x in pts:
+        v, g, h = _pointwise_oracle(u, x)
+        assert isinstance(u.value(x), float)
+        # a Polynomial keeps its own pointwise trio (a QuadraticForm its
+        # value) and DerivedField its pointwise Hessian; every other method
+        # is row 0 of its batch
+        if not isinstance(u, Polynomial):
+            assert u.value(x) == u.values(x[None])[0]
+        if type(u) is not Polynomial:
+            assert np.array_equal(u.gradient(x), u.gradients(x[None])[0])
+        if type(u) is not Polynomial and not isinstance(u, DerivedField):
+            assert np.array_equal(u.hessian(x), u.hessians(x[None])[0])
+        _close(u.value(x), v)
+        _close(u.gradient(x), g)
+        _close(u.hessian(x), h)
+
+
+def test_every_field_class_defines_one_side_of_each_pair():
+    # ScalarField's pointwise methods read the batched ones and its batched
+    # methods loop over the pointwise ones: a class defining neither side of
+    # a pair would recurse
+    classes = [c for c in vars(qma.fields).values()
+               if isinstance(c, type) and issubclass(c, ScalarField) and c is not ScalarField]
+    own_pointwise = {}
+    for cls in classes:
+        own = {name for k in cls.__mro__[:-2] for name in vars(k)}
+        for point in ("value", "gradient", "hessian"):
+            assert point in own or point + "s" in own, (cls.__name__, point)
+        # a class may take a pointwise method back to the base class's row
+        own_pointwise[cls.__name__] = {
+            m for m in ("value", "gradient", "hessian")
+            if vars(cls).get(m, vars(ScalarField)[m]) is not vars(ScalarField)[m]}
+    trio = {"value", "gradient", "hessian"}
+    assert {k: v for k, v in own_pointwise.items() if v} == {
+        "Polynomial": trio, "ClosedForm": trio, "BlackBox": trio, "GridField": trio,
+        "DerivedField": {"hessian"}}
+    assert not issubclass(InvShift, ClosedForm)
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ def test_surface_integral_ellipsoid_matches_coarea():
     # the same level set through the co-area fallback (plain Polynomial);
     # direction error dominates on anisotropic surfaces, so use a full set
     generic = Polynomial(2, phi.terms)
-    shell = surface_integral(generic, 1.0, sphere_pow=10, delta=5e-3)
+    shell = surface_integral(generic, 1.0, sphere_pow=10)
     assert shell.value == pytest.approx(exact_rule.value, rel=2e-3)
 
 

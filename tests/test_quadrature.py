@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qma import quadrature
 from qma.errors import DegenerateLevelSetError, DimensionError, QuadratureError
 from qma.fields import Polynomial, normsq, quadform
 from qma.hamilton import QMatrix, Quaternion
@@ -197,12 +198,16 @@ def test_ball_quadrature_center_shift():
     assert val_x == pytest.approx(c[3] * PI2 / 2 * 0.75**4, rel=1e-12)
 
 
-def test_ball_quadrature_chunking_consistent():
+def test_ball_quadrature_chunking_consistent(monkeypatch):
     p = normsq(1) * normsq(1)
-    big = BallQuadrature(1, 1.0, sphere_pow=7, radial_nodes=8)
-    small = BallQuadrature(1, 1.0, sphere_pow=7, radial_nodes=8, chunk=100)
-    np.testing.assert_allclose(big.integrate(p.values)[0],
-                               small.integrate(p.values)[0], rtol=1e-12)
+    rule = BallQuadrature(1, 1.0, sphere_pow=7, radial_nodes=8)
+    big = rule.integrate(p.values)[0]
+    monkeypatch.setattr(quadrature, "_BALL_CHUNK_NODES", 100)
+    sizes = []
+    small = rule.integrate(lambda pts: sizes.append(len(pts)) or p.values(pts))[0]
+    # 128 directions: one radial row of nodes per call
+    assert sizes == [128] * len(rule.t_nodes)
+    np.testing.assert_allclose(big, small, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +274,30 @@ def test_star_shaped_rule_matches_ellipsoid():
     assert sa == pytest.approx(ea, rel=2e-3)
 
 
+def test_star_shaped_rule_brackets_every_ray():
+    # the n = 2 quartic level set {|q|^2 + x0^4 = 1} crosses every ray; at
+    # seed 1 a bracket shared by all rays only touches it on rays with
+    # theta_0 near 0, so each ray must bracket from the previous root
+    phi = normsq(2) + Polynomial.coordinate(2, 0) ** 4
+    for seed in (0, 1, 2, 3):
+        rule = StarShapedRule(phi, 1.0, sphere_pow=10, seed=seed)
+        np.testing.assert_allclose(phi.values(rule.points), 1.0, rtol=1e-11)
+        radii = np.linalg.norm(rule.points, axis=1)
+        assert radii.min() > 0.78 and radii.max() <= 1.0 + 1e-12
+
+
 def test_star_shaped_rule_guards():
-    with pytest.raises(DegenerateLevelSetError):
-        StarShapedRule(normsq(1), level=1.0, sphere_pow=4, r_max=0.5)
+    x0, x1 = Polynomial.coordinate(1, 0), Polynomial.coordinate(1, 1)
+    # rays where |x1| > |x0| never reach {x0^2 - x1^2 = 1}
+    with pytest.raises(DegenerateLevelSetError, match="does not cross"):
+        StarShapedRule(x0**2 - x1**2, level=1.0, sphere_pow=4)
     down = -1 * normsq(1)
-    with pytest.raises(DegenerateLevelSetError):
-        StarShapedRule(down, level=-0.25, sphere_pow=4, r_max=1.0)
+    # -|q|^2 = 0.25 has no point at all
+    with pytest.raises(DegenerateLevelSetError, match="does not cross"):
+        StarShapedRule(down, level=0.25, sphere_pow=4)
+    # -|q|^2 = -0.25 is the sphere of radius 1/2, but the gradient points in
+    with pytest.raises(DegenerateLevelSetError, match="not outward"):
+        StarShapedRule(down, level=-0.25, sphere_pow=4)
 
 
 def test_rules_deterministic_in_seed():
