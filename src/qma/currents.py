@@ -37,7 +37,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy import ndimage
 
 import dataclasses
 
@@ -509,6 +508,8 @@ def mollifier_weights(spacing, eps):
 def mollify(field, eps):
     """Convolve a grid-sampled field on R^4 with the normalized bump of
     radius eps; returns a GridField on the shrunk domain."""
+    from scipy import ndimage   # imported here: no other path needs scipy
+
     if not isinstance(field, GridField):
         raise TypeError("mollify expects a grid-sampled field")
     w = mollifier_weights(field.spacing, eps)

@@ -42,13 +42,13 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import DegenerateLevelSetError, DimensionError, QuadratureError
+from .errors import (DegenerateLevelSetError, DimensionError,
+                     NumericalInconsistencyError, QuadratureError)
 from .calculus import delta_matrices, nabla_matrices
 from .fields import ChainField, QuadraticForm, ScalarField
 from .monge_ampere import _to_real, ma_density, mixed_ma, mixed_pfaffian
-from .quadrature import (BallQuadrature, EllipsoidRule, SphereRule,
+from .quadrature import (BallQuadrature, EllipsoidRule, SphereRule, brentq,
                          gauss_legendre_panels, halving_estimate, sobol_sphere,
                          sphere_area)
 
@@ -176,16 +176,18 @@ def _ray_radii(phi, levels, center, dirs):
     Each root is bracketed in [1e-9, hi] with hi doubled until the sign
     changes.  The first level starts from the previous ray's last root (1.0
     on the first ray), each later level from max(that, 1.5 * this ray's
-    previous root).
+    previous root).  phi is evaluated once per ray at the lower end.
     """
     radii = np.empty((len(dirs), len(levels)))
     hint = 1.0
+    lo = 1e-9
     for i, theta in enumerate(dirs):
         start = hint
+        phi_lo = phi.value(center + lo * theta)
         for k, level in enumerate(levels):
             g = lambda rho: phi.value(center + rho * theta) - level
-            lo, hi = 1e-9, start
-            glo = g(lo)
+            hi = start
+            glo = phi_lo - level
             ghi = g(hi)
             grow = 0
             while glo * ghi > 0:
@@ -194,7 +196,11 @@ def _ray_radii(phi, levels, center, dirs):
                 grow += 1
                 if grow > 60:
                     raise DegenerateLevelSetError("level set does not cross a sample ray")
-            radii[i, k] = brentq(g, lo, hi, xtol=1e-13, rtol=1e-13)
+            try:
+                radii[i, k] = brentq(g, lo, hi, xtol=1e-13, rtol=1e-13, fa=glo, fb=ghi)
+            except ValueError as exc:   # phi was NaN at an end or an iterate
+                raise NumericalInconsistencyError(
+                    f"sample ray {i}, level {level!r}: {exc}") from exc
             start = max(hint, radii[i, k] * 1.5)
         hint = radii[i, -1]
     return radii

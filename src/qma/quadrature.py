@@ -17,19 +17,36 @@ Three tiers, from exact to sampled:
    are again balanced node sets).
 
 Everything is deterministic given the seed.
+
+The three numerical routines the rules need from outside numpy live here,
+each giving the same bits as the scipy call it stands for, so importing
+the package loads no scipy module:
+
+* ``scrambled_sobol`` is ``scipy.stats.qmc.Sobol(d, scramble=True,
+  seed=seed).random_base2(m)``: Joe-Kuo direction numbers (d <= 4 MAX_N),
+  a linear matrix scramble and a digital shift drawn from
+  ``np.random.default_rng(seed)`` in scipy's order, points in Gray-code
+  order.
+* ``ndtri`` is Cephes ``ndtri`` (``scipy.special.ndtri``) on 0 < p < 1.
+* ``brentq`` is scipy's C ``brentq`` (Brent 1973), with the same iterates
+  and the same errors, plus optional known end values.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
-from scipy.optimize import brentq
+# numpy loads these submodules on first use; importing them here keeps that
+# one-time cost in start-up, not inside a run's first rule or random draw
+import numpy.polynomial.legendre
+import numpy.random
 
-from .errors import DegenerateLevelSetError, DimensionError, QuadratureError
+from .errors import (DegenerateLevelSetError, DimensionError,
+                     NumericalInconsistencyError, QuadratureError)
+from .exterior import MAX_N
 from .fields import Polynomial
 
 # most nodes per integrand call of BallQuadrature (bounds its memory use)
@@ -174,6 +191,220 @@ def radial_ball_integral(n, fn_rho, r, peak_scale=None, nodes=32):
 
 
 # ---------------------------------------------------------------------------
+# scrambled Sobol points, the inverse normal CDF and Brent's root finder
+
+_SOBOL_BITS = 30
+
+# (primitive polynomial, initial direction numbers) of Sobol dimensions
+# 2 .. 4 MAX_N, from Joe & Kuo's new-joe-kuo-6.21201 table; dimension 1 is
+# the van der Corput sequence
+_JOE_KUO = (
+    (3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)),
+    (19, (1, 1, 3, 3)), (25, (1, 3, 5, 13)), (37, (1, 1, 5, 5, 17)),
+    (41, (1, 1, 5, 5, 5)), (47, (1, 1, 7, 11, 19)), (55, (1, 1, 5, 1, 1)),
+    (59, (1, 1, 1, 3, 11)), (61, (1, 3, 5, 5, 31)),
+    (67, (1, 3, 3, 9, 7, 49)), (91, (1, 1, 1, 15, 21, 21)),
+    (97, (1, 3, 1, 13, 27, 49)), (103, (1, 1, 1, 15, 7, 5)),
+    (109, (1, 3, 1, 15, 13, 25)), (115, (1, 1, 5, 5, 19, 61)),
+    (131, (1, 3, 7, 11, 23, 15, 103)), (137, (1, 3, 7, 13, 13, 15, 69)),
+    (143, (1, 1, 3, 13, 7, 35, 63)), (145, (1, 3, 5, 9, 1, 25, 53)),
+    (157, (1, 3, 1, 13, 9, 35, 107)), (167, (1, 3, 1, 5, 27, 61, 31)),
+    (171, (1, 1, 5, 11, 19, 41, 61)), (185, (1, 3, 5, 3, 3, 13, 69)),
+    (191, (1, 1, 7, 13, 1, 19, 1)), (193, (1, 3, 7, 5, 13, 19, 59)),
+    (203, (1, 1, 3, 9, 25, 29, 41)), (211, (1, 3, 5, 13, 23, 1, 55)),
+    (213, (1, 3, 7, 3, 13, 59, 17)),
+)
+
+
+@functools.cache
+def _sobol_directions():
+    """(4 MAX_N, 30) direction numbers v_j * 2^(29 - j) (Bratley & Fox,
+    ACM TOMS 14 (1988), the recurrence on p. 90); read-only."""
+    rows = [[1] * _SOBOL_BITS]
+    for poly, init in _JOE_KUO:
+        deg = len(init)
+        v = list(init)
+        for j in range(deg, _SOBOL_BITS):
+            new = v[j - deg]
+            for k in range(deg):
+                if (poly >> (deg - 1 - k)) & 1:
+                    new ^= v[j - k - 1] << (k + 1)
+            v.append(new)
+        rows.append(v)
+    scale = 1 << np.arange(_SOBOL_BITS - 1, -1, -1)
+    out = np.array(rows, dtype=np.int64) * scale
+    out.flags.writeable = False
+    return out
+
+
+def scrambled_sobol(d, m_pow, seed):
+    """The first 2^m_pow points of the d-dimensional scrambled Sobol
+    sequence (d <= 4 MAX_N), equal to
+    ``scipy.stats.qmc.Sobol(d, scramble=True, seed=seed).random_base2(m_pow)``.
+    """
+    bits = _SOBOL_BITS
+    rng = np.random.default_rng(seed)
+    # the digital shift, then the linear matrix scramble: lower-triangular
+    # matrices with unit diagonal, applied over GF(2) to the bits of each
+    # direction number (most significant first)
+    shift = rng.integers(2, size=(d, bits), dtype=np.uint32) @ (1 << np.arange(bits))
+    ltm = np.tril(rng.integers(2, size=(d, bits, bits), dtype=np.uint32)).astype(float)
+    ltm[:, np.arange(bits), np.arange(bits)] = 1.0
+    weights = 1 << np.arange(bits - 1, -1, -1)
+    v_bits = ((_sobol_directions()[:d, :, None] & weights) != 0).astype(float)
+    parity = (v_bits @ ltm.transpose(0, 2, 1)).astype(np.int64) & 1
+    v = parity @ weights
+    # point k is the shift xor the v columns of the set bits of gray(k)
+    k = np.arange(2 ** m_pow)
+    gray = k ^ (k >> 1)
+    quasi = np.repeat(shift[None, :], len(k), axis=0)
+    for b in range(m_pow):
+        quasi ^= ((gray >> b) & 1)[:, None] * v[:, b]
+    return quasi * 2.0 ** -bits
+
+
+# Cephes ndtri: rational approximations in the centre (|p - 1/2| <= 3/8)
+# and in z = sqrt(-2 log p) on 2 <= z < 8 and 8 <= z <= 64
+_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
+             -5.66762857469070293439E1, 1.39312609387279679503E1,
+             -1.23916583867381258016E0)
+_NDTRI_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
+             8.63602421390890590575E1, -2.25462687854119370527E2,
+             2.00260212380060660359E2, -8.20372256168333339912E1,
+             1.59056225126211695515E1, -1.18331621121330003142E0)
+_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
+             5.71628192246421288162E1, 4.40805073893200834700E1,
+             1.46849561928858024014E1, 2.18663306850790267539E0,
+             -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+             -8.57456785154685413611E-4)
+_NDTRI_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
+             4.13172038254672030440E1, 1.50425385692907503408E1,
+             2.50464946208309415979E0, -1.42182922854787788574E-1,
+             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
+             3.93881025292474443415E0, 1.33303460815807542389E0,
+             2.01485389549179081538E-1, 1.23716634817820021358E-2,
+             3.01581553508235416007E-4, 2.65806974686737550832E-6,
+             6.23974539184983293730E-9)
+_NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
+             1.37702099489081330271E0, 2.16236993594496635890E-1,
+             1.34204006088543189037E-2, 3.28014464682127739104E-4,
+             2.89247864745380683936E-6, 6.79019408009981274425E-9)
+_EXP_M2 = 0.13533528323661269189   # exp(-2)
+
+
+def _polevl(x, coeffs):
+    """coeffs[0] x^N + ... + coeffs[N] by Horner's rule (Cephes polevl)."""
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _p1evl(x, coeffs):
+    """x^N + coeffs[0] x^(N-1) + ... + coeffs[N-1] (Cephes p1evl)."""
+    acc = x + coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def ndtri(p):
+    """Inverse of the standard normal CDF, elementwise for 0 < p < 1.
+
+    The operations of Cephes ``ndtri`` in the same order, so the result
+    equals ``scipy.special.ndtri`` bit for bit.  The tail's two logs go
+    through ``math.log``, the C library's log as Cephes calls it: numpy's
+    own vectorized log can differ from it in the last bits.
+    """
+    p = np.asarray(p, dtype=float)
+    out = np.empty_like(p)
+    upper = p > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - p, p)
+    centre = y > _EXP_M2
+    c = y[centre] - 0.5
+    c2 = c * c
+    ratio = c2 * _polevl(c2, _NDTRI_P0) / _p1evl(c2, _NDTRI_Q0)
+    out[centre] = (c + c * ratio) * 2.50662827463100050242E0
+    tail = ~centre
+    z = np.sqrt(-2.0 * np.array([math.log(v) for v in y[tail].tolist()]))
+    z0 = z - np.array([math.log(v) for v in z.tolist()]) / z
+    w = 1.0 / z
+    z1 = np.where(z < 8.0,
+                  w * _polevl(w, _NDTRI_P1) / _p1evl(w, _NDTRI_Q1),
+                  w * _polevl(w, _NDTRI_P2) / _p1evl(w, _NDTRI_Q2))
+    x = z0 - z1
+    out[tail] = np.where(upper[tail], x, -x)
+    return out
+
+
+def _nan_error(x):
+    return ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+
+
+def brentq(f, a, b, xtol=2e-12, rtol=4 * np.finfo(float).eps, fa=None, fb=None):
+    """A root of f in [a, b], where f(a) and f(b) differ in sign (Brent,
+    *Algorithms for Minimization Without Derivatives*, 1973, ch. 4).
+
+    A port of scipy's C ``brentq`` with the same iterates, so it returns
+    the same float as ``scipy.optimize.brentq(f, a, b, xtol=xtol,
+    rtol=rtol)``, and raises the same ValueError on a NaN value or equal
+    end signs and RuntimeError after 100 iterations.  ``fa``/``fb`` are
+    f(a)/f(b) when the caller already has them; each saves one call.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre = f(xpre) if fa is None else fa
+    if math.isnan(fpre):
+        raise _nan_error(xpre)
+    fcur = f(xcur) if fb is None else fb
+    if math.isnan(fcur):
+        raise _nan_error(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise _nan_error(xcur)
+    raise RuntimeError(f"Failed to converge after 100 iterations, value is {xcur:f}")
+
+
+# ---------------------------------------------------------------------------
 # tier 3: product rules
 
 def sobol_sphere(d, m_pow, seed=0, antithetic=False):
@@ -186,6 +417,11 @@ def sobol_sphere(d, m_pow, seed=0, antithetic=False):
     cancel to machine precision while prefix-halving error estimates stay
     meaningful.
     """
+    if d > 4 * MAX_N:
+        raise DimensionError(f"Sobol directions exist for d <= 4 * MAX_N = {4 * MAX_N}, "
+                             f"got d = {d}")
+    if m_pow > _SOBOL_BITS:
+        raise ValueError(f"at most 2**{_SOBOL_BITS} Sobol points, got m_pow = {m_pow}")
     if antithetic:
         if m_pow < 1:
             raise ValueError("antithetic rules need at least two points")
@@ -194,10 +430,8 @@ def sobol_sphere(d, m_pow, seed=0, antithetic=False):
         out[0::2] = base
         out[1::2] = -base
         return out
-    eng = qmc.Sobol(d, scramble=True, seed=seed)
-    u = eng.random_base2(m_pow)
     # keep strictly inside (0,1) for ndtri
-    u = np.clip(u, 1e-12, 1 - 1e-12)
+    u = np.clip(scrambled_sobol(d, m_pow, seed), 1e-12, 1 - 1e-12)
     g = ndtri(u)
     norms = np.linalg.norm(g, axis=1)
     # a Gaussian draw of norm ~0 is measure-zero; clip for safety
@@ -321,7 +555,10 @@ class StarShapedRule:
                 if grow > 60:
                     raise DegenerateLevelSetError(
                         "level set does not cross one of the sample rays")
-            radii[i] = hint = brentq(f, lo, hi, xtol=1e-12)
+            try:
+                radii[i] = hint = brentq(f, lo, hi, xtol=1e-12, fa=flo, fb=fhi)
+            except ValueError as exc:   # the field was NaN at an end or an iterate
+                raise NumericalInconsistencyError(f"sample ray {i}: {exc}") from exc
         self.points = center[None, :] + radii[:, None] * dirs
         grads = field.gradients(self.points)
         gnorm = np.linalg.norm(grads, axis=1)

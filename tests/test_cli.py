@@ -408,6 +408,27 @@ def test_exit_1_on_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_exit_1_on_nan_on_a_sample_ray(tmp_path, capsys):
+    # x0^32 - x1^32 stays below the level on rays with |x1| > |x0| until both
+    # terms overflow, and inf - inf is NaN: no root may come out of that
+    cfg = _write(tmp_path, "nan.ini", """\
+        [run]
+        command = boundary
+        n = 1
+
+        [fields]
+        phi = x0^16*x0^16 - x1^16*x1^16
+
+        [params]
+        r = 1.0
+        """)
+    assert _run("boundary", cfg, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qma: error: sample ray ")
+    assert "NaN" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_1_on_missing_config(tmp_path, capsys):
     assert _run("verify", tmp_path / "nope.ini", tmp_path / "out") == 1
     assert "cannot read config" in capsys.readouterr().err

@@ -7,12 +7,13 @@ import pytest
 from scipy.optimize import brentq
 
 from qma.calculus import z_field
-from qma.errors import DegenerateLevelSetError, DimensionError
-from qma.fields import Polynomial, normsq, quadform
+from qma.errors import (DegenerateLevelSetError, DimensionError,
+                        NumericalInconsistencyError)
+from qma.fields import ClosedForm, Polynomial, normsq, quadform
 from qma.hamilton import QMatrix, Quaternion
 from qma.monge_ampere import ma_density
-from qma.quadrature import (gauss_legendre_panels, halving_estimate,
-                            sobol_sphere, sphere_area)
+from qma.quadrature import (StarShapedRule, gauss_legendre_panels,
+                            halving_estimate, sobol_sphere, sphere_area)
 from qma import potential
 from qma.potential import (
     NormalFrame,
@@ -130,6 +131,25 @@ def test_ray_rules_raise_when_a_ray_misses_the_level_set():
         sublevel_integral(phi, 1.0, lambda pts: np.ones(len(pts)), sphere_pow=4)
     with pytest.raises(DegenerateLevelSetError, match="does not cross"):
         surface_integral(phi, 1.0, sphere_pow=4)
+
+
+@pytest.mark.parametrize("nan_from, nan_to", [
+    (0.9, math.inf),   # NaN at the bracket's upper end
+    (0.0, 1e-6),       # NaN at the bracket's lower end
+    (0.4, 0.6),        # NaN around the root, met by an inner iterate
+])
+def test_ray_rules_refuse_a_nan_field_value(nan_from, nan_to):
+    # |q|^2, except NaN for nan_from < |q| < nan_to; the level 1/4 crosses
+    # every ray at |q| = 1/2
+    def value(x):
+        r = math.sqrt(float(x @ x))
+        return math.nan if nan_from < r < nan_to else r * r
+
+    phi = ClosedForm(1, value)
+    with pytest.raises(NumericalInconsistencyError, match="sample ray 0"):
+        sublevel_integral(phi, 0.25, lambda pts: np.ones(len(pts)), sphere_pow=4)
+    with pytest.raises(NumericalInconsistencyError, match="sample ray 0"):
+        StarShapedRule(phi, 0.25, sphere_pow=4)
 
 
 # the per-ray loops that the shared ray chain replaced, kept as the oracle

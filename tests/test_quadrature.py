@@ -1,13 +1,20 @@
 """Exact moments, radial rules, and the Sobol product/surface rules."""
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq as scipy_brentq
+from scipy.special import ndtri as scipy_ndtri
+from scipy.stats import qmc
 
 from qma import quadrature
 from qma.errors import DegenerateLevelSetError, DimensionError, QuadratureError
+from qma.exterior import MAX_N
 from qma.fields import Polynomial, normsq, quadform
 from qma.hamilton import QMatrix, Quaternion
 from qma.monge_ampere import fundamental_ma_density, fundamental_mass_exact
@@ -17,11 +24,14 @@ from qma.quadrature import (
     SphereRule,
     StarShapedRule,
     ball_moment_coefficient,
+    brentq,
     gauss_legendre_panels,
     graded_breaks,
     integrate_polynomial_ball,
     integrate_polynomial_sphere,
+    ndtri,
     radial_ball_integral,
+    scrambled_sobol,
     sobol_sphere,
     sphere_area,
     sphere_moment_coefficient,
@@ -164,6 +174,91 @@ def test_sobol_sphere_antithetic_pairs():
     assert np.abs(pts[:32].sum(axis=0)).max() == 0.0
     with pytest.raises(ValueError):
         sobol_sphere(4, 0, antithetic=True)
+
+
+def test_sobol_sphere_limits():
+    with pytest.raises(DimensionError, match="MAX_N"):
+        sobol_sphere(4 * MAX_N + 1, 4)
+    # refused before any point is drawn
+    with pytest.raises(ValueError, match="2\\*\\*30"):
+        sobol_sphere(4, 31)
+    with pytest.raises(ValueError, match="2\\*\\*30"):
+        sobol_sphere(4, 32, antithetic=True)
+
+
+# ---------------------------------------------------------------------------
+# the in-module Sobol engine, ndtri and brentq against the scipy calls they
+# stand for (scipy is imported by the tests only)
+
+
+@pytest.mark.parametrize("d", [4, 8, 12, 16, 32])
+@pytest.mark.parametrize("m", [0, 1, 5, 9, 10, 11])
+def test_scrambled_sobol_equals_scipy(d, m):
+    for seed in range(6):
+        want = qmc.Sobol(d, scramble=True, seed=seed).random_base2(m)
+        assert np.array_equal(scrambled_sobol(d, m, seed), want)
+
+
+def test_ndtri_equals_scipy():
+    rng = np.random.default_rng(11)
+    edge = 0.1353352832366127   # exp(-2), where Cephes switches branches
+    edges = np.concatenate([np.nextafter(e, [0.0, 1.0]) for e in (edge, 1 - edge)])
+    p = np.concatenate([
+        rng.random(100_000),
+        10.0 ** -rng.uniform(0, 12, 10_000),        # lower tail to 1e-12
+        1 - 10.0 ** -rng.uniform(0, 12, 10_000),    # upper tail to 1 - 1e-12
+        [edge, 1 - edge, 1e-12, 1 - 1e-12, 0.5], edges,
+    ])
+    assert np.array_equal(ndtri(p), scipy_ndtri(p))
+
+
+def _quartic_ray(theta, level):
+    """g(rho) = (normsq + x0^4)(rho theta) - level and its bracket, as the ray
+    solvers build them."""
+    phi = normsq(1) + Polynomial.coordinate(1, 0) ** 4
+    g = lambda rho: phi.value(rho * theta) - level
+    lo, hi = 1e-9, 1.0
+    while g(lo) * g(hi) > 0:
+        hi *= 2.0
+    return g, lo, hi
+
+
+@settings(max_examples=60)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+       st.floats(1e-3, 50.0))
+def test_brentq_equals_scipy_on_ray_objectives(raw, level):
+    theta = np.asarray(raw)
+    norm = np.linalg.norm(theta)
+    if norm < 1e-3:
+        theta, norm = np.array([1.0, 0.0, 0.0, 0.0]), 1.0
+    g, lo, hi = _quartic_ray(theta / norm, level)
+    # the tolerances of the potential ray chain and of StarShapedRule
+    for tols in ({"xtol": 1e-13, "rtol": 1e-13}, {"xtol": 1e-12}):
+        want = scipy_brentq(g, lo, hi, **tols)
+        assert brentq(g, lo, hi, **tols) == want
+        assert brentq(g, lo, hi, fa=g(lo), fb=g(hi), **tols) == want
+
+
+def test_brentq_errors_match_scipy():
+    gap = lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5   # NaN at the first secant step
+    for solver in (brentq, scipy_brentq):
+        with pytest.raises(ValueError, match="NaN"):
+            solver(gap, 0.0, 1.0)
+        with pytest.raises(ValueError, match="different signs"):
+            solver(lambda x: x, 1.0, 2.0)
+    # passed-in end values are checked too: a NaN end is no bracket
+    with pytest.raises(ValueError, match="NaN"):
+        brentq(lambda x: x, -1.0, 1.0, fa=math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        brentq(lambda x: x, -1.0, 1.0, fb=math.nan)
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, qma, qma.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
