@@ -28,12 +28,15 @@ co-area shell estimator.
 
 Off the quadratic path, the surface and sublevel rules share one ray
 engine over Sobol directions from a center: ``_ray_radii`` solves the
-crossing radii of every ray with one bracket chain (each ray's bracket
-starts from the previous ray's root), and ``_ray_panel_sums`` integrates
-along the rays on Gauss-Legendre panels, handing the integrand node blocks
-of at most ``_BLOCK_NODES`` points.  The co-area shell integrates
-f |grad phi| between the levels r - delta and r + delta; the sublevel rule
-integrates from the center out to the level t.
+crossing radii of every (ray, level) pair in one batched Brent solve,
+each pair bracketed on its own from [1e-9, 1.0], and ``_ray_panel_sums``
+integrates along the rays on Gauss-Legendre panels, handing the integrand
+node blocks of at most ``_BLOCK_NODES`` points.  The co-area shell
+integrates f |grad phi| between the levels r - delta and r + delta; the
+surface rule solves the levels of both of its shells at once.  The
+sublevel rule integrates from the center out to the level t; the layered
+term of the identity solves all of its levels at once and sums the panels
+one level at a time.
 """
 
 from __future__ import annotations
@@ -126,6 +129,12 @@ def _quadratic_geometry(phi):
     return center, m, float(phi.const)
 
 
+def _round(m):
+    """Whether the matrix of a quadratic phi is a multiple of the identity,
+    so its level sets are round spheres."""
+    return np.allclose(m, m[0, 0] * np.eye(len(m)), atol=1e-14 * abs(m[0, 0]))
+
+
 def _as_callable(f, n):
     if f is None:
         return lambda pts: np.ones(len(pts))
@@ -154,7 +163,7 @@ def surface_integral(phi, r, f=None, sphere_pow=10, seed=0, center=None,
         level = r - const
         if level <= 0:
             raise DegenerateLevelSetError("empty level set")
-        if np.allclose(m, m[0, 0] * np.eye(4 * n), atol=1e-14 * abs(m[0, 0])):
+        if _round(m):
             rule = SphereRule(n, math.sqrt(level / m[0, 0]), a,
                               sphere_pow=sphere_pow, seed=seed)
         else:
@@ -164,46 +173,72 @@ def surface_integral(phi, r, f=None, sphere_pow=10, seed=0, center=None,
 
     center = np.zeros(4 * n) if center is None else np.asarray(center, dtype=float)
     delta = abs(r) * 1e-2 if r else 1e-2
-    coarse = _coarea_shell(phi, r, fn, delta, center, sphere_pow, seed, radial_nodes)
-    fine = _coarea_shell(phi, r, fn, delta / 2, center, sphere_pow, seed, radial_nodes)
+    dirs = sobol_sphere(4 * n, sphere_pow, seed)
+    # the coarse shell's two levels, then the fine shell's
+    radii = _ray_radii(phi, (r - delta, r + delta, r - delta / 2, r + delta / 2),
+                       center, dirs)
+    coarse = _coarea_shell(phi, fn, delta, center, dirs, radii[:, 0], radii[:, 1],
+                           radial_nodes)
+    fine = _coarea_shell(phi, fn, delta / 2, center, dirs, radii[:, 2], radii[:, 3],
+                         radial_nodes)
     return SurfaceResult(fine, abs(fine - coarse))
 
 
 def _ray_radii(phi, levels, center, dirs):
     """(rays, len(levels)) radii where the rays center + rho * theta cross
-    the level sets {phi = level}.
+    the level sets {phi = level}, found by one batched ``brentq`` over every
+    (ray, level) entry.
 
-    Each root is bracketed in [1e-9, hi] with hi doubled until the sign
-    changes.  The first level starts from the previous ray's last root (1.0
-    on the first ray), each later level from max(that, 1.5 * this ray's
-    previous root).  phi is evaluated once per ray at the lower end.
+    Each entry is bracketed on its own in [1e-9, hi]: hi starts at 1.0 and
+    doubles, at most 60 times, until the sign changes.  phi is evaluated
+    once per ray at the lower end.  No bracket depends on another entry, so
+    each radius is the float a scalar ``brentq`` gives on that entry's
+    bracket, whichever levels are solved together, when its objective
+    evaluates phi as ``phi.values`` does (for some field kinds
+    ``phi.value`` differs in the last bits).  phi runs without
+    numpy's overflow and invalid-value warnings; a NaN value is checked
+    instead and raised as NumericalInconsistencyError naming the ray and
+    the level.
     """
-    radii = np.empty((len(dirs), len(levels)))
-    hint = 1.0
-    lo = 1e-9
-    for i, theta in enumerate(dirs):
-        start = hint
-        phi_lo = phi.value(center + lo * theta)
-        for k, level in enumerate(levels):
-            g = lambda rho: phi.value(center + rho * theta) - level
-            hi = start
-            glo = phi_lo - level
-            ghi = g(hi)
-            grow = 0
-            while glo * ghi > 0:
-                hi *= 2.0
-                ghi = g(hi)
-                grow += 1
-                if grow > 60:
-                    raise DegenerateLevelSetError("level set does not cross a sample ray")
-            try:
-                radii[i, k] = brentq(g, lo, hi, xtol=1e-13, rtol=1e-13, fa=glo, fb=ghi)
-            except ValueError as exc:   # phi was NaN at an end or an iterate
-                raise NumericalInconsistencyError(
-                    f"sample ray {i}, level {level!r}: {exc}") from exc
-            start = max(hint, radii[i, k] * 1.5)
-        hint = radii[i, -1]
-    return radii
+    n_levels = len(levels)
+    ray = np.repeat(np.arange(len(dirs)), n_levels)
+    level = np.tile(np.asarray(levels, dtype=float), len(dirs))
+
+    def refuse_nan(vals, rho, entries):
+        bad = np.isnan(vals)
+        if bad.any():
+            k = bad.argmax()
+            e = entries[k]
+            raise NumericalInconsistencyError(
+                f"sample ray {ray[e]}, level {float(level[e])!r}: "
+                f"phi is NaN at radius {float(rho[k])!r}")
+
+    def g(rho, entries):
+        vals = phi.values(center + rho[:, None] * dirs[ray[entries]]) - level[entries]
+        refuse_nan(vals, rho, entries)
+        return vals
+
+    everything = np.arange(len(ray))
+    lo = np.full(len(ray), 1e-9)
+    hi = np.ones(len(ray))
+    with np.errstate(over="ignore", invalid="ignore"):
+        glo = phi.values(center + 1e-9 * dirs)[ray] - level
+        refuse_nan(glo, lo, everything)
+        ghi = g(hi, everything)
+        todo = everything[np.sign(glo) * np.sign(ghi) > 0]   # no sign change yet
+        for _ in range(60):
+            if not len(todo):
+                break
+            hi[todo] *= 2.0
+            ghi[todo] = g(hi[todo], todo)
+            todo = todo[np.sign(glo[todo]) * np.sign(ghi[todo]) > 0]
+        if len(todo):
+            e = todo[0]
+            raise DegenerateLevelSetError(
+                f"sample ray {ray[e]}, level {float(level[e])!r}: "
+                "level set does not cross the ray")
+        radii = brentq(g, lo, hi, xtol=1e-13, rtol=1e-13, fa=glo, fb=ghi)
+    return radii.reshape(len(dirs), n_levels)
 
 
 def _ray_panel_sums(fn, center, dirs, lo, hi, nodes, weight=None):
@@ -232,9 +267,9 @@ def _ray_panel_sums(fn, center, dirs, lo, hi, nodes, weight=None):
     return terms.reshape(rho.shape).sum(axis=1)
 
 
-def _coarea_shell(phi, r, fn, delta, center, sphere_pow, seed, radial_nodes):
-    dirs = sobol_sphere(4 * phi.n, sphere_pow, seed)
-    lo, hi = _ray_radii(phi, (r - delta, r + delta), center, dirs).T
+def _coarea_shell(phi, fn, delta, center, dirs, lo, hi, radial_nodes):
+    """The co-area shell estimate between the ray radii lo and hi of the
+    levels r - delta and r + delta."""
     gnorm = lambda pts: np.linalg.norm(phi.gradients(pts), axis=1)
     sums = _ray_panel_sums(fn, center, dirs, lo, hi, radial_nodes, gnorm)
     w_dir = sphere_area(phi.n) / len(dirs)
@@ -247,25 +282,46 @@ def _coarea_shell(phi, r, fn, delta, center, sphere_pow, seed, radial_nodes):
 def sublevel_integral(phi, t, fn, center=None, sphere_pow=9, radial_nodes=12,
                       seed=0):
     """integral of fn over the sublevel set {phi < t} (value, error)."""
-    n = phi.n
+    center = np.zeros(4 * phi.n) if center is None else np.asarray(center, dtype=float)
+    return _sublevel_integrals(phi, (t,), fn, center, sphere_pow, radial_nodes, seed)[0]
+
+
+def _sublevel_integrals(phi, levels, fn, center, sphere_pow, radial_nodes, seed):
+    """(value, error) of the integral of fn over {phi < t} for each level t.
+
+    A round quadratic phi takes one BallQuadrature per level.  Any other
+    phi takes the ray rule: one Sobol direction set and one ``_ray_radii``
+    solve for all levels, then the panel sums one level at a time.  A level
+    at or below the minimum of phi (on the ray rule, phi at the center)
+    gives (0.0, 0.0)."""
     geom = _quadratic_geometry(phi)
-    if geom is not None:
+    if geom is not None and _round(geom[1]):
         a, m, const = geom
-        if np.allclose(m, m[0, 0] * np.eye(4 * n), atol=1e-14 * abs(m[0, 0])):
+        out = []
+        for t in levels:
             level = t - const
             if level <= 0:
-                return 0.0, 0.0
-            quad = BallQuadrature(n, math.sqrt(level / m[0, 0]), center=a,
+                out.append((0.0, 0.0))
+                continue
+            quad = BallQuadrature(phi.n, math.sqrt(level / m[0, 0]), center=a,
                                   sphere_pow=sphere_pow, radial_nodes=radial_nodes,
                                   seed=seed)
-            return quad.integrate(fn)
-    center = np.zeros(4 * n) if center is None else np.asarray(center, dtype=float)
-    if phi.value(center) >= t:
-        return 0.0, 0.0
-    dirs = sobol_sphere(4 * n, sphere_pow, seed)
-    edge = _ray_radii(phi, (t,), center, dirs)[:, 0]
-    contrib = _ray_panel_sums(fn, center, dirs, np.zeros(len(dirs)), edge, radial_nodes)
-    return halving_estimate(contrib, np.full(len(dirs), sphere_area(n) / len(dirs)))
+            out.append(quad.integrate(fn))
+        return out
+    # phi at the center is evaluated as _ray_radii evaluates it
+    t_center = phi.values(center[None])[0]
+    out = [(0.0, 0.0)] * len(levels)
+    solved = [k for k, t in enumerate(levels) if not t_center >= t]
+    if not solved:
+        return out
+    dirs = sobol_sphere(4 * phi.n, sphere_pow, seed)
+    edges = _ray_radii(phi, [levels[k] for k in solved], center, dirs)
+    weights = np.full(len(dirs), sphere_area(phi.n) / len(dirs))
+    for k, edge in zip(solved, edges.T):
+        contrib = _ray_panel_sums(fn, center, dirs, np.zeros(len(dirs)), edge,
+                                  radial_nodes)
+        out[k] = halving_estimate(contrib, weights)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +375,11 @@ def lelong_jensen(phi, v, r, t_nodes=48, sphere_pow=9, radial_nodes=12,
         rhs_layered, layered_err = 0.0, 0.0
     else:
         ts, ws = gauss_legendre_panels([t_min, r], t_nodes)
+        layers = _sublevel_integrals(phi, ts, mixed_fn, center, sphere_pow - 1,
+                                     radial_nodes, seed)
         rhs_layered = 0.0
         layered_err = 0.0
-        for t, w in zip(ts, ws):
-            val, err = sublevel_integral(phi, t, mixed_fn, center,
-                                         sphere_pow - 1, radial_nodes, seed)
+        for (val, err), w in zip(layers, ws):
             rhs_layered += w * val
             layered_err += w * err
 

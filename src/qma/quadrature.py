@@ -29,7 +29,9 @@ the package loads no scipy module:
   order.
 * ``ndtri`` is Cephes ``ndtri`` (``scipy.special.ndtri``) on 0 < p < 1.
 * ``brentq`` is scipy's C ``brentq`` (Brent 1973), with the same iterates
-  and the same errors, plus optional known end values.
+  and the same errors, plus optional known end values.  Given arrays of
+  brackets it solves them all in one masked iteration, each entry to the
+  float of its own scalar call.
 """
 
 from __future__ import annotations
@@ -342,6 +344,18 @@ def _nan_error(x):
     return ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
 
 
+def _secant_step(xpre, xcur, fpre, fcur):
+    """Brent's interpolation step from xcur (floats or arrays)."""
+    return -fcur * (xcur - xpre) / (fcur - fpre)
+
+
+def _inverse_quadratic_step(xpre, xcur, xblk, fpre, fcur, fblk):
+    """Brent's extrapolation step from xcur (floats or arrays)."""
+    dpre = (fpre - fcur) / (xpre - xcur)
+    dblk = (fblk - fcur) / (xblk - xcur)
+    return -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+
+
 def brentq(f, a, b, xtol=2e-12, rtol=4 * np.finfo(float).eps, fa=None, fb=None):
     """A root of f in [a, b], where f(a) and f(b) differ in sign (Brent,
     *Algorithms for Minimization Without Derivatives*, 1973, ch. 4).
@@ -351,7 +365,17 @@ def brentq(f, a, b, xtol=2e-12, rtol=4 * np.finfo(float).eps, fa=None, fb=None):
     rtol=rtol)``, and raises the same ValueError on a NaN value or equal
     end signs and RuntimeError after 100 iterations.  ``fa``/``fb`` are
     f(a)/f(b) when the caller already has them; each saves one call.
+
+    With 1-d numpy arrays ``a`` and ``b`` (one bracket per entry) every
+    entry is solved at once and an array of roots comes back, each the
+    float the scalar call returns on that entry's bracket.  ``f(x, entries)``
+    is then called with the iterates of the entries still open and their
+    indices into ``a``, and returns f at each; ``fa``/``fb`` are arrays.
+    The errors are the scalar call's, raised for the first entry that meets
+    one.
     """
+    if isinstance(a, np.ndarray):
+        return _brent_arrays(f, a, b, xtol, rtol, fa, fb)
     xpre, xcur = float(a), float(b)
     fpre = f(xpre) if fa is None else fa
     if math.isnan(fpre):
@@ -379,14 +403,9 @@ def brentq(f, a, b, xtol=2e-12, rtol=4 * np.finfo(float).eps, fa=None, fb=None):
             return xcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                stry = _secant_step(xpre, xcur, fpre, fcur)
             else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
+                stry = _inverse_quadratic_step(xpre, xcur, xblk, fpre, fcur, fblk)
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry
             else:
@@ -402,6 +421,67 @@ def brentq(f, a, b, xtol=2e-12, rtol=4 * np.finfo(float).eps, fa=None, fb=None):
         if math.isnan(fcur):
             raise _nan_error(xcur)
     raise RuntimeError(f"Failed to converge after 100 iterations, value is {xcur:f}")
+
+
+def _check_nan(fx, x):
+    bad = np.isnan(fx)
+    if bad.any():
+        raise _nan_error(float(x[bad.argmax()]))
+
+
+def _brent_arrays(f, a, b, xtol, rtol, fa, fb):
+    """The scalar ``brentq`` loop over arrays of brackets: each open entry
+    takes its branch through np.where, so it sees the same operations on
+    the same floats; the entries that converge leave the state."""
+    xpre = np.array(a, dtype=float)
+    xcur = np.array(b, dtype=float)
+    entries = np.arange(len(xcur))
+    fpre = f(xpre, entries) if fa is None else np.array(fa, dtype=float)
+    _check_nan(fpre, xpre)
+    fcur = f(xcur, entries) if fb is None else np.array(fb, dtype=float)
+    _check_nan(fcur, xcur)
+    roots = np.where(fpre == 0, xpre, xcur)
+    keep = (fpre != 0) & (fcur != 0)
+    if np.any((fpre[keep] < 0) == (fcur[keep] < 0)):
+        raise ValueError("f(a) and f(b) must have different signs")
+    entries, xpre, xcur, fpre, fcur = (v[keep] for v in (entries, xpre, xcur, fpre, fcur))
+    if not len(entries):
+        return roots
+    xblk = fblk = spre = scur = np.zeros(len(xcur))
+    for _ in range(100):
+        flip = (fpre != 0) & (fcur != 0) & ((fpre < 0) != (fcur < 0))
+        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+        spre = np.where(flip, xcur - xpre, spre)
+        scur = np.where(flip, xcur - xpre, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                            np.where(swap, xcur, xblk))
+        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                            np.where(swap, fcur, fblk))
+        delta = (xtol + rtol * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0) | (np.abs(sbis) < delta)
+        if done.any():
+            roots[entries[done]] = xcur[done]
+            keep = ~done
+            (entries, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta,
+             sbis) = (v[keep] for v in (entries, xpre, xcur, xblk, fpre, fcur,
+                                        fblk, spre, scur, delta, sbis))
+            if not len(entries):
+                return roots
+        # the step an entry does not take may divide by zero; it is never
+        # selected
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            stry = np.where(xpre == xblk, _secant_step(xpre, xcur, fpre, fcur),
+                            _inverse_quadratic_step(xpre, xcur, xblk, fpre, fcur, fblk))
+        accept = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                  & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
+        spre, scur = np.where(accept, scur, sbis), np.where(accept, stry, sbis)
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        fcur = np.asarray(f(xcur, entries), dtype=float)
+        _check_nan(fcur, xcur)
+    raise RuntimeError(f"Failed to converge after 100 iterations, value is {xcur[0]:f}")
 
 
 # ---------------------------------------------------------------------------

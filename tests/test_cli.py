@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -408,10 +409,10 @@ def test_exit_1_on_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_exit_1_on_nan_on_a_sample_ray(tmp_path, capsys):
+def _nan_ray_config(tmp_path):
     # x0^32 - x1^32 stays below the level on rays with |x1| > |x0| until both
     # terms overflow, and inf - inf is NaN: no root may come out of that
-    cfg = _write(tmp_path, "nan.ini", """\
+    return _write(tmp_path, "nan.ini", """\
         [run]
         command = boundary
         n = 1
@@ -422,11 +423,23 @@ def test_exit_1_on_nan_on_a_sample_ray(tmp_path, capsys):
         [params]
         r = 1.0
         """)
-    assert _run("boundary", cfg, tmp_path / "out") == 1
+
+
+def test_exit_1_on_nan_on_a_sample_ray(tmp_path, capsys):
+    assert _run("boundary", _nan_ray_config(tmp_path), tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert err.startswith("qma: error: sample ray ")
     assert "NaN" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_nan_on_a_sample_ray_emits_no_runtime_warning(tmp_path, capsys):
+    # the overflow on the way to the NaN is expected; the NaN is the error
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run("boundary", _nan_ray_config(tmp_path), tmp_path / "out") == 1
+    assert "NaN" in capsys.readouterr().err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_exit_1_on_missing_config(tmp_path, capsys):

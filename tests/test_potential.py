@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from qma.calculus import z_field
@@ -152,10 +153,12 @@ def test_ray_rules_refuse_a_nan_field_value(nan_from, nan_to):
         StarShapedRule(phi, 0.25, sphere_pow=4)
 
 
-# the per-ray loops that the shared ray chain replaced, kept as the oracle
+# the per-ray loops that the batched ray solve replaced, kept as the oracle:
+# each (ray, level) root is bracketed on its own from hi = 1.0, and phi is
+# evaluated as the ray engine evaluates it, through phi.values
 
 def _oracle_ray_root(phi, level, center, theta, r_hint=1.0):
-    g = lambda rho: phi.value(center + rho * theta) - level
+    g = lambda rho: phi.values((center + rho * theta)[None])[0] - level
     lo, hi = 1e-9, r_hint
     glo = g(lo)
     ghi = g(hi)
@@ -174,11 +177,9 @@ def _oracle_coarea_shell(phi, r, fn, delta, center, sphere_pow, seed, radial_nod
     dirs = sobol_sphere(d, sphere_pow, seed)
     w_dir = sphere_area(phi.n) / len(dirs)
     total = 0.0
-    r_hint = 1.0
     for theta in dirs:
-        lo = _oracle_ray_root(phi, r - delta, center, theta, r_hint)
-        hi = _oracle_ray_root(phi, r + delta, center, theta, max(r_hint, lo * 1.5))
-        r_hint = hi
+        lo = _oracle_ray_root(phi, r - delta, center, theta)
+        hi = _oracle_ray_root(phi, r + delta, center, theta)
         rho, w = gauss_legendre_panels([lo, hi], radial_nodes)
         pts = center[None, :] + rho[:, None] * theta[None, :]
         gnorm = np.linalg.norm(phi.gradients(pts), axis=1)
@@ -201,15 +202,28 @@ def _oracle_sublevel(phi, t, fn, sphere_pow, seed=0, radial_nodes=12):
     center = np.zeros(d)
     dirs = sobol_sphere(d, sphere_pow, seed)
     contrib = np.empty(len(dirs))
-    r_hint = 1.0
     for i, theta in enumerate(dirs):
-        edge = _oracle_ray_root(phi, t, center, theta, r_hint)
-        r_hint = edge
+        edge = _oracle_ray_root(phi, t, center, theta)
         rho, w = gauss_legendre_panels([0.0, edge], radial_nodes)
         pts = center[None, :] + rho[:, None] * theta[None, :]
         vals = np.asarray(fn(pts), dtype=float)
         contrib[i] = float(np.sum(w * vals * rho ** (d - 1)))
     return halving_estimate(contrib, np.full(len(dirs), sphere_area(phi.n) / len(dirs)))
+
+
+def _oracle_chain_radii(phi, levels, center, dirs):
+    """The earlier bracket chain: the first level of a ray starts from the
+    previous ray's last root (1.0 on the first ray), each later level from
+    max(that, 1.5 * this ray's previous root)."""
+    radii = np.empty((len(dirs), len(levels)))
+    hint = 1.0
+    for i, theta in enumerate(dirs):
+        start = hint
+        for k, level in enumerate(levels):
+            radii[i, k] = _oracle_ray_root(phi, level, center, theta, start)
+            start = max(hint, radii[i, k] * 1.5)
+        hint = radii[i, -1]
+    return radii
 
 
 def _radial_quartic():
@@ -249,6 +263,78 @@ def test_ray_rules_match_per_ray_oracle(monkeypatch, geometry, sphere_pow, kind)
         assert sublevel_integral(phi, level, fn, sphere_pow=sphere_pow) == want_sub
         surf = surface_integral(phi, level, fn, sphere_pow=sphere_pow)
         assert (surf.value, surf.error) == want_surf
+
+
+def test_sublevel_ray_rule_matches_per_ray_oracle_on_a_tilted_quadform():
+    # a non-round quadratic form takes the ray rule, and its pointwise value
+    # differs from its batched values in the last bits
+    phi = quadform(QMatrix([[Quaternion(2), Quaternion(0, 1, 0, 0)],
+                            [Quaternion(0, -1, 0, 0), Quaternion(3)]]))
+    for kind in ("ones", "polynomial", "ma_density"):
+        fn = _integrand(kind, phi)
+        assert sublevel_integral(phi, 1.0, fn, sphere_pow=5) == _oracle_sublevel(
+            phi, 1.0, fn, 5)
+    assert sublevel_integral(phi, 0.0, _integrand("ones", phi), sphere_pow=5) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("geometry,sphere_pow", [(_radial_quartic, 5),
+                                                 (_shifted_quartic, 5),
+                                                 (_shifted_quartic, 6)])
+def test_ray_radii_agree_with_the_bracket_chain(geometry, sphere_pow):
+    # another bracket gives Brent other iterates: the roots agree to twice
+    # the solver's tolerance, not in every bit
+    phi, r = geometry()
+    center = np.zeros(4 * phi.n)
+    dirs = sobol_sphere(4 * phi.n, sphere_pow, 0)
+    delta = r * 1e-2
+    levels = [*gauss_legendre_panels([0.0, r], 8)[0], r - delta, r + delta]
+    got = potential._ray_radii(phi, levels, center, dirs)
+    want = _oracle_chain_radii(phi, levels, center, dirs)
+    assert np.all(np.abs(got - want) <= 2 * (1e-13 + 1e-13 * want))
+
+
+@settings(max_examples=25)
+@given(n=st.sampled_from([1, 2]), axis=st.integers(0, 7), c=st.floats(0.0, 4.0),
+       shift=st.lists(st.floats(-0.05, 0.05), min_size=8, max_size=8),
+       levels=st.lists(st.floats(0.1, 4.0), min_size=1, max_size=5, unique=True))
+def test_ray_radii_equal_the_scalar_solve_of_each_entry(n, axis, c, shift, levels):
+    # phi = normsq + c x_k^4 is convex along every ray, and phi(center) < 0.1
+    # stays below every level, so each (ray, level) entry has one root
+    x = Polynomial.coordinate(n, axis % (4 * n))
+    phi = Polynomial(n, normsq(n).terms) + x * x * x * x * c
+    center = np.asarray(shift[:4 * n])
+    levels = sorted(levels)
+    dirs = sobol_sphere(4 * n, 3, 0)
+    got = potential._ray_radii(phi, levels, center, dirs)
+    want = [[_oracle_ray_root(phi, t, center, theta) for t in levels] for theta in dirs]
+    assert got.tolist() == want
+    # solving the levels together changes no bit of any one level
+    for k, t in enumerate(levels):
+        assert potential._ray_radii(phi, [t], center, dirs)[:, 0].tolist() == got[:, k].tolist()
+
+
+def test_lelong_jensen_solves_all_layered_levels_at_once(monkeypatch):
+    # off the ball path: one ray solve per rule, the t_nodes layered levels
+    # in one of them, and one direction set per rule
+    phi, r = _radial_quartic()
+    v = Polynomial.coordinate(1, 0) * Polynomial.coordinate(1, 0) + 1.5
+    solved, drawn = [], []
+    ray_radii, sobol = potential._ray_radii, potential.sobol_sphere
+
+    def counted_radii(phi, levels, center, dirs):
+        solved.append(len(levels))
+        return ray_radii(phi, levels, center, dirs)
+
+    def counted_sobol(*args, **kwargs):
+        drawn.append(args)
+        return sobol(*args, **kwargs)
+
+    monkeypatch.setattr(potential, "_ray_radii", counted_radii)
+    monkeypatch.setattr(potential, "sobol_sphere", counted_sobol)
+    lelong_jensen(phi, v, r, t_nodes=12, sphere_pow=4, radial_nodes=4)
+    # the surface shells, the interior and spatial terms, the layered term
+    assert solved == [4, 1, 1, 12]
+    assert len(drawn) <= 4
 
 
 @pytest.mark.parametrize("block", [None, 100])

@@ -253,6 +253,91 @@ def test_brentq_errors_match_scipy():
         brentq(lambda x: x, -1.0, 1.0, fb=math.nan)
 
 
+def _per_entry(fns):
+    """The objective of an array brentq call with one scalar function per
+    entry."""
+    return lambda x, entries: np.array([fns[e](v) for v, e in zip(x.tolist(), entries)])
+
+
+def _unit(raw):
+    theta = np.asarray(raw)
+    norm = np.linalg.norm(theta)
+    return theta / norm if norm >= 1e-3 else np.array([1.0, 0.0, 0.0, 0.0])
+
+
+@settings(max_examples=30)
+@given(st.lists(st.tuples(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+                          st.floats(1e-3, 50.0)), min_size=1, max_size=8))
+def test_array_brentq_equals_scalar_brentq_per_entry(cases):
+    rays = [_quartic_ray(_unit(raw), level) for raw, level in cases]
+    # an entry with a root at each end of its bracket
+    rays += [(lambda x: x - 1.0, 1.0, 2.0), (lambda x: x - 1.0, 0.0, 1.0)]
+    gs, los, his = (list(v) for v in zip(*rays))
+    for tols in ({"xtol": 1e-13, "rtol": 1e-13}, {"xtol": 1e-12}):
+        want = [brentq(g, lo, hi, **tols) for g, lo, hi in rays]
+        got = brentq(_per_entry(gs), np.array(los), np.array(his), **tols)
+        assert got.tolist() == want
+        ends = {"fa": np.array([g(lo) for g, lo in zip(gs, los)]),
+                "fb": np.array([g(hi) for g, hi in zip(gs, his)])}
+        assert brentq(_per_entry(gs), np.array(los), np.array(his), **ends,
+                      **tols).tolist() == want
+
+
+def test_array_brentq_errors_match_the_scalar_call():
+    gap = lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5   # NaN at the first secant step
+    same_sign = lambda x: x
+    # the failing entry comes after one that solves
+    for fail, a, b, match in ((gap, 0.0, 1.0, "NaN"),
+                              (same_sign, 1.0, 2.0, "different signs")):
+        with pytest.raises(ValueError, match=match) as scalar:
+            brentq(fail, a, b)
+        with pytest.raises(ValueError, match=match) as batched:
+            brentq(_per_entry([lambda x: x - 0.25, fail]), np.array([0.0, a]),
+                   np.array([1.0, b]))
+        assert str(batched.value) == str(scalar.value)
+    # passed-in end values are checked too
+    with pytest.raises(ValueError, match="NaN"):
+        brentq(_per_entry([same_sign, same_sign]), np.array([-1.0, -1.0]),
+               np.array([1.0, 1.0]), fa=np.array([-1.0, math.nan]))
+
+
+# brackets on which Brent takes several steps in a row without a sign flip,
+# so the step sizes it keeps between iterations steer its safeguards; on
+# (x - 1)^3 at the tight tolerances scipy gives up after 100 iterations
+_SLOW_BRACKETS = [
+    (lambda x: (x - 1.0) ** 3, 0.0, 3.0),
+    (lambda x: (x - 1.0) ** 3, -2.0, 1.7),
+    (lambda x: x ** 9 - 1e-3, -1.0, 4.0),
+    (lambda x: x ** 9 - 0.3, 0.0, 2.0),
+    (lambda x: x ** 20 - 1.0, 0.0, 1.3),
+    (lambda x: math.cos(x) - x, 0.0, 1.5),
+    (lambda x: math.atan(x - 0.7) + 0.01 * x, -5.0, 8.0),
+]
+
+
+def _root_or_error(solve):
+    try:
+        return solve()
+    except RuntimeError:
+        return "no convergence"
+
+
+@pytest.mark.parametrize("tols", [{"xtol": 1e-13, "rtol": 1e-13}, {"xtol": 1e-12}, {}])
+def test_brentq_equals_scipy_on_slow_brackets(tols):
+    want = [_root_or_error(lambda: scipy_brentq(g, a, b, **tols))
+            for g, a, b in _SLOW_BRACKETS]
+    assert [_root_or_error(lambda: brentq(g, a, b, **tols))
+            for g, a, b in _SLOW_BRACKETS] == want
+    for (g, a, b), root in zip(_SLOW_BRACKETS, want):
+        assert _root_or_error(lambda: brentq(_per_entry([g]), np.array([a]),
+                                             np.array([b]), **tols)[0]) == root
+    # the entries that converge, solved together
+    solved = [k for k, root in enumerate(want) if root != "no convergence"]
+    gs, los, his = zip(*(_SLOW_BRACKETS[k] for k in solved))
+    got = brentq(_per_entry(gs), np.array(los), np.array(his), **tols)
+    assert got.tolist() == [want[k] for k in solved]
+
+
 def test_import_loads_no_scipy():
     code = ("import sys, qma, qma.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
