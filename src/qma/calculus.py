@@ -19,8 +19,8 @@ built from them:
 * ``FormField``             forms with field coefficients, with wedge and
   the two exterior-type differentials d0/d1 (both square to zero);
 * ``delta_matrix(u, x)``    the 2n x 2n antisymmetric matrix of
-  delta_{ij} u(x), computed from the real Hessian in one batched
-  sandwich product.
+  delta_{ij} u(x): row 0 of the batched ``delta_from_hessians``, which
+  reads each entry off the real Hessian with an exact two-term gather.
 
 Complex-valued fields are pairs of real fields (``CxField``), so exact
 polynomial inputs stay exact through every operator.
@@ -216,20 +216,75 @@ def delta_field(u, i, j):
 
 def delta_matrix(u, x):
     """The antisymmetric 2n x 2n matrix of delta_{ij} u(x), from the Hessian."""
-    v0, v1 = nabla_matrices(u.n)
-    h = u.hessian(x)
-    return 0.5 * (v0 @ h @ v1.T - v1 @ h @ v0.T)
+    return delta_from_hessians(u.n, u.hessian(x)[None])[0]
 
 
 def delta_matrices(u, pts):
-    """Batched delta matrices: (N, 2n, 2n) complex from one Hessian sweep."""
+    """Batched delta matrices: (N, 2n, 2n) complex from one Hessian sweep.
+
+    The nabla operators have constant coefficients, so a Polynomial of
+    degree <= 2 (a QuadraticForm among them) has one delta matrix
+    everywhere: its Hessian is read at pts[0] only and the matrix comes back
+    as a read-only broadcast view.  Every row equals what a full sweep gives,
+    since the walk of a constant second partial reads no coordinate and
+    delta_from_hessians computes each row on its own.
+    """
+    if isinstance(u, Polynomial) and u.degree() <= 2 and len(pts):
+        one = delta_from_hessians(u.n, u.hessians(pts[:1]))[0]
+        return np.broadcast_to(one, (len(pts), *one.shape))
     return delta_from_hessians(u.n, u.hessians(pts))
 
 
-def delta_from_hessians(n, hess):
-    """Delta matrices from precomputed Hessians (N, 4n, 4n)."""
+@lru_cache(maxsize=None)
+def _delta_gather(n):
+    """(index, sign) table of a = V0 H V1^T over the flattened Hessian.
+
+    Every row of V0 and V1 holds one real and one imaginary unit entry, so
+    the real part and the imaginary part of each a[i, j] are both a signed
+    sum of exactly two Hessian entries.  Returns int and float arrays of
+    shape (2, 8n^2): term t of part p of entry (i, j) sits at column
+    2 (2n i + j) + p, so the two sums fill a complex array's float view.
+    """
     v0, v1 = nabla_matrices(n)
-    a = np.einsum("im,bmk,jk->bij", v0, hess, v1, optimize=True)
+    d = 4 * n
+    rows = []
+    for i in range(2 * n):
+        for j in range(2 * n):
+            prods = [(m * d + k, v0[i, m] * v1[j, k])
+                     for m in np.flatnonzero(v0[i]) for k in np.flatnonzero(v1[j])]
+            rows.append([(p, c.real) for p, c in prods if c.real])
+            rows.append([(p, c.imag) for p, c in prods if c.imag])
+    table = np.array(rows)                       # (8n^2, term, (index, sign))
+    idx = table[:, :, 0].T.astype(np.intp)
+    sgn = table[:, :, 1].T.copy()
+    idx.setflags(write=False)
+    sgn.setflags(write=False)
+    return idx, sgn
+
+
+def delta_from_hessians(n, hess):
+    """Delta matrices from precomputed Hessians (N, 4n, 4n).
+
+    a = V0 H V1^T is gathered, not multiplied out: each part of each entry
+    is +-H[m, k] +- H[m', k'] (see ``_delta_gather``), and the result is
+    (a - a^T) / 2 as a contiguous complex array.  The floats are those of
+    the contraction sum_{m,k} V0[i, m] H[m, k] V1[j, k] multiplied out, as
+    an einsum does it: a product with a unit coefficient is exact, a sum of
+    two terms does not depend on their order, and every other product is a
+    zero.  Only a zero part can differ, in its sign: here it is +0, as in a
+    sum accumulated from +0, where an einsum's sign follows the order in
+    which it adds signed zeros.  Row k of a batch is the one-row call on
+    hess[k], and a non-finite Hessian entry reaches only the entries that
+    read it.
+    """
+    hess = np.asarray(hess, dtype=float)
+    idx, sgn = _delta_gather(n)
+    flat = hess.reshape(len(hess), 16 * n * n)
+    parts = flat.take(idx[0], axis=1)
+    parts *= sgn[0]
+    parts += flat.take(idx[1], axis=1) * sgn[1]
+    parts += 0.0
+    a = parts.view(complex).reshape(len(hess), 2 * n, 2 * n)
     return 0.5 * (a - np.swapaxes(a, 1, 2))
 
 

@@ -159,7 +159,7 @@ def ma_density(u, pts, check_tol=1e-8):
 
 def ma_density_from_hessians(n, hessians, check_tol=1e-8):
     """Density from precomputed real Hessians (N, 4n, 4n)."""
-    dm = delta_from_hessians(n, np.asarray(hessians, dtype=float))
+    dm = delta_from_hessians(n, hessians)
     vals = (2.0 ** n) * mixed_pfaffian(n, [dm] * n)
     return _to_real(vals, "Monge-Ampere density", check_tol)
 

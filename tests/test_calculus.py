@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qma.calculus import (
     CxField,
@@ -19,6 +20,7 @@ from qma.calculus import (
     laplace,
     m_field,
     nabla,
+    nabla_matrices,
     nabla_value,
     pullback_potential,
     real_rep,
@@ -193,6 +195,143 @@ def test_delta_matrices_batched():
     np.testing.assert_allclose(batch, [delta_matrix(u, x) for x in pts], atol=1e-12)
     via_hess = delta_from_hessians(2, u.hessians(pts))
     np.testing.assert_allclose(batch, via_hess, atol=1e-14)
+
+
+def _einsum_delta(n, hess):
+    """The contraction delta_from_hessians gathers, multiplied out."""
+    v0, v1 = nabla_matrices(n)
+    a = np.einsum("im,bmk,jk->bij", v0, hess, v1, optimize=True)
+    return 0.5 * (a - np.swapaxes(a, 1, 2))
+
+
+def _loop_delta(n, h):
+    """One Hessian's delta matrix entry by entry in Python floats: each part
+    of a = V0 H V1^T sums its nonzero products from +0."""
+    v0, v1 = nabla_matrices(n)
+    a = np.empty((2 * n, 2 * n), dtype=complex)
+    for i in range(2 * n):
+        for j in range(2 * n):
+            re = im = 0.0
+            for m in np.flatnonzero(v0[i]):
+                for k in np.flatnonzero(v1[j]):
+                    c = v0[i, m] * v1[j, k]
+                    if c.real:
+                        re += float(c.real) * float(h[m, k])
+                    else:
+                        im += float(c.imag) * float(h[m, k])
+            a.real[i, j], a.imag[i, j] = re, im
+    return 0.5 * (a - a.T)
+
+
+@st.composite
+def _hessian_batches(draw):
+    n = draw(st.sampled_from([1, 2, 3]))
+    d = 4 * n
+    entry = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 2.5]),
+                      st.floats(-1e3, 1e3, allow_nan=False))
+    rows = draw(st.integers(1, 3))
+    hess = np.array(draw(st.lists(entry, min_size=rows * d * d,
+                                  max_size=rows * d * d))).reshape(rows, d, d)
+    if draw(st.booleans()):
+        hess = hess + np.swapaxes(hess, 1, 2)
+    return n, hess
+
+
+@settings(max_examples=150)
+@given(_hessian_batches())
+def test_delta_from_hessians_is_the_einsum_contraction(case):
+    n, hess = case
+    got = delta_from_hessians(n, hess)
+    want = _einsum_delta(n, hess)
+    assert got.flags.c_contiguous and got.shape == want.shape
+    assert np.array_equal(got, want)
+    for k, h in enumerate(hess):
+        # a row of the batch is the one-row call, bit for bit
+        assert got[k].tobytes() == delta_from_hessians(n, hess[k:k + 1])[0].tobytes()
+        assert got[k].tobytes() == _loop_delta(n, h).tobytes()
+    if np.all(hess != 0):
+        # without exact zeros in H the signs of zero match the einsum too;
+        # with them the einsum's zero signs follow the summation order of
+        # products it multiplies by zero
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_hessian_entry_reaches_every_entry_that_reads_it(n, bad):
+    d = 4 * n
+    v0, v1 = nabla_matrices(n)
+    rng = np.random.default_rng(12)
+    for m in range(d):
+        for k in range(d):
+            hess = rng.standard_normal((1, d, d))
+            hess[0, m, k] = bad
+            with np.errstate(invalid="ignore"):
+                got = delta_from_hessians(n, hess)[0]
+            # a[i, j] reads H[m, k] when V0[i, m] and V1[j, k] are nonzero;
+            # delta[i, j] is built from a[i, j] and a[j, i]
+            reads = np.outer(v0[:, m] != 0, v1[:, k] != 0)
+            reads = reads | reads.T
+            assert reads.any()
+            assert np.array_equal(~np.isfinite(got), reads)
+
+
+def test_delta_matrix_is_row_zero_of_the_batch():
+    rng = np.random.default_rng(13)
+    u = random_poly(rng, 2)
+    pts = rng.standard_normal((6, 8))
+    pts[0, :4] = 0.0
+    batch = delta_matrices(u, pts)
+    for x, row in zip(pts, batch):
+        assert delta_matrix(u, x).tobytes() == row.tobytes()
+
+
+def _record_hessian_rows(monkeypatch, cls):
+    rows = []
+    inner = cls.hessians
+
+    def hessians(self, pts):
+        rows.append(len(pts))
+        return inner(self, pts)
+
+    monkeypatch.setattr(cls, "hessians", hessians)
+    return rows
+
+
+@pytest.mark.parametrize("u", [
+    Polynomial.coordinate(2, 0) ** 2 - Polynomial.coordinate(2, 1) * Polynomial.coordinate(2, 6)
+    + Fraction(3, 2),
+    quadform(QMatrix([[Quaternion(2), Quaternion(0, 1, 0, 0)],
+                      [Quaternion(0, -1, 0, 0), Quaternion(3)]])),
+], ids=["polynomial", "quadform"])
+def test_quadratic_delta_matrices_read_one_hessian_row(monkeypatch, u):
+    assert u.degree() == 2
+    pts = np.random.default_rng(14).standard_normal((37, 8))
+    sweep = delta_from_hessians(2, u.hessians(pts))
+    rows = _record_hessian_rows(monkeypatch, type(u))
+    got = delta_matrices(u, pts)
+    assert rows == [1]
+    assert not got.flags.writeable
+    assert got.shape == (37, 4, 4)
+    assert np.ascontiguousarray(got).tobytes() == sweep.tobytes()
+
+
+@pytest.mark.parametrize("u", [Polynomial.coordinate(2, 0) ** 3 + normsq(2), invshift(2, 0.1)],
+                         ids=["cubic", "invshift"])
+def test_other_delta_matrices_take_the_full_sweep(monkeypatch, u):
+    pts = np.random.default_rng(15).standard_normal((9, 8))
+    rows = _record_hessian_rows(monkeypatch, type(u))
+    got = delta_matrices(u, pts)
+    assert rows == [9]
+    assert got.flags.writeable
+
+
+@pytest.mark.parametrize("u", [normsq(2), Polynomial.coordinate(2, 3) ** 2,
+                               Polynomial.coordinate(2, 3) ** 3, invshift(2, 0.1)],
+                         ids=["quadform", "square", "cube", "invshift"])
+def test_delta_matrices_of_no_points(u):
+    got = delta_matrices(u, np.empty((0, 8)))
+    assert got.shape == (0, 4, 4) and got.dtype == complex
 
 
 # ---------------------------------------------------------------------------
