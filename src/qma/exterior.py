@@ -18,6 +18,14 @@ The module carries three structures tied to the quaternionic picture:
   an algebra homomorphism.  These generate the strongly positive cone and
   drive the sampled positivity test.
 
+By Cauchy-Binet the pullback of sum_I c_I omega^I has coefficient
+sum_I c_I det(tau(g)[I, J]) on omega^J.  A float or complex tau(g) takes
+that route: every (I, J) minor of one call goes through batched
+``np.linalg.det`` calls of at most ``_MINOR_BUDGET`` minors each.  An
+object-dtype tau(g) holds exact entries and is pulled back by the chain of
+wedges of the images of the basis covectors instead, which keeps the exact
+lane apart from the float one.
+
 Coefficients may be python complex numbers or exact RationalComplex values;
 all structural operations (wedge, rho, pullback on exact tau data) preserve
 exactness.
@@ -29,6 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +46,10 @@ from .hamilton import QMatrix, random_qmatrix
 
 #: Cap on the half-dimension n of the algebra; bitmasks use 2n bits.
 MAX_N = 8
+
+#: Minors per batched determinant call of the float pullback; a call
+#: gathers at most _MINOR_BUDGET * p^2 complex entries at degree p.
+_MINOR_BUDGET = 1 << 12
 
 
 class RationalComplex:
@@ -284,11 +297,6 @@ class ExtElement:
             return not self.coeffs
         return self.norm_inf() <= tol
 
-    def to_complex(self):
-        """Copy with coefficients forced to python complex."""
-        return ExtElement(self.n, self.degree,
-                          {m: complex(c) for m, c in self.coeffs.items()})
-
     def __eq__(self, other):
         if not isinstance(other, ExtElement):
             return NotImplemented
@@ -396,11 +404,25 @@ class HLinearMap:
         return f"HLinearMap({self.matrix!r})"
 
 
+@lru_cache(maxsize=None)
+def _subsets(width, p):
+    """Every p-subset of range(width): an (m, p) index array and the masks."""
+    combos = list(itertools.combinations(range(width), p))
+    return np.array(combos, dtype=np.intp), [indices_to_mask(c) for c in combos]
+
+
 def pullback(a, tau_g):
     """Pull a back along the map with embedding matrix tau_g (2n x 2k).
 
     The element lives over C^(2n); the result lives over C^(2k).  Algebra
     homomorphism: pullback(a ^ b) = pullback(a) ^ pullback(b).
+
+    A float or complex tau_g is pulled back by Cauchy-Binet: the coefficient
+    of omega^J is sum_I c_I det(tau_g[I, J]), with every (I, J) minor taken
+    in batched ``np.linalg.det`` calls of at most ``_MINOR_BUDGET`` minors.
+    An object-dtype tau_g holds exact entries (int, Fraction,
+    RationalComplex); it takes the wedge chain of the images of the basis
+    covectors, so exact data stays exact.
     """
     tau_g = np.asarray(tau_g)
     rows, cols = tau_g.shape
@@ -410,12 +432,35 @@ def pullback(a, tau_g):
     if cols % 2:
         raise DimensionError("embedding matrix must have an even column count")
     k = cols // 2
-    if a.degree > 2 * k:
+    p = a.degree
+    if p > 2 * k:
         return ExtElement(k, 2 * k)  # vanishes above the target's top degree
+    if p == 0:
+        return ExtElement(k, 0, a.coeffs)
+    if tau_g.dtype == object:
+        return _wedge_chain(a, tau_g, k)
+    if not a.coeffs:
+        return ExtElement(k, p)
+    sources = np.array([mask_to_indices(m) for m in a.coeffs], dtype=np.intp)
+    weights = np.array([complex(c) for c in a.coeffs.values()])
+    targets, masks = _subsets(cols, p)
+    out = np.zeros(len(masks), dtype=complex)
+    t_step = min(len(masks), _MINOR_BUDGET)
+    s_step = max(1, _MINOR_BUDGET // t_step)
+    for s in range(0, len(sources), s_step):
+        src = sources[s:s + s_step, None, :, None]
+        for t in range(0, len(masks), t_step):
+            minors = tau_g[src, targets[None, t:t + t_step, None, :]]
+            out[t:t + t_step] += weights[s:s + s_step] @ np.linalg.det(minors)
+    return ExtElement(k, p, dict(zip(masks, out.tolist())))
+
+
+def _wedge_chain(a, tau_g, k):
+    """Exact-lane pullback: wedge the images of each term's covectors."""
     # image of each basis covector as a 1-element over C^(2k)
-    images = [ExtElement(k, 1, {1 << j: tau_g[p, j] for j in range(cols)
+    images = [ExtElement(k, 1, {1 << j: tau_g[p, j] for j in range(2 * k)
                                 if not _negligible(tau_g[p, j])})
-              for p in range(rows)]
+              for p in range(len(tau_g))]
     out = ExtElement(k, a.degree)
     for mask, c in a.coeffs.items():
         term = ExtElement.scalar(k, c)
@@ -490,8 +535,11 @@ def positivity_test(a, samples=512, seed=0, tol=1e-9):
     tolerance yields NOT_POSITIVE with the witness map.  A clean sweep is
     only LIKELY_POSITIVE: the criterion is sampled, never proven.
 
-    Elements that are not rho(j)-real are rejected immediately.
+    Elements that are not rho(j)-real are rejected immediately; fewer than
+    one sample is a ValueError, since an empty sweep would pass anything.
     """
+    if samples < 1:
+        raise ValueError(f"positivity_test needs at least one sample, got {samples}")
     if a.degree % 2:
         return PositivityResult(NOT_POSITIVE, float("nan"), 0)
     k = a.degree // 2

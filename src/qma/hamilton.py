@@ -80,9 +80,6 @@ class Quaternion:
         c = self.conjugate()
         return Quaternion(c.x0 * s, c.x1 * s, c.x2 * s, c.x3 * s)
 
-    def scalar_part(self):
-        return self.x0
-
     def __add__(self, other):
         other = _coerce(other)
         return Quaternion(self.x0 + other.x0, self.x1 + other.x1,

@@ -487,6 +487,7 @@ def _brent_arrays(f, a, b, xtol, rtol, fa, fb):
 # ---------------------------------------------------------------------------
 # tier 3: product rules
 
+@functools.lru_cache(maxsize=8)
 def sobol_sphere(d, m_pow, seed=0, antithetic=False):
     """2^m_pow quasi-random directions on S^(d-1) (scrambled Sobol through
     the Gaussian map; deterministic in the seed).
@@ -496,6 +497,9 @@ def sobol_sphere(d, m_pow, seed=0, antithetic=False):
     even-length prefix is exactly centrally symmetric, so odd integrands
     cancel to machine precision while prefix-halving error estimates stay
     meaningful.
+
+    The last few direction sets are memoized (a rule built once per level
+    asks for the same set many times), so the returned array is read-only.
     """
     if d > 4 * MAX_N:
         raise DimensionError(f"Sobol directions exist for d <= 4 * MAX_N = {4 * MAX_N}, "
@@ -509,14 +513,16 @@ def sobol_sphere(d, m_pow, seed=0, antithetic=False):
         out = np.empty((2 * len(base), d))
         out[0::2] = base
         out[1::2] = -base
-        return out
-    # keep strictly inside (0,1) for ndtri
-    u = np.clip(scrambled_sobol(d, m_pow, seed), 1e-12, 1 - 1e-12)
-    g = ndtri(u)
-    norms = np.linalg.norm(g, axis=1)
-    # a Gaussian draw of norm ~0 is measure-zero; clip for safety
-    norms = np.where(norms < 1e-12, 1.0, norms)
-    return g / norms[:, None]
+    else:
+        # keep strictly inside (0,1) for ndtri
+        u = np.clip(scrambled_sobol(d, m_pow, seed), 1e-12, 1 - 1e-12)
+        g = ndtri(u)
+        norms = np.linalg.norm(g, axis=1)
+        # a Gaussian draw of norm ~0 is measure-zero; clip for safety
+        norms = np.where(norms < 1e-12, 1.0, norms)
+        out = g / norms[:, None]
+    out.flags.writeable = False
+    return out
 
 
 class BallQuadrature:

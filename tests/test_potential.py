@@ -15,7 +15,7 @@ from qma.hamilton import QMatrix, Quaternion
 from qma.monge_ampere import ma_density
 from qma.quadrature import (StarShapedRule, gauss_legendre_panels,
                             halving_estimate, sobol_sphere, sphere_area)
-from qma import potential
+from qma import potential, quadrature
 from qma.potential import (
     NormalFrame,
     boundary_mass_residual,
@@ -335,6 +335,28 @@ def test_lelong_jensen_solves_all_layered_levels_at_once(monkeypatch):
     # the surface shells, the interior and spatial terms, the layered term
     assert solved == [4, 1, 1, 12]
     assert len(drawn) <= 4
+
+
+def test_lelong_jensen_builds_each_direction_set_once(monkeypatch):
+    # a round quadratic takes one BallQuadrature per layered level; every
+    # rule asks for its directions, and each distinct set is built once
+    phi = normsq(1)
+    v = Polynomial.coordinate(1, 0) * Polynomial.coordinate(1, 0) + 1.5
+    cached = quadrature.sobol_sphere
+    asked = []
+
+    def recorded(*args, **kwargs):
+        asked.append((args, tuple(sorted(kwargs.items()))))
+        return cached(*args, **kwargs)
+
+    # the antithetic sets ask for their base set through quadrature's name
+    for mod in (potential, quadrature):
+        monkeypatch.setattr(mod, "sobol_sphere", recorded)
+    cached.cache_clear()
+    lelong_jensen(phi, v, 1.0, t_nodes=12, sphere_pow=4, radial_nodes=4)
+    info = cached.cache_info()
+    assert info.misses == len(set(asked))
+    assert info.hits == len(asked) - len(set(asked)) >= 12
 
 
 @pytest.mark.parametrize("block", [None, 100])

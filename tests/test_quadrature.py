@@ -176,6 +176,13 @@ def test_sobol_sphere_antithetic_pairs():
         sobol_sphere(4, 0, antithetic=True)
 
 
+def test_sobol_sphere_is_memoized_read_only():
+    a = sobol_sphere(4, 5, 2, antithetic=True)
+    assert sobol_sphere(4, 5, 2, antithetic=True) is a
+    with pytest.raises(ValueError, match="read-only"):
+        a[0, 0] = 0.0
+
+
 def test_sobol_sphere_limits():
     with pytest.raises(DimensionError, match="MAX_N"):
         sobol_sphere(4 * MAX_N + 1, 4)
