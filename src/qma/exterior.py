@@ -552,7 +552,10 @@ def positivity_test(a, samples=512, seed=0, tol=1e-9):
     scale = a.norm_inf()
     if scale == 0.0:
         return PositivityResult(LIKELY_POSITIVE, 0.0, 0)
-    b = a.scale(1.0 / scale)
+    # float coefficients, read through complex() as the float pullback reads
+    # them: an exact RationalComplex cannot take a float scale
+    b = ExtElement(a.n, a.degree,
+                   {m: complex(c) * (1.0 / scale) for m, c in a.coeffs.items()})
     rng = np.random.default_rng(seed)
     min_kappa = float("inf")
     for _ in range(samples):

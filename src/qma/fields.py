@@ -23,11 +23,12 @@ sums, scalings and products, ``ChainField``, ``LinearSubstitution``,
 ``InvShift`` and ``DerivedField``'s value and gradient work that way.  The
 exceptions define their own pointwise methods:
 
-* ``Polynomial``, whose scalar walk keeps Fraction points exact and keeps
-  the scalar ``value`` calls of the per-ray root solvers (about 197,000 in
-  a quartic n = 2 ``jensen`` run) off numpy, where a one-row array costs
-  more than the walk.  ``QuadraticForm`` inherits its ``value`` and takes
-  gradient and Hessian back to one row of its matrix forms.
+* ``Polynomial``, whose scalar walk keeps Fraction points exact and
+  gives a float point the bits of ``values`` without a one-row array.
+  ``QuadraticForm``, whose ``values`` is an einsum over its matrix rather
+  than the walk, takes a float point's ``value``, and its gradient and
+  Hessian, back to one row of its matrix forms; an exact point keeps the
+  walk.
 * ``ClosedForm``, ``BlackBox`` and ``GridField``, pointwise by contract;
   their batched methods are the base class's loop over points (a
   ``ClosedForm`` may pass vectorized callables instead).
@@ -337,8 +338,15 @@ class QuadraticForm(Polynomial):
         h = 2.0 * self.m_real
         return np.broadcast_to(h, (len(pts), *h.shape)).copy()
 
+    def value(self, x):
+        # a float point is row 0 of the einsum in values, as for every
+        # batched field; an exact point keeps the walk and stays exact
+        if isinstance(x, np.ndarray) and x.dtype == float:
+            return ScalarField.value(self, x)
+        return Polynomial.value(self, x)
+
     # one row of the matrix forms above, not Polynomial's walk over 4n(4n+1)/2
-    # second partials; value keeps the walk, whose Fraction points stay exact
+    # second partials
     gradient = ScalarField.gradient
     hessian = ScalarField.hessian
 

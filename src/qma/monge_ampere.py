@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionError, NumericalInconsistencyError
-from .calculus import delta_from_hessians, delta_matrices, delta_matrix, nabla_matrices
+from .calculus import delta_matrices, delta_matrix, nabla_matrices
 from .hamilton import MAX_MATRIX_DIM, QMatrix, Quaternion, jmatrix, moore_det
 from .exterior import perm_sign
 
@@ -153,13 +153,6 @@ def ma_density(u, pts, check_tol=1e-8):
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     n = u.n
     dm = delta_matrices(u, pts)
-    vals = (2.0 ** n) * mixed_pfaffian(n, [dm] * n)
-    return _to_real(vals, "Monge-Ampere density", check_tol)
-
-
-def ma_density_from_hessians(n, hessians, check_tol=1e-8):
-    """Density from precomputed real Hessians (N, 4n, 4n)."""
-    dm = delta_from_hessians(n, hessians)
     vals = (2.0 ** n) * mixed_pfaffian(n, [dm] * n)
     return _to_real(vals, "Monge-Ampere density", check_tol)
 

@@ -28,15 +28,16 @@ co-area shell estimator.
 
 Off the quadratic path, the surface and sublevel rules share one ray
 engine over Sobol directions from a center: ``_ray_radii`` solves the
-crossing radii of every (ray, level) pair in one batched Brent solve,
-each pair bracketed on its own from [1e-9, 1.0], and ``_ray_panel_sums``
-integrates along the rays on Gauss-Legendre panels, handing the integrand
-node blocks of at most ``_BLOCK_NODES`` points.  The co-area shell
-integrates f |grad phi| between the levels r - delta and r + delta; the
-surface rule solves the levels of both of its shells at once.  The
-sublevel rule integrates from the center out to the level t; the layered
-term of the identity solves all of its levels at once and sums the panels
-one level at a time.
+crossing radii of every (ray, level) pair in one batched Brent solve over
+the brackets of ``quadrature.ray_brackets``, the bracket search and
+tolerances that ``quadrature.StarShapedRule`` uses too, and
+``_ray_panel_sums`` integrates along the rays on Gauss-Legendre panels,
+handing the integrand node blocks of at most ``_BLOCK_NODES`` points.  The
+co-area shell integrates f |grad phi| between the levels r - delta and
+r + delta; the surface rule solves the levels of both of its shells at
+once.  The sublevel rule integrates from the center out to the level t;
+the layered term of the identity solves all of its levels at once and sums
+the panels one level at a time.
 """
 
 from __future__ import annotations
@@ -46,14 +47,13 @@ import math
 
 import numpy as np
 
-from .errors import (DegenerateLevelSetError, DimensionError,
-                     NumericalInconsistencyError, QuadratureError)
+from .errors import DegenerateLevelSetError, DimensionError, QuadratureError
 from .calculus import delta_matrices, nabla_matrices
 from .fields import ChainField, QuadraticForm, ScalarField
 from .monge_ampere import _to_real, ma_density, mixed_ma, mixed_pfaffian
-from .quadrature import (BallQuadrature, EllipsoidRule, SphereRule, brentq,
-                         gauss_legendre_panels, halving_estimate, sobol_sphere,
-                         sphere_area)
+from .quadrature import (RAY_TOL, BallQuadrature, EllipsoidRule, SphereRule, brentq,
+                         gauss_legendre_panels, halving_estimate, ray_brackets,
+                         sobol_sphere, sphere_area)
 
 _GRAD_FLOOR = 1e-6
 # most nodes per integrand call on the ray rules (bounds the kernels' batches)
@@ -186,59 +186,15 @@ def surface_integral(phi, r, f=None, sphere_pow=10, seed=0, center=None,
 
 def _ray_radii(phi, levels, center, dirs):
     """(rays, len(levels)) radii where the rays center + rho * theta cross
-    the level sets {phi = level}, found by one batched ``brentq`` over every
-    (ray, level) entry.
-
-    Each entry is bracketed on its own in [1e-9, hi]: hi starts at 1.0 and
-    doubles, at most 60 times, until the sign changes.  phi is evaluated
-    once per ray at the lower end.  No bracket depends on another entry, so
-    each radius is the float a scalar ``brentq`` gives on that entry's
-    bracket, whichever levels are solved together, when its objective
-    evaluates phi as ``phi.values`` does (for some field kinds
-    ``phi.value`` differs in the last bits).  phi runs without
-    numpy's overflow and invalid-value warnings; a NaN value is checked
-    instead and raised as NumericalInconsistencyError naming the ray and
-    the level.
-    """
-    n_levels = len(levels)
-    ray = np.repeat(np.arange(len(dirs)), n_levels)
-    level = np.tile(np.asarray(levels, dtype=float), len(dirs))
-
-    def refuse_nan(vals, rho, entries):
-        bad = np.isnan(vals)
-        if bad.any():
-            k = bad.argmax()
-            e = entries[k]
-            raise NumericalInconsistencyError(
-                f"sample ray {ray[e]}, level {float(level[e])!r}: "
-                f"phi is NaN at radius {float(rho[k])!r}")
-
-    def g(rho, entries):
-        vals = phi.values(center + rho[:, None] * dirs[ray[entries]]) - level[entries]
-        refuse_nan(vals, rho, entries)
-        return vals
-
-    everything = np.arange(len(ray))
-    lo = np.full(len(ray), 1e-9)
-    hi = np.ones(len(ray))
-    with np.errstate(over="ignore", invalid="ignore"):
-        glo = phi.values(center + 1e-9 * dirs)[ray] - level
-        refuse_nan(glo, lo, everything)
-        ghi = g(hi, everything)
-        todo = everything[np.sign(glo) * np.sign(ghi) > 0]   # no sign change yet
-        for _ in range(60):
-            if not len(todo):
-                break
-            hi[todo] *= 2.0
-            ghi[todo] = g(hi[todo], todo)
-            todo = todo[np.sign(glo[todo]) * np.sign(ghi[todo]) > 0]
-        if len(todo):
-            e = todo[0]
-            raise DegenerateLevelSetError(
-                f"sample ray {ray[e]}, level {float(level[e])!r}: "
-                "level set does not cross the ray")
-        radii = brentq(g, lo, hi, xtol=1e-13, rtol=1e-13, fa=glo, fb=ghi)
-    return radii.reshape(len(dirs), n_levels)
+    the level sets {phi = level}: one batched ``brentq`` over the brackets
+    of ``quadrature.ray_brackets``, whose docstring states the bracketing,
+    the bits and the errors."""
+    g, lo, hi, glo, ghi = ray_brackets(phi, levels, center, dirs)
+    # the solve stays here, on this module's own brentq: perfbench counts
+    # each module's brentq apart (potential.root here, quadrature.root for
+    # StarShapedRule)
+    radii = brentq(g, lo, hi, xtol=RAY_TOL, rtol=RAY_TOL, fa=glo, fb=ghi)
+    return radii.reshape(len(dirs), len(levels))
 
 
 def _ray_panel_sums(fn, center, dirs, lo, hi, nodes, weight=None):

@@ -31,7 +31,14 @@ the package loads no scipy module:
 * ``brentq`` is scipy's C ``brentq`` (Brent 1973), with the same iterates
   and the same errors, plus optional known end values.  Given arrays of
   brackets it solves them all in one masked iteration, each entry to the
-  float of its own scalar call.
+  float of its own scalar call; a scalar call is that iteration on one
+  entry, so there is one Brent loop.
+
+Every level-set root is found one way: ``ray_brackets`` brackets each
+crossing of a ray with {phi = level} on its own, and one array ``brentq``
+at xtol = rtol = ``RAY_TOL`` solves all of them.  ``StarShapedRule`` makes
+that call here, and the co-area and sublevel rules of ``potential`` make it
+there.
 """
 
 from __future__ import annotations
@@ -340,22 +347,6 @@ def ndtri(p):
     return out
 
 
-def _nan_error(x):
-    return ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-
-
-def _secant_step(xpre, xcur, fpre, fcur):
-    """Brent's interpolation step from xcur (floats or arrays)."""
-    return -fcur * (xcur - xpre) / (fcur - fpre)
-
-
-def _inverse_quadratic_step(xpre, xcur, xblk, fpre, fcur, fblk):
-    """Brent's extrapolation step from xcur (floats or arrays)."""
-    dpre = (fpre - fcur) / (xpre - xcur)
-    dblk = (fblk - fcur) / (xblk - xcur)
-    return -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-
-
 def brentq(f, a, b, xtol=2e-12, rtol=4 * np.finfo(float).eps, fa=None, fb=None):
     """A root of f in [a, b], where f(a) and f(b) differ in sign (Brent,
     *Algorithms for Minimization Without Derivatives*, 1973, ch. 4).
@@ -372,67 +363,27 @@ def brentq(f, a, b, xtol=2e-12, rtol=4 * np.finfo(float).eps, fa=None, fb=None):
     is then called with the iterates of the entries still open and their
     indices into ``a``, and returns f at each; ``fa``/``fb`` are arrays.
     The errors are the scalar call's, raised for the first entry that meets
-    one.
+    one.  A scalar call is the array loop on a one-entry bracket.
     """
     if isinstance(a, np.ndarray):
         return _brent_arrays(f, a, b, xtol, rtol, fa, fb)
-    xpre, xcur = float(a), float(b)
-    fpre = f(xpre) if fa is None else fa
-    if math.isnan(fpre):
-        raise _nan_error(xpre)
-    fcur = f(xcur) if fb is None else fb
-    if math.isnan(fcur):
-        raise _nan_error(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                stry = _secant_step(xpre, xcur, fpre, fcur)
-            else:
-                stry = _inverse_quadratic_step(xpre, xcur, xblk, fpre, fcur, fblk)
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-        if math.isnan(fcur):
-            raise _nan_error(xcur)
-    raise RuntimeError(f"Failed to converge after 100 iterations, value is {xcur:f}")
+    one = lambda v: None if v is None else np.array([v], dtype=float)
+    root = _brent_arrays(lambda x, _: np.array([f(float(x[0]))], dtype=float),
+                         one(a), one(b), xtol, rtol, one(fa), one(fb))
+    return float(root[0])
 
 
 def _check_nan(fx, x):
     bad = np.isnan(fx)
     if bad.any():
-        raise _nan_error(float(x[bad.argmax()]))
+        raise ValueError(f"The function value at x={float(x[bad.argmax()])} is NaN; "
+                         "solver cannot continue.")
 
 
 def _brent_arrays(f, a, b, xtol, rtol, fa, fb):
-    """The scalar ``brentq`` loop over arrays of brackets: each open entry
-    takes its branch through np.where, so it sees the same operations on
-    the same floats; the entries that converge leave the state."""
+    """Brent's loop over arrays of brackets: each open entry takes its
+    branch through np.where, so it sees the operations of scipy's scalar
+    loop on the same floats; the entries that converge leave the state."""
     xpre = np.array(a, dtype=float)
     xcur = np.array(b, dtype=float)
     entries = np.arange(len(xcur))
@@ -472,8 +423,12 @@ def _brent_arrays(f, a, b, xtol, rtol, fa, fb):
         # the step an entry does not take may divide by zero; it is never
         # selected
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            stry = np.where(xpre == xblk, _secant_step(xpre, xcur, fpre, fcur),
-                            _inverse_quadratic_step(xpre, xcur, xblk, fpre, fcur, fblk))
+            secant = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            inverse_quadratic = (-fcur * (fblk * dblk - fpre * dpre)
+                                 / (dblk * dpre * (fblk - fpre)))
+        stry = np.where(xpre == xblk, secant, inverse_quadratic)
         accept = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
                   & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
         spre, scur = np.where(accept, scur, sbis), np.where(accept, stry, sbis)
@@ -482,6 +437,67 @@ def _brent_arrays(f, a, b, xtol, rtol, fa, fb):
         fcur = np.asarray(f(xcur, entries), dtype=float)
         _check_nan(fcur, xcur)
     raise RuntimeError(f"Failed to converge after 100 iterations, value is {xcur[0]:f}")
+
+
+# xtol and rtol of every level-set ray solve
+RAY_TOL = 1e-13
+
+
+def ray_brackets(phi, levels, center, dirs):
+    """Brackets for the radii where the rays center + rho * theta cross the
+    level sets {phi = level}, one entry per (ray, level) pair, ray-major.
+
+    Returns ``(g, lo, hi, glo, ghi)``: the objective g(rho, entries) =
+    phi - level on each entry's ray, in the form an array ``brentq`` call
+    takes, and each entry's bracket [lo, hi] with g at both ends.  Each
+    entry is bracketed on its own in [1e-9, hi]: hi starts at 1.0 and
+    doubles, at most 60 times, until the sign changes.  phi is evaluated
+    once per ray at the lower end.  No bracket depends on another entry, so
+    ``brentq(g, lo, hi, xtol=RAY_TOL, rtol=RAY_TOL, fa=glo, fb=ghi)`` gives
+    each radius as the float a scalar ``brentq`` gives on that entry's
+    bracket, whichever rays and levels are solved together.  phi runs
+    through ``phi.values`` without numpy's overflow and invalid-value
+    warnings; a NaN value raises NumericalInconsistencyError naming the ray
+    and the level.
+    """
+    ray = np.repeat(np.arange(len(dirs)), len(levels))
+    level = np.tile(np.asarray(levels, dtype=float), len(dirs))
+
+    def refuse_nan(vals, rho, entries):
+        bad = np.isnan(vals)
+        if bad.any():
+            k = bad.argmax()
+            e = entries[k]
+            raise NumericalInconsistencyError(
+                f"sample ray {ray[e]}, level {float(level[e])!r}: "
+                f"phi is NaN at radius {float(rho[k])!r}")
+
+    def g(rho, entries):
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = phi.values(center + rho[:, None] * dirs[ray[entries]]) - level[entries]
+        refuse_nan(vals, rho, entries)
+        return vals
+
+    everything = np.arange(len(ray))
+    lo = np.full(len(ray), 1e-9)
+    hi = np.ones(len(ray))
+    with np.errstate(over="ignore", invalid="ignore"):
+        glo = phi.values(center + 1e-9 * dirs)[ray] - level
+    refuse_nan(glo, lo, everything)
+    ghi = g(hi, everything)
+    todo = everything[np.sign(glo) * np.sign(ghi) > 0]   # no sign change yet
+    for _ in range(60):
+        if not len(todo):
+            break
+        hi[todo] *= 2.0
+        ghi[todo] = g(hi[todo], todo)
+        todo = todo[np.sign(glo[todo]) * np.sign(ghi[todo]) > 0]
+    if len(todo):
+        e = todo[0]
+        raise DegenerateLevelSetError(
+            f"sample ray {ray[e]}, level {float(level[e])!r}: "
+            "level set does not cross the ray")
+    return g, lo, hi, glo, ghi
 
 
 # ---------------------------------------------------------------------------
@@ -614,11 +630,9 @@ class EllipsoidRule:
 
 class StarShapedRule:
     """Surface rule for a level set {phi = level} star-shaped around a
-    center: each Sobol ray is solved for its crossing radius by bracketed
-    root finding, and the area element uses the field gradient.
-
-    Each ray's bracket [1e-9, hi] starts at the previous ray's root (1.0 on
-    the first ray) and doubles hi until the sign changes.
+    center: the crossing radii of all Sobol rays come from one batched
+    ``brentq`` over the brackets of ``ray_brackets``, and the area element
+    uses the field gradient.
     """
 
     def __init__(self, field, level, center=None, sphere_pow=9, seed=0):
@@ -627,24 +641,8 @@ class StarShapedRule:
         self.n = n
         center = np.zeros(d) if center is None else np.asarray(center, dtype=float)
         dirs = sobol_sphere(d, sphere_pow, seed)
-        radii = np.empty(len(dirs))
-        hint = 1.0
-        for i, th in enumerate(dirs):
-            f = lambda rho: field.value(center + rho * th) - level
-            lo, hi = 1e-9, hint
-            flo, fhi = f(lo), f(hi)
-            grow = 0
-            while flo * fhi > 0:
-                hi *= 2.0
-                fhi = f(hi)
-                grow += 1
-                if grow > 60:
-                    raise DegenerateLevelSetError(
-                        "level set does not cross one of the sample rays")
-            try:
-                radii[i] = hint = brentq(f, lo, hi, xtol=1e-12, fa=flo, fb=fhi)
-            except ValueError as exc:   # the field was NaN at an end or an iterate
-                raise NumericalInconsistencyError(f"sample ray {i}: {exc}") from exc
+        g, lo, hi, glo, ghi = ray_brackets(field, (level,), center, dirs)
+        radii = brentq(g, lo, hi, xtol=RAY_TOL, rtol=RAY_TOL, fa=glo, fb=ghi)
         self.points = center[None, :] + radii[:, None] * dirs
         grads = field.gradients(self.points)
         gnorm = np.linalg.norm(grads, axis=1)

@@ -300,6 +300,25 @@ def test_positivity_matches_the_exact_lane_loop(case, seed):
         assert verdict == NOT_POSITIVE
 
 
+@pytest.mark.parametrize("half", [Fraction(1, 2), Fraction(-1, 2)])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_positivity_takes_rational_complex_coefficients(half, seed):
+    # omega^0 ^ omega^1 + half omega^2 ^ omega^3 at n = 2: the exact complex
+    # coefficients give the verdict, minimum and witness of the Fraction ones
+    masks = (indices_to_mask((0, 1)), indices_to_mask((2, 3)))
+    fractions = ExtElement(2, 2, dict(zip(masks, (Fraction(1), half))))
+    rational = ExtElement(2, 2, dict(zip(masks, (RationalComplex(1), RationalComplex(half)))))
+    want = positivity_test(fractions, samples=64, seed=seed)
+    got = positivity_test(rational, samples=64, seed=seed)
+    assert got.verdict == want.verdict == (LIKELY_POSITIVE if half > 0 else NOT_POSITIVE)
+    assert got.min_kappa == want.min_kappa
+    assert got.samples == want.samples
+    if half > 0:
+        assert got.witness is None and want.witness is None
+    else:
+        assert got.witness.matrix == want.witness.matrix
+
+
 @pytest.mark.parametrize("samples", [0, -3])
 def test_positivity_refuses_an_empty_sweep(samples):
     elem = random_strongly_positive(np.random.default_rng(1), 2, 1)

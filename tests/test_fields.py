@@ -467,7 +467,9 @@ def _pointwise_oracle(u, x):
         _, g, h = _pointwise_oracle(u.parent, x)
         return float(g[u.axis]), h[u.axis].copy(), u.hessian(x)
     if isinstance(u, QuadraticForm):
-        return u.value(x), 2.0 * u.m_real @ (x - u.center), 2.0 * u.m_real.copy()
+        # the value by Polynomial's walk over the exact terms, not the einsum
+        return (Polynomial.value(u, x), 2.0 * u.m_real @ (x - u.center),
+                2.0 * u.m_real.copy())
     assert type(u) is Polynomial
     return u.value(x), u.gradient(x), u.hessian(x)
 
@@ -478,11 +480,19 @@ def _tanh_chain(phi):
                       lambda t: -2.0 * th(t) * (1.0 - th(t) ** 2), name="tanh")
 
 
+# a positive hyperhermitian matrix per n with off-diagonal quaternion entries
+# where n allows them (the tilted form of the cln benchmark at n = 2)
+_TILTED = {1: QMatrix([[Quaternion(2)]]),
+           2: QMatrix([[Quaternion(2), Quaternion(0, 1, 0, 0)],
+                       [Quaternion(0, -1, 0, 0), Quaternion(3)]])}
+
+
 @st.composite
 def _composite_fields_and_points(draw):
-    """A field over H^n (n in {1, 2}) built from InvShift, centered normsq
-    and cubic polynomial leaves by sums, scalings, products, tanh chains,
-    affine substitutions and partial derivatives, plus 1 to 3 points."""
+    """A field over H^n (n in {1, 2}) built from InvShift, centered normsq,
+    centered tilted quadform and cubic polynomial leaves by sums, scalings,
+    products, tanh chains, affine substitutions and partial derivatives,
+    plus 1 to 3 points."""
     n = draw(st.sampled_from([1, 2]))
     d = 4 * n
     small = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -491,6 +501,7 @@ def _composite_fields_and_points(draw):
         st.builds(lambda eps, c: InvShift(n, eps, c),
                   st.floats(min_value=0.1, max_value=2.0), vec),
         vec.map(lambda c: normsq(n, c)),
+        vec.map(lambda c: quadform(_TILTED[n], c)),
         st.tuples(st.integers(0, d - 1), st.fractions(-2, 2, max_denominator=5)).map(
             lambda mc: normsq(n) + mc[1] * Polynomial.coordinate(n, mc[0]) ** 3),
     )
@@ -518,17 +529,24 @@ def _close(got, want):
                                atol=1e-13 * max(1.0, float(np.abs(want).max())))
 
 
+# a point where the polynomial walk and the einsum of a QuadraticForm
+# differ in the last bit, for both leaves
+_LAST_BIT_POINT = np.array([0.1, 0.4, 0.7, -0.7, -0.4, -0.1, 0.2, 0.5])
+
+
 @settings(max_examples=120)
 @given(_composite_fields_and_points())
+@example((quadform(_TILTED[2], np.full(8, 0.25)), [_LAST_BIT_POINT]))
+@example((normsq(2, np.full(8, 0.25)), [_LAST_BIT_POINT]))
 def test_pointwise_is_one_row_of_batched_and_matches_oracles(case):
     u, pts = case
     for x in pts:
         v, g, h = _pointwise_oracle(u, x)
         assert isinstance(u.value(x), float)
-        # a Polynomial keeps its own pointwise trio (a QuadraticForm its
-        # value) and DerivedField its pointwise Hessian; every other method
-        # is row 0 of its batch
-        if not isinstance(u, Polynomial):
+        # a Polynomial keeps its own pointwise trio and DerivedField its
+        # pointwise Hessian; every other method, a QuadraticForm's value at
+        # a float point among them, is row 0 of its batch
+        if type(u) is not Polynomial:
             assert u.value(x) == u.values(x[None])[0]
         if type(u) is not Polynomial:
             assert np.array_equal(u.gradient(x), u.gradients(x[None])[0])
@@ -557,7 +575,7 @@ def test_every_field_class_defines_one_side_of_each_pair():
     trio = {"value", "gradient", "hessian"}
     assert {k: v for k, v in own_pointwise.items() if v} == {
         "Polynomial": trio, "ClosedForm": trio, "BlackBox": trio, "GridField": trio,
-        "DerivedField": {"hessian"}}
+        "QuadraticForm": {"value"}, "DerivedField": {"hessian"}}
     assert not issubclass(InvShift, ClosedForm)
 
 

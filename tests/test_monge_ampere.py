@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate
 
 from qma.errors import DimensionError, NumericalInconsistencyError
-from qma.fields import InvShift, Polynomial, invshift, normsq, quadform
+from qma.fields import ClosedForm, InvShift, Polynomial, invshift, normsq, quadform
 from qma.hamilton import (
     QMatrix,
     Quaternion,
@@ -24,7 +24,6 @@ from qma.monge_ampere import (
     fundamental_mass_limit_coefficient,
     hyperhermitian_hessian,
     ma_density,
-    ma_density_from_hessians,
     mixed_ma,
     moore_equivalence_residual,
     perfect_matchings,
@@ -94,20 +93,26 @@ def test_density_of_diagonal_quadratic():
     np.testing.assert_allclose(ma_density(u, pts), want, rtol=1e-12)
 
 
+def _hessian_field(n, hessians):
+    """A ClosedForm whose only batched oracle is the given Hessian callable."""
+    return ClosedForm(n, lambda x: 0.0, hessians_fn=hessians)
+
+
 def test_density_from_hessians_matches():
     rng = np.random.default_rng(3)
     u = psh_quadratic(rng, 2)
     pts = rng.standard_normal((6, 8))
     np.testing.assert_allclose(
-        ma_density_from_hessians(2, u.hessians(pts)), ma_density(u, pts), rtol=1e-13
+        ma_density(_hessian_field(2, u.hessians), pts), ma_density(u, pts), rtol=1e-13
     )
 
 
 def test_density_rejects_nonreal_input():
     rng = np.random.default_rng(4)
     fake = rng.standard_normal((4, 8, 8))  # not symmetric: not a Hessian
-    with pytest.raises(NumericalInconsistencyError):
-        ma_density_from_hessians(2, fake, check_tol=1e-12)
+    field = _hessian_field(2, lambda pts: fake)
+    with pytest.raises(NumericalInconsistencyError, match="non-real"):
+        ma_density(field, np.zeros((4, 8)), check_tol=1e-12)
 
 
 def test_mixed_ma_diagonal_recovers_density():

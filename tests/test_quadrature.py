@@ -239,7 +239,7 @@ def test_brentq_equals_scipy_on_ray_objectives(raw, level):
     if norm < 1e-3:
         theta, norm = np.array([1.0, 0.0, 0.0, 0.0]), 1.0
     g, lo, hi = _quartic_ray(theta / norm, level)
-    # the tolerances of the potential ray chain and of StarShapedRule
+    # xtol = rtol = RAY_TOL, the pair of every ray solve, and xtol alone
     for tols in ({"xtol": 1e-13, "rtol": 1e-13}, {"xtol": 1e-12}):
         want = scipy_brentq(g, lo, hi, **tols)
         assert brentq(g, lo, hi, **tols) == want
@@ -462,15 +462,44 @@ def test_star_shaped_rule_matches_ellipsoid():
 
 
 def test_star_shaped_rule_brackets_every_ray():
-    # the n = 2 quartic level set {|q|^2 + x0^4 = 1} crosses every ray; at
-    # seed 1 a bracket shared by all rays only touches it on rays with
-    # theta_0 near 0, so each ray must bracket from the previous root
+    # the n = 2 quartic level set {|q|^2 + x0^4 = 1} crosses every ray
+    # inside the unit sphere, on it only where theta_0 = 0, so the bracket
+    # [1e-9, 1.0] of each ray holds its root or ends on it
     phi = normsq(2) + Polynomial.coordinate(2, 0) ** 4
     for seed in (0, 1, 2, 3):
         rule = StarShapedRule(phi, 1.0, sphere_pow=10, seed=seed)
         np.testing.assert_allclose(phi.values(rule.points), 1.0, rtol=1e-11)
         radii = np.linalg.norm(rule.points, axis=1)
         assert radii.min() > 0.78 and radii.max() <= 1.0 + 1e-12
+
+
+def test_star_shaped_rule_is_one_brentq_call_of_per_ray_scalar_roots(monkeypatch):
+    # every ray is solved in one array brentq call, and each radius is the
+    # float that a scalar brentq gives on that ray's own bracket
+    phi = normsq(2) + Polynomial.coordinate(2, 0) ** 4
+    center, level, sphere_pow, seed = np.full(8, 0.1), 1.0, 6, 1
+    solve, calls = quadrature.brentq, []
+
+    def counted(f, a, b, **kwargs):
+        roots = solve(f, a, b, **kwargs)
+        calls.append((a.copy(), b.copy(), roots.copy()))
+        return roots
+
+    monkeypatch.setattr(quadrature, "brentq", counted)
+    rule = StarShapedRule(phi, level, center=center, sphere_pow=sphere_pow, seed=seed)
+    assert len(calls) == 1
+    lo, hi, radii = calls[0]
+    dirs = sobol_sphere(8, sphere_pow, seed)
+    assert len(radii) == len(dirs)
+    assert np.array_equal(rule.points, center + radii[:, None] * dirs)
+    for i, theta in enumerate(dirs):
+        g = lambda rho: phi.values((center + rho * theta)[None])[0] - level
+        a, b = 1e-9, 1.0
+        while np.sign(g(a)) * np.sign(g(b)) > 0:
+            b *= 2.0
+        assert (lo[i], hi[i]) == (a, b)
+        tols = {"xtol": 1e-13, "rtol": 1e-13}
+        assert radii[i] == solve(g, a, b, **tols) == scipy_brentq(g, a, b, **tols)
 
 
 def test_star_shaped_rule_guards():
