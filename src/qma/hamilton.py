@@ -314,23 +314,6 @@ def _cycles_decreasing_leader(perm):
     return cycles
 
 
-def _perm_parity(perm):
-    seen = [False] * len(perm)
-    parity = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        node = start
-        while not seen[node]:
-            seen[node] = True
-            node = perm[node]
-            length += 1
-        if length % 2 == 0:
-            parity = -parity
-    return parity
-
-
 def moore_det(a, check_tol=1e-9):
     """Moore determinant of a hyperhermitian quaternionic matrix.
 
@@ -351,12 +334,14 @@ def moore_det(a, check_tol=1e-9):
     total = Quaternion()
     for perm in itertools.permutations(range(m)):
         term = None
-        for cyc in _cycles_decreasing_leader(perm):
+        cycles = _cycles_decreasing_leader(perm)
+        for cyc in cycles:
             factor = a[cyc[0], cyc[1 % len(cyc)]] if len(cyc) > 1 else a[cyc[0], cyc[0]]
             for s in range(1, len(cyc)):
                 factor = factor * a[cyc[s], cyc[(s + 1) % len(cyc)]]
             term = factor if term is None else term * factor
-        if _perm_parity(perm) < 0:
+        # the sign of a permutation is (-1)^(m - number of cycles)
+        if (m - len(cycles)) % 2:
             term = -term
         total = total + term
     vec = max(abs(float(c)) for c in (total.x1, total.x2, total.x3))

@@ -22,22 +22,20 @@ The Lelong-Jensen identity ties three quantities together:
         = integral_{-inf}^{r} dt integral_{B_phi(t)} laplace(V) ^ (laplace phi)^(n-1)
 
 and ``lelong_jensen`` evaluates all three with residuals and quadrature
-error estimates.  Spherical and ellipsoidal level sets (quadratic phi) use
-exact surface rules; generic smooth star-shaped phi falls back to a
-co-area shell estimator.
+error estimates.  The boundary measure is a surface integral over the level
+set, with one rule per geometry: spherical and ellipsoidal level sets
+(quadratic phi) use the exact sphere and ellipsoid rules, and any other
+level set, star-shaped around a center, uses ``quadrature.StarShapedRule``.
 
-Off the quadratic path, the surface and sublevel rules share one ray
-engine over Sobol directions from a center: ``_ray_radii`` solves the
-crossing radii of every (ray, level) pair in one batched Brent solve over
-the brackets of ``quadrature.ray_brackets``, the bracket search and
-tolerances that ``quadrature.StarShapedRule`` uses too, and
-``_ray_panel_sums`` integrates along the rays on Gauss-Legendre panels,
-handing the integrand node blocks of at most ``_BLOCK_NODES`` points.  The
-co-area shell integrates f |grad phi| between the levels r - delta and
-r + delta; the surface rule solves the levels of both of its shells at
-once.  The sublevel rule integrates from the center out to the level t;
-the layered term of the identity solves all of its levels at once and sums
-the panels one level at a time.
+Off the quadratic path, the sublevel rule runs on a ray engine over Sobol
+directions from a center: ``_ray_radii`` solves the crossing radii of every
+(ray, level) pair in one batched Brent solve over the brackets of
+``quadrature.ray_brackets``, the bracket search and tolerances that
+``StarShapedRule`` uses too, and ``_ray_panel_sums`` integrates from the
+center out to each level on Gauss-Legendre panels, handing the integrand
+node blocks of at most ``_BLOCK_NODES`` points.  The layered term of the
+identity solves all of its levels at once and sums the panels one level at
+a time.
 """
 
 from __future__ import annotations
@@ -51,12 +49,12 @@ from .errors import DegenerateLevelSetError, DimensionError, QuadratureError
 from .calculus import delta_matrices, nabla_matrices
 from .fields import ChainField, QuadraticForm, ScalarField
 from .monge_ampere import _to_real, ma_density, mixed_ma, mixed_pfaffian
-from .quadrature import (RAY_TOL, BallQuadrature, EllipsoidRule, SphereRule, brentq,
-                         gauss_legendre_panels, halving_estimate, ray_brackets,
-                         sobol_sphere, sphere_area)
+from .quadrature import (RAY_TOL, BallQuadrature, EllipsoidRule, SphereRule,
+                         StarShapedRule, brentq, gauss_legendre_panels,
+                         halving_estimate, ray_brackets, sobol_sphere, sphere_area)
 
 _GRAD_FLOOR = 1e-6
-# most nodes per integrand call on the ray rules (bounds the kernels' batches)
+# most nodes per integrand call of _ray_panel_sums (bounds the kernels' batches)
 _BLOCK_NODES = 1024
 
 
@@ -143,17 +141,16 @@ def _as_callable(f, n):
     return f
 
 
-def surface_integral(phi, r, f=None, sphere_pow=10, seed=0, center=None,
-                     radial_nodes=8):
+def surface_integral(phi, r, f=None, sphere_pow=10, seed=0, center=None):
     """integral of f over the level set {phi = r} with respect to surface
     measure.
 
     Quadratic phi with positive definite part gets the exact sphere or
-    ellipsoid rule; otherwise a co-area shell estimate
-    (1/2 delta) * integral_{r-delta < phi < r+delta} f |grad phi| dV,
-    computed along Sobol rays from ``center`` at delta = |r|/100 (1/100
-    for r = 0), with a delta-halving error estimate.  Returns SurfaceResult
-    (float() gives the value).
+    ellipsoid rule; any other phi gets ``StarShapedRule`` around ``center``:
+    the crossing radius of each Sobol ray and the area element
+    rho^(d-1) |grad phi| / <grad phi, theta>.  Each rule's error estimate
+    halves its direction set.  Returns SurfaceResult (float() gives the
+    value).
     """
     n = phi.n
     fn = _as_callable(f, n)
@@ -168,20 +165,10 @@ def surface_integral(phi, r, f=None, sphere_pow=10, seed=0, center=None,
                               sphere_pow=sphere_pow, seed=seed)
         else:
             rule = EllipsoidRule(m, a, level, sphere_pow=sphere_pow, seed=seed)
-        val, err = rule.integrate(fn)
-        return SurfaceResult(val, err)
-
-    center = np.zeros(4 * n) if center is None else np.asarray(center, dtype=float)
-    delta = abs(r) * 1e-2 if r else 1e-2
-    dirs = sobol_sphere(4 * n, sphere_pow, seed)
-    # the coarse shell's two levels, then the fine shell's
-    radii = _ray_radii(phi, (r - delta, r + delta, r - delta / 2, r + delta / 2),
-                       center, dirs)
-    coarse = _coarea_shell(phi, fn, delta, center, dirs, radii[:, 0], radii[:, 1],
-                           radial_nodes)
-    fine = _coarea_shell(phi, fn, delta / 2, center, dirs, radii[:, 2], radii[:, 3],
-                         radial_nodes)
-    return SurfaceResult(fine, abs(fine - coarse))
+    else:
+        rule = StarShapedRule(phi, r, center=center, sphere_pow=sphere_pow, seed=seed)
+    val, err = rule.integrate(fn)
+    return SurfaceResult(val, err)
 
 
 def _ray_radii(phi, levels, center, dirs):
@@ -197,11 +184,11 @@ def _ray_radii(phi, levels, center, dirs):
     return radii.reshape(len(dirs), len(levels))
 
 
-def _ray_panel_sums(fn, center, dirs, lo, hi, nodes, weight=None):
-    """Per-ray Gauss-Legendre sums of fn (* weight) * rho^(d-1) over the
-    panels [lo_i, hi_i] along the rays center + rho * dirs_i.
+def _ray_panel_sums(fn, center, dirs, lo, hi, nodes):
+    """Per-ray Gauss-Legendre sums of fn * rho^(d-1) over the panels
+    [lo_i, hi_i] along the rays center + rho * dirs_i.
 
-    fn and weight see the nodes in blocks of at most _BLOCK_NODES points.
+    fn sees the nodes in blocks of at most _BLOCK_NODES points.
     """
     if np.any(hi <= lo):
         raise QuadratureError("empty panel on a sample ray")
@@ -216,23 +203,8 @@ def _ray_panel_sums(fn, center, dirs, lo, hi, nodes, weight=None):
     terms = np.empty(len(pts))
     for s in range(0, len(pts), _BLOCK_NODES):
         block = slice(s, s + _BLOCK_NODES)
-        vals = w[block] * np.asarray(fn(pts[block]), dtype=float)
-        if weight is not None:
-            vals = vals * weight(pts[block])
-        terms[block] = vals * rho_pow[block]
+        terms[block] = w[block] * np.asarray(fn(pts[block]), dtype=float) * rho_pow[block]
     return terms.reshape(rho.shape).sum(axis=1)
-
-
-def _coarea_shell(phi, fn, delta, center, dirs, lo, hi, radial_nodes):
-    """The co-area shell estimate between the ray radii lo and hi of the
-    levels r - delta and r + delta."""
-    gnorm = lambda pts: np.linalg.norm(phi.gradients(pts), axis=1)
-    sums = _ray_panel_sums(fn, center, dirs, lo, hi, radial_nodes, gnorm)
-    w_dir = sphere_area(phi.n) / len(dirs)
-    total = 0.0
-    for s in sums.tolist():   # a sequential float sum, ray by ray
-        total += w_dir * s
-    return total / (2 * delta)
 
 
 def sublevel_integral(phi, t, fn, center=None, sphere_pow=9, radial_nodes=12,

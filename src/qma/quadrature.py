@@ -36,9 +36,9 @@ the package loads no scipy module:
 
 Every level-set root is found one way: ``ray_brackets`` brackets each
 crossing of a ray with {phi = level} on its own, and one array ``brentq``
-at xtol = rtol = ``RAY_TOL`` solves all of them.  ``StarShapedRule`` makes
-that call here, and the co-area and sublevel rules of ``potential`` make it
-there.
+at xtol = rtol = ``RAY_TOL`` solves all of them.  ``StarShapedRule``, the
+surface rule of every level set that is not a sphere or an ellipsoid, makes
+that call here, and the sublevel rule of ``potential`` makes it there.
 """
 
 from __future__ import annotations
@@ -191,8 +191,11 @@ def radial_ball_integral(n, fn_rho, r, peak_scale=None, nodes=32):
 
     peak_scale flags an integrand concentrated at rho ~ sqrt(peak_scale)
     (e.g. the regularized fundamental density with eps = peak_scale), which
-    grades the t = rho^2 panels toward zero.
+    grades the t = rho^2 panels toward zero.  A radius r <= 0 raises
+    QuadratureError.
     """
+    if not r > 0:
+        raise QuadratureError(f"ball radius must be positive, got {r!r}")
     t, w = gauss_legendre_panels(graded_breaks(float(r) ** 2, peak_scale), nodes)
     rho = np.sqrt(t)
     vals = np.asarray(fn_rho(rho), dtype=float)
@@ -547,11 +550,14 @@ class BallQuadrature:
     ``integrate(fn)`` evaluates fn on (N, 4n) node blocks and returns
     (value, error_estimate); the estimate compares the full direction set
     against its leading half.  Memory use is bounded by
-    ``_BALL_CHUNK_NODES`` nodes per call.  Directions are antithetic.
+    ``_BALL_CHUNK_NODES`` nodes per call.  Directions are antithetic.  A
+    radius <= 0 raises QuadratureError.
     """
 
     def __init__(self, n, radius, center=None, peak_scale=None,
                  sphere_pow=9, radial_nodes=16, seed=0):
+        if not radius > 0:
+            raise QuadratureError(f"ball radius must be positive, got {radius!r}")
         self.n = n
         self.radius = float(radius)
         self.center = np.zeros(4 * n) if center is None else np.asarray(center, dtype=float)

@@ -468,6 +468,21 @@ def test_exit_1_on_cln_pole(tmp_path, capsys):
     assert not (tmp_path / "out" / "cln.json").exists()
 
 
+@pytest.mark.parametrize("command, fields, params", [
+    ("fundamental", "", "r = -1.0\neps = 0.1"),
+    ("cln", "u = normsq()", "inner_radius = -0.5"),
+], ids=["fundamental", "cln"])
+def test_exit_1_on_negative_ball_radius(tmp_path, capsys, command, fields, params):
+    # the ball rules square the radius, so a negative one would measure the
+    # ball of radius |r| and pass
+    cfg = tmp_path / f"{command}.ini"
+    cfg.write_text(f"[run]\ncommand = {command}\nn = 1\n\n[fields]\n{fields}\n"
+                   f"\n[params]\n{params}\n")
+    assert _run(command, cfg, tmp_path / "out") == 1
+    assert "ball radius must be positive, got -" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_1_on_field_dimension_mismatch(tmp_path, capsys):
     for command, name, fields in (("ma", "u", "u = quadform([1, 0; 0, 1])"),
                                   ("jensen", "phi", "phi = quadform([1, 0; 0, 1])\nv = x0"),

@@ -1,5 +1,6 @@
 """Quaternion arithmetic, the conjugate embedding, and Moore determinants."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,10 +8,12 @@ import numpy as np
 import pytest
 
 from qma.hamilton import (MAX_MATRIX_DIM, QI, QJ, QK, QONE, QMatrix, Quaternion,
-                          is_hyperhermitian, jmatrix, mixed_discriminant,
-                          moore_det, random_hyperhermitian, random_qmatrix,
-                          random_quaternion, random_unitary, tau, tau_matrix)
+                          _cycles_decreasing_leader, is_hyperhermitian, jmatrix,
+                          mixed_discriminant, moore_det, random_hyperhermitian,
+                          random_qmatrix, random_quaternion, random_unitary, tau,
+                          tau_matrix)
 from qma.errors import DimensionError
+from qma.exterior import perm_sign
 
 
 def test_hamilton_relations():
@@ -148,6 +151,19 @@ def test_moore_det_vs_tau_determinant(m):
         dt = np.linalg.det(a.tau())
         assert abs(dt.imag) <= 1e-8 * max(1.0, abs(dt))
         assert abs(dt.real - md * md) <= 1e-8 * max(1.0, md * md)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_moore_det_sign_from_cycle_count_is_the_permutation_sign(m):
+    # moore_det signs each term by (-1)^(m - number of cycles)
+    for perm in itertools.permutations(range(m)):
+        cycles = _cycles_decreasing_leader(perm)
+        assert (-1) ** (m - len(cycles)) == perm_sign(perm)
+    # on a real symmetric matrix the Moore determinant is the determinant
+    rng = np.random.default_rng(70 + m)
+    s = rng.integers(-3, 4, size=(m, m))
+    s = s + s.T
+    assert moore_det(QMatrix(s.tolist())) == round(np.linalg.det(s))
 
 
 def test_moore_det_exact_rationals():

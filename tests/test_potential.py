@@ -85,18 +85,18 @@ def test_surface_integral_empty_level():
         surface_integral(normsq(1), -1.0)
 
 
-def test_surface_integral_ellipsoid_matches_coarea():
+def test_surface_integral_ellipsoid_matches_star_shaped_rule():
     a = QMatrix([[Quaternion(1), Quaternion(0)], [Quaternion(0), Quaternion(2)]])
     phi = quadform(a)
     exact_rule = surface_integral(phi, 1.0, sphere_pow=10)
-    # the same level set through the co-area fallback (plain Polynomial);
+    # the same level set through the star-shaped rule (plain Polynomial);
     # direction error dominates on anisotropic surfaces, so use a full set
     generic = Polynomial(2, phi.terms)
-    shell = surface_integral(generic, 1.0, sphere_pow=10)
-    assert shell.value == pytest.approx(exact_rule.value, rel=2e-3)
+    star = surface_integral(generic, 1.0, sphere_pow=10)
+    assert star.value == pytest.approx(exact_rule.value, rel=2e-3)
 
 
-def test_surface_integral_coarea_on_radial_quartic():
+def test_surface_integral_star_shaped_on_radial_quartic():
     # phi = |q|^2 + |q|^4/4 has the unit sphere as its level set at 1.25
     u = normsq(1)
     phi = Polynomial(1, u.terms) + Polynomial.__mul__(u, u) * 0.25
@@ -173,6 +173,8 @@ def _oracle_ray_root(phi, level, center, theta, r_hint=1.0):
 
 
 def _oracle_coarea_shell(phi, r, fn, delta, center, sphere_pow, seed, radial_nodes):
+    """(1/2 delta) * integral of fn |grad phi| over {r - delta < phi < r + delta},
+    ray by ray: a surface integral over {phi = r} up to an O(delta^2) bias."""
     d = 4 * phi.n
     dirs = sobol_sphere(d, sphere_pow, seed)
     w_dir = sphere_area(phi.n) / len(dirs)
@@ -186,15 +188,6 @@ def _oracle_coarea_shell(phi, r, fn, delta, center, sphere_pow, seed, radial_nod
         vals = np.asarray(fn(pts), dtype=float)
         total += w_dir * float(np.sum(w * vals * gnorm * rho ** (d - 1)))
     return total / (2 * delta)
-
-
-def _oracle_surface(phi, r, fn, sphere_pow, seed=0, radial_nodes=8):
-    center, delta = np.zeros(4 * phi.n), abs(r) * 1e-2
-    coarse = _oracle_coarea_shell(phi, r, fn, delta, center, sphere_pow, seed,
-                                  radial_nodes)
-    fine = _oracle_coarea_shell(phi, r, fn, delta / 2, center, sphere_pow, seed,
-                                radial_nodes)
-    return fine, abs(fine - coarse)
 
 
 def _oracle_sublevel(phi, t, fn, sphere_pow, seed=0, radial_nodes=12):
@@ -256,13 +249,28 @@ def test_ray_rules_match_per_ray_oracle(monkeypatch, geometry, sphere_pow, kind)
     phi, level = geometry()
     fn = _integrand(kind, phi)
     want_sub = _oracle_sublevel(phi, level, fn, sphere_pow)
-    want_surf = _oracle_surface(phi, level, fn, sphere_pow)
+    # a level set that is not a sphere or an ellipsoid takes the star-shaped rule
+    want_surf = StarShapedRule(phi, level, sphere_pow=sphere_pow).integrate(fn)
     # any node block size gives the same bits, down to one node per call
     for block in (potential._BLOCK_NODES, 1, 10**9):
         monkeypatch.setattr(potential, "_BLOCK_NODES", block)
         assert sublevel_integral(phi, level, fn, sphere_pow=sphere_pow) == want_sub
         surf = surface_integral(phi, level, fn, sphere_pow=sphere_pow)
         assert (surf.value, surf.error) == want_surf
+
+
+def test_star_shaped_surface_rule_is_the_limit_of_coarea_shells():
+    # the co-area shells at delta, delta/2 and delta/4 converge at O(delta^2)
+    # on the same directions, towards the star-shaped rule's value
+    phi, r = _shifted_quartic()
+    fn = _integrand("ma_density", phi)
+    center, delta = np.zeros(4 * phi.n), r * 1e-2
+    shells = [_oracle_coarea_shell(phi, r, fn, delta / 2**k, center, 5, 0, 8)
+              for k in range(3)]
+    coarse_gap, fine_gap = abs(shells[1] - shells[0]), abs(shells[2] - shells[1])
+    assert 3.9 < coarse_gap / fine_gap < 4.1
+    star = surface_integral(phi, r, fn, sphere_pow=5)
+    assert abs(shells[2] - star.value) <= fine_gap
 
 
 def test_sublevel_ray_rule_matches_per_ray_oracle_on_a_tilted_quadform():
@@ -330,11 +338,15 @@ def test_lelong_jensen_solves_all_layered_levels_at_once(monkeypatch):
         return sobol(*args, **kwargs)
 
     monkeypatch.setattr(potential, "_ray_radii", counted_radii)
-    monkeypatch.setattr(potential, "sobol_sphere", counted_sobol)
+    # the surface rule draws its directions through quadrature's name
+    for mod in (potential, quadrature):
+        monkeypatch.setattr(mod, "sobol_sphere", counted_sobol)
     lelong_jensen(phi, v, r, t_nodes=12, sphere_pow=4, radial_nodes=4)
-    # the surface shells, the interior and spatial terms, the layered term
-    assert solved == [4, 1, 1, 12]
-    assert len(drawn) <= 4
+    # the interior and spatial terms, the layered term; the surface rule
+    # solves its rays in quadrature
+    assert solved == [1, 1, 12]
+    # the surface rule, the interior and spatial terms, the layered term
+    assert len(drawn) == 4
 
 
 def test_lelong_jensen_builds_each_direction_set_once(monkeypatch):
@@ -371,12 +383,12 @@ def test_ray_rules_call_the_integrand_once_per_block(monkeypatch, block):
         sizes.append(len(pts))
         return np.ones(len(pts))
 
-    # 32 rays of 12 sublevel nodes; two shells of 32 rays of 8 nodes
+    # 32 rays of 12 sublevel nodes; the surface rule's 32 points in one call
     sublevel_integral(phi, level, fn, sphere_pow=5, radial_nodes=12)
     assert sizes == [min(block, 384 - s) for s in range(0, 384, block)]
     sizes.clear()
-    surface_integral(phi, level, fn, sphere_pow=5, radial_nodes=8)
-    assert sizes == 2 * [min(block, 256 - s) for s in range(0, 256, block)]
+    surface_integral(phi, level, fn, sphere_pow=5)
+    assert sizes == [32]
 
 
 # ---------------------------------------------------------------------------

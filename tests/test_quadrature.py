@@ -149,6 +149,15 @@ def test_radial_ball_integral_peaked_fundamental():
     assert got == pytest.approx(want, rel=1e-10)
 
 
+@pytest.mark.parametrize("radius", [-1.0, 0.0, Fraction(-1, 2), math.nan])
+def test_ball_rules_refuse_a_radius_that_is_not_positive(radius):
+    # both rules square the radius; a negative one must not stand for |r|
+    with pytest.raises(QuadratureError, match="ball radius must be positive"):
+        radial_ball_integral(1, lambda rho: np.ones_like(rho), radius)
+    with pytest.raises(QuadratureError, match="ball radius must be positive"):
+        BallQuadrature(1, radius)
+
+
 # ---------------------------------------------------------------------------
 # Sobol directions
 
