@@ -16,11 +16,11 @@ The package is organized in layers:
 from .errors import (ConfigError, DegenerateLevelSetError, DimensionError,
                      NumericalInconsistencyError, OracleError, QuadratureError,
                      QmaError)
-from .hamilton import (Quaternion, QMatrix, tau, tau_matrix, jmatrix,
+from .hamilton import (Quaternion, QMatrix, tau, jmatrix,
                        is_hyperhermitian, moore_det, mixed_discriminant,
                        random_quaternion, random_qmatrix, random_hyperhermitian,
                        random_unitary)
-from .exterior import (RationalComplex, ExtElement, HLinearMap, beta, omega_top,
+from .exterior import (RationalComplex, ExtElement, beta, omega_top,
                        top_coefficient, rho_j, is_real, pullback, elementary_sp,
                        random_elementary_sp, random_strongly_positive,
                        positivity_test, PositivityResult)

@@ -32,8 +32,9 @@ An INI-like text format with ``#`` comments and six known sections::
                    positivity, monotonicity, cln
     [output]       dir, format (csv | json | both)
 
-Unknown sections or keys, and negative tolerances, are rejected with the
-offending line number.
+Unknown sections or keys, negative tolerances, ``[quadrature]`` counts
+below 1 and a negative ``trials`` are rejected with the offending line
+number.
 ``parse_config`` and ``render_config`` are exact inverses on valid configs.
 
 Field expressions
@@ -212,14 +213,23 @@ def parse_config(text):
         if value < 0:
             raise ConfigError(f"line {raw['tolerances'][key][0]}: tolerance {key!r} "
                               f"must not be negative")
+    quadrature = typed("quadrature", _QUAD_KEYS)
+    for key, value in quadrature.items():
+        if value < 1:
+            raise ConfigError(f"line {raw['quadrature'][key][0]}: {key!r} must be "
+                              f"at least 1")
+    params = typed("params", _PARAM_KEYS)
+    if params.get("trials", 0) < 0:
+        raise ConfigError(f"line {raw['params']['trials'][0]}: 'trials' must not be "
+                          f"negative")
 
     return RunConfig(
         command=run["command"],
         n=run.get("n", 1),
         seed=seed,
         fields={k: v for k, (_, v) in raw["fields"].items()},
-        quadrature=typed("quadrature", _QUAD_KEYS),
-        params=typed("params", _PARAM_KEYS),
+        quadrature=quadrature,
+        params=params,
         tolerances=tolerances,
         output_dir=out.get("dir", "."),
         output_format=fmt,

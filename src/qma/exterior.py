@@ -16,7 +16,9 @@ The module carries three structures tied to the quaternionic picture:
 * pullbacks along right quaternionic-linear maps g: H^k -> H^n through the
   conjugate embedding, g* omega^p = sum_j tau(g)[p, j] omega^j, extended as
   an algebra homomorphism.  These generate the strongly positive cone and
-  drive the sampled positivity test.
+  drive the sampled positivity test.  A map is always given by its
+  (2n, 2k) array tau(g), for instance ``QMatrix.tau()`` of its n x k
+  quaternionic matrix; no wrapper type stands between the two.
 
 By Cauchy-Binet the pullback of sum_I c_I omega^I has coefficient
 sum_I c_I det(tau(g)[I, J]) on omega^J.  A float or complex tau(g) takes
@@ -42,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionError
-from .hamilton import QMatrix, random_qmatrix
+from .hamilton import random_qmatrix
 
 #: Cap on the half-dimension n of the algebra; bitmasks use 2n bits.
 MAX_N = 8
@@ -368,42 +370,6 @@ def is_real(a, tol=1e-12):
     return d.norm_inf() <= tol * max(1.0, a.norm_inf())
 
 
-class HLinearMap:
-    """Right quaternionic-linear map H^k -> H^n, stored as an n x k QMatrix.
-
-    Acts on the exterior algebra by pullback through the conjugate embedding:
-    pull(omega^p) = sum_j tau[p, j] omega^j, extended multiplicatively.
-    """
-
-    __slots__ = ("matrix", "_tau")
-
-    def __init__(self, matrix):
-        self.matrix = matrix if isinstance(matrix, QMatrix) else QMatrix(matrix)
-        self._tau = self.matrix.tau()
-
-    @property
-    def source_n(self):
-        return self.matrix.cols
-
-    @property
-    def target_n(self):
-        return self.matrix.rows
-
-    @property
-    def tau(self):
-        return self._tau
-
-    def pullback(self, a):
-        return pullback(a, self._tau)
-
-    @classmethod
-    def random(cls, rng, n, k):
-        return cls(random_qmatrix(rng, n, k))
-
-    def __repr__(self):
-        return f"HLinearMap({self.matrix!r})"
-
-
 @lru_cache(maxsize=None)
 def _subsets(width, p):
     """Every p-subset of range(width): an (m, p) index array and the masks."""
@@ -467,36 +433,28 @@ def _wedge_chain(a, tau_g, k):
         for i in mask_to_indices(mask):
             term = term.wedge(images[i])
             if not term.coeffs:
-                break
-        out = out + term
+                break  # a vanished term, of lower degree, adds nothing
+        else:
+            out = out + term
     return out
 
 
-def elementary_sp(maps):
-    """Elementary strongly positive 2k-element from right-linear maps H^n -> H.
+def elementary_sp(tau_eta):
+    """Elementary strongly positive 2k-element from a right-linear map H^n -> H^k.
 
-    Given eta_1..eta_k (each an HLinearMap or 1 x n QMatrix), returns
-    eta_1*omega~^0 ^ eta_1*omega~^1 ^ ... ^ eta_k*omega~^0 ^ eta_k*omega~^1,
-    where eta*omega~^p is the 1-element with coefficients tau(eta)[p, :].
+    ``tau_eta`` is the (2k, 2n) embedding of eta = (eta_1, ..., eta_k), each
+    eta_i: H^n -> H.  Returns eta_1*omega~^0 ^ eta_1*omega~^1 ^ ... ^
+    eta_k*omega~^0 ^ eta_k*omega~^1, where eta_i*omega~^p is the 1-element
+    with coefficients tau_eta[2i + p, :]: the pullback of omega_top(k) along
+    eta, taken on the exact lane's wedge chain.
     """
-    maps = [m if isinstance(m, HLinearMap) else HLinearMap(m) for m in maps]
-    if not maps:
-        raise DimensionError("elementary_sp needs at least one map")
-    n = maps[0].source_n
-    if any(m.source_n != n or m.target_n != 1 for m in maps):
-        raise DimensionError("elementary_sp expects 1 x n maps with a common n")
-    acc = ExtElement.scalar(n, 1)
-    for m in maps:
-        for p in (0, 1):
-            one = ExtElement(n, 1, {1 << j: m.tau[p, j] for j in range(2 * n)
-                                    if not _negligible(m.tau[p, j])})
-            acc = acc.wedge(one)
-    return acc
+    tau_eta = np.asarray(tau_eta)
+    return pullback(omega_top(len(tau_eta) // 2), tau_eta.astype(object))
 
 
 def random_elementary_sp(rng, n, k):
     """Random elementary strongly positive 2k-element over C^(2n)."""
-    return elementary_sp([HLinearMap.random(rng, 1, n) for _ in range(k)])
+    return elementary_sp(random_qmatrix(rng, k, n).tau())
 
 
 def random_strongly_positive(rng, n, k, terms=3):
@@ -519,7 +477,7 @@ class PositivityResult:
     verdict: str
     min_kappa: float
     samples: int
-    witness: HLinearMap | None = None
+    witness: np.ndarray | None = None
 
     def __bool__(self):
         return self.verdict == LIKELY_POSITIVE
@@ -532,7 +490,8 @@ def positivity_test(a, samples=512, seed=0, tol=1e-9):
     g: H^k -> H^n is a nonnegative multiple of the volume element of C^(2k).
     This draws `samples` Gaussian maps and checks the pulled-back top
     coefficient kappa; a negative real part or a nonreal kappa beyond
-    tolerance yields NOT_POSITIVE with the witness map.  A clean sweep is
+    tolerance yields NOT_POSITIVE with the witness map's (2n, 2k) embedding
+    tau(g) as ``witness``.  A clean sweep is
     only LIKELY_POSITIVE: the criterion is sampled, never proven.
 
     Elements that are not rho(j)-real are rejected immediately; fewer than
@@ -559,8 +518,8 @@ def positivity_test(a, samples=512, seed=0, tol=1e-9):
     rng = np.random.default_rng(seed)
     min_kappa = float("inf")
     for _ in range(samples):
-        g = HLinearMap.random(rng, a.n, k)
-        kappa = complex(top_coefficient(g.pullback(b)))
+        g = random_qmatrix(rng, a.n, k).tau()
+        kappa = complex(top_coefficient(pullback(b, g)))
         bound = tol * max(1.0, abs(kappa))
         if abs(kappa.imag) > bound or kappa.real < -bound:
             return PositivityResult(NOT_POSITIVE, kappa.real * scale, samples, g)

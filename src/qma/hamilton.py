@@ -12,8 +12,10 @@ transpose to the conjugate transpose, and intertwines the standard
 block-diagonal symplectic form J:  J * conj(tau(A)) = tau(A) * J.
 
 Components may be ints, floats or fractions.Fraction; all quaternion and
-Moore-determinant arithmetic stays exact on exact inputs.  Only tau() and
-friends force a conversion to complex floats.
+Moore-determinant arithmetic stays exact on exact inputs.  Only the
+embedding forces a conversion to complex floats: ``tau``, ``QMatrix.tau``
+and the batched Hessian embeddings of ``monge_ampere`` all go through one
+block writer, ``_tau_blocks``, on arrays of components.
 """
 
 from __future__ import annotations
@@ -150,14 +152,31 @@ QK = Quaternion(0, 0, 0, 1)
 QONE = Quaternion(1, 0, 0, 0)
 
 
+#: Components behind the (re, im) pairs of tau's blocks (0,0), (0,1), (1,0),
+#: (1,1): (x0, -x1), (-x2, x3), (x2, x3), (x0, x1); slots 1 and 2 negated.
+_TAU_PARTS = np.array([0, 1, 2, 3, 2, 3, 0, 1])
+
+
+def _tau_blocks(x):
+    """The conjugate embedding of quaternion components, blockwise.
+
+    ``x`` holds (x0, x1, x2, x3) along its last axis, shape (..., rows,
+    cols, 4), as floats or anything float() takes (ints, Fractions).
+    Returns the (..., 2*rows, 2*cols) complex array whose 2x2 block (l, m)
+    is tau of entry (l, m); the one place that writes tau's layout.
+    """
+    x = np.asarray(x, dtype=float)
+    *lead, rows, cols, _ = x.shape
+    parts = x[..., _TAU_PARTS]
+    parts[..., 1:3] = -parts[..., 1:3]
+    # (rows, cols, block row, block col, re/im) -> (rows, block row, cols, ...)
+    parts = parts.reshape(*lead, rows, cols, 2, 2, 2).swapaxes(-4, -3)
+    return np.ascontiguousarray(parts).view(complex).reshape(*lead, 2 * rows, 2 * cols)
+
+
 def tau(q):
     """Embed a quaternion as a 2x2 complex matrix (see module docstring)."""
-    q = _coerce(q)
-    x0, x1, x2, x3 = (float(c) for c in q.components)
-    return np.array(
-        [[complex(x0, -x1), complex(-x2, x3)],
-         [complex(x2, x3), complex(x0, x1)]]
-    )
+    return _tau_blocks([[_coerce(q).components]])
 
 
 class QMatrix:
@@ -242,10 +261,7 @@ class QMatrix:
 
     def tau(self):
         """Blockwise conjugate embedding: a 2*rows x 2*cols complex array."""
-        out = np.zeros((2 * self.rows, 2 * self.cols), dtype=complex)
-        for i, j, q in self.entries():
-            out[2 * i:2 * i + 2, 2 * j:2 * j + 2] = tau(q)
-        return out
+        return _tau_blocks([[q.components for q in row] for row in self._data])
 
     def __eq__(self, other):
         if not isinstance(other, QMatrix):
@@ -259,13 +275,6 @@ class QMatrix:
     def _check_same_shape(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("shape mismatch")
-
-
-def tau_matrix(a):
-    """Blockwise embedding of a QMatrix (or nested list of quaternions)."""
-    if not isinstance(a, QMatrix):
-        a = QMatrix(a)
-    return a.tau()
 
 
 def jmatrix(m):

@@ -39,8 +39,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionError, NumericalInconsistencyError
-from .calculus import delta_matrices, delta_matrix, nabla_matrices
-from .hamilton import MAX_MATRIX_DIM, QMatrix, Quaternion, jmatrix, moore_det
+from .calculus import delta_matrices
+from .hamilton import MAX_MATRIX_DIM, QMatrix, Quaternion, _tau_blocks, jmatrix, moore_det
 from .exterior import perm_sign
 
 
@@ -178,36 +178,31 @@ def mixed_ma(fields, pts, check_tol=1e-8):
 # ---------------------------------------------------------------------------
 # hyperhermitian Hessian
 
+def _hessian_components(u, pts):
+    """Quaternion components of H(u) at many points: (N, n, n, 4) floats.
+
+    One delta-matrix sweep; entry (l, k) is c1 + j*c2 with c1 = 2 D[2l, 2k+1]
+    and c2 = 2 D[2l+1, 2k+1], stored as (Re c1, Im c1, Re c2, -Im c2) as in
+    ``Quaternion.from_complex_pair``.
+    """
+    d = delta_matrices(u, np.atleast_2d(np.asarray(pts, dtype=float)))
+    c1 = 2.0 * d[:, 0::2, 1::2]
+    c2 = 2.0 * d[:, 1::2, 1::2]
+    return np.stack([c1.real, c1.imag, c2.real, -c2.imag], axis=-1)
+
+
+def _qmatrix(components):
+    return QMatrix([[Quaternion(*q) for q in row] for row in components.tolist()])
+
+
 def hyperhermitian_hessian(u, x):
     """The n x n hyperhermitian Hessian of u at x (quaternion entries)."""
-    d = delta_matrix(u, x)
-    n = u.n
-    rows = []
-    for l in range(n):
-        row = []
-        for k in range(n):
-            c1 = 2.0 * d[2 * l, 2 * k + 1]
-            c2 = 2.0 * d[2 * l + 1, 2 * k + 1]
-            row.append(Quaternion(c1.real, c1.imag, c2.real, -c2.imag))
-        rows.append(row)
-    return QMatrix(rows)
+    return _qmatrix(_hessian_components(u, np.asarray(x, dtype=float)[None])[0])
 
 
 def tau_hessians(u, pts):
     """Complex embeddings tau(H(u)) at many points: (N, 2n, 2n) Hermitian."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    d = delta_matrices(u, pts)
-    n = u.n
-    out = np.empty((len(pts), 2 * n, 2 * n), dtype=complex)
-    for l in range(n):
-        for k in range(n):
-            c1 = 2.0 * d[:, 2 * l, 2 * k + 1]
-            c2 = 2.0 * d[:, 2 * l + 1, 2 * k + 1]
-            out[:, 2 * l, 2 * k] = np.conj(c1)
-            out[:, 2 * l, 2 * k + 1] = -c2
-            out[:, 2 * l + 1, 2 * k] = np.conj(c2)
-            out[:, 2 * l + 1, 2 * k + 1] = c1
-    return out
+    return _tau_blocks(_hessian_components(u, pts))
 
 
 def moore_equivalence_residual(u, pts):
@@ -221,8 +216,8 @@ def moore_equivalence_residual(u, pts):
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     dens = ma_density(u, pts)
-    moore = np.array([math.factorial(u.n) * float(moore_det(hyperhermitian_hessian(u, x)))
-                      for x in pts])
+    moore = np.array([math.factorial(u.n) * float(moore_det(_qmatrix(h)))
+                      for h in _hessian_components(u, pts)])
     if not (np.isfinite(dens).all() and np.isfinite(moore).all()):
         return math.nan
     return float(np.max(np.abs(dens - moore), initial=0.0))

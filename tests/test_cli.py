@@ -103,6 +103,16 @@ def test_parse_config_full_round_trip():
      "line 4: unknown key 'level' in \\[params\\]"),
     ("[run]\ncommand = verify\n[tolerances]\nmass = -1e-6\n",
      "line 4: tolerance 'mass' must not be negative"),
+    ("[run]\ncommand = jensen\n[quadrature]\nsphere_pow = 0\n",
+     "line 4: 'sphere_pow' must be at least 1"),
+    ("[run]\ncommand = jensen\n[quadrature]\nt_nodes = 8\nradial_nodes = 0\n",
+     "line 5: 'radial_nodes' must be at least 1"),
+    ("[run]\ncommand = jensen\n[quadrature]\nt_nodes = -1\n",
+     "line 4: 't_nodes' must be at least 1"),
+    ("[run]\ncommand = cln\n[quadrature]\nsup_samples = -5\n",
+     "line 4: 'sup_samples' must be at least 1"),
+    ("[run]\ncommand = cln\n[params]\ntrials = -4\n",
+     "line 4: 'trials' must not be negative"),
     ("[run]\ncommand = verify\n[output]\nformat = yaml\n", "csv, json or both"),
     ("[run]\ncommand = verify\n[fields]\nnormsq = x0\n", "reserved"),
     ("[run]\ncommand = verify\n[fields]\nx3 = x0\n", "reserved"),

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from qma.calculus import d_scalar
 from qma.errors import DimensionError
@@ -312,6 +313,20 @@ def test_mollify_adds_kernel_second_moment_to_normsq():
     margin = (mollifier_weights(spacing, eps).shape[0] - 1) // 2
     assert mol.data.shape == tuple(17 - 2 * margin for _ in range(4))
     np.testing.assert_allclose(mol.origin, grid.origin + margin * spacing)
+
+
+@pytest.mark.parametrize("shape,eps", [((17,) * 4, 0.3), ((13,) * 4, 0.25)])
+def test_mollify_equals_scipy_convolve_on_the_interior(shape, eps):
+    # the shifted sum against scipy's constant-mode convolution trimmed by
+    # the kernel margin, on a field with no symmetry of its own
+    x = [Polynomial.coordinate(1, m) for m in range(3)]
+    u = x[0] ** 3 - 2 * x[1] * x[2] + invshift(1, 0.5)
+    grid = GridField.sample(u, origin=[-1.0] * 4, spacing=0.125, shape=shape)
+    w = mollifier_weights(0.125, eps)
+    margin = (w.shape[0] - 1) // 2
+    want = ndimage.convolve(grid.data, w, mode="constant")
+    want = want[tuple(slice(margin, s - margin) for s in shape)]
+    assert np.array_equal(mollify(grid, eps).data, want)
 
 
 def test_mollify_guards():

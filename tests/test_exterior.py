@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qma import exterior
-from qma.exterior import (LIKELY_POSITIVE, NOT_POSITIVE, ExtElement, HLinearMap,
-                          RationalComplex, beta, elementary_sp, indices_to_mask,
-                          is_real, mask_to_indices, omega_top, perm_sign,
-                          positivity_test, pullback, random_elementary_sp,
-                          random_strongly_positive, rho_j, top_coefficient,
-                          wedge_sign)
-from qma.hamilton import QI, QMatrix, Quaternion
+from qma.exterior import (LIKELY_POSITIVE, NOT_POSITIVE, ExtElement, RationalComplex,
+                          beta, elementary_sp, indices_to_mask, is_real,
+                          mask_to_indices, omega_top, perm_sign, positivity_test,
+                          pullback, random_elementary_sp, random_strongly_positive,
+                          rho_j, top_coefficient, wedge_sign)
+from qma.hamilton import QMatrix, random_qmatrix
 from qma.errors import DimensionError
 
 
@@ -90,20 +89,20 @@ def test_rho_j_properties(n):
 def test_pullback_is_algebra_homomorphism():
     rng = np.random.default_rng(3)
     n, k = 2, 2
-    g = HLinearMap.random(rng, n, k)
+    g = random_qmatrix(rng, n, k).tau()
     a = random_strongly_positive(rng, n, 1)
     b = random_strongly_positive(rng, n, 1)
-    lhs = pullback(a.wedge(b), g.tau)
-    rhs = pullback(a, g.tau).wedge(pullback(b, g.tau))
+    lhs = pullback(a.wedge(b), g)
+    rhs = pullback(a, g).wedge(pullback(b, g))
     diff = lhs - rhs
     assert diff.norm_inf() <= 1e-10
 
 
 def test_pullback_by_identity():
     n = 2
-    ident = HLinearMap(QMatrix.identity(n))
+    ident = QMatrix.identity(n).tau()
     b = beta(n)
-    assert ident.pullback(b) == b
+    assert pullback(b, ident) == b
 
 
 def _random_element(rng, n, p, density=0.7):
@@ -121,7 +120,7 @@ def test_pullback_minors_equal_the_wedge_chain(n, k, data, seed):
     p = data.draw(st.integers(0, 2 * n), label="degree")
     rng = np.random.default_rng(seed)
     a = _random_element(rng, n, p)
-    tau = HLinearMap.random(rng, n, k).tau
+    tau = random_qmatrix(rng, n, k).tau()
     got = pullback(a, tau)
     want = pullback(a, tau.astype(object))
     assert (got.n, got.degree) == (want.n, want.degree)
@@ -137,7 +136,7 @@ def test_pullback_minors_respect_the_chunk_cap(monkeypatch, k, budget):
     # chunks split the target subsets (k = 3) or group source terms (k = 2)
     rng = np.random.default_rng(5)
     a = _random_element(rng, 3, 3, density=1.0)
-    tau = HLinearMap.random(rng, 3, k).tau
+    tau = random_qmatrix(rng, 3, k).tau()
     whole = pullback(a, tau)
     calls = []
     det = np.linalg.det
@@ -200,8 +199,18 @@ def test_pullback_of_exact_data_stays_exact():
         pullback(b.scale(3), tau))
 
 
+def test_exact_pullback_skips_a_term_that_vanishes_early():
+    # rows 0 and 1 of tau agree, so the first term's chain vanishes after
+    # two of its three factors; the second term alone is the pullback
+    tau = np.array([[1, 2, 0, 1], [1, 2, 0, 1], [0, 1, 3, 0], [2, 0, 1, 1]], dtype=object)
+    a = ExtElement(2, 3, {indices_to_mask((0, 1, 2)): 1, indices_to_mask((1, 2, 3)): 2})
+    got = pullback(a, tau)
+    assert got == pullback(ExtElement(2, 3, {indices_to_mask((1, 2, 3)): 2}), tau)
+    assert (got - pullback(a, tau.astype(float))).norm_inf() <= 1e-12
+
+
 def test_pullback_of_a_scalar_is_the_scalar():
-    tau = HLinearMap.random(np.random.default_rng(0), 2, 1).tau
+    tau = random_qmatrix(np.random.default_rng(0), 2, 1).tau()
     one = ExtElement.scalar(2, Fraction(3, 4))
     assert pullback(one, tau) == ExtElement.scalar(1, Fraction(3, 4))
     assert pullback(one, tau.astype(object)) == ExtElement.scalar(1, Fraction(3, 4))
@@ -210,18 +219,42 @@ def test_pullback_of_a_scalar_is_the_scalar():
 def test_elementary_sp_repeated_factor_vanishes():
     # eta1 = eta2 makes xi ^ xi with a rank-2 image: exactly zero
     rng = np.random.default_rng(11)
-    eta = HLinearMap.random(rng, 1, 2)
-    elem = elementary_sp([eta, eta])
+    eta = random_qmatrix(rng, 1, 2).tau()
+    elem = elementary_sp(np.vstack([eta, eta]))
     assert elem.is_zero(tol=1e-12)
 
 
 def test_elementary_sp_unit_map_is_coordinate_plane():
     # eta = projection to the first quaternion coordinate: the element is
     # omega^0 ^ omega^1 exactly
-    eta = QMatrix([[1, 0]])
-    elem = elementary_sp([eta])
+    eta = QMatrix([[1, 0]]).tau()
+    elem = elementary_sp(eta)
     expect = ExtElement.from_indices(2, (0, 1))
     assert elem == expect
+
+
+def _elementary_sp_by_rows(tau_eta):
+    # the wedge of the one-forms given by the rows of tau_eta, built one
+    # row at a time
+    n = tau_eta.shape[1] // 2
+    acc = ExtElement.scalar(n, 1)
+    for row in tau_eta:
+        acc = acc.wedge(ExtElement(n, 1, {1 << j: c for j, c in enumerate(row) if abs(c) > 1e-15}))
+    return acc
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (2, 2), (3, 2), (2, 3)])
+def test_elementary_sp_is_the_pullback_of_the_volume_form(n, k):
+    # the k maps H^n -> H drawn one at a time stack into the (2k, 2n) tau of
+    # one map H^n -> H^k, and random_elementary_sp draws that same stream
+    rng = np.random.default_rng(20 + n + k)
+    tau_eta = np.vstack([random_qmatrix(rng, 1, n).tau() for _ in range(k)])
+    elem = elementary_sp(tau_eta)
+    assert elem == _elementary_sp_by_rows(tau_eta)
+    assert random_elementary_sp(np.random.default_rng(20 + n + k), n, k) == elem
+    assert elem.degree == min(2 * k, 2 * n)
+    with pytest.raises(DimensionError):
+        elementary_sp(tau_eta[:-1])
 
 
 def test_positivity_on_constructed_sp():
@@ -248,16 +281,17 @@ def test_positivity_rejects_non_real():
     assert not res
 
 
-def _oracle_positivity(a, samples, seed, tol=1e-9):
-    # positivity_test's sampling loop, each pullback on the exact lane
+def _oracle_positivity(a, samples, seed, exact, tol=1e-9):
+    # positivity_test's sampling loop, each pullback on the exact lane's
+    # wedge chain (exact=True) or on the float lane
     k = a.degree // 2
     scale = a.norm_inf()
-    b = a.scale(1.0 / scale)
+    b = ExtElement(a.n, a.degree, {m: complex(c) * (1.0 / scale) for m, c in a.coeffs.items()})
     rng = np.random.default_rng(seed)
     min_kappa = float("inf")
     for _ in range(samples):
-        g = HLinearMap.random(rng, a.n, k)
-        kappa = complex(top_coefficient(pullback(b, g.tau.astype(object))))
+        g = random_qmatrix(rng, a.n, k).tau()
+        kappa = complex(top_coefficient(pullback(b, g.astype(object) if exact else g)))
         bound = tol * max(1.0, abs(kappa))
         if abs(kappa.imag) > bound or kappa.real < -bound:
             return NOT_POSITIVE, kappa.real * scale, g
@@ -289,13 +323,17 @@ def test_positivity_matches_the_exact_lane_loop(case, seed):
     else:
         elem = _indefinite(n)
     res = positivity_test(elem, samples=64, seed=seed)
-    verdict, min_kappa, witness = _oracle_positivity(elem, 64, seed)
+    verdict, min_kappa, witness = _oracle_positivity(elem, 64, seed, exact=True)
     assert res.verdict == verdict
     assert res.min_kappa == pytest.approx(min_kappa, rel=1e-12, abs=1e-12)
+    # the float lane of the same loop gives the same floats, and the witness
+    # is the sample's tau byte for byte
+    assert (res.verdict, res.min_kappa) == _oracle_positivity(elem, 64, seed, exact=False)[:2]
     if witness is None:
         assert res.witness is None
     else:
-        assert res.witness.matrix == witness.matrix
+        assert res.witness.shape == (2 * elem.n, elem.degree)
+        assert res.witness.tobytes() == witness.tobytes()
     if kind != "sp":
         assert verdict == NOT_POSITIVE
 
@@ -316,7 +354,7 @@ def test_positivity_takes_rational_complex_coefficients(half, seed):
     if half > 0:
         assert got.witness is None and want.witness is None
     else:
-        assert got.witness.matrix == want.witness.matrix
+        assert got.witness.tobytes() == want.witness.tobytes()
 
 
 @pytest.mark.parametrize("samples", [0, -3])
@@ -332,7 +370,7 @@ def test_beta_is_strongly_positive_combination():
     parts = []
     for l in range(n):
         row = [[1 if c == l else 0 for c in range(n)]]
-        parts.append(elementary_sp([QMatrix(row)]))
+        parts.append(elementary_sp(QMatrix(row).tau()))
     total = parts[0]
     for p in parts[1:]:
         total = total + p

@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qma.hamilton import (MAX_MATRIX_DIM, QI, QJ, QK, QONE, QMatrix, Quaternion,
-                          _cycles_decreasing_leader, is_hyperhermitian, jmatrix,
-                          mixed_discriminant, moore_det, random_hyperhermitian,
-                          random_qmatrix, random_quaternion, random_unitary, tau,
-                          tau_matrix)
+                          _cycles_decreasing_leader, _tau_blocks, is_hyperhermitian,
+                          jmatrix, mixed_discriminant, moore_det, random_hyperhermitian,
+                          random_qmatrix, random_quaternion, random_unitary, tau)
 from qma.errors import DimensionError
 from qma.exterior import perm_sign
 
@@ -200,7 +200,44 @@ def test_mixed_discriminant_multilinear():
     assert mixed_discriminant(a1, a2) == mixed_discriminant(a2, a1)
 
 
-def test_tau_matrix_accepts_nested_lists():
-    out = tau_matrix([[QONE, QI]])
+def test_qmatrix_tau_of_nested_lists():
+    out = QMatrix([[QONE, QI]]).tau()
     assert out.shape == (2, 4)
     assert np.allclose(out[:, :2], np.eye(2))
+
+
+def _tau_by_entry(x):
+    # tau's 2x2 block of each entry, written out one entry at a time
+    rows, cols = len(x), len(x[0])
+    out = np.zeros((2 * rows, 2 * cols), dtype=complex)
+    for l in range(rows):
+        for m in range(cols):
+            x0, x1, x2, x3 = (float(c) for c in x[l][m])
+            out[2 * l:2 * l + 2, 2 * m:2 * m + 2] = [[complex(x0, -x1), complex(-x2, x3)],
+                                                     [complex(x2, x3), complex(x0, x1)]]
+    return out
+
+
+_COMPONENTS = st.one_of(st.floats(-1e6, 1e6), st.fractions(max_denominator=50),
+                        st.sampled_from([0.0, -0.0, 0]))
+
+
+@given(data=st.data(), rows=st.integers(1, 3), cols=st.integers(1, 3),
+       batch=st.integers(1, 3))
+def test_tau_blocks_equal_the_entrywise_formula(data, rows, cols, batch):
+    # float, Fraction and int components, signed zeros included: the same
+    # bytes as the per-entry blocks, one batch row at a time, and so do
+    # QMatrix.tau() and tau() of the first entry
+    entry = st.lists(_COMPONENTS, min_size=4, max_size=4).map(tuple)
+    matrix = st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows)
+    xs = data.draw(st.lists(matrix, min_size=batch, max_size=batch))
+    got = _tau_blocks(np.array(xs, dtype=object))
+    assert got.shape == (batch, 2 * rows, 2 * cols)
+    for x, g in zip(xs, got):
+        assert g.tobytes() == _tau_by_entry(x).tobytes()
+        assert _tau_blocks(x).tobytes() == g.tobytes()
+        assert QMatrix([[Quaternion(*q) for q in row] for row in x]).tau().tobytes() == \
+            g.tobytes()
+        assert tau(Quaternion(*x[0][0])).tobytes() == g[:2, :2].copy().tobytes()
+

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from qma.cli import parse_field_expr
 from qma.errors import DimensionError, NumericalInconsistencyError
 from qma.fields import ClosedForm, InvShift, Polynomial, invshift, normsq, quadform
 from qma.hamilton import (
@@ -31,7 +32,7 @@ from qma.monge_ampere import (
     sphere_area_coefficient,
     tau_hessians,
 )
-from qma.calculus import delta_matrices
+from qma.calculus import delta_matrices, delta_matrix
 
 
 def psh_quadratic(rng, n):
@@ -213,6 +214,65 @@ def test_psh_test_saddle():
     res = psh_test(quadform(a), np.zeros((1, 8)))
     assert not res.is_psh
     assert res.min_eigenvalue == pytest.approx(-8.0, rel=1e-10)
+
+
+
+def _hessian_by_point(u, x):
+    # the per-point read-off: one delta_matrix per point, one Quaternion per
+    # entry from c1 = 2 D[2l, 2k+1] and c2 = 2 D[2l+1, 2k+1]
+    d = delta_matrix(u, x)
+    rows = []
+    for l in range(u.n):
+        row = []
+        for k in range(u.n):
+            c1 = 2.0 * d[2 * l, 2 * k + 1]
+            c2 = 2.0 * d[2 * l + 1, 2 * k + 1]
+            row.append(Quaternion(c1.real, c1.imag, c2.real, -c2.imag))
+        rows.append(row)
+    return QMatrix(rows)
+
+
+def _oracle_moore_residual(u, pts):
+    dens = ma_density(u, pts)
+    moore = np.array([math.factorial(u.n) * float(moore_det(_hessian_by_point(u, x)))
+                      for x in pts])
+    if not (np.isfinite(dens).all() and np.isfinite(moore).all()):
+        return math.nan
+    return float(np.max(np.abs(dens - moore), initial=0.0))
+
+
+def _oracle_psh(u, pts, tol=1e-9):
+    th = np.array([_hessian_by_point(u, x).tau() for x in pts])
+    eigs = np.linalg.eigvalsh(0.5 * (th + np.conj(np.swapaxes(th, 1, 2))))
+    idx = int(np.argmin(eigs[:, 0]))
+    return float(eigs[idx, 0]) >= -tol, float(eigs[idx, 0]), pts[idx], th
+
+
+_BRIDGE_FIELDS = {
+    "quartic-n1": (1, "normsq() + x0^4"),
+    "quartic-n2": (2, "normsq() + x0^4"),
+    "tilted-n2": (2, "quadform([2, (0,1,0,0); (0,-1,0,0), 3])"),
+    "invshift-sum-n1": (1, "normsq() + invshift(0.5) - x1^3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BRIDGE_FIELDS))
+@pytest.mark.parametrize("seed", range(5))
+def test_hessian_bridge_equals_the_per_point_read_off(case, seed):
+    # one batched (c1, c2) read-off serves the Hessian, its embedding, the
+    # Moore side of the residual and the psh scan: each equals, bit for bit,
+    # the per-point delta_matrix read-off it replaced
+    n, expr = _BRIDGE_FIELDS[case]
+    u = parse_field_expr(expr, n)
+    pts = np.random.default_rng(seed).standard_normal((32, 4 * n))
+    assert hyperhermitian_hessian(u, pts[3]) == _hessian_by_point(u, pts[3])
+    got = moore_equivalence_residual(u, pts)
+    assert got == _oracle_moore_residual(u, pts)
+    is_psh, least, witness, th = _oracle_psh(u, pts)
+    assert tau_hessians(u, pts).tobytes() == th.tobytes()
+    res = psh_test(u, pts)
+    assert (res.is_psh, res.min_eigenvalue) == (is_psh, least)
+    assert res.witness.tobytes() == witness.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -355,7 +355,12 @@ def test_brentq_equals_scipy_on_slow_brackets(tols):
 
 
 def test_import_loads_no_scipy():
+    # importing, and mollifying a grid (the last scipy user until it moved
+    # to a numpy shifted sum), loads no scipy module
     code = ("import sys, qma, qma.cli; "
+            "from qma.currents import mollify; from qma.fields import GridField, normsq; "
+            "g = GridField.sample(normsq(1), [-0.5] * 4, 0.125, (9, 9, 9, 9)); "
+            "assert mollify(g, 0.25).data.shape == (5, 5, 5, 5); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
