@@ -4,15 +4,27 @@ Usage::
 
     qma <command> --config <path> [--out <dir>] [--seed <u64>]
 
-Commands
---------
+Commands, and the keys each reads besides [run] and [output]
+----------------------------------------------------------------
 verify       algebraic identity suite (embedding, duality, closedness, ...)
+             [tolerances] identity, moore, positivity
 ma           density/positivity report for the configured potentials
+             [fields] any names, at least one; [params] r; [tolerances] moore
 fundamental  regularized fundamental-solution masses vs. closed forms
+             [quadrature] radial_nodes; [params] r, eps; [tolerances] mass
 lelong       normalized-mass radius profile and density at a point
+             [fields] u; [quadrature] sphere_pow, radial_nodes;
+             [params] radii, center; [tolerances] monotonicity
 jensen       boundary/interior balance for an exhaustion and a potential
+             [fields] phi, v; [quadrature] t_nodes, sphere_pow, radial_nodes;
+             [params] r (required); [tolerances] jensen, jensen_layered
 boundary     boundary-measure mass identity and density floor
+             [fields] phi; [quadrature] sphere_pow, radial_nodes;
+             [params] r (required); [tolerances] boundary, positivity
 cln          mass-over-sup-norm ratios on nested balls
+             [fields] any names, at least one; [quadrature] sphere_pow,
+             radial_nodes, sup_samples; [params] inner_radius, outer_radius,
+             trials; [tolerances] cln
 
 Each run reads one config file, evaluates every tolerance it declares, and
 writes ``<command>.csv`` / ``<command>.json`` into the output directory
@@ -22,19 +34,16 @@ config or runtime error.
 
 Config format
 -------------
-An INI-like text format with ``#`` comments and six known sections::
-
-    [run]          command, n, seed
-    [fields]       <name> = <field expression>
-    [quadrature]   sphere_pow, radial_nodes, t_nodes, sup_samples
-    [params]       r, radii, eps, center, inner_radius, outer_radius, trials
-    [tolerances]   identity, moore, mass, jensen, jensen_layered, boundary,
-                   positivity, monotonicity, cln
-    [output]       dir, format (csv | json | both)
-
-Unknown sections or keys, negative tolerances, ``[quadrature]`` counts
-below 1 and a negative ``trials`` are rejected with the offending line
-number.
+An INI-like text format with ``#`` comments and six known sections:
+``[run]`` (command, n, seed), ``[output]`` (dir, format: csv | json | both),
+``[fields]`` (<name> = <field expression>), ``[quadrature]``, ``[params]``
+and ``[tolerances]``.  Unknown sections or keys, keys the command does not
+read, negative tolerances, ``[quadrature]`` counts below 1 (below 32 for
+``fundamental``'s ``radial_nodes``), a negative ``trials`` and, for ``ma``
+and ``fundamental``, a ball radius ``r <= 0`` are rejected with the
+offending line number (``jensen`` and ``boundary`` read ``r`` as a level,
+which may be negative).  Unset ``[quadrature]`` keys take the library's
+defaults.
 ``parse_config`` and ``render_config`` are exact inverses on valid configs.
 
 Field expressions
@@ -85,7 +94,7 @@ from .quadrature import StarShapedRule, radial_ball_integral
 
 SCHEMA_VERSION = 2
 
-COMMANDS = ("verify", "ma", "fundamental", "lelong", "jensen", "boundary", "cln")
+_REQUIRED = object()  # a [params] value a command cannot run without
 
 # typed key tables; every config key must appear here (or be a field name)
 _RUN_KEYS = {"command": "str", "n": "int", "seed": "int"}
@@ -213,15 +222,27 @@ def parse_config(text):
         if value < 0:
             raise ConfigError(f"line {raw['tolerances'][key][0]}: tolerance {key!r} "
                               f"must not be negative")
+    reads = _COMMANDS[run["command"]]
     quadrature = typed("quadrature", _QUAD_KEYS)
     for key, value in quadrature.items():
-        if value < 1:
+        least = reads.quadrature.get(key) or 1
+        if value < least:
             raise ConfigError(f"line {raw['quadrature'][key][0]}: {key!r} must be "
-                              f"at least 1")
+                              f"at least {least}")
     params = typed("params", _PARAM_KEYS)
     if params.get("trials", 0) < 0:
         raise ConfigError(f"line {raw['params']['trials'][0]}: 'trials' must not be "
                           f"negative")
+    # ma and fundamental read r as a ball radius, jensen and boundary as a level
+    if run["command"] in ("ma", "fundamental") and params.get("r", 1) <= 0:
+        raise ConfigError(f"line {raw['params']['r'][0]}: ball radius must be "
+                          f"positive, got {params['r']!r}")
+    for section in ("fields", "quadrature", "params", "tolerances"):
+        known = getattr(reads, section)
+        for key, (lineno, _) in raw[section].items():
+            if known is not None and key not in known:
+                raise ConfigError(f"line {lineno}: command {run['command']!r} does "
+                                  f"not read {key!r} in [{section}]")
 
     return RunConfig(
         command=run["command"],
@@ -490,19 +511,6 @@ def parse_field_expr(src, n):
 # ---------------------------------------------------------------------------
 # report assembly and deterministic writers
 
-_COLUMNS = {
-    "verify": ("check", "n", "value", "bound", "status"),
-    "ma": ("field", "points", "min_density", "max_density", "moore_residual",
-           "bound", "status"),
-    "fundamental": ("eps", "r", "mass_quadrature", "mass_exact", "mass_limit",
-                    "rel_err", "bound", "status"),
-    "lelong": ("radius", "normalized_mass", "error", "status"),
-    "jensen": ("quantity", "value", "bound", "status"),
-    "boundary": ("quantity", "value", "bound", "status"),
-    "cln": ("case", "ratio", "bound", "status"),
-}
-
-
 def _fmt_cell(v):
     if v is None:
         return ""
@@ -512,7 +520,7 @@ def _fmt_cell(v):
 
 
 def _render_csv(command, rows):
-    cols = _COLUMNS[command]
+    cols = _COMMANDS[command].columns
     lines = [",".join(cols)]
     lines += [",".join(_fmt_cell(row.get(c)) for c in cols) for row in rows]
     return "\n".join(lines) + "\n"
@@ -552,17 +560,24 @@ def write_outputs(cfg, report, out_dir):
 # shared command helpers
 
 
-def _require_n(cfg, lo, hi):
-    if not lo <= cfg.n <= hi:
-        raise ConfigError(f"command {cfg.command!r} needs {lo} <= n <= {hi}, "
-                          f"got n = {cfg.n}")
-    return cfg.n
+def _settings(cfg, section):
+    """The command's [section] values: the config's over the table's defaults."""
+    values = {**getattr(_COMMANDS[cfg.command], section), **getattr(cfg, section)}
+    for key, value in values.items():
+        if value is _REQUIRED:
+            raise ConfigError(f"command {cfg.command!r} needs {key!r} in [{section}]")
+    return values
 
 
-def _parsed_fields(cfg, names=None):
-    """Parse the configured field expressions (all of them, or a named list);
-    each must live on H^n for the run's n."""
-    names = sorted(cfg.fields) if names is None else list(names)
+def _parsed_fields(cfg):
+    """Parse the field expressions the command reads (its named ones, or all
+    of them); each must live on H^n for the run's n."""
+    names = _COMMANDS[cfg.command].fields
+    if names is None:
+        names = sorted(cfg.fields)
+        if not names:
+            raise ConfigError(f"command {cfg.command!r} needs at least one entry "
+                              "in [fields]")
     out = {}
     for name in names:
         if name not in cfg.fields:
@@ -576,14 +591,6 @@ def _parsed_fields(cfg, names=None):
             raise ConfigError(f"field {name!r} lives on H^{field.n}, run has n = {cfg.n}")
         out[name] = field
     return out
-
-
-def _param(cfg, key, default=None, required=False):
-    if key in cfg.params:
-        return cfg.params[key]
-    if required:
-        raise ConfigError(f"command {cfg.command!r} needs {key!r} in [params]")
-    return default
 
 
 def _ball_points(n, r, count, seed):
@@ -607,12 +614,10 @@ def _psd_quadratic(a, n):
 # commands
 
 
-def _cmd_verify(cfg):
-    n = _require_n(cfg, 1, 3)
+def _cmd_verify(cfg, params, tol):
+    n = cfg.n
     rng = np.random.default_rng(cfg.seed)
-    tol_id = cfg.tolerances.get("identity", 1e-10)
-    tol_moore = cfg.tolerances.get("moore", 1e-9)
-    tol_pos = cfg.tolerances.get("positivity", 1e-9)
+    tol_id, tol_moore = tol["identity"], tol["moore"]
     rows = []
 
     def check(name, value, bound):
@@ -704,19 +709,15 @@ def _cmd_verify(cfg):
         if not res:
             bad = max(bad, 1.0)
         worst = max(worst, bad)
-    check("strong-positivity-sampled", worst, tol_pos)
+    check("strong-positivity-sampled", worst, tol["positivity"])
 
     summary = {"checks": len(rows)}
     return rows, summary
 
 
-def _cmd_ma(cfg):
-    n = _require_n(cfg, 1, 2)
-    if not cfg.fields:
-        raise ConfigError("command 'ma' needs at least one entry in [fields]")
+def _cmd_ma(cfg, params, tol):
+    n, r, tol_moore = cfg.n, params["r"], tol["moore"]
     fields = _parsed_fields(cfg)
-    r = _param(cfg, "r", 1.0)
-    tol_moore = cfg.tolerances.get("moore", 1e-9)
     pts = _ball_points(n, r, 32, cfg.seed)
 
     rows = []
@@ -743,17 +744,14 @@ def _cmd_ma(cfg):
     return rows, {"radius": r, "psh": psh_flags}
 
 
-def _cmd_fundamental(cfg):
-    n = _require_n(cfg, 1, 2)
-    r = _param(cfg, "r", 1.0)
-    eps_list = _param(cfg, "eps", [1e-1, 1e-2, 1e-3])
-    tol_mass = cfg.tolerances.get("mass", 1e-6)
-    nodes = max(32, cfg.quadrature.get("radial_nodes", 32))
+def _cmd_fundamental(cfg, params, tol):
+    n, r, tol_mass = cfg.n, params["r"], tol["mass"]
+    nodes = _settings(cfg, "quadrature")["radial_nodes"]
     limit = float(fundamental_mass_limit_coefficient(n)) * math.pi ** (2 * n)
     coeff = (8.0 ** n) * math.factorial(n)
 
     rows = []
-    for eps in eps_list:
+    for eps in params["eps"]:
         if eps <= 0:
             raise ConfigError("fundamental needs strictly positive eps values")
         dens = lambda rho: coeff * eps / (rho ** 2 + eps) ** (2 * n + 1)
@@ -769,21 +767,16 @@ def _cmd_fundamental(cfg):
     return rows, {"limit": limit}
 
 
-def _cmd_lelong(cfg):
-    n = _require_n(cfg, 1, 2)
-    fields = _parsed_fields(cfg, ["u"])
-    u = fields["u"]
-    center = _param(cfg, "center", [0.0] * 4 * n)
+def _cmd_lelong(cfg, params, tol):
+    n = cfg.n
+    u = _parsed_fields(cfg)["u"]
+    center = params["center"] or [0.0] * 4 * n
     if len(center) != 4 * n:
         raise ConfigError(f"center needs {4 * n} components")
-    radii = _param(cfg, "radii")
-    slack = cfg.tolerances.get("monotonicity", 3.0)
-    quad_opts = {"sphere_pow": cfg.quadrature.get("sphere_pow", 8),
-                 "radial_nodes": cfg.quadrature.get("radial_nodes", 16),
-                 "seed": cfg.seed}
 
     current = RegularizedCurrent.from_laplace(u)
-    profile, nu = lelong_number(current, np.asarray(center), radii, **quad_opts)
+    profile, nu = lelong_number(current, np.asarray(center), params["radii"],
+                                seed=cfg.seed, **cfg.quadrature)
     if n == 1 and math.hypot(*center) <= profile.radii[-1]:
         # on H^1, laplace of a pole is a point mass that no quadrature node
         # sees; the grammar can only place a pole at the origin
@@ -793,72 +786,50 @@ def _cmd_lelong(cfg):
             raise ConfigError("field 'u' is not finite at the origin, inside the "
                               f"ball of radius {float(profile.radii[-1])!r}; its point "
                               "mass cannot be measured by quadrature")
-    bad = set(profile.monotone_violations(slack=slack))
-    rows = []
-    for k in range(len(profile.radii)):
-        rows.append({
-            "radius": float(profile.radii[k]),
-            "normalized_mass": float(profile.values[k]),
-            "error": float(profile.errors[k]),
-            "status": "fail" if k in bad else "pass",
-        })
+    bad = set(profile.monotone_violations(slack=tol["monotonicity"]))
+    rows = [{"radius": float(r), "normalized_mass": float(v), "error": float(e),
+             "status": "fail" if k in bad else "pass"} for k, (r, v, e)
+            in enumerate(zip(profile.radii, profile.values, profile.errors))]
     summary = {"nu": nu, "center": list(map(float, center)),
                "monotone_violations": sorted(bad)}
     return rows, summary
 
 
-def _cmd_jensen(cfg):
-    n = _require_n(cfg, 1, 2)
-    fields = _parsed_fields(cfg, ["phi", "v"])
-    phi, v = fields["phi"], fields["v"]
-    r = _param(cfg, "r", required=True)
-    tol = cfg.tolerances.get("jensen", 1e-3)
-    tol_layered = cfg.tolerances.get("jensen_layered", 1e-2)
-    report = lelong_jensen(
-        phi, v, r,
-        t_nodes=cfg.quadrature.get("t_nodes", 48),
-        sphere_pow=cfg.quadrature.get("sphere_pow", 9),
-        radial_nodes=cfg.quadrature.get("radial_nodes", 12),
-        seed=cfg.seed)
+def _info_row(name, value):
+    return {"quantity": name, "value": float(value), "bound": None, "status": "info"}
+
+
+def _bound_row(name, value, bound):
+    return {"quantity": name, "value": float(value), "bound": float(bound),
+            "status": "pass" if value <= bound else "fail"}
+
+
+def _cmd_jensen(cfg, params, tol):
+    fields, r = _parsed_fields(cfg), params["r"]
+    report = lelong_jensen(fields["phi"], fields["v"], r, seed=cfg.seed,
+                           **cfg.quadrature)
     if not report.finite():
         raise QmaError("Jensen evaluation produced non-finite terms")
     scale = max(abs(report.boundary_term), abs(report.interior_term), 1.0)
-
-    def info(name, value):
-        return {"quantity": name, "value": float(value), "bound": None,
-                "status": "info"}
-
-    def residual(name, value, bound):
-        return {"quantity": name, "value": float(value), "bound": float(bound),
-                "status": "pass" if value <= bound else "fail"}
-
     rows = [
-        info("boundary_term", report.boundary_term),
-        info("interior_term", report.interior_term),
-        info("lhs", report.lhs),
-        info("rhs_spatial", report.rhs_spatial),
-        info("rhs_layered", report.rhs_layered),
-        residual("residual_spatial", report.residual_spatial, tol * scale),
-        residual("residual_layered", report.residual_layered, tol_layered * scale),
+        _info_row("boundary_term", report.boundary_term),
+        _info_row("interior_term", report.interior_term),
+        _info_row("lhs", report.lhs),
+        _info_row("rhs_spatial", report.rhs_spatial),
+        _info_row("rhs_layered", report.rhs_layered),
+        _bound_row("residual_spatial", report.residual_spatial, tol["jensen"] * scale),
+        _bound_row("residual_layered", report.residual_layered,
+                   tol["jensen_layered"] * scale),
     ]
     summary = {"r": r, "scale": scale,
                "errors": {k: float(v) for k, v in sorted(report.errors.items())}}
     return rows, summary
 
 
-def _cmd_boundary(cfg):
-    n = _require_n(cfg, 1, 2)
-    fields = _parsed_fields(cfg, ["phi"])
-    phi = fields["phi"]
-    r = _param(cfg, "r", required=True)
-    tol = cfg.tolerances.get("boundary", 1e-3)
-    tol_pos = cfg.tolerances.get("positivity", 1e-9)
-
-    residual, mu1, interior = boundary_mass_residual(
-        phi, r,
-        sphere_pow=cfg.quadrature.get("sphere_pow", 9),
-        radial_nodes=cfg.quadrature.get("radial_nodes", 12),
-        seed=cfg.seed)
+def _cmd_boundary(cfg, params, tol):
+    phi, r = _parsed_fields(cfg)["phi"], params["r"]
+    residual, mu1, interior = boundary_mass_residual(phi, r, seed=cfg.seed,
+                                                     **cfg.quadrature)
     scale = max(abs(mu1), 1.0)
 
     # density floor on a sampled slice of the level set
@@ -866,38 +837,22 @@ def _cmd_boundary(cfg):
     dens = boundary_measure_density(phi, rule.points)
     negativity = max(0.0, -float(dens.min()))
 
-    rows = [
-        {"quantity": "boundary_mass", "value": float(mu1), "bound": None,
-         "status": "info"},
-        {"quantity": "interior_mass", "value": float(interior), "bound": None,
-         "status": "info"},
-        {"quantity": "mass_residual", "value": float(residual),
-         "bound": tol * scale,
-         "status": "pass" if residual <= tol * scale else "fail"},
-        {"quantity": "density_negativity", "value": negativity, "bound": tol_pos,
-         "status": "pass" if negativity <= tol_pos else "fail"},
-    ]
+    rows = [_info_row("boundary_mass", mu1), _info_row("interior_mass", interior),
+            _bound_row("mass_residual", residual, tol["boundary"] * scale),
+            _bound_row("density_negativity", negativity, tol["positivity"])]
     summary = {"r": r, "sample_points": len(rule.points)}
     return rows, summary
 
 
-def _cmd_cln(cfg):
-    n = _require_n(cfg, 1, 2)
-    if not cfg.fields:
-        raise ConfigError("command 'cln' needs at least one entry in [fields]")
+def _cmd_cln(cfg, params, tol):
+    n, bound = cfg.n, tol["cln"]
     fields = _parsed_fields(cfg)
-    inner = _param(cfg, "inner_radius", 0.5)
-    outer = _param(cfg, "outer_radius", 1.0)
+    inner, outer = params["inner_radius"], params["outer_radius"]
     if inner > outer:
         raise ConfigError("inner_radius must not exceed outer_radius")
-    bound = cfg.tolerances.get("cln", 1e12)
-    trials = _param(cfg, "trials", 0)
-    quad_opts = {"sphere_pow": cfg.quadrature.get("sphere_pow", 8),
-                 "radial_nodes": cfg.quadrature.get("radial_nodes", 16),
-                 "sup_samples": cfg.quadrature.get("sup_samples", 4096)}
 
     def one_ratio(potentials, seed):
-        ratio = cln_ratio(potentials, inner, outer, seed=seed, **quad_opts)
+        ratio = cln_ratio(potentials, inner, outer, seed=seed, **cfg.quadrature)
         ok = math.isfinite(ratio) and abs(ratio) <= bound
         return ratio, "pass" if ok else "fail"
 
@@ -906,7 +861,7 @@ def _cmd_cln(cfg):
              "status": status}]
 
     rng = np.random.default_rng(cfg.seed)
-    for t in range(trials):
+    for t in range(params["trials"]):
         a = random_hyperhermitian(rng, n)
         u = _psd_quadratic(a, n)
         ratio, status = one_ratio([u] * min(n, 2), cfg.seed + t + 1)
@@ -915,15 +870,51 @@ def _cmd_cln(cfg):
     return rows, {"inner_radius": inner, "outer_radius": outer}
 
 
-_DISPATCH = {
-    "verify": _cmd_verify,
-    "ma": _cmd_ma,
-    "fundamental": _cmd_fundamental,
-    "lelong": _cmd_lelong,
-    "jensen": _cmd_jensen,
-    "boundary": _cmd_boundary,
-    "cln": _cmd_cln,
+@dataclasses.dataclass(frozen=True)
+class _Command:
+    """A command's function, CSV columns and largest n, and the keys it
+    reads: [fields] names (None: any, at least one) and [quadrature],
+    [params] and [tolerances] keys with the CLI's defaults.  A [quadrature]
+    default of None is the library's; a CLI one is also the least accepted."""
+
+    run: object
+    columns: tuple
+    n_max: int = 2
+    fields: tuple | None = ()
+    quadrature: dict = dataclasses.field(default_factory=dict)
+    params: dict = dataclasses.field(default_factory=dict)
+    tolerances: dict = dataclasses.field(default_factory=dict)
+
+
+_ROWS = ("quantity", "value", "bound", "status")
+_COMMANDS = {
+    "verify": _Command(_cmd_verify, ("check", "n", "value", "bound", "status"), n_max=3,
+                       tolerances={"identity": 1e-10, "moore": 1e-9, "positivity": 1e-9}),
+    "ma": _Command(_cmd_ma, ("field", "points", "min_density", "max_density",
+                             "moore_residual", "bound", "status"),
+                   fields=None, params={"r": 1.0}, tolerances={"moore": 1e-9}),
+    "fundamental": _Command(_cmd_fundamental, ("eps", "r", "mass_quadrature", "mass_exact",
+                                               "mass_limit", "rel_err", "bound", "status"),
+                            quadrature={"radial_nodes": 32}, tolerances={"mass": 1e-6},
+                            params={"r": 1.0, "eps": [1e-1, 1e-2, 1e-3]}),
+    "lelong": _Command(_cmd_lelong, ("radius", "normalized_mass", "error", "status"),
+                       fields=("u",), params={"radii": None, "center": None},
+                       quadrature=dict.fromkeys(("sphere_pow", "radial_nodes")),
+                       tolerances={"monotonicity": 3.0}),
+    "jensen": _Command(_cmd_jensen, _ROWS, fields=("phi", "v"),
+                       quadrature=dict.fromkeys(("t_nodes", "sphere_pow", "radial_nodes")),
+                       params={"r": _REQUIRED},
+                       tolerances={"jensen": 1e-3, "jensen_layered": 1e-2}),
+    "boundary": _Command(_cmd_boundary, _ROWS, fields=("phi",),
+                         quadrature=dict.fromkeys(("sphere_pow", "radial_nodes")),
+                         params={"r": _REQUIRED},
+                         tolerances={"boundary": 1e-3, "positivity": 1e-9}),
+    "cln": _Command(_cmd_cln, ("case", "ratio", "bound", "status"), fields=None,
+                    quadrature=dict.fromkeys(("sphere_pow", "radial_nodes", "sup_samples")),
+                    params={"inner_radius": 0.5, "outer_radius": 1.0, "trials": 0},
+                    tolerances={"cln": 1e12}),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def _require_finite(value, where):
@@ -940,10 +931,15 @@ def _require_finite(value, where):
 
 def run_command(cfg):
     """Evaluate a parsed config; returns the full report dictionary."""
-    rows, summary = _DISPATCH[cfg.command](cfg)
+    command = _COMMANDS[cfg.command]
+    if not 1 <= cfg.n <= command.n_max:
+        raise ConfigError(f"command {cfg.command!r} needs 1 <= n <= {command.n_max}, "
+                          f"got n = {cfg.n}")
+    rows, summary = command.run(cfg, _settings(cfg, "params"),
+                                _settings(cfg, "tolerances"))
     for i, row in enumerate(rows):
         for column, value in row.items():
-            _require_finite(value, f"row {i} ({row[_COLUMNS[cfg.command][0]]}) "
+            _require_finite(value, f"row {i} ({row[command.columns[0]]}) "
                                    f"column {column!r}")
     _require_finite(summary, "summary")
     statuses = [row["status"] for row in rows]

@@ -44,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionError
-from .hamilton import random_qmatrix
+from .hamilton import _tau_blocks
 
 #: Cap on the half-dimension n of the algebra; bitmasks use 2n bits.
 MAX_N = 8
@@ -454,7 +454,7 @@ def elementary_sp(tau_eta):
 
 def random_elementary_sp(rng, n, k):
     """Random elementary strongly positive 2k-element over C^(2n)."""
-    return elementary_sp(random_qmatrix(rng, k, n).tau())
+    return elementary_sp(_tau_blocks(rng.standard_normal((k, n, 4))))
 
 
 def random_strongly_positive(rng, n, k, terms=3):
@@ -518,7 +518,8 @@ def positivity_test(a, samples=512, seed=0, tol=1e-9):
     rng = np.random.default_rng(seed)
     min_kappa = float("inf")
     for _ in range(samples):
-        g = random_qmatrix(rng, a.n, k).tau()
+        # the draws and tau bytes of random_qmatrix(rng, a.n, k).tau()
+        g = _tau_blocks(rng.standard_normal((a.n, k, 4)))
         kappa = complex(top_coefficient(pullback(b, g)))
         bound = tol * max(1.0, abs(kappa))
         if abs(kappa.imag) > bound or kappa.real < -bound:

@@ -36,8 +36,8 @@ def test_parse_config_minimal():
     assert cfg.n == 1 and cfg.seed == 0
     assert cfg.output_dir == "." and cfg.output_format == "both"
     # a zero tolerance is valid; negative ones are rejected (see below)
-    zero = parse_config("[run]\ncommand = verify\n[tolerances]\nmass = 0.0\n")
-    assert zero.tolerances == {"mass": 0.0}
+    zero = parse_config("[run]\ncommand = verify\n[tolerances]\nidentity = 0.0\n")
+    assert zero.tolerances == {"identity": 0.0}
 
 
 def test_parse_config_full_round_trip():
@@ -58,8 +58,6 @@ def test_parse_config_full_round_trip():
 
         [params]
         r = 1.0
-        radii = 0.5, 1.0
-        center = 0, 0, 0, 0, 0, 0, 0, 0
 
         [tolerances]
         jensen = 0.001
@@ -68,17 +66,32 @@ def test_parse_config_full_round_trip():
         dir = out
         format = csv
         """)
+    lelong_text = textwrap.dedent("""\
+        [run]
+        command = lelong
+        n = 2
+
+        [fields]
+        u = invshift(0.001)
+
+        [params]
+        radii = 0.5, 1.0
+        center = 0, 0, 0, 0, 0, 0, 0, 0
+        """)
     cfg = parse_config(text)
     assert cfg.command == "jensen" and cfg.n == 2
     assert cfg.fields == {"phi": "normsq()", "v": "x0^2 + 3/2"}
     assert cfg.quadrature == {"sphere_pow": 8, "t_nodes": 24}
-    assert cfg.params["radii"] == [0.5, 1.0]
-    assert len(cfg.params["center"]) == 8
+    assert cfg.params == {"r": 1.0}
     assert cfg.tolerances == {"jensen": 0.001}
     assert cfg.output_format == "csv"
+    lelong = parse_config(lelong_text)
+    assert lelong.params["radii"] == [0.5, 1.0]
+    assert len(lelong.params["center"]) == 8
     # canonical text reproduces the same configuration exactly
-    assert parse_config(render_config(cfg)) == cfg
-    assert render_config(parse_config(render_config(cfg))) == render_config(cfg)
+    for c in (cfg, lelong):
+        assert parse_config(render_config(c)) == c
+        assert render_config(parse_config(render_config(c))) == render_config(c)
 
 
 @pytest.mark.parametrize("text,match", [
@@ -116,10 +129,106 @@ def test_parse_config_full_round_trip():
     ("[run]\ncommand = verify\n[output]\nformat = yaml\n", "csv, json or both"),
     ("[run]\ncommand = verify\n[fields]\nnormsq = x0\n", "reserved"),
     ("[run]\ncommand = verify\n[fields]\nx3 = x0\n", "reserved"),
+    ("[run]\ncommand = fundamental\n[quadrature]\nradial_nodes = 31\n",
+     "line 4: 'radial_nodes' must be at least 32"),
+    ("[run]\ncommand = ma\n[params]\nr = 0\n",
+     "line 4: ball radius must be positive, got 0.0"),
+    ("[run]\ncommand = fundamental\n[params]\neps = 0.1\nr = -2\n",
+     "line 5: ball radius must be positive, got -2.0"),
 ])
 def test_parse_config_errors(text, match):
     with pytest.raises(ConfigError, match=match):
         parse_config(text)
+
+
+# the keys each command reads outside [run] and [output] (fields None: any
+# names), and a valid value for every key of the four sections
+_READ_KEYS = {
+    "verify": {"tolerances": ("identity", "moore", "positivity")},
+    "ma": {"fields": None, "params": ("r",), "tolerances": ("moore",)},
+    "fundamental": {"quadrature": ("radial_nodes",), "params": ("r", "eps"),
+                    "tolerances": ("mass",)},
+    "lelong": {"fields": ("u",), "quadrature": ("sphere_pow", "radial_nodes"),
+               "params": ("radii", "center"), "tolerances": ("monotonicity",)},
+    "jensen": {"fields": ("phi", "v"),
+               "quadrature": ("t_nodes", "sphere_pow", "radial_nodes"),
+               "params": ("r",), "tolerances": ("jensen", "jensen_layered")},
+    "boundary": {"fields": ("phi",), "quadrature": ("sphere_pow", "radial_nodes"),
+                 "params": ("r",), "tolerances": ("boundary", "positivity")},
+    "cln": {"fields": None, "quadrature": ("sphere_pow", "radial_nodes", "sup_samples"),
+            "params": ("inner_radius", "outer_radius", "trials"),
+            "tolerances": ("cln",)},
+}
+_KEY_VALUES = {
+    "fields": dict.fromkeys(("u", "w", "phi", "v"), "normsq()"),
+    "quadrature": dict.fromkeys(("sphere_pow", "radial_nodes", "t_nodes",
+                                 "sup_samples"), "40"),
+    "params": {"r": "0.5", "radii": "0.5, 1.0", "eps": "0.1", "center": "0, 0, 0, 0",
+               "inner_radius": "0.5", "outer_radius": "1.0", "trials": "1"},
+    "tolerances": dict.fromkeys(("identity", "moore", "mass", "jensen",
+                                 "jensen_layered", "boundary", "positivity",
+                                 "monotonicity", "cln"), "0.001"),
+}
+
+
+@pytest.mark.parametrize("command", list(_READ_KEYS))
+def test_parse_config_accepts_only_the_keys_the_command_reads(command):
+    for section, values in _KEY_VALUES.items():
+        read = _READ_KEYS[command].get(section, ())
+        for key, value in values.items():
+            text = f"[run]\ncommand = {command}\n# {section}\n[{section}]\n{key} = {value}\n"
+            if read is None or key in read:
+                assert key in getattr(parse_config(text), section)
+            else:
+                with pytest.raises(ConfigError, match=f"^line 5: command '{command}' "
+                                   f"does not read '{key}' in \\[{section}\\]$"):
+                    parse_config(text)
+
+
+_UNREAD_KEY_CASES = [
+    ("verify", "[params]\nr = 1.0"),
+    ("ma", "[fields]\nu = normsq()\n\n[quadrature]\nsphere_pow = 8"),
+    ("fundamental", "[fields]\nu = normsq()"),
+    ("lelong", "[fields]\nu = normsq()\n\n[params]\nr = 1.0"),
+    ("jensen", "[fields]\nphi = normsq()\nv = x0\n\n[params]\nr = 1.0\n\n"
+               "[tolerances]\nboundary = 0.001"),
+    ("boundary", "[fields]\nphi = normsq()\n\n[params]\nr = 1.0\n\n"
+                 "[tolerances]\njensen = 1e-30"),
+    ("cln", "[fields]\nu = normsq()\n\n[quadrature]\nt_nodes = 1"),
+]
+
+
+@pytest.mark.parametrize("command, body", _UNREAD_KEY_CASES,
+                         ids=[command for command, _ in _UNREAD_KEY_CASES])
+def test_exit_1_on_a_key_the_command_does_not_read(tmp_path, capsys, command, body):
+    # each body sets, on its last line, a key only another command reads;
+    # that key used to be ignored and the run passed
+    text = f"[run]\ncommand = {command}\nn = 1\n\n{body}\n"
+    key = body.rsplit("\n", 1)[1].split(" =")[0]
+    cfg = _write(tmp_path, f"{command}.ini", text)
+    assert _run(command, cfg, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert f"line {text.count(chr(10))}: command '{command}' does not read '{key}'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_level_r_may_be_negative(tmp_path):
+    # boundary and jensen read r as a level of phi: here the sphere |q| = 1/2
+    cfg = _write(tmp_path, "level.ini", """\
+        [run]
+        command = boundary
+        n = 1
+
+        [fields]
+        phi = normsq() - 1
+
+        [params]
+        r = -0.75
+        """)
+    assert _run("boundary", cfg, tmp_path / "out") == 0
+    report = json.loads((tmp_path / "out" / "boundary.json").read_text())
+    by_name = {row["quantity"]: row for row in report["rows"]}
+    assert by_name["boundary_mass"]["value"] == pytest.approx(4 * PI2 / 16, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +607,9 @@ def test_exit_1_on_field_dimension_mismatch(tmp_path, capsys):
                                   ("jensen", "phi", "phi = quadform([1, 0; 0, 1])\nv = x0"),
                                   ("cln", "w", "u = x0^2\nw = quadform([1, 0; 0, 1])")):
         cfg = tmp_path / f"{command}.ini"
+        params = "" if command == "cln" else "\n[params]\nr = 1.0\n"
         cfg.write_text(f"[run]\ncommand = {command}\nn = 1\n\n[fields]\n{fields}\n"
-                       "\n[params]\nr = 1.0\n")
+                       + params)
         assert _run(command, cfg, tmp_path / "out") == 1
         assert f"field '{name}' lives on H^2, run has n = 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

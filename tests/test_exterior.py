@@ -14,7 +14,7 @@ from qma.exterior import (LIKELY_POSITIVE, NOT_POSITIVE, ExtElement, RationalCom
                           mask_to_indices, omega_top, perm_sign, positivity_test,
                           pullback, random_elementary_sp, random_strongly_positive,
                           rho_j, top_coefficient, wedge_sign)
-from qma.hamilton import QMatrix, random_qmatrix
+from qma.hamilton import QMatrix, _tau_blocks, random_qmatrix
 from qma.errors import DimensionError
 
 
@@ -255,6 +255,17 @@ def test_elementary_sp_is_the_pullback_of_the_volume_form(n, k):
     assert elem.degree == min(2 * k, 2 * n)
     with pytest.raises(DimensionError):
         elementary_sp(tau_eta[:-1])
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (3, 2), (3, 3)])
+def test_sample_maps_are_the_random_qmatrix_draws(n, k):
+    # positivity_test and random_elementary_sp draw their maps as component
+    # arrays; the stream and the tau bytes are those of random_qmatrix
+    fast, slow = np.random.default_rng(n + 10 * k), np.random.default_rng(n + 10 * k)
+    for _ in range(50):
+        g = _tau_blocks(fast.standard_normal((n, k, 4)))
+        assert g.tobytes() == random_qmatrix(slow, n, k).tau().tobytes()
+    assert fast.standard_normal() == slow.standard_normal()
 
 
 def test_positivity_on_constructed_sp():
