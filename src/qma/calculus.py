@@ -469,21 +469,11 @@ def real_rep(a_matrix):
     """The 4n x 4n real matrix of q -> A q acting on stacked components.
 
     Each quaternion entry a contributes the left-multiplication block
-    [[a0,-a1,-a2,-a3],[a1,a0,-a3,a2],[a2,a3,a0,-a1],[a3,-a2,a1,a0]].
+    [[a0,-a1,-a2,-a3],[a1,a0,-a3,a2],[a2,a3,a0,-a1],[a3,-a2,a1,a0]]
+    (``QMatrix.real_rep``, here in floats).
     """
     a_matrix = a_matrix if isinstance(a_matrix, QMatrix) else QMatrix(a_matrix)
-    rows, cols = a_matrix.rows, a_matrix.cols
-    out = np.zeros((4 * rows, 4 * cols))
-    for l in range(rows):
-        for k in range(cols):
-            a0, a1, a2, a3 = (float(c) for c in a_matrix[l, k].components)
-            out[4 * l:4 * l + 4, 4 * k:4 * k + 4] = [
-                [a0, -a1, -a2, -a3],
-                [a1, a0, -a3, a2],
-                [a2, a3, a0, -a1],
-                [a3, -a2, a1, a0],
-            ]
-    return out
+    return a_matrix.real_rep().astype(float)
 
 
 def pullback_potential(u_tilde, a_matrix):

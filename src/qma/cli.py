@@ -84,9 +84,8 @@ from .errors import ConfigError, NumericalInconsistencyError, QmaError
 from .exterior import beta, positivity_test, random_strongly_positive, top_coefficient
 from .fields import (Polynomial, ScalarField, field_product, field_scale,
                      field_sum, invshift, normsq, quadform)
-from .hamilton import (QMatrix, Quaternion, jmatrix, moore_det,
-                       random_hyperhermitian, random_qmatrix, random_quaternion,
-                       tau)
+from .hamilton import (QMatrix, Quaternion, _tau_blocks, jmatrix, moore_det,
+                       random_hyperhermitian, random_qmatrix)
 from .monge_ampere import (fundamental_mass_exact, fundamental_mass_limit_coefficient,
                            ma_density, mixed_ma, moore_equivalence_residual, psh_test)
 from .potential import boundary_mass_residual, boundary_measure_density, lelong_jensen
@@ -625,11 +624,13 @@ def _cmd_verify(cfg, params, tol):
         rows.append({"check": name, "n": n, "value": value, "bound": float(bound),
                      "status": "pass" if value <= bound else "fail"})
 
-    dev = 0.0
-    for _ in range(200):
-        p, q = random_quaternion(rng), random_quaternion(rng)
-        dev = max(dev, float(np.abs(tau(p * q) - tau(p) @ tau(q)).max()))
-    check("embedding-multiplicative-quaternion", dev, tol_id)
+    # 200 (p, q) pairs drawn as random_quaternion draws them, embedded at once
+    pairs = rng.standard_normal((200, 2, 4))
+    prods = [(Quaternion(*p) * Quaternion(*q)).components for p, q in pairs]
+    tau_pq = _tau_blocks(np.array(prods)[:, None, None])
+    tau_p, tau_q = np.moveaxis(_tau_blocks(pairs[:, :, None, None]), 1, 0)
+    check("embedding-multiplicative-quaternion",
+          np.abs(tau_pq - tau_p @ tau_q).max(), tol_id)
 
     dev = 0.0
     for _ in range(20):
@@ -847,6 +848,8 @@ def _cmd_boundary(cfg, params, tol):
 def _cmd_cln(cfg, params, tol):
     n, bound = cfg.n, tol["cln"]
     fields = _parsed_fields(cfg)
+    if len(fields) > n:
+        raise ConfigError(f"cln takes at most n = {n} fields, got {len(fields)}")
     inner, outer = params["inner_radius"], params["outer_radius"]
     if inner > outer:
         raise ConfigError("inner_radius must not exceed outer_radius")

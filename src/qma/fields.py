@@ -624,82 +624,88 @@ def field_product(a, b):
 # ---------------------------------------------------------------------------
 # standard fields
 
-def _quaternion_coordinate_polys(n, j, center=None, conjugate=False):
-    """The quaternion q_j - a_j as a 4-tuple of coordinate polynomials."""
-    comps = []
-    for m in range(4):
-        p = Polynomial.coordinate(n, 4 * j + m)
-        if center is not None:
-            p = p + Polynomial.constant(n, -center[4 * j + m])
-        comps.append(p)
-    if conjugate:
-        comps = [comps[0], -comps[1], -comps[2], -comps[3]]
-    return comps
-
-
-def _qpoly_mul(a, b):
-    """Hamilton product of quaternions whose components are polynomials."""
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return (
-        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-    )
+def _monomial(d, *axes):
+    """The exponent tuple of prod x_axis over R^d."""
+    e = [0] * d
+    for m in axes:
+        e[m] += 1
+    return tuple(e)
 
 
 def normsq(n, center=None):
     """|q - a|^2 as an exact QuadraticForm (Hessian 2*Id)."""
     center = np.zeros(4 * n) if center is None else np.asarray(center, dtype=float)
     c_exact = [Fraction(v) if float(v).is_integer() else v for v in center]
-    terms = {}
     d = 4 * n
-    for m in range(d):
-        e2 = [0] * d
-        e2[m] = 2
-        terms[tuple(e2)] = terms.get(tuple(e2), 0) + Fraction(1)
-    poly = Polynomial(n, terms)
+    poly = Polynomial(n, {_monomial(d, m, m): Fraction(1) for m in range(d)})
     for m in range(d):
         if c_exact[m]:
-            poly = poly + Polynomial(n, {tuple(0 if i != m else 1 for i in range(d)): -2 * c_exact[m]})
+            poly = poly + Polynomial(n, {_monomial(d, m): -2 * c_exact[m]})
     const = sum(Fraction(c) * Fraction(c) if isinstance(c, Fraction) else c * c for c in c_exact)
     if const:
         poly = poly + Polynomial.constant(n, const)
     return QuadraticForm(n, poly.terms, QMatrix.identity(n), np.eye(d), center, 0.0)
 
 
+def _centered_lower_terms(r, c):
+    """Linear and constant coefficients of (x-c)^T R (x-c), block by block.
+
+    Block (j, k) of R, B, adds -(B c_k)_i to x_(j,i), -(c_j^T B)_m to
+    x_(k,m) and (c_j^T B) c_k to the constant.  Every sum runs left to right
+    over the block's index in the order q^bar_j a_jk q_k expands as
+    quaternion products, so the rounding of float coefficients is the
+    expansion's.
+    """
+    n = len(c)
+    lin, const = [0] * (4 * n), 0
+    for j, k in itertools.product(range(n), repeat=2):
+        b = r[4 * j:4 * j + 4, 4 * k:4 * k + 4]
+        if not any(b.flat):
+            continue
+        # v = c_j^T B; on the diagonal v_i joins the m = i term of (B c_k)_i
+        v = [sum(b[i, m] * c[j][i] for i in range(4)) for m in range(4)]
+        for i in range(4):
+            lin[4 * j + i] -= sum(b[i, m] * c[k][m] + (v[i] if j == k and m == i else 0)
+                                  for m in range(4))
+        if j != k:
+            for m in range(4):
+                lin[4 * k + m] -= v[m]
+        const += sum(v[m] * c[k][m] for m in range(4))
+    return lin, const
+
+
 def quadform(a_matrix, center=None):
     """(q-a)^bar^T A (q-a) for hyperhermitian A, as an exact QuadraticForm.
 
-    Raises if A is not hyperhermitian (the value would not be real).
+    With R the real representation of A (``QMatrix.real_rep``, exact on
+    exact entries) and y = x - a the value is y^T R y: y_i^2 carries R_ii
+    and y_i y_j carries R_ij + R_ji, and M = (R + R^T)/2, which is R when A
+    is exactly hyperhermitian.  Raises if A is not hyperhermitian (the value
+    would not be real).
     """
     a_matrix = a_matrix if isinstance(a_matrix, QMatrix) else QMatrix(a_matrix)
     if not is_hyperhermitian(a_matrix, tol=1e-12):
         raise ValueError("quadform needs a hyperhermitian matrix")
     n = a_matrix.rows
-    center_arr = None if center is None else np.asarray(center, dtype=float)
-    total = [Polynomial(n), Polynomial(n), Polynomial(n), Polynomial(n)]
-    for j in range(n):
-        qj_bar = _quaternion_coordinate_polys(n, j, center_arr, conjugate=True)
-        for k in range(n):
-            a = a_matrix[j, k]
-            if not a:
-                continue
-            qk = _quaternion_coordinate_polys(n, k, center_arr)
-            apoly = tuple(Polynomial.constant(n, comp) for comp in a.components)
-            prod = _qpoly_mul(_qpoly_mul(qj_bar, apoly), qk)
-            total = [t + p for t, p in zip(total, prod)]
-    # vector parts cancel pairwise for hyperhermitian A
-    for vec_part in total[1:]:
-        if any(abs(float(c)) > 1e-9 for c in vec_part.terms.values()):
-            raise ValueError("quadform value failed to be real; matrix not hyperhermitian?")
-    scalar = total[0]
-    m_real = 0.5 * np.array(
-        [[float(scalar.diff(i).diff(j).value(np.zeros(4 * n))) for j in range(4 * n)]
-         for i in range(4 * n)])
-    ctr = np.zeros(4 * n) if center_arr is None else center_arr
-    return QuadraticForm(n, scalar.terms, a_matrix, m_real, ctr, 0.0)
+    d = 4 * n
+    r = a_matrix.real_rep()
+    sym = r + r.T
+    terms = {}
+    for i in range(d):
+        for j in range(i, d):
+            c = r[i, i] if i == j else sym[i, j]
+            if c:
+                terms[_monomial(d, i, j)] = c
+    ctr = np.zeros(d) if center is None else np.asarray(center, dtype=float)
+    if center is not None:
+        lin, const = _centered_lower_terms(r, ctr.reshape(n, 4).tolist())
+        for m, c in enumerate(lin):
+            if c:
+                terms[_monomial(d, m)] = c
+        if const:
+            terms[_monomial(d)] = const
+    # + 0.0 turns the -0.0 of cancelled zero components into 0.0
+    return QuadraticForm(n, terms, a_matrix, 0.5 * sym.astype(float) + 0.0, ctr, 0.0)
 
 
 class InvShift(ScalarField):

@@ -174,6 +174,13 @@ def _tau_blocks(x):
     return np.ascontiguousarray(parts).view(complex).reshape(*lead, 2 * rows, 2 * cols)
 
 
+#: Left multiplication by a on the components of q: entry (i, m) of the
+#: 4x4 block is _REAL_SIGNS[i, m] * a[_REAL_PARTS[i, m]].
+_REAL_PARTS = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_REAL_SIGNS = np.array([[1, -1, -1, -1], [1, 1, -1, 1], [1, 1, 1, -1], [1, -1, 1, 1]],
+                       dtype=object)
+
+
 def tau(q):
     """Embed a quaternion as a 2x2 complex matrix (see module docstring)."""
     return _tau_blocks([[_coerce(q).components]])
@@ -262,6 +269,13 @@ class QMatrix:
     def tau(self):
         """Blockwise conjugate embedding: a 2*rows x 2*cols complex array."""
         return _tau_blocks([[q.components for q in row] for row in self._data])
+
+    def real_rep(self):
+        """The 4*rows x 4*cols real matrix of q -> A q on stacked components,
+        as an object array keeping the entries' type (exact stays exact)."""
+        x = np.array([[q.components for q in row] for row in self._data], dtype=object)
+        blocks = x[..., _REAL_PARTS] * _REAL_SIGNS      # (rows, cols, 4, 4)
+        return blocks.swapaxes(1, 2).reshape(4 * self.rows, 4 * self.cols)
 
     def __eq__(self, other):
         if not isinstance(other, QMatrix):

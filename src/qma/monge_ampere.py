@@ -13,7 +13,9 @@ top-degree density in the package (these two, the current densities
 T ^ beta^p and the boundary measure) is this one signed sum, a mixed
 Pfaffian: ``mixed_pfaffian`` evaluates it from a term table cached per
 (n, constant mask, factor-multiplicity pattern), with one gather and
-multiply per pair slot and one dot with the integer coefficients.
+multiply per pair slot and one dot with the integer coefficients.  A
+quadratic u has one delta matrix everywhere, so its density is a
+constant: the expansion then runs on one row and is broadcast.
 For twice-differentiable u the density agrees with n! times the Moore
 determinant of the hyperhermitian Hessian matrix
 
@@ -120,10 +122,19 @@ def mixed_pfaffian(n, factors, mask=0):
     pairs.  Passing one array several times (``[D] * n``) merges the
     assignments that only permute it, so the term count is
     (2m-1)!! * m! / prod_i k_i!.  Returns a complex (N,) array.
+
+    Constant factors (every one a stride-0 broadcast along the points, as
+    ``delta_matrices`` gives for a polynomial of degree <= 2) are expanded
+    at row 0 only, each distinct array sliced once so the term table stays
+    the same, and that value comes back as a read-only broadcast view.
     """
+    npts = len(factors[0])
+    if npts > 1 and all(f.strides[0] == 0 for f in factors):
+        rows = {}
+        row = mixed_pfaffian(n, [rows.setdefault(id(f), f[:1]) for f in factors], mask)
+        return np.broadcast_to(row, (npts,))
     labels = tuple(next(j for j, g in enumerate(factors) if g is f) for f in factors)
     coefs, slots = _term_table(n, mask, labels)
-    npts = len(factors[0])
     out = np.empty(npts, dtype=complex)
     step = max(1, _TERM_BUDGET // len(coefs))
     for lo in range(0, npts, step):

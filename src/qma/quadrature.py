@@ -136,9 +136,19 @@ def integrate_polynomial_sphere(poly, r=Fraction(1), center=None):
 # ---------------------------------------------------------------------------
 # tier 2: radial rules
 
+@functools.lru_cache(maxsize=8)
+def _leggauss(nodes):
+    """The Gauss-Legendre rule on [-1, 1], memoized per node count (a
+    level-set run asks for the same rule many times), read-only."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def gauss_legendre_panels(breaks, nodes_per_panel):
     """Gauss-Legendre nodes/weights on a sequence of panels."""
-    base_x, base_w = np.polynomial.legendre.leggauss(nodes_per_panel)
+    base_x, base_w = _leggauss(nodes_per_panel)
     xs, ws = [], []
     for a, b in zip(breaks[:-1], breaks[1:]):
         if b <= a:

@@ -18,10 +18,11 @@ from qma.cli import (
     parse_config,
     parse_field_expr,
     render_config,
+    run_command,
 )
 from qma.errors import ConfigError
 from qma.fields import InvShift, normsq, quadform
-from qma.hamilton import QMatrix, Quaternion
+from qma.hamilton import QMatrix, Quaternion, random_qmatrix, random_quaternion, tau
 
 PI2 = math.pi**2
 
@@ -359,6 +360,25 @@ def test_cmd_verify(tmp_path, capsys):
     assert "moore-matching-equivalence" in names
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_verify_quaternion_check_is_the_scalar_loop(seed):
+    # the batched check reports the bits of 200 scalar tau() checks and
+    # leaves the stream where they left it
+    rng = np.random.default_rng(seed)
+    dev = 0.0
+    for _ in range(200):
+        p, q = random_quaternion(rng), random_quaternion(rng)
+        dev = max(dev, float(np.abs(tau(p * q) - tau(p) @ tau(q)).max()))
+    matrix_dev = 0.0
+    for _ in range(20):
+        a, b = random_qmatrix(rng, 1), random_qmatrix(rng, 1)
+        matrix_dev = max(matrix_dev, float(np.abs((a @ b).tau() - a.tau() @ b.tau()).max()))
+    report = run_command(parse_config(f"[run]\ncommand = verify\nn = 1\nseed = {seed}\n"))
+    values = {row["check"]: row["value"] for row in report["rows"]}
+    assert values["embedding-multiplicative-quaternion"] == dev > 0.0
+    assert values["embedding-multiplicative-matrix"] == matrix_dev
+
+
 def test_cmd_ma(tmp_path):
     cfg = _write(tmp_path, "ma.ini", """\
         [run]
@@ -613,6 +633,21 @@ def test_exit_1_on_field_dimension_mismatch(tmp_path, capsys):
         assert _run(command, cfg, tmp_path / "out") == 1
         assert f"field '{name}' lives on H^2, run has n = 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def test_exit_1_on_more_cln_fields_than_n(tmp_path, capsys):
+    cfg = _write(tmp_path, "cln.ini", """\
+        [run]
+        command = cln
+        n = 1
+
+        [fields]
+        u = x0^2
+        w = normsq()
+        """)
+    assert _run("cln", cfg, tmp_path / "out") == 1
+    assert "cln takes at most n = 1 fields, got 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_1_on_non_finite_value(tmp_path, capsys):

@@ -26,7 +26,7 @@ from qma.fields import (
     normsq,
     quadform,
 )
-from qma.hamilton import QMatrix, Quaternion, QI
+from qma.hamilton import QMatrix, Quaternion, QI, random_hyperhermitian
 
 
 def rand_pts(rng, n, count, scale=1.5):
@@ -217,6 +217,97 @@ def test_quadform_matches_quaternion_arithmetic_exactly():
             acc = acc + y[j].conjugate() * a[j, k] * y[k]
     assert acc.components[1:] == (0, 0, 0)
     assert u.value(x) == acc.components[0]
+
+
+def _quaternion_coordinate_polys(n, j, center=None, conjugate=False):
+    """The quaternion q_j - a_j as a 4-tuple of coordinate polynomials."""
+    comps = []
+    for m in range(4):
+        p = Polynomial.coordinate(n, 4 * j + m)
+        if center is not None:
+            p = p + Polynomial.constant(n, -center[4 * j + m])
+        comps.append(p)
+    if conjugate:
+        comps = [comps[0], -comps[1], -comps[2], -comps[3]]
+    return comps
+
+
+def _qpoly_mul(a, b):
+    """Hamilton product of quaternions whose components are polynomials."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (
+        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+    )
+
+
+def _product_path_quadform(a_matrix, center=None):
+    """Oracle: (terms, m_real) of (q-a)^bar^T A (q-a) from quaternion
+    polynomial products, with M read back by exact differentiation."""
+    n = a_matrix.rows
+    center_arr = None if center is None else np.asarray(center, dtype=float)
+    total = [Polynomial(n)] * 4
+    for j in range(n):
+        qj_bar = _quaternion_coordinate_polys(n, j, center_arr, conjugate=True)
+        for k in range(n):
+            a = a_matrix[j, k]
+            if not a:
+                continue
+            qk = _quaternion_coordinate_polys(n, k, center_arr)
+            apoly = tuple(Polynomial.constant(n, comp) for comp in a.components)
+            prod = _qpoly_mul(_qpoly_mul(qj_bar, apoly), qk)
+            total = [t + p for t, p in zip(total, prod)]
+    for vec_part in total[1:]:
+        assert all(abs(float(c)) <= 1e-9 for c in vec_part.terms.values())
+    scalar = total[0]
+    m_real = 0.5 * np.array(
+        [[float(scalar.diff(i).diff(j).value(np.zeros(4 * n))) for j in range(4 * n)]
+         for i in range(4 * n)])
+    return scalar.terms, m_real
+
+
+def _assert_same_bits(u, terms, m_real):
+    assert set(u.terms) == set(terms)
+    for e, c in terms.items():
+        assert np.float64(u.terms[e]).tobytes() == np.float64(c).tobytes()
+    assert u.m_real.tobytes() == m_real.tobytes()
+
+
+@pytest.mark.parametrize("n,seeds", [(1, range(40)), (2, range(20)), (3, range(2))])
+def test_quadform_float_terms_equal_the_product_path_bitwise(n, seeds):
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        a = random_hyperhermitian(rng, n)
+        center = rng.standard_normal(4 * n)
+        center[::3] = 0.0
+        for c in (None, center):
+            u = quadform(a, center=c)
+            _assert_same_bits(u, *_product_path_quadform(a, c))
+
+
+def test_quadform_with_zero_components_equals_the_product_path_bitwise():
+    # zero components leave signed zeros in R + R^T; M must hold +0.0 there
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(4)
+    a = QMatrix([[Quaternion(x[0]), Quaternion(x[1], 0.0, x[2], 0.0)],
+                 [Quaternion(x[1], -0.0, -x[2], -0.0), Quaternion(x[3])]])
+    for c in (None, rng.standard_normal(8)):
+        _assert_same_bits(quadform(a, center=c), *_product_path_quadform(a, c))
+
+
+def test_quadform_centered_exact_terms_equal_the_product_path():
+    # dyadic entries and center: every product path coefficient is exact
+    q = Quaternion(Fraction(1, 2), Fraction(-3, 4), Fraction(1, 8), Fraction(2))
+    a = QMatrix([[Quaternion(Fraction(5, 2)), q], [q.conjugate(), Quaternion(3)]])
+    center = [0.5, -1.0, 0.0, 2.0, -0.25, 0.75, 1.5, -3.0]
+    u = quadform(a, center=center)
+    terms, m_real = _product_path_quadform(a, center)
+    assert u.terms == terms
+    assert u.m_real.tobytes() == m_real.tobytes()
+    assert u.value([Fraction(c) for c in center]) == 0
 
 
 def test_quadform_rejects_non_hyperhermitian():

@@ -16,7 +16,8 @@ from qma.calculus import delta_matrices, nabla_matrices
 from qma.currents import RegularizedCurrent
 from qma.exterior import beta, perm_sign, random_strongly_positive
 from qma.fields import Polynomial, normsq
-from qma.monge_ampere import ma_density, mixed_ma, perfect_matchings
+from qma.monge_ampere import (_term_table, ma_density, mixed_ma, mixed_pfaffian,
+                               perfect_matchings)
 from qma.potential import boundary_measure_density
 
 
@@ -116,3 +117,40 @@ def test_boundary_density_matches_pair_sum(case, seed):
     np.testing.assert_allclose(boundary_measure_density(phi, pts), np.real(want),
                                rtol=1e-12, atol=1e-12 * scale)
 
+
+@st.composite
+def _broadcast_factors(draw):
+    """(n, factors, mask): m <= n random antisymmetric complex matrices,
+    each broadcast along N >= 2 points (stride 0), with repeated and
+    distinct labels, and a constant of degree 2(n - m) on the mask."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    m = draw(st.integers(1, n))
+    fixed = draw(st.sets(st.integers(0, 2 * n - 1), min_size=2 * (n - m),
+                         max_size=2 * (n - m)))
+    labels = draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+    npts = draw(st.integers(2, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mats = {}
+    for label in labels:
+        if label not in mats:
+            g = rng.standard_normal((2 * n, 2 * n, 2)) @ np.array([1.0, 1j])
+            mats[label] = np.broadcast_to(g - g.T, (npts, 2 * n, 2 * n))
+    return n, [mats[label] for label in labels], sum(1 << i for i in fixed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_broadcast_factors())
+def test_constant_factors_equal_the_materialized_batch(case):
+    n, factors, mask = case
+    got = mixed_pfaffian(n, factors, mask)
+    assert got.strides[0] == 0
+    assert (got == got[0]).all()
+    copies = {id(f): np.array(f) for f in factors}
+    want = mixed_pfaffian(n, [copies[id(f)] for f in factors], mask)
+    # one row sums the terms in another order than the batched product: at
+    # most 4 ulps of the sum of the terms' magnitudes
+    labels = tuple(next(j for j, g in enumerate(factors) if g is f) for f in factors)
+    coefs, slots = _term_table(n, mask, labels)
+    size = np.abs(coefs) @ np.prod([np.abs(factors[label][0, a, b])
+                                    for label, a, b in slots], axis=0)
+    assert (np.abs(got - want) <= 4 * np.spacing(size)).all()

@@ -115,6 +115,21 @@ def test_gauss_legendre_panels_skips_empty():
         gauss_legendre_panels([1.0, 1.0], 3)
 
 
+@pytest.mark.parametrize("nodes", [1, 8, 24, 64])
+def test_gauss_legendre_base_rule_is_cached_read_only(nodes):
+    x, w = quadrature._leggauss(nodes)
+    assert quadrature._leggauss(nodes)[0] is x
+    want_x, want_w = np.polynomial.legendre.leggauss(nodes)
+    assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    # the panels are new arrays, not views of the cached rule
+    t, _ = gauss_legendre_panels([-1.0, 1.0], nodes)
+    t[0] = 0.0
+    assert np.array_equal(quadrature._leggauss(nodes)[0], want_x)
+
+
 def test_graded_breaks():
     with pytest.raises(QuadratureError):
         graded_breaks(0.0)
