@@ -34,8 +34,7 @@ from .calculus import (CxField, nabla, nabla_matrices, nabla_value, z_field,
                        real_rep, pullback_potential, change_of_variables_check)
 from .monge_ampere import (ma_density, mixed_ma, psh_test, PshResult,
                            moore_equivalence_residual, fundamental_ma_density,
-                           fundamental_delta_matrices, fundamental_mass_exact,
-                           fundamental_mass_limit_coefficient)
+                           fundamental_mass_exact, fundamental_mass_limit_coefficient)
 from .quadrature import (integrate_polynomial_ball, integrate_polynomial_sphere,
                          ball_moment_coefficient, sphere_moment_coefficient,
                          sphere_area, sobol_sphere, radial_ball_integral,

@@ -28,6 +28,7 @@ polynomial inputs stay exact through every operator.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 
@@ -35,8 +36,8 @@ import numpy as np
 
 from .errors import DimensionError
 from .exterior import ExtElement, RationalComplex, mask_to_indices, wedge_sign
-from .fields import (LinearSubstitution, Polynomial, ScalarField, field_scale,
-                     field_sum)
+from .fields import (InvShift, LinearSubstitution, Polynomial, ScalarField,
+                     field_scale, field_sum)
 from .hamilton import QMatrix
 
 
@@ -220,18 +221,26 @@ def delta_matrix(u, x):
 
 
 def delta_matrices(u, pts):
-    """Batched delta matrices: (N, 2n, 2n) complex from one Hessian sweep.
+    """Batched delta matrices: (N, 2n, 2n) complex.
 
-    The nabla operators have constant coefficients, so a Polynomial of
-    degree <= 2 (a QuadraticForm among them) has one delta matrix
-    everywhere: its Hessian is read at pts[0] only and the matrix comes back
-    as a read-only broadcast view.  Every row equals what a full sweep gives,
-    since the walk of a constant second partial reads no coordinate and
-    delta_from_hessians computes each row on its own.
+    Routes, by the field's structure:
+
+    * a Polynomial of degree <= 2 (a QuadraticForm among them) has one
+      delta matrix everywhere, since the nabla operators have constant
+      coefficients: its Hessian is read at pts[0] only and the matrix comes
+      back as a read-only broadcast view.  Every row equals what a full
+      sweep gives, since the walk of a constant second partial reads no
+      coordinate and delta_from_hessians computes each row on its own;
+    * an InvShift gathers its distinct Hessian entries
+      (``_invshift_delta_matrices``), with no (N, 4n, 4n) tensor and the
+      sweep's bits;
+    * every other field is ``delta_from_hessians`` of one Hessian sweep.
     """
     if isinstance(u, Polynomial) and u.degree() <= 2 and len(pts):
         one = delta_from_hessians(u.n, u.hessians(pts[:1]))[0]
         return np.broadcast_to(one, (len(pts), *one.shape))
+    if isinstance(u, InvShift):
+        return _invshift_delta_matrices(u, pts)
     return delta_from_hessians(u.n, u.hessians(pts))
 
 
@@ -286,6 +295,80 @@ def delta_from_hessians(n, hess):
     parts += 0.0
     a = parts.view(complex).reshape(len(hess), 2 * n, 2 * n)
     return 0.5 * (a - np.swapaxes(a, 1, 2))
+
+
+@lru_cache(maxsize=None)
+def _pair_tables(n):
+    """(pairs, spread): the gather of ``_delta_gather`` on a Hessian given
+    by its distinct entries H[m, k], m <= k, negated.
+
+    Row r of ``pairs`` belongs to the r-th pair m <= k of range(4n) in
+    lexicographic order; columns 4c + 2 side + part hold that part of
+    a[i, j] (side 0) and of a[j, i] (side 1) for the c-th pair i < j of
+    range(2n): the gather's signs, negated, with (m, k) and (k, m) merged.
+    ``spread`` maps those columns to the flattened (2n, 2n) complex matrix
+    a - a^T: a[i, j] - a[j, i] at (i, j) and its negative at (j, i).  A
+    column of either table has at most two nonzero entries, each +-1 or
+    +-2, so a product with it is one correctly rounded two-term sum, in
+    whatever order the matrix product adds: the sums of
+    ``delta_from_hessians``.
+    """
+    idx, sgn = _delta_gather(n)
+    d = 4 * n
+    row = {mk: r for r, mk in enumerate(itertools.combinations_with_replacement(range(d), 2))}
+    upper = list(itertools.combinations(range(2 * n), 2))
+    pairs = np.zeros((len(row), 4 * len(upper)))
+    spread = np.zeros((4 * len(upper), 8 * n * n))
+    for c, (i, j) in enumerate(upper):
+        for part in (0, 1):
+            for side, entry in enumerate((2 * n * i + j, 2 * n * j + i)):
+                col = 4 * c + 2 * side + part
+                for t in (0, 1):
+                    m, k = divmod(int(idx[t, 2 * entry + part]), d)
+                    pairs[row[min(m, k), max(m, k)], col] -= sgn[t, 2 * entry + part]
+                spread[col, 2 * (2 * n * i + j) + part] = 1 - 2 * side
+                spread[col, 2 * (2 * n * j + i) + part] = 2 * side - 1
+    pairs.setflags(write=False)
+    spread.setflags(write=False)
+    return pairs, spread
+
+
+def _invshift_delta_matrices(u, pts):
+    """Delta matrices of u = -1/(|y|^2 + eps), y = x - center, from the
+    4n(4n+1)/2 distinct Hessian entries instead of the (N, 4n, 4n) tensor.
+
+    ``InvShift.hessians`` gives H[m, k] = 2 delta_mk / s^2 - 8 y_m y_k / s^3,
+    s = eps + |y|^2.  Its negative is computed here with the same
+    operations, 8 y_m y_k / s^3 less 2 / s^2 on the diagonal, and
+    ``_pair_tables`` gathers it as ``delta_from_hessians`` does, halving
+    a - a^T last, so the result has the Hessian path's bits, subnormal ones
+    included; a zero may differ in its sign.
+    Rows where s^3 is zero, subnormal or not finite (a node on the pole, a
+    far point) take the Hessian path: there an entry of the tensor can be
+    non-finite, and a matrix product would spread it over the whole row.
+    """
+    n, d = u.n, u.dim
+    pts = np.asarray(pts, dtype=float)
+    y, s = u._shifted(pts)
+    alpha, s3 = 2.0 / s ** 2, s ** 3
+    pairs, spread = _pair_tables(n)
+    yt = y.T.copy()
+    neg = np.empty((len(pairs), len(pts)))
+    r = 0
+    for m in range(d):
+        block = neg[r:r + d - m]  # the pairs (m, k), k >= m
+        np.multiply(yt[m], yt[m:], out=block)
+        block *= 8.0
+        block /= s3
+        block[0] -= alpha
+        r += d - m
+    out = (neg.T @ pairs) @ spread
+    out *= 0.5
+    out = out.view(complex).reshape(len(pts), 2 * n, 2 * n)
+    bad = ~(np.isfinite(s3) & (s3 >= np.finfo(float).tiny))
+    if bad.any():
+        out[bad] = delta_from_hessians(n, u.hessians(pts[bad]))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,10 @@ An INI-like text format with ``#`` comments and six known sections:
 ``[fields]`` (<name> = <field expression>), ``[quadrature]``, ``[params]``
 and ``[tolerances]``.  Unknown sections or keys, keys the command does not
 read, negative tolerances, ``[quadrature]`` counts below 1 (below 32 for
-``fundamental``'s ``radial_nodes``), a negative ``trials`` and, for ``ma``
-and ``fundamental``, a ball radius ``r <= 0`` are rejected with the
+``fundamental``'s ``radial_nodes``), a negative ``trials``, for ``ma``
+and ``fundamental`` a ball radius ``r <= 0``, a ``lelong`` ``center``
+without 4n components, a ``fundamental`` ``eps <= 0`` and a ``cln``
+``inner_radius`` above its ``outer_radius`` are rejected with the
 offending line number (``jensen`` and ``boundary`` read ``r`` as a level,
 which may be negative).  Unset ``[quadrature]`` keys take the library's
 defaults.
@@ -232,10 +234,8 @@ def parse_config(text):
     if params.get("trials", 0) < 0:
         raise ConfigError(f"line {raw['params']['trials'][0]}: 'trials' must not be "
                           f"negative")
-    # ma and fundamental read r as a ball radius, jensen and boundary as a level
-    if run["command"] in ("ma", "fundamental") and params.get("r", 1) <= 0:
-        raise ConfigError(f"line {raw['params']['r'][0]}: ball radius must be "
-                          f"positive, got {params['r']!r}")
+    _check_values(run["command"], run.get("n", 1), params,
+                  {k: ln for k, (ln, _) in raw["params"].items()})
     for section in ("fields", "quadrature", "params", "tolerances"):
         known = getattr(reads, section)
         for key, (lineno, _) in raw[section].items():
@@ -254,6 +254,30 @@ def parse_config(text):
         output_dir=out.get("dir", "."),
         output_format=fmt,
     )
+
+
+def _check_values(command, n, params, lines):
+    """The [params] checks that need the command: each names its line."""
+    # ma and fundamental read r as a ball radius, jensen and boundary as a level
+    if command in ("ma", "fundamental") and params.get("r", 1) <= 0:
+        raise ConfigError(f"line {lines['r']}: ball radius must be positive, "
+                          f"got {params['r']!r}")
+    center = params.get("center")
+    if command == "lelong" and center and len(center) != 4 * n:
+        raise ConfigError(f"line {lines['center']}: center needs {4 * n} components, "
+                          f"got {len(center)}")
+    if command == "fundamental":
+        for eps in params.get("eps", ()):
+            if eps <= 0:
+                raise ConfigError(f"line {lines['eps']}: fundamental needs strictly "
+                                  f"positive eps values, got {eps!r}")
+    if command == "cln":
+        radii = {**_COMMANDS["cln"].params, **params}
+        if radii["inner_radius"] > radii["outer_radius"]:
+            key = "inner_radius" if "inner_radius" in params else "outer_radius"
+            raise ConfigError(f"line {lines[key]}: inner_radius "
+                              f"{radii['inner_radius']!r} must not exceed outer_radius "
+                              f"{radii['outer_radius']!r}")
 
 
 def _render_value(v):
@@ -753,8 +777,6 @@ def _cmd_fundamental(cfg, params, tol):
 
     rows = []
     for eps in params["eps"]:
-        if eps <= 0:
-            raise ConfigError("fundamental needs strictly positive eps values")
         dens = lambda rho: coeff * eps / (rho ** 2 + eps) ** (2 * n + 1)
         mass_quad = radial_ball_integral(n, dens, r, peak_scale=eps, nodes=nodes)
         mass_exact = float(fundamental_mass_exact(n, eps, r)) * math.pi ** (2 * n)
@@ -772,8 +794,6 @@ def _cmd_lelong(cfg, params, tol):
     n = cfg.n
     u = _parsed_fields(cfg)["u"]
     center = params["center"] or [0.0] * 4 * n
-    if len(center) != 4 * n:
-        raise ConfigError(f"center needs {4 * n} components")
 
     current = RegularizedCurrent.from_laplace(u)
     profile, nu = lelong_number(current, np.asarray(center), params["radii"],
@@ -851,8 +871,6 @@ def _cmd_cln(cfg, params, tol):
     if len(fields) > n:
         raise ConfigError(f"cln takes at most n = {n} fields, got {len(fields)}")
     inner, outer = params["inner_radius"], params["outer_radius"]
-    if inner > outer:
-        raise ConfigError("inner_radius must not exceed outer_radius")
 
     def one_ratio(potentials, seed):
         ratio = cln_ratio(potentials, inner, outer, seed=seed, **cfg.quadrature)

@@ -129,14 +129,21 @@ def _zero_exponent(n):
 
 def _walk(table, x):
     """Sum the table's terms at x from 0 in order, each power by repeated
-    multiplication; x[axis] is a scalar or a column of points."""
+    multiplication; x[axis] is a scalar or a column of points.  A power
+    that several terms share is built once per walk, by the same
+    multiplications, so sharing it changes no bit."""
     acc = 0
+    powers = {}
     for c, factors in table:
         term = c
-        for m, k in factors:
-            xm = p = x[m]
-            for _ in range(k - 1):
-                p = p * xm
+        for mk in factors:
+            p = powers.get(mk)
+            if p is None:
+                m, k = mk
+                xm = p = x[m]
+                for _ in range(k - 1):
+                    p = p * xm
+                powers[mk] = p
             term = term * p
         acc = acc + term
     return acc
@@ -150,7 +157,7 @@ class Polynomial(ScalarField):
     equality is structural.
     """
 
-    __slots__ = ("n", "terms", "_tables", "_diff_cache")
+    __slots__ = ("n", "terms", "_tables", "_diff_cache", "_hessian_plan")
 
     def __init__(self, n, terms=None):
         self.n = n
@@ -168,6 +175,7 @@ class Polynomial(ScalarField):
             self.terms = {e: c for e, c in self.terms.items() if c}
         self._tables = None
         self._diff_cache = {}
+        self._hessian_plan = None
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -300,15 +308,35 @@ class Polynomial(ScalarField):
     def gradients(self, pts):
         return np.stack([self.diff(m).values(pts) for m in range(self.dim)], axis=1)
 
+    def _plan(self):
+        """(template, varying): the float Hessian with every constant second
+        partial filled in, zeros included, and (i, j, partial) for the
+        second partials that read a coordinate, i <= j.  A constant
+        partial's walk is 0 + c, which is c, so the template holds the bits
+        a walk would give."""
+        if self._hessian_plan is None:
+            d = self.dim
+            zero = _zero_exponent(self.n)
+            template = np.zeros((d, d))
+            varying = []
+            for i in range(d):
+                di = self.diff(i)
+                for j in range(i, d):
+                    dij = di.diff(j)
+                    if dij.degree():
+                        varying.append((i, j, dij))
+                    else:
+                        template[i, j] = template[j, i] = float(dij.terms.get(zero, 0))
+            template.setflags(write=False)
+            self._hessian_plan = (template, tuple(varying))
+        return self._hessian_plan
+
     def hessians(self, pts):
-        d = self.dim
         pts = np.asarray(pts, dtype=float)
-        out = np.empty((len(pts), d, d))
-        for i in range(d):
-            di = self.diff(i)
-            for j in range(i, d):
-                vals = di.diff(j).values(pts)
-                out[:, i, j] = out[:, j, i] = vals
+        template, varying = self._plan()
+        out = np.repeat(template[None], len(pts), axis=0)
+        for i, j, dij in varying:
+            out[:, i, j] = out[:, j, i] = dij.values(pts)
         return out
 
 

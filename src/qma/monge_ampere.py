@@ -26,7 +26,7 @@ determinants, mixed discriminants, eigenvalues of the complex embedding)
 and the differential-form picture.
 
 The family u_eps = -1/(|q|^2 + eps) has closed-form references implemented
-at the bottom: its delta matrix, its density 8^n n! eps / (|q|^2+eps)^(2n+1),
+at the bottom: its density 8^n n! eps / (|q|^2+eps)^(2n+1),
 the exact ball mass as a rational multiple of pi^(2n), and the eps -> 0
 limit 8^n n! pi^(2n) / (2n)! concentrating at the origin.
 """
@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericalInconsistencyError
 from .calculus import delta_matrices
-from .hamilton import MAX_MATRIX_DIM, QMatrix, Quaternion, _tau_blocks, jmatrix, moore_det
+from .hamilton import MAX_MATRIX_DIM, QMatrix, Quaternion, _tau_blocks, moore_det
 from .exterior import perm_sign
 
 
@@ -273,23 +273,6 @@ def psh_test(u, pts, tol=1e-9):
 
 # ---------------------------------------------------------------------------
 # closed-form references for u_eps = -1/(|q|^2 + eps)
-
-def fundamental_delta_matrices(n, eps, pts):
-    """Delta matrices of -1/(|q|^2+eps) in closed form: (N, 2n, 2n)."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    s = eps + np.einsum("bi,bi->b", pts, pts)
-    # complex coordinate columns
-    z0 = np.empty((len(pts), 2 * n), dtype=complex)
-    z1 = np.empty((len(pts), 2 * n), dtype=complex)
-    for l in range(n):
-        x0, x1, x2, x3 = (pts[:, 4 * l + m] for m in range(4))
-        z0[:, 2 * l] = x0 - 1j * x1
-        z1[:, 2 * l] = -x2 + 1j * x3
-        z0[:, 2 * l + 1] = x2 + 1j * x3
-        z1[:, 2 * l + 1] = x0 + 1j * x1
-    m = np.einsum("bi,bj->bij", z0, z1) - np.einsum("bi,bj->bij", z1, z0)
-    return (-4.0 / s[:, None, None] ** 3) * (np.conj(m) - s[:, None, None] * jmatrix(n)[None])
-
 
 def fundamental_ma_density(n, eps, pts):
     """Density of the regularized fundamental family, in closed form:

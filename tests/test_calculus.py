@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qma.calculus import (
     CxField,
@@ -28,7 +28,7 @@ from qma.calculus import (
 )
 from qma.errors import DimensionError
 from qma.exterior import ExtElement, RationalComplex, beta
-from qma.fields import Polynomial, invshift, normsq, quadform
+from qma.fields import InvShift, Polynomial, invshift, normsq, quadform
 from qma.hamilton import QMatrix, Quaternion, jmatrix, random_quaternion
 
 
@@ -316,14 +316,57 @@ def test_quadratic_delta_matrices_read_one_hessian_row(monkeypatch, u):
     assert np.ascontiguousarray(got).tobytes() == sweep.tobytes()
 
 
-@pytest.mark.parametrize("u", [Polynomial.coordinate(2, 0) ** 3 + normsq(2), invshift(2, 0.1)],
+@pytest.mark.parametrize("u, read", [(Polynomial.coordinate(2, 0) ** 3 + normsq(2), [9]),
+                                     (invshift(2, 0.1), [])],
                          ids=["cubic", "invshift"])
-def test_other_delta_matrices_take_the_full_sweep(monkeypatch, u):
+def test_other_delta_matrices_take_the_full_sweep(monkeypatch, u, read):
+    # a cubic reads every Hessian row; an InvShift gathers its distinct
+    # Hessian entries and reads no row on finite points
     pts = np.random.default_rng(15).standard_normal((9, 8))
     rows = _record_hessian_rows(monkeypatch, type(u))
     got = delta_matrices(u, pts)
-    assert rows == [9]
+    assert rows == read
     assert got.flags.writeable
+
+
+@st.composite
+def _invshift_points(draw):
+    """An InvShift over H^n (n in {1, 2, 3}, eps >= 0, 0 included, any
+    center) and 1 to 6 points: on the center, near it, or anywhere in the
+    float range, inf and NaN coordinates included."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    d = 4 * n
+    eps = draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=10.0)))
+    small = st.floats(min_value=-4.0, max_value=4.0)
+    center = np.array(draw(st.lists(small, min_size=d, max_size=d)))
+    coord = st.one_of(small, st.floats(allow_nan=True, allow_infinity=True))
+    point = st.one_of(
+        st.just(center),
+        st.lists(st.floats(-1e-3, 1e-3), min_size=d, max_size=d).map(lambda v: center + v),
+        st.lists(coord, min_size=d, max_size=d).map(np.array))
+    pts = np.array(draw(st.lists(point, min_size=1, max_size=6)))
+    return InvShift(n, eps, center), pts
+
+
+@settings(max_examples=200)
+@given(_invshift_points())
+@example((InvShift(2), np.zeros((2, 8))))
+@example((InvShift(1, 0.0, np.ones(4)), np.array([[1.0, 1.0, 1.0, 1.0], [1e60, 0.0, 1.0, 1.0],
+                                                  [1.0, 1.0 + 1e-120, 1.0, 1.0]])))
+@example((InvShift(2, 0.5), np.array([[-0.5, -1e-17, 0.0, 0.5, 2.0, 0.0, 7.0, -2.0],
+                                      [3.0, 0.0, 1.0, 1.0, 2.0, 1.0, 0.0, 1.0]])))
+@example((InvShift(2, 3.0), 1e-160 * np.array([[1.3, -0.7, 2.1, 0.4, -1.9, 0.8, 1.1, -0.3]])))
+def test_invshift_delta_matrices_equal_the_hessian_path(case):
+    # the distinct-entry gather has the full sweep's values, subnormal ones
+    # included: every exact zero (imaginary parts too) and every non-finite
+    # entry of a row on the pole or too far out for s^3 falls where the
+    # sweep puts it
+    u, pts = case
+    with np.errstate(all="ignore"):
+        got = delta_matrices(u, pts)
+        want = delta_from_hessians(u.n, u.hessians(pts))
+    assert got.shape == want.shape == (len(pts), 2 * u.n, 2 * u.n)
+    assert np.array_equal(got.view(float), want.view(float), equal_nan=True)
 
 
 @pytest.mark.parametrize("u", [normsq(2), Polynomial.coordinate(2, 3) ** 2,

@@ -622,6 +622,24 @@ def test_exit_1_on_negative_ball_radius(tmp_path, capsys, command, fields, param
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, fields, params, message", [
+    ("lelong", "u = normsq()", "center = 0, 0", "line 9: center needs 4 components, got 2"),
+    ("fundamental", "", "eps = 0.1, -0.1",
+     "line 9: fundamental needs strictly positive eps values, got -0.1"),
+    ("cln", "u = normsq()", "inner_radius = 2.0",
+     "line 9: inner_radius 2.0 must not exceed outer_radius 1.0"),
+], ids=["lelong-center", "fundamental-eps", "cln-radii"])
+def test_exit_1_on_param_value_names_its_line(tmp_path, capsys, command, fields, params,
+                                              message):
+    # checked while parsing, before any field is parsed or evaluated
+    cfg = tmp_path / f"{command}.ini"
+    cfg.write_text(f"[run]\ncommand = {command}\nn = 1\n\n[fields]\n{fields}\n"
+                   f"\n[params]\n{params}\n")
+    assert _run(command, cfg, tmp_path / "out") == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_1_on_field_dimension_mismatch(tmp_path, capsys):
     for command, name, fields in (("ma", "u", "u = quadform([1, 0; 0, 1])"),
                                   ("jensen", "phi", "phi = quadform([1, 0; 0, 1])\nv = x0"),

@@ -170,6 +170,61 @@ def test_polynomial_one_walk_matches_reference_evaluators(case):
         assert p.value(exact) == _dict_walk(p, exact)
 
 
+def _walk_per_term(table, x):
+    """The walk before shared powers: every power rebuilt for every term."""
+    acc = 0
+    for c, factors in table:
+        term = c
+        for m, k in factors:
+            xm = p = x[m]
+            for _ in range(k - 1):
+                p = p * xm
+            term = term * p
+        acc = acc + term
+    return acc
+
+
+def test_walk_shares_powers_without_changing_bits():
+    x = [Polynomial.coordinate(2, m) for m in range(8)]
+    p = (x[0] + 2 * x[1] - x[3] + Fraction(1, 3)) ** 6 + x[5] ** 3 * x[2]
+    assert len(p.terms) == 85
+    pts = rand_pts(np.random.default_rng(21), 2, 500)
+    want = np.zeros(len(pts)) + _walk_per_term(p._table(False), pts.T)
+    assert p.values(pts).tobytes() == want.tobytes()
+    for pt in pts[:20]:
+        assert _bits(p.value(pt)) == _bits(_walk_per_term(p._table(False), pt.tolist()))
+        exact = [Fraction(c) for c in pt]
+        assert p.value(exact) == _walk_per_term(p._table(True), exact)
+
+
+def _hessians_by_partials(p, pts):
+    """Reference: every second partial walked at every call."""
+    d = p.dim
+    out = np.empty((len(pts), d, d))
+    for i in range(d):
+        for j in range(i, d):
+            out[:, i, j] = out[:, j, i] = p.diff(i).diff(j).values(pts)
+    return out
+
+
+@settings(max_examples=150)
+@given(_polynomials_and_points())
+@example((Polynomial(2), np.full((3, 8), -0.0)))
+@example((Polynomial.constant(1, Fraction(-7, 3)), np.full((2, 4), 0.5)))
+@example((3 * Polynomial.coordinate(1, 2) - Fraction(1, 7), np.array([[1.0, -2.0, 0.5, 3.0]])))
+@example((Polynomial(1, {(3, 0, 1, 0): 0.1, (0, 2, 0, 0): -2.5, (1, 1, 0, 0): 1e-3}),
+          np.array([[0.3, -0.0, 2.0, 1.0], [np.inf, 1.0, np.nan, -4.0]])))
+def test_polynomial_hessians_equal_the_per_partial_walk(case):
+    # the cached plan fills constant partials from its template and walks
+    # the others: the bytes of walking all of them, signed zeros and the
+    # non-finite entries of a non-finite point included
+    p, pts = case
+    want = _hessians_by_partials(p, pts)
+    assert p.hessians(pts).tobytes() == want.tobytes()
+    assert p.hessians(pts).tobytes() == want.tobytes()  # the plan is reused intact
+    assert p.hessians(pts[:0]).shape == (0, p.dim, p.dim)
+
+
 # ---------------------------------------------------------------------------
 # normsq / quadform
 
@@ -558,8 +613,10 @@ def _pointwise_oracle(u, x):
         _, g, h = _pointwise_oracle(u.parent, x)
         return float(g[u.axis]), h[u.axis].copy(), u.hessian(x)
     if isinstance(u, QuadraticForm):
-        # the value by Polynomial's walk over the exact terms, not the einsum
-        return (Polynomial.value(u, x), 2.0 * u.m_real @ (x - u.center),
+        # the matrix form at one point, not the batched einsum; the walk
+        # over the expanded terms leaves about 1e-15 where y = 0
+        y = x - u.center
+        return (float(y @ u.m_real @ y) + u.const, 2.0 * u.m_real @ y,
                 2.0 * u.m_real.copy())
     assert type(u) is Polynomial
     return u.value(x), u.gradient(x), u.hessian(x)

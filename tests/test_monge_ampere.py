@@ -13,13 +13,13 @@ from qma.fields import ClosedForm, InvShift, Polynomial, invshift, normsq, quadf
 from qma.hamilton import (
     QMatrix,
     Quaternion,
+    jmatrix,
     mixed_discriminant,
     moore_det,
     random_hyperhermitian,
 )
 from qma.monge_ampere import (
     ball_volume_coefficient,
-    fundamental_delta_matrices,
     fundamental_ma_density,
     fundamental_mass_exact,
     fundamental_mass_limit_coefficient,
@@ -32,7 +32,7 @@ from qma.monge_ampere import (
     sphere_area_coefficient,
     tau_hessians,
 )
-from qma.calculus import delta_matrices, delta_matrix
+from qma.calculus import delta_from_hessians, delta_matrices, delta_matrix
 
 
 def psh_quadratic(rng, n):
@@ -279,14 +279,34 @@ def test_hessian_bridge_equals_the_per_point_read_off(case, seed):
 # the fundamental family
 
 
+def _fundamental_delta_matrices(n, eps, pts):
+    """Delta matrices of -1/(|q|^2+eps) in closed form: (N, 2n, 2n), from
+    the complex coordinate columns.  Its imaginary parts are rounding noise
+    amplified by 1/s^3 near the pole, so it serves as an oracle only."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    s = eps + np.einsum("bi,bi->b", pts, pts)
+    z0 = np.empty((len(pts), 2 * n), dtype=complex)
+    z1 = np.empty((len(pts), 2 * n), dtype=complex)
+    for l in range(n):
+        x0, x1, x2, x3 = (pts[:, 4 * l + m] for m in range(4))
+        z0[:, 2 * l] = x0 - 1j * x1
+        z1[:, 2 * l] = -x2 + 1j * x3
+        z0[:, 2 * l + 1] = x2 + 1j * x3
+        z1[:, 2 * l + 1] = x0 + 1j * x1
+    m = np.einsum("bi,bj->bij", z0, z1) - np.einsum("bi,bj->bij", z1, z0)
+    return (-4.0 / s[:, None, None] ** 3) * (np.conj(m) - s[:, None, None] * jmatrix(n)[None])
+
+
 @pytest.mark.parametrize("n,eps", [(1, 1.0), (1, 0.01), (2, 0.5)])
 def test_fundamental_delta_matrices_closed_form(n, eps):
     rng = np.random.default_rng(13)
     pts = rng.standard_normal((8, 4 * n))
     u = InvShift(n, eps)
-    np.testing.assert_allclose(
-        fundamental_delta_matrices(n, eps, pts), delta_matrices(u, pts), atol=1e-12
-    )
+    got = delta_matrices(u, pts)
+    np.testing.assert_allclose(got, _fundamental_delta_matrices(n, eps, pts),
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(got, delta_from_hessians(n, u.hessians(pts)),
+                               rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("n,eps", [(1, 1.0), (1, 1e-2), (2, 1e-2)])
