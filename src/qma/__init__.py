@@ -28,7 +28,7 @@ from .fields import (ScalarField, Polynomial, QuadraticForm, ClosedForm,
                      BlackBox, DerivedField, LinearSubstitution, ChainField,
                      GridField, InvShift, field_sum, field_scale, field_product,
                      normsq, quadform, invshift)
-from .calculus import (CxField, nabla, nabla_matrices, nabla_value, z_field,
+from .calculus import (CxField, nabla, nabla_matrices, z_field,
                        delta_field, delta_matrix, delta_matrices, laplace,
                        d_scalar, FormField, closedness_residual, is_closed,
                        real_rep, pullback_potential, change_of_variables_check)
@@ -46,10 +46,9 @@ from .currents import (RegularizedCurrent, wedge_top_density, bt_product,
                        bump_field, stokes_check, integration_by_parts_residual,
                        positivity_pairing_min, mollify, mollifier_weights,
                        kernel_second_moment, convergence_suite, ConvergenceReport)
-from .potential import (NormalFrame, normal_frame, boundary_measure_density,
-                        SurfaceResult, surface_integral, sublevel_integral,
-                        JensenReport, lelong_jensen, boundary_mass_residual,
-                        smooth_max_family)
+from .potential import (boundary_measure_density, SurfaceResult, surface_integral,
+                        sublevel_integral, JensenReport, lelong_jensen,
+                        boundary_mass_residual, smooth_max_family)
 
 __version__ = "0.1.0"
 

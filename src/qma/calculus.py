@@ -19,8 +19,9 @@ built from them:
 * ``FormField``             forms with field coefficients, with wedge and
   the two exterior-type differentials d0/d1 (both square to zero);
 * ``delta_matrix(u, x)``    the 2n x 2n antisymmetric matrix of
-  delta_{ij} u(x): row 0 of the batched ``delta_from_hessians``, which
-  reads each entry off the real Hessian with an exact two-term gather.
+  delta_{ij} u(x): row 0 of the batched ``delta_matrices``, whose
+  ``delta_from_hessians`` reads each entry off the real Hessian with an
+  exact two-term gather.
 
 Complex-valued fields are pairs of real fields (``CxField``), so exact
 polynomial inputs stay exact through every operator.
@@ -35,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionError
-from .exterior import ExtElement, RationalComplex, mask_to_indices, wedge_sign
+from .exterior import ExtElement, RationalComplex, wedge_sign
 from .fields import (InvShift, LinearSubstitution, Polynomial, ScalarField,
                      field_scale, field_sum)
 from .hamilton import QMatrix
@@ -176,13 +177,6 @@ def nabla_matrices(n):
     return v[0], v[1]
 
 
-def nabla_value(u, j, alpha, x):
-    """nabla_{j,alpha} u at a point, from the gradient."""
-    v0, v1 = nabla_matrices(u.n)
-    v = v0 if alpha == 0 else v1
-    return complex(v[j] @ u.gradient(x))
-
-
 # ---------------------------------------------------------------------------
 # exact complex coordinates
 
@@ -216,8 +210,9 @@ def delta_field(u, i, j):
 
 
 def delta_matrix(u, x):
-    """The antisymmetric 2n x 2n matrix of delta_{ij} u(x), from the Hessian."""
-    return delta_from_hessians(u.n, u.hessian(x)[None])[0]
+    """The antisymmetric 2n x 2n matrix of delta_{ij} u(x): row 0 of
+    ``delta_matrices``."""
+    return delta_matrices(u, np.asarray(x, dtype=float)[None])[0]
 
 
 def delta_matrices(u, pts):

@@ -644,9 +644,8 @@ def _cmd_verify(cfg, params, tol):
     rows = []
 
     def check(name, value, bound):
-        value = float(value)
-        rows.append({"check": name, "n": n, "value": value, "bound": float(bound),
-                     "status": "pass" if value <= bound else "fail"})
+        rows.append({"check": name, "n": n, "value": float(value), "bound": float(bound),
+                     "status": _verdict(value, bound)})
 
     # 200 (p, q) pairs drawn as random_quaternion draws them, embedded at once
     pairs = rng.standard_normal((200, 2, 4))
@@ -747,25 +746,21 @@ def _cmd_ma(cfg, params, tol):
 
     rows = []
     psh_flags = {}
+
+    def row(name, dens, residual, bound):
+        rows.append({"field": name, "points": len(pts),
+                     "min_density": float(dens.min()), "max_density": float(dens.max()),
+                     "moore_residual": residual, "bound": bound,
+                     "status": _verdict(residual, bound)})
+
     for name in sorted(fields):
         u = fields[name]
-        dens = ma_density(u, pts)
         residual = moore_equivalence_residual(u, pts)
         psh_flags[name] = bool(psh_test(u, pts))
-        rows.append({
-            "field": name, "points": len(pts),
-            "min_density": float(dens.min()), "max_density": float(dens.max()),
-            "moore_residual": float(residual), "bound": tol_moore,
-            "status": "pass" if residual <= tol_moore else "fail",
-        })
+        row(name, ma_density(u, pts), float(residual), tol_moore)
     if n >= 2 and len(fields) == n:
         # the polarized density needs exactly n potentials
-        mix = mixed_ma([fields[k] for k in sorted(fields)], pts)
-        rows.append({
-            "field": "mixed", "points": len(pts),
-            "min_density": float(mix.min()), "max_density": float(mix.max()),
-            "moore_residual": None, "bound": None, "status": "info",
-        })
+        row("mixed", mixed_ma([fields[k] for k in sorted(fields)], pts), None, None)
     return rows, {"radius": r, "psh": psh_flags}
 
 
@@ -785,7 +780,7 @@ def _cmd_fundamental(cfg, params, tol):
             "eps": float(eps), "r": float(r),
             "mass_quadrature": mass_quad, "mass_exact": mass_exact,
             "mass_limit": limit, "rel_err": rel, "bound": tol_mass,
-            "status": "pass" if rel <= tol_mass else "fail",
+            "status": _verdict(rel, tol_mass),
         })
     return rows, {"limit": limit}
 
@@ -816,13 +811,17 @@ def _cmd_lelong(cfg, params, tol):
     return rows, summary
 
 
-def _info_row(name, value):
-    return {"quantity": name, "value": float(value), "bound": None, "status": "info"}
+def _verdict(value, bound):
+    """A row's status: info without a bound, else pass iff |value| <= bound."""
+    if bound is None:
+        return "info"
+    return "pass" if abs(value) <= bound else "fail"
 
 
-def _bound_row(name, value, bound):
-    return {"quantity": name, "value": float(value), "bound": float(bound),
-            "status": "pass" if value <= bound else "fail"}
+def _quantity_row(name, value, bound=None):
+    return {"quantity": name, "value": float(value),
+            "bound": None if bound is None else float(bound),
+            "status": _verdict(value, bound)}
 
 
 def _cmd_jensen(cfg, params, tol):
@@ -833,14 +832,14 @@ def _cmd_jensen(cfg, params, tol):
         raise QmaError("Jensen evaluation produced non-finite terms")
     scale = max(abs(report.boundary_term), abs(report.interior_term), 1.0)
     rows = [
-        _info_row("boundary_term", report.boundary_term),
-        _info_row("interior_term", report.interior_term),
-        _info_row("lhs", report.lhs),
-        _info_row("rhs_spatial", report.rhs_spatial),
-        _info_row("rhs_layered", report.rhs_layered),
-        _bound_row("residual_spatial", report.residual_spatial, tol["jensen"] * scale),
-        _bound_row("residual_layered", report.residual_layered,
-                   tol["jensen_layered"] * scale),
+        _quantity_row("boundary_term", report.boundary_term),
+        _quantity_row("interior_term", report.interior_term),
+        _quantity_row("lhs", report.lhs),
+        _quantity_row("rhs_spatial", report.rhs_spatial),
+        _quantity_row("rhs_layered", report.rhs_layered),
+        _quantity_row("residual_spatial", report.residual_spatial, tol["jensen"] * scale),
+        _quantity_row("residual_layered", report.residual_layered,
+                      tol["jensen_layered"] * scale),
     ]
     summary = {"r": r, "scale": scale,
                "errors": {k: float(v) for k, v in sorted(report.errors.items())}}
@@ -858,9 +857,9 @@ def _cmd_boundary(cfg, params, tol):
     dens = boundary_measure_density(phi, rule.points)
     negativity = max(0.0, -float(dens.min()))
 
-    rows = [_info_row("boundary_mass", mu1), _info_row("interior_mass", interior),
-            _bound_row("mass_residual", residual, tol["boundary"] * scale),
-            _bound_row("density_negativity", negativity, tol["positivity"])]
+    rows = [_quantity_row("boundary_mass", mu1), _quantity_row("interior_mass", interior),
+            _quantity_row("mass_residual", residual, tol["boundary"] * scale),
+            _quantity_row("density_negativity", negativity, tol["positivity"])]
     summary = {"r": r, "sample_points": len(rule.points)}
     return rows, summary
 
@@ -871,23 +870,18 @@ def _cmd_cln(cfg, params, tol):
     if len(fields) > n:
         raise ConfigError(f"cln takes at most n = {n} fields, got {len(fields)}")
     inner, outer = params["inner_radius"], params["outer_radius"]
+    rows = []
 
-    def one_ratio(potentials, seed):
+    def row(case, potentials, seed):
         ratio = cln_ratio(potentials, inner, outer, seed=seed, **cfg.quadrature)
-        ok = math.isfinite(ratio) and abs(ratio) <= bound
-        return ratio, "pass" if ok else "fail"
+        rows.append({"case": case, "ratio": float(ratio), "bound": bound,
+                     "status": _verdict(ratio, bound)})
 
-    ratio, status = one_ratio([fields[k] for k in sorted(fields)], cfg.seed)
-    rows = [{"case": "configured", "ratio": float(ratio), "bound": bound,
-             "status": status}]
-
+    row("configured", [fields[k] for k in sorted(fields)], cfg.seed)
     rng = np.random.default_rng(cfg.seed)
     for t in range(params["trials"]):
         a = random_hyperhermitian(rng, n)
-        u = _psd_quadratic(a, n)
-        ratio, status = one_ratio([u] * min(n, 2), cfg.seed + t + 1)
-        rows.append({"case": f"trial_{t:02d}", "ratio": float(ratio),
-                     "bound": bound, "status": status})
+        row(f"trial_{t:02d}", [_psd_quadratic(a, n)] * min(n, 2), cfg.seed + t + 1)
     return rows, {"inner_radius": inner, "outer_radius": outer}
 
 

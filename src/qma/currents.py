@@ -51,7 +51,7 @@ from .quadrature import (BallQuadrature, ball_moment_coefficient,
                          gauss_legendre_panels, sobol_sphere, sphere_area)
 
 
-def wedge_top_density(n, constant_coeffs, dmats, check_tol=1e-8):
+def wedge_top_density(n, constant_coeffs, dmats):
     """Top-form density of  (sum_I c_I w^I) ^ prod_s (2-form with delta
     matrix D_s)  over a batch of points.
 
@@ -64,15 +64,15 @@ def wedge_top_density(n, constant_coeffs, dmats, check_tol=1e-8):
     total = np.zeros(len(dmats[0]), dtype=complex)
     for mask, cval in constant_coeffs.items():
         total += complex(cval) * mixed_pfaffian(n, dmats, mask)
-    return _to_real((2.0 ** len(dmats)) * total, "current density", check_tol)
+    return _to_real((2.0 ** len(dmats)) * total, "current density")
 
 
 class RegularizedCurrent:
     """constant ^ laplace(u_1) ^ ... ^ laplace(u_m), all smooth."""
 
-    __slots__ = ("n", "potentials", "constant", "tag")
+    __slots__ = ("n", "potentials", "constant")
 
-    def __init__(self, n, potentials=(), constant=None, tag=""):
+    def __init__(self, n, potentials=(), constant=None):
         self.n = n
         self.potentials = tuple(potentials)
         if any(u.n != n for u in self.potentials):
@@ -80,16 +80,8 @@ class RegularizedCurrent:
         if constant is not None and (constant.n != n or constant.degree % 2):
             raise DimensionError("constant factor must be an even-degree element")
         self.constant = constant
-        self.tag = tag or self._auto_tag()
         if self.degree > 2 * n:
             raise DimensionError("current degree exceeds the top degree")
-
-    def _auto_tag(self):
-        parts = []
-        if self.constant is not None:
-            parts.append(f"const[deg {self.constant.degree}]")
-        parts.extend("laplace" for _ in self.potentials)
-        return "^".join(parts) or "unit"
 
     @property
     def degree(self):
@@ -99,21 +91,20 @@ class RegularizedCurrent:
     @classmethod
     def unit(cls, n):
         """The 0-current with density 1."""
-        return cls(n, (), ExtElement.scalar(n, 1), tag="unit")
+        return cls(n, (), ExtElement.scalar(n, 1))
 
     @classmethod
     def beta_power(cls, n, k):
         """beta^k as a constant-coefficient positive current."""
-        return cls(n, (), beta(n).wedge_power(k), tag=f"beta^{k}")
+        return cls(n, (), beta(n).wedge_power(k))
 
     @classmethod
-    def from_laplace(cls, u, tag=""):
-        return cls(u.n, (u,), None, tag=tag or "laplace(u)")
+    def from_laplace(cls, u):
+        return cls(u.n, (u,))
 
     def wedge_constant(self, element):
         const = element if self.constant is None else self.constant ^ element
-        return RegularizedCurrent(self.n, self.potentials, const,
-                                  tag=self.tag + "^const")
+        return RegularizedCurrent(self.n, self.potentials, const)
 
     # ------------------------------------------------------------ evaluation
     def _constant_coeffs(self):
@@ -171,9 +162,7 @@ def bt_product(u, current):
     """laplace(u) ^ T as a new current (degree +2)."""
     if current.degree + 2 > 2 * current.n:
         raise DimensionError("wedge with a laplacian overflows the top degree")
-    return RegularizedCurrent(current.n, current.potentials + (u,),
-                              current.constant,
-                              tag=f"laplace^{current.tag}")
+    return RegularizedCurrent(current.n, current.potentials + (u,), current.constant)
 
 
 # ---------------------------------------------------------------------------
@@ -188,22 +177,14 @@ class SigmaResult:
         return self.value
 
 
-def _default_quad(current, a, r, peak_scale, sphere_pow, radial_nodes, seed):
-    if peak_scale is None:
-        eps_list = [u.eps for u in current.potentials if isinstance(u, InvShift)]
-        if eps_list:
-            peak_scale = min(e if e > 0 else 1e-6 for e in eps_list)
-    return BallQuadrature(current.n, r, center=a, peak_scale=peak_scale,
-                          sphere_pow=sphere_pow, radial_nodes=radial_nodes, seed=seed)
-
-
-def sigma_mass(current, a, r, quad=None, peak_scale=None, sphere_pow=8,
-               radial_nodes=16, seed=0):
+def sigma_mass(current, a, r, sphere_pow=8, radial_nodes=16, seed=0):
     """Lelong mass sigma_T(a, r) = integral of T ^ beta^p over B(a, r).
 
-    Returns a SigmaResult (value, node-doubling error estimate).  Constant
-    polynomial densities (quadratic potentials) short-circuit to the exact
-    ball volume formula.
+    Returns a SigmaResult (value, node-doubling error estimate).  A current
+    with no potentials short-circuits to the exact ball volume formula.
+    Otherwise the ball rule's radial panels are refined toward the center
+    at the smallest eps of the InvShift potentials (1e-6 for eps = 0), the
+    scale where their densities peak.
     """
     n = current.n
     p = (2 * n - current.degree) // 2
@@ -213,8 +194,10 @@ def sigma_mass(current, a, r, quad=None, peak_scale=None, sphere_pow=8,
         vol = float(ball_moment_coefficient(4 * n, (0,) * 4 * n, Fraction(r).limit_denominator(10 ** 12))) \
             * math.pi ** (2 * n)
         return SigmaResult(dens * vol, 0.0)
-    if quad is None:
-        quad = _default_quad(current, a, r, peak_scale, sphere_pow, radial_nodes, seed)
+    peak_scale = min((u.eps if u.eps > 0 else 1e-6 for u in current.potentials
+                      if isinstance(u, InvShift)), default=None)
+    quad = BallQuadrature(n, r, center=a, peak_scale=peak_scale, sphere_pow=sphere_pow,
+                          radial_nodes=radial_nodes, seed=seed)
     val, err = quad.integrate(lambda pts: current.trace_density(pts, pad=p))
     return SigmaResult(val, err)
 
@@ -283,11 +266,11 @@ class RadialProfile:
         return bad
 
 
-def lelong_number(current, a, radii=None, rel_tol=0.05, **quad_opts):
+def lelong_number(current, a, radii=None, **quad_opts):
     """(RadialProfile, nu) for the current at the point a.
 
     nu is read off at the smallest radius whose quadrature error estimate is
-    below rel_tol of the value scale (the profile tends to its limit from
+    at most 5% of the value scale (the profile tends to its limit from
     above as r decreases for closed positive currents).
     """
     n = current.n
@@ -308,7 +291,7 @@ def lelong_number(current, a, radii=None, rel_tol=0.05, **quad_opts):
     scale = max(float(np.abs(vals).max()), 1e-300)
     nu = None
     for i in range(len(radii)):
-        if errs[i] <= rel_tol * scale:
+        if errs[i] <= 0.05 * scale:
             nu = vals[i]
             break
     if nu is None:
@@ -337,7 +320,7 @@ def shell_identity_check(current, a, r1, r2, sphere_pow=9, radial_nodes=24,
     kernel = invshift(n, 0.0, center=a)
 
     shell_current = RegularizedCurrent(n, current.potentials + (kernel,) * p,
-                                       current.constant, tag="shell")
+                                       current.constant)
 
     # product rule on the shell: geometric t-panels between the two radii
     t_lo, t_hi = r1 ** 2, r2 ** 2
@@ -557,7 +540,7 @@ class ConvergenceReport:
 
 
 def convergence_suite(sequences, limits, radius=1.0, sphere_pow=8,
-                      radial_nodes=10, seed=0, monotone_tol=1e-9):
+                      radial_nodes=10, seed=0):
     """Pairings of decreasing smooth sequences against the limit fields.
 
     ``sequences``: list of k lists, each the j-indexed approximants of one
@@ -568,7 +551,8 @@ def convergence_suite(sequences, limits, radius=1.0, sphere_pow=8,
 
     over the ball (the first potential enters by value, so sequences that
     differ from the limit by constants still show their convergence rate).
-    Raises if a sequence fails to decrease pointwise on the sample nodes.
+    Raises if a sequence increases pointwise on the sample nodes by more
+    than 1e-9.
     """
     k = len(sequences)
     if k == 0 or len(limits) != k:
@@ -585,7 +569,7 @@ def convergence_suite(sequences, limits, radius=1.0, sphere_pow=8,
         prev = None
         for u in seq:
             vals = u.values(sample)
-            if prev is not None and np.any(vals > prev + monotone_tol):
+            if prev is not None and np.any(vals > prev + 1e-9):
                 raise ValueError("sequence is not pointwise decreasing")
             prev = vals
 

@@ -18,22 +18,18 @@ holds lattice samples for the mollification machinery.
 All fields share pointwise ``value/gradient/hessian`` plus batched
 ``values/gradients/hessians`` (shape (N, 4n) in, used heavily by quadrature).
 A field states its math once, in its batched methods: ``ScalarField``'s
-pointwise trio returns row 0 of the batched trio at ``x[None]``.  Field
-sums, scalings and products, ``ChainField``, ``LinearSubstitution``,
-``InvShift`` and ``DerivedField``'s value and gradient work that way.  The
-exceptions define their own pointwise methods:
+pointwise trio returns row 0 of the batched trio at ``x[None]``, so every
+gradient and Hessian, a ``Polynomial``'s and ``DerivedField``'s among them,
+has one evaluator.  Only these define pointwise methods of their own:
 
-* ``Polynomial``, whose scalar walk keeps Fraction points exact and
-  gives a float point the bits of ``values`` without a one-row array.
-  ``QuadraticForm``, whose ``values`` is an einsum over its matrix rather
-  than the walk, takes a float point's ``value``, and its gradient and
-  Hessian, back to one row of its matrix forms; an exact point keeps the
-  walk.
+* the exact lane, ``Polynomial.value`` and ``QuadraticForm.value``: the
+  scalar walk keeps Fraction points exact and gives a float point the bits
+  of ``values`` without a one-row array; ``QuadraticForm``, whose
+  ``values`` is an einsum over its matrix rather than the walk, takes a
+  float point's value back to one row of it;
 * ``ClosedForm``, ``BlackBox`` and ``GridField``, pointwise by contract;
   their batched methods are the base class's loop over points (a
   ``ClosedForm`` may pass vectorized callables instead).
-* ``DerivedField.hessian``, a difference of the parent's pointwise Hessian
-  with no batched formula; ``hessians`` loops over it.
 
 Every concrete field thus defines one side of each pointwise/batched pair;
 a field defining neither would send the two defaults into each other.
@@ -46,13 +42,12 @@ float(c), and a float point gives the same bits pointwise and batched.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DimensionError, OracleError
-from .hamilton import QMatrix, Quaternion, is_hyperhermitian
+from .hamilton import QMatrix, is_hyperhermitian
 
 _EPS = float(np.finfo(float).eps)
 #: central-difference steps: eps^(1/3) for first, eps^(1/4) for second
@@ -289,18 +284,6 @@ class Polynomial(ScalarField):
             return _walk(self._table(False), x.tolist())
         return _walk(self._table(True), x)
 
-    def gradient(self, x):
-        return np.array([float(self.diff(m).value(x)) for m in range(self.dim)])
-
-    def hessian(self, x):
-        d = self.dim
-        out = np.empty((d, d))
-        for i in range(d):
-            di = self.diff(i)
-            for j in range(i, d):
-                out[i, j] = out[j, i] = float(di.diff(j).value(x))
-        return out
-
     def values(self, pts):
         pts = np.asarray(pts, dtype=float)
         return np.zeros(len(pts)) + _walk(self._table(False), pts.T)
@@ -372,11 +355,6 @@ class QuadraticForm(Polynomial):
         if isinstance(x, np.ndarray) and x.dtype == float:
             return ScalarField.value(self, x)
         return Polynomial.value(self, x)
-
-    # one row of the matrix forms above, not Polynomial's walk over 4n(4n+1)/2
-    # second partials
-    gradient = ScalarField.gradient
-    hessian = ScalarField.hessian
 
 
 class ClosedForm(ScalarField):
@@ -488,24 +466,23 @@ class DerivedField(ScalarField):
         self.parent = parent
         self.axis = axis
 
-    def hessian(self, x):
-        x = np.asarray(x, dtype=float)
-        d = self.dim
-        out = np.empty((d, d))
-        for m in range(d):
-            h = _H1 * (1.0 + abs(x[m]))
-            xp = x.copy(); xp[m] += h
-            xm = x.copy(); xm[m] -= h
-            row = (np.asarray(self.parent.hessian(xp))[self.axis]
-                   - np.asarray(self.parent.hessian(xm))[self.axis]) / (2.0 * h)
-            out[m] = row
-        return 0.5 * (out + out.T)
-
     def values(self, pts):
         return self.parent.gradients(pts)[:, self.axis]
 
     def gradients(self, pts):
         return self.parent.hessians(pts)[:, self.axis, :]
+
+    def hessians(self, pts):
+        # one axis at a time over all points: step _H1 (1 + |x_m|) per point
+        pts = np.asarray(pts, dtype=float)
+        steps = _H1 * (1.0 + np.abs(pts))
+        out = np.empty((len(pts), self.dim, self.dim))
+        for m in range(self.dim):
+            xp = pts.copy(); xp[:, m] += steps[:, m]
+            xm = pts.copy(); xm[:, m] -= steps[:, m]
+            out[:, m] = (self.parent.hessians(xp)[:, self.axis]
+                         - self.parent.hessians(xm)[:, self.axis]) / (2.0 * steps[:, m, None])
+        return 0.5 * (out + np.swapaxes(out, 1, 2))
 
 
 class LinearSubstitution(ScalarField):

@@ -146,16 +146,21 @@ def mixed_pfaffian(n, factors, mask=0):
     return out
 
 
-def _to_real(arr, what, check_tol):
+# the largest imaginary residue of a density, relative to max(1, |density|),
+# that counts as rounding
+_IMAG_TOL = 1e-8
+
+
+def _to_real(arr, what):
     scale = max(1.0, float(np.abs(arr).max()) if arr.size else 0.0)
     worst = float(np.abs(arr.imag).max()) if arr.size else 0.0
-    if worst > check_tol * scale:
+    if worst > _IMAG_TOL * scale:
         raise NumericalInconsistencyError(
             f"{what} came out non-real (imaginary residue {worst:.3e})")
     return arr.real.copy()
 
 
-def ma_density(u, pts, check_tol=1e-8):
+def ma_density(u, pts):
     """Monge-Ampere density of u at the sample points (real array).
 
     Computed as 2^n times the matching expansion of n copies of the delta
@@ -165,10 +170,10 @@ def ma_density(u, pts, check_tol=1e-8):
     n = u.n
     dm = delta_matrices(u, pts)
     vals = (2.0 ** n) * mixed_pfaffian(n, [dm] * n)
-    return _to_real(vals, "Monge-Ampere density", check_tol)
+    return _to_real(vals, "Monge-Ampere density")
 
 
-def mixed_ma(fields, pts, check_tol=1e-8):
+def mixed_ma(fields, pts):
     """Polarized Monge-Ampere density of n fields (symmetric, multilinear).
 
     mixed(u, u, ..., u) equals ma_density(u).  Costs (2n-1)!! * n! terms
@@ -183,7 +188,7 @@ def mixed_ma(fields, pts, check_tol=1e-8):
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     dms = [delta_matrices(f, pts) for f in fields]
     vals = (2.0 ** n) * mixed_pfaffian(n, dms)
-    return _to_real(vals, "mixed Monge-Ampere density", check_tol)
+    return _to_real(vals, "mixed Monge-Ampere density")
 
 
 # ---------------------------------------------------------------------------

@@ -58,32 +58,7 @@ _GRAD_FLOOR = 1e-6
 _BLOCK_NODES = 1024
 
 
-@dataclasses.dataclass
-class NormalFrame:
-    """Quaternionic frame components of a unit vector: entry (i, alpha) is
-    the same linear combination of the vector's real components that the
-    first-order operator (i, alpha) takes of a function's partials."""
-    vector: np.ndarray
-    components: np.ndarray  # (2n, 2) complex
-
-    def __getitem__(self, key):
-        i, alpha = key
-        return self.components[i, alpha]
-
-
-def normal_frame(phi, x):
-    """Frame of the outward unit normal grad(phi)/|grad(phi)| at x."""
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(phi.gradient(x), dtype=float)
-    norm = float(np.linalg.norm(g))
-    if norm < _GRAD_FLOOR:
-        raise DegenerateLevelSetError("vanishing gradient on the level set")
-    unit = g / norm
-    v0, v1 = nabla_matrices(phi.n)
-    return NormalFrame(unit, np.stack([v0 @ unit, v1 @ unit], axis=1))
-
-
-def boundary_measure_density(phi, pts, check_tol=1e-8):
+def boundary_measure_density(phi, pts):
     """Surface density of the boundary measure of phi at on-level points."""
     n = phi.n
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -100,7 +75,7 @@ def boundary_measure_density(phi, pts, check_tol=1e-8):
     a = n0[:, :, None] * g1[:, None, :] - g1[:, :, None] * n0[:, None, :]
     dmat = delta_matrices(phi, pts)
     total = (2.0 ** (n - 1)) * mixed_pfaffian(n, [a] + [dmat] * (n - 1))
-    return _to_real(total, "boundary measure density", check_tol)
+    return _to_real(total, "boundary measure density")
 
 
 # ---------------------------------------------------------------------------

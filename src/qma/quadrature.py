@@ -161,14 +161,14 @@ def gauss_legendre_panels(breaks, nodes_per_panel):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def graded_breaks(upper, scale=None, coarse_panels=4):
-    """Panel breakpoints on [0, upper], geometrically refined toward 0 when
-    a peak scale is given (doubling from `scale` up)."""
+def graded_breaks(upper, scale=None):
+    """Panel breakpoints on [0, upper]: four equal panels, or geometrically
+    refined toward 0 when a peak scale is given (doubling from `scale` up)."""
     if upper <= 0:
         raise QuadratureError("upper limit must be positive")
     if scale is None or scale >= upper:
-        step = upper / coarse_panels
-        return [step * k for k in range(coarse_panels + 1)]
+        step = upper / 4
+        return [step * k for k in range(5)]
     breaks = [0.0, float(scale)]
     while breaks[-1] < upper:
         breaks.append(min(2.0 * breaks[-1], upper))

@@ -21,7 +21,6 @@ from qma.calculus import (
     m_field,
     nabla,
     nabla_matrices,
-    nabla_value,
     pullback_potential,
     real_rep,
     z_field,
@@ -135,13 +134,15 @@ def test_nabla_operators_commute():
 
 
 def test_nabla_value_matches_symbolic():
+    # nabla_{j,alpha} u at points is row j of nabla_matrices times the gradients
     rng = np.random.default_rng(8)
     u = random_poly(rng, 2)
-    x = rng.standard_normal(8)
-    for j in range(4):
-        for alpha in (0, 1):
-            sym = nabla(u, j, alpha).value(x)
-            assert nabla_value(u, j, alpha, x) == pytest.approx(sym, rel=1e-12, abs=1e-12)
+    pts = rng.standard_normal((5, 8))
+    grads = u.gradients(pts)
+    for alpha, v in enumerate(nabla_matrices(2)):
+        for j in range(4):
+            sym = nabla(u, j, alpha).values(pts)
+            np.testing.assert_allclose(grads @ v[j], sym, rtol=1e-12, atol=1e-12)
 
 
 def test_m_field_minor_identity():

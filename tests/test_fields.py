@@ -585,8 +585,7 @@ def test_field_algebra_guards():
 
 def _pointwise_oracle(u, x):
     """(value, gradient, Hessian) at x by the hand-written pointwise
-    formulas these fields used to carry, recursing through the oracle; a
-    Polynomial and DerivedField.hessian keep their own pointwise code."""
+    formulas these fields used to carry, recursing through the oracle."""
     if isinstance(u, _SumField):
         a, b = _pointwise_oracle(u.a, x), _pointwise_oracle(u.b, x)
         return a[0] + b[0], a[1] + b[1], a[2] + b[2]
@@ -611,7 +610,7 @@ def _pointwise_oracle(u, x):
                 2.0 * np.eye(len(x)) / s ** 2 - 8.0 * np.outer(y, y) / s ** 3)
     if isinstance(u, DerivedField):
         _, g, h = _pointwise_oracle(u.parent, x)
-        return float(g[u.axis]), h[u.axis].copy(), u.hessian(x)
+        return float(g[u.axis]), h[u.axis].copy(), _derived_hessian_by_point(u, x)
     if isinstance(u, QuadraticForm):
         # the matrix form at one point, not the batched einsum; the walk
         # over the expanded terms leaves about 1e-15 where y = 0
@@ -619,7 +618,26 @@ def _pointwise_oracle(u, x):
         return (float(y @ u.m_real @ y) + u.const, 2.0 * u.m_real @ y,
                 2.0 * u.m_real.copy())
     assert type(u) is Polynomial
-    return u.value(x), u.gradient(x), u.hessian(x)
+    # one walk per first and second partial
+    axes = range(u.dim)
+    return (u.value(x), np.array([u.diff(m).value(x) for m in axes]),
+            np.array([[u.diff(i).diff(j).value(x) for j in axes] for i in axes]))
+
+
+def _derived_hessian_by_point(u, x):
+    """Central differences of the parent's Hessian row at one point, one
+    axis at a time with step _H1 (1 + |x_m|), then the symmetric part.  The
+    parent's Hessian is differenced, not its oracle's: a difference
+    quotient would magnify the oracle's last-bit deviations beyond the
+    test's tolerance."""
+    d = u.dim
+    out = np.empty((d, d))
+    for m in range(d):
+        step = qma.fields._H1 * (1.0 + abs(x[m]))
+        xp = x.copy(); xp[m] += step
+        xm = x.copy(); xm[m] -= step
+        out[m] = (u.parent.hessian(xp)[u.axis] - u.parent.hessian(xm)[u.axis]) / (2.0 * step)
+    return 0.5 * (out + out.T)
 
 
 def _tanh_chain(phi):
@@ -691,15 +709,12 @@ def test_pointwise_is_one_row_of_batched_and_matches_oracles(case):
     for x in pts:
         v, g, h = _pointwise_oracle(u, x)
         assert isinstance(u.value(x), float)
-        # a Polynomial keeps its own pointwise trio and DerivedField its
-        # pointwise Hessian; every other method, a QuadraticForm's value at
-        # a float point among them, is row 0 of its batch
-        if type(u) is not Polynomial:
-            assert u.value(x) == u.values(x[None])[0]
-        if type(u) is not Polynomial:
-            assert np.array_equal(u.gradient(x), u.gradients(x[None])[0])
-        if type(u) is not Polynomial and not isinstance(u, DerivedField):
-            assert np.array_equal(u.hessian(x), u.hessians(x[None])[0])
+        # every gradient and Hessian, a Polynomial's and a DerivedField's
+        # among them, is row 0 of its batch; so is a float point's value,
+        # which a Polynomial walks pointwise with the bits of values
+        assert u.value(x) == u.values(x[None])[0]
+        assert np.array_equal(u.gradient(x), u.gradients(x[None])[0])
+        assert np.array_equal(u.hessian(x), u.hessians(x[None])[0])
         _close(u.value(x), v)
         _close(u.gradient(x), g)
         _close(u.hessian(x), h)
@@ -722,8 +737,8 @@ def test_every_field_class_defines_one_side_of_each_pair():
             if vars(cls).get(m, vars(ScalarField)[m]) is not vars(ScalarField)[m]}
     trio = {"value", "gradient", "hessian"}
     assert {k: v for k, v in own_pointwise.items() if v} == {
-        "Polynomial": trio, "ClosedForm": trio, "BlackBox": trio, "GridField": trio,
-        "QuadraticForm": {"value"}, "DerivedField": {"hessian"}}
+        "Polynomial": {"value"}, "QuadraticForm": {"value"},
+        "ClosedForm": trio, "BlackBox": trio, "GridField": trio}
     assert not issubclass(InvShift, ClosedForm)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
-from qma.calculus import z_field
+from qma.calculus import nabla_matrices, z_field
 from qma.errors import (DegenerateLevelSetError, DimensionError,
                         NumericalInconsistencyError)
 from qma.fields import ClosedForm, Polynomial, normsq, quadform
@@ -17,11 +17,9 @@ from qma.quadrature import (StarShapedRule, gauss_legendre_panels,
                             halving_estimate, sobol_sphere, sphere_area)
 from qma import potential, quadrature
 from qma.potential import (
-    NormalFrame,
     boundary_mass_residual,
     boundary_measure_density,
     lelong_jensen,
-    normal_frame,
     smooth_max_family,
     sublevel_integral,
     surface_integral,
@@ -36,21 +34,26 @@ PI4 = math.pi**4
 
 
 def test_normal_frame_is_conjugate_coordinate_frame():
+    # the frame n_{i alpha} of boundary_measure_density is row i of
+    # nabla_matrices applied to the unit normal; for |q|^2 that is the
+    # conjugate coordinate of the normal
     rng = np.random.default_rng(1)
     for n in (1, 2):
         x = rng.standard_normal(4 * n)
-        unit = x / np.linalg.norm(x)
-        frame = normal_frame(normsq(n), x)
-        np.testing.assert_allclose(frame.vector, unit, rtol=1e-12)
-        for i in range(2 * n):
-            for alpha in (0, 1):
+        grad = normsq(n).gradients(x[None])[0]
+        unit = grad / np.linalg.norm(grad)
+        np.testing.assert_allclose(unit, x / np.linalg.norm(x), rtol=1e-12)
+        for alpha, v in enumerate(nabla_matrices(n)):
+            for i in range(2 * n):
                 want = complex(z_field(n, i, alpha).value(unit)).conjugate()
-                assert frame[i, alpha] == pytest.approx(want, rel=1e-12)
+                assert v[i] @ unit == pytest.approx(want, rel=1e-12)
 
 
 def test_normal_frame_degenerate():
-    with pytest.raises(DegenerateLevelSetError):
-        normal_frame(normsq(1), np.zeros(4))
+    # one point of a batch where the gradient, and so the normal, vanishes
+    pts = np.vstack([sobol_sphere(8, 3, seed=0), np.zeros((1, 8))])
+    with pytest.raises(DegenerateLevelSetError, match="vanishing gradient"):
+        boundary_measure_density(normsq(2), pts)
 
 
 @pytest.mark.parametrize("n,radius", [(1, 1.0), (1, 0.5), (2, 1.0), (2, 0.25)])
