@@ -18,8 +18,7 @@ from .errors import (ConfigError, DegenerateLevelSetError, DimensionError,
                      QmaError)
 from .hamilton import (Quaternion, QMatrix, tau, jmatrix,
                        is_hyperhermitian, moore_det, mixed_discriminant,
-                       random_quaternion, random_qmatrix, random_hyperhermitian,
-                       random_unitary)
+                       random_quaternion, random_qmatrix, random_hyperhermitian)
 from .exterior import (RationalComplex, ExtElement, beta, omega_top,
                        top_coefficient, rho_j, is_real, pullback, elementary_sp,
                        random_elementary_sp, random_strongly_positive,
@@ -30,23 +29,23 @@ from .fields import (ScalarField, Polynomial, QuadraticForm, ClosedForm,
                      normsq, quadform, invshift)
 from .calculus import (CxField, nabla, nabla_matrices, z_field,
                        delta_field, delta_matrix, delta_matrices, laplace,
-                       d_scalar, FormField, closedness_residual, is_closed,
-                       real_rep, pullback_potential, change_of_variables_check)
+                       d_scalar, FormField, closedness_residual, real_rep,
+                       change_of_variables_check)
 from .monge_ampere import (ma_density, mixed_ma, psh_test, PshResult,
                            moore_equivalence_residual, fundamental_ma_density,
                            fundamental_mass_exact, fundamental_mass_limit_coefficient)
-from .quadrature import (integrate_polynomial_ball, integrate_polynomial_sphere,
-                         ball_moment_coefficient, sphere_moment_coefficient,
-                         sphere_area, sobol_sphere, radial_ball_integral,
+from .quadrature import (integrate_polynomial_ball, ball_moment_coefficient,
+                         sphere_moment_coefficient, sphere_area, sobol_sphere,
+                         radial_ball_integral,
                          BallQuadrature, SphereRule, EllipsoidRule,
                          StarShapedRule, gauss_legendre_panels)
 from .currents import (RegularizedCurrent, wedge_top_density, bt_product,
-                       sigma_mass, SigmaResult, cln_norm, cln_ratio,
-                       RadialProfile, lelong_number, shell_identity_check,
+                       sigma_mass, cln_ratio, RadialProfile, lelong_number,
+                       shell_identity_check,
                        bump_field, stokes_check, integration_by_parts_residual,
                        positivity_pairing_min, mollify, mollifier_weights,
-                       kernel_second_moment, convergence_suite, ConvergenceReport)
-from .potential import (boundary_measure_density, SurfaceResult, surface_integral,
+                       convergence_suite, ConvergenceReport)
+from .potential import (boundary_measure_density, surface_integral,
                         sublevel_integral, JensenReport, lelong_jensen,
                         boundary_mass_residual, smooth_max_family)
 

@@ -193,11 +193,6 @@ def z_field(n, j, alpha):
     return CxField(c(base), c(base + 1))
 
 
-def m_field(n, i, j):
-    """The 2x2 minor M_{ij} = z^{i0} z^{j1} - z^{i1} z^{j0} (exact)."""
-    return z_field(n, i, 0) * z_field(n, j, 1) - z_field(n, i, 1) * z_field(n, j, 0)
-
-
 # ---------------------------------------------------------------------------
 # second-order operators
 
@@ -416,14 +411,6 @@ class FormField:
         """{mask: complex array over pts} for batch work."""
         return {m: f.values(pts) for m, f in self.coeffs.items()}
 
-    def top_values(self, pts):
-        """Coefficient of the full wedge w^0^...^w^{2n-1} over pts."""
-        pts = np.asarray(pts, dtype=float)
-        full = (1 << (2 * self.n)) - 1
-        if self.degree != 2 * self.n or full not in self.coeffs:
-            return np.zeros(len(pts), dtype=complex)
-        return self.coeffs[full].values(pts)
-
     # -------------------------------------------------------------- algebra
     def __add__(self, other):
         if not isinstance(other, FormField):
@@ -536,10 +523,6 @@ def closedness_residual(form, pts=None):
     return worst
 
 
-def is_closed(form, pts=None, tol=1e-9):
-    return closedness_residual(form, pts) <= tol
-
-
 # ---------------------------------------------------------------------------
 # change of variables
 
@@ -552,11 +535,6 @@ def real_rep(a_matrix):
     """
     a_matrix = a_matrix if isinstance(a_matrix, QMatrix) else QMatrix(a_matrix)
     return a_matrix.real_rep().astype(float)
-
-
-def pullback_potential(u_tilde, a_matrix):
-    """The composed field u(x) = u_tilde(A x), A acting quaternionically."""
-    return LinearSubstitution(u_tilde, real_rep(a_matrix))
 
 
 def change_of_variables_check(u_tilde, a_matrix, pts):
@@ -572,6 +550,6 @@ def change_of_variables_check(u_tilde, a_matrix, pts):
     u = LinearSubstitution(u_tilde, r)
     pts = np.asarray(pts, dtype=float)
     lhs = delta_matrices(u, pts)
-    rhs = np.einsum("pi,bij,jq->bpq", tau_a.T, delta_matrices(u_tilde, pts @ r.T),
+    rhs = np.einsum("pi,bij,jq->bpq", tau_a.T, delta_matrices(u_tilde, u._mapped(pts)),
                     tau_a, optimize=True)
     return float(np.abs(lhs - rhs).max())

@@ -41,12 +41,12 @@ and ``[tolerances]``.  Unknown sections or keys, keys the command does not
 read, negative tolerances, ``[quadrature]`` counts below 1 (below 32 for
 ``fundamental``'s ``radial_nodes``), a negative ``trials``, for ``ma``
 and ``fundamental`` a ball radius ``r <= 0``, a ``lelong`` ``center``
-without 4n components, a ``fundamental`` ``eps <= 0`` and a ``cln``
+without 4n components, ``lelong`` ``radii`` with fewer than two distinct
+values or a value ``<= 0``, a ``fundamental`` ``eps <= 0`` and a ``cln``
 ``inner_radius`` above its ``outer_radius`` are rejected with the
 offending line number (``jensen`` and ``boundary`` read ``r`` as a level,
 which may be negative).  Unset ``[quadrature]`` keys take the library's
 defaults.
-``parse_config`` and ``render_config`` are exact inverses on valid configs.
 
 Field expressions
 -----------------
@@ -130,7 +130,7 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# config parsing / rendering
+# config parsing
 
 
 def _convert(kind, text, where):
@@ -266,6 +266,16 @@ def _check_values(command, n, params, lines):
     if command == "lelong" and center and len(center) != 4 * n:
         raise ConfigError(f"line {lines['center']}: center needs {4 * n} components, "
                           f"got {len(center)}")
+    radii = params.get("radii")
+    if command == "lelong" and radii is not None:
+        # one radius gives no pair for the monotonicity status to compare
+        if len(set(radii)) < 2:
+            raise ConfigError(f"line {lines['radii']}: radii needs at least two "
+                              f"distinct values, got {len(set(radii))}")
+        for radius in radii:
+            if radius <= 0:
+                raise ConfigError(f"line {lines['radii']}: radii must be positive, "
+                                  f"got {radius!r}")
     if command == "fundamental":
         for eps in params.get("eps", ()):
             if eps <= 0:
@@ -278,35 +288,6 @@ def _check_values(command, n, params, lines):
             raise ConfigError(f"line {lines[key]}: inner_radius "
                               f"{radii['inner_radius']!r} must not exceed outer_radius "
                               f"{radii['outer_radius']!r}")
-
-
-def _render_value(v):
-    if isinstance(v, bool):
-        raise AssertionError("no boolean config values")
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, list):
-        return ", ".join(_render_value(x) for x in v)
-    return str(v)
-
-
-def render_config(cfg):
-    """Canonical text for a RunConfig; parse_config(render_config(c)) == c."""
-    lines = ["[run]", f"command = {cfg.command}", f"n = {cfg.n}",
-             f"seed = {cfg.seed}"]
-    if cfg.fields:
-        lines += ["", "[fields]"]
-        lines += [f"{k} = {v}" for k, v in cfg.fields.items()]
-    for section, data in (("quadrature", cfg.quadrature), ("params", cfg.params),
-                          ("tolerances", cfg.tolerances)):
-        if data:
-            lines += ["", f"[{section}]"]
-            lines += [f"{k} = {_render_value(data[k])}" for k in sorted(data)]
-    lines += ["", "[output]", f"dir = {cfg.output_dir}",
-              f"format = {cfg.output_format}"]
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ index mask, each laplacian contributes its antisymmetric delta matrix, and
 remaining indices over the assignments of the factors.  On top of that sit:
 
 * ``bt_product``       wedge with another laplacian (degree +2);
-* ``cln_norm``         integral of T ^ beta^p over a ball;
-* ``sigma_mass``       the same with error estimate, for Lelong masses;
+* ``sigma_mass``       integral of T ^ beta^p over a ball, with an error
+                       estimate (Lelong masses, CLN norms);
 * ``lelong_number``    the radial profile sigma(a, r)/r^(4p) and its
                        small-radius limit;
 * ``shell_identity_check``  the two-radius shell identity for the profile;
@@ -88,11 +88,6 @@ class RegularizedCurrent:
         return 2 * len(self.potentials) + (self.constant.degree if self.constant else 0)
 
     # ------------------------------------------------------------ constructors
-    @classmethod
-    def unit(cls, n):
-        """The 0-current with density 1."""
-        return cls(n, (), ExtElement.scalar(n, 1))
-
     @classmethod
     def beta_power(cls, n, k):
         """beta^k as a constant-coefficient positive current."""
@@ -168,19 +163,10 @@ def bt_product(u, current):
 # ---------------------------------------------------------------------------
 # integral invariants
 
-@dataclasses.dataclass
-class SigmaResult:
-    value: float
-    error: float
-
-    def __float__(self):
-        return self.value
-
-
 def sigma_mass(current, a, r, sphere_pow=8, radial_nodes=16, seed=0):
     """Lelong mass sigma_T(a, r) = integral of T ^ beta^p over B(a, r).
 
-    Returns a SigmaResult (value, node-doubling error estimate).  A current
+    Returns (value, node-doubling error estimate).  A current
     with no potentials short-circuits to the exact ball volume formula.
     Otherwise the ball rule's radial panels are refined toward the center
     at the smallest eps of the InvShift potentials (1e-6 for eps = 0), the
@@ -193,19 +179,12 @@ def sigma_mass(current, a, r, sphere_pow=8, radial_nodes=16, seed=0):
         dens = float(current.trace_density(probe + 0.1, pad=p)[0])
         vol = float(ball_moment_coefficient(4 * n, (0,) * 4 * n, Fraction(r).limit_denominator(10 ** 12))) \
             * math.pi ** (2 * n)
-        return SigmaResult(dens * vol, 0.0)
+        return dens * vol, 0.0
     peak_scale = min((u.eps if u.eps > 0 else 1e-6 for u in current.potentials
                       if isinstance(u, InvShift)), default=None)
     quad = BallQuadrature(n, r, center=a, peak_scale=peak_scale, sphere_pow=sphere_pow,
                           radial_nodes=radial_nodes, seed=seed)
-    val, err = quad.integrate(lambda pts: current.trace_density(pts, pad=p))
-    return SigmaResult(val, err)
-
-
-def cln_norm(current, radius, center=None, **quad_opts):
-    """Chern-Levine-Nirenberg norm: integral of T ^ beta^p over the ball."""
-    center = np.zeros(4 * current.n) if center is None else np.asarray(center, dtype=float)
-    return sigma_mass(current, center, radius, **quad_opts).value
+    return quad.integrate(lambda pts: current.trace_density(pts, pad=p))
 
 
 def cln_ratio(fields, inner_radius, outer_radius, center=None, sup_samples=4096,
@@ -224,7 +203,7 @@ def cln_ratio(fields, inner_radius, outer_radius, center=None, sup_samples=4096,
         raise ValueError("inner ball must sit inside the outer ball")
     center = np.zeros(4 * n) if center is None else np.asarray(center, dtype=float)
     t = RegularizedCurrent(n, fields)
-    norm = cln_norm(t, inner_radius, center, seed=seed, **quad_opts)
+    norm, _ = sigma_mass(t, center, inner_radius, seed=seed, **quad_opts)
     pow2 = min(12, max(6, int(math.ceil(math.log2(max(2, sup_samples))))))
     dirs = sobol_sphere(4 * n, pow2, seed + 1)
     rng = np.random.default_rng(seed + 2)
@@ -284,9 +263,9 @@ def lelong_number(current, a, radii=None, **quad_opts):
     vals = np.empty(len(radii))
     errs = np.empty(len(radii))
     for i, r in enumerate(radii):
-        s = sigma_mass(current, a, r, **quad_opts)
-        vals[i] = s.value / r ** (4 * p)
-        errs[i] = s.error / r ** (4 * p)
+        val, err = sigma_mass(current, a, r, **quad_opts)
+        vals[i] = val / r ** (4 * p)
+        errs[i] = err / r ** (4 * p)
     profile = RadialProfile(radii, vals, errs)
     scale = max(float(np.abs(vals).max()), 1e-300)
     nu = None
@@ -337,11 +316,11 @@ def shell_identity_check(current, a, r1, r2, sphere_pow=9, radial_nodes=24,
         lhs += wi * ti ** (2 * n - 1) * float(dens.mean())
     lhs *= area * 0.5
 
-    s2 = sigma_mass(current, a, r2, sphere_pow=sphere_pow, radial_nodes=radial_nodes,
-                    seed=seed)
-    s1 = sigma_mass(current, a, r1, sphere_pow=sphere_pow, radial_nodes=radial_nodes,
-                    seed=seed)
-    rhs = (8.0 ** p) * (s2.value / r2 ** (4 * p) - s1.value / r1 ** (4 * p))
+    s2, _ = sigma_mass(current, a, r2, sphere_pow=sphere_pow, radial_nodes=radial_nodes,
+                       seed=seed)
+    s1, _ = sigma_mass(current, a, r1, sphere_pow=sphere_pow, radial_nodes=radial_nodes,
+                       seed=seed)
+    rhs = (8.0 ** p) * (s2 / r2 ** (4 * p) - s1 / r1 ** (4 * p))
     return abs(lhs - rhs)
 
 
@@ -514,16 +493,6 @@ def mollify(field, eps):
     return GridField(origin, field.spacing, smoothed)
 
 
-def kernel_second_moment(spacing, eps):
-    """sum_o w_o |o|^2 of the discrete mollifier (the exact constant added
-    to |q|^2 by mollification)."""
-    w = mollifier_weights(spacing, eps)
-    m = (w.shape[0] - 1) // 2
-    axis = spacing * np.arange(-m, m + 1)
-    g = np.stack(np.meshgrid(axis, axis, axis, axis, indexing="ij"))
-    return float(np.sum(w * np.sum(g * g, axis=0)))
-
-
 # ---------------------------------------------------------------------------
 # Bedford-Taylor convergence
 
@@ -533,10 +502,6 @@ class ConvergenceReport:
     pairings: list
     limit_pairing: float
     deviations: list
-
-    @property
-    def final_deviation(self):
-        return self.deviations[-1]
 
 
 def convergence_suite(sequences, limits, radius=1.0, sphere_pow=8,

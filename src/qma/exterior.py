@@ -36,7 +36,6 @@ exactness.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -52,6 +51,17 @@ MAX_N = 8
 #: Minors per batched determinant call of the float pullback; a call
 #: gathers at most _MINOR_BUDGET * p^2 complex entries at degree p.
 _MINOR_BUDGET = 1 << 12
+
+#: How far rho(j) may move an element, relative to max(1, its largest
+#: coefficient), for ``is_real`` to call it real.
+_REAL_TOL = 1e-12
+
+#: The residue ``positivity_test`` forgives in a pulled-back coefficient,
+#: relative to max(1, |kappa|): imaginary part, or real part below zero.
+_POSITIVITY_TOL = 1e-9
+
+#: Elementary strongly positive terms in a ``random_strongly_positive`` draw.
+_SP_TERMS = 3
 
 
 class RationalComplex:
@@ -211,16 +221,6 @@ class ExtElement:
     def scalar(cls, n, value):
         return cls(n, 0, {0: value})
 
-    @classmethod
-    def from_indices(cls, n, indices, coeff=1):
-        """Basis element from an index sequence in any order (sign folded in)."""
-        indices = tuple(indices)
-        s = perm_sign(indices)
-        if s == 0:
-            return cls(n, len(indices))
-        return cls(n, len(indices),
-                   {indices_to_mask(sorted(indices)): coeff if s > 0 else -coeff})
-
     def terms(self):
         return sorted(self.coeffs.items())
 
@@ -364,10 +364,11 @@ def rho_j(a):
     return ExtElement(a.n, a.degree, out)
 
 
-def is_real(a, tol=1e-12):
-    """Whether rho(j) fixes a, within tol relative to the largest coefficient."""
+def is_real(a):
+    """Whether rho(j) fixes a, within ``_REAL_TOL`` relative to the largest
+    coefficient."""
     d = rho_j(a) - a
-    return d.norm_inf() <= tol * max(1.0, a.norm_inf())
+    return d.norm_inf() <= _REAL_TOL * max(1.0, a.norm_inf())
 
 
 @lru_cache(maxsize=None)
@@ -457,9 +458,10 @@ def random_elementary_sp(rng, n, k):
     return elementary_sp(_tau_blocks(rng.standard_normal((k, n, 4))))
 
 
-def random_strongly_positive(rng, n, k, terms=3):
-    """Random convex combination of elementary strongly positive elements."""
-    weights = rng.random(terms) + 0.05
+def random_strongly_positive(rng, n, k):
+    """Random convex combination of ``_SP_TERMS`` elementary strongly
+    positive elements."""
+    weights = rng.random(_SP_TERMS) + 0.05
     weights /= weights.sum()
     acc = ExtElement(n, 2 * k)
     for w in weights:
@@ -483,15 +485,15 @@ class PositivityResult:
         return self.verdict == LIKELY_POSITIVE
 
 
-def positivity_test(a, samples=512, seed=0, tol=1e-9):
+def positivity_test(a, samples=512, seed=0):
     """Sample the positivity criterion for a 2k-element over C^(2n).
 
     An element is positive iff every pullback along a right-linear
     g: H^k -> H^n is a nonnegative multiple of the volume element of C^(2k).
     This draws `samples` Gaussian maps and checks the pulled-back top
     coefficient kappa; a negative real part or a nonreal kappa beyond
-    tolerance yields NOT_POSITIVE with the witness map's (2n, 2k) embedding
-    tau(g) as ``witness``.  A clean sweep is
+    ``_POSITIVITY_TOL`` yields NOT_POSITIVE with the witness map's (2n, 2k)
+    embedding tau(g) as ``witness``.  A clean sweep is
     only LIKELY_POSITIVE: the criterion is sampled, never proven.
 
     Elements that are not rho(j)-real are rejected immediately; fewer than
@@ -504,7 +506,7 @@ def positivity_test(a, samples=512, seed=0, tol=1e-9):
     k = a.degree // 2
     if k == 0:
         c = complex(a.coeffs.get(0, 0))
-        ok = abs(c.imag) <= tol and c.real >= -tol
+        ok = abs(c.imag) <= _POSITIVITY_TOL and c.real >= -_POSITIVITY_TOL
         return PositivityResult(LIKELY_POSITIVE if ok else NOT_POSITIVE, c.real, 0)
     if not is_real(a):
         return PositivityResult(NOT_POSITIVE, float("nan"), 0)
@@ -521,7 +523,7 @@ def positivity_test(a, samples=512, seed=0, tol=1e-9):
         # the draws and tau bytes of random_qmatrix(rng, a.n, k).tau()
         g = _tau_blocks(rng.standard_normal((a.n, k, 4)))
         kappa = complex(top_coefficient(pullback(b, g)))
-        bound = tol * max(1.0, abs(kappa))
+        bound = _POSITIVITY_TOL * max(1.0, abs(kappa))
         if abs(kappa.imag) > bound or kappa.real < -bound:
             return PositivityResult(NOT_POSITIVE, kappa.real * scale, samples, g)
         min_kappa = min(min_kappa, kappa.real)

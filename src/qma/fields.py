@@ -496,14 +496,21 @@ class LinearSubstitution(ScalarField):
             raise DimensionError("substitution matrix has wrong shape")
         self.shift = np.zeros(4 * base.n) if shift is None else np.asarray(shift, dtype=float)
 
+    # The products are plain einsums, no BLAS: a BLAS product rounds a row
+    # according to how many rows share the call, and a field's value at a
+    # point must not depend on the other points of its batch.
+    def _mapped(self, pts):
+        """The points R x + t."""
+        return np.einsum("ij,bj->bi", self.rmat, np.asarray(pts, dtype=float)) + self.shift
+
     def values(self, pts):
-        return self.base.values(np.asarray(pts, dtype=float) @ self.rmat.T + self.shift)
+        return self.base.values(self._mapped(pts))
 
     def gradients(self, pts):
-        return self.base.gradients(np.asarray(pts, dtype=float) @ self.rmat.T + self.shift) @ self.rmat
+        return np.einsum("bj,jk->bk", self.base.gradients(self._mapped(pts)), self.rmat)
 
     def hessians(self, pts):
-        h = self.base.hessians(np.asarray(pts, dtype=float) @ self.rmat.T + self.shift)
+        h = self.base.hessians(self._mapped(pts))
         return np.einsum("ij,bjk,kl->bil", self.rmat.T, h, self.rmat)
 
 
@@ -824,10 +831,3 @@ class GridField(ScalarField):
                                          - self.data[tuple(mp)] + self.data[tuple(mm)]) / (4 * h ** 2)
         return out
 
-    def interior_nodes(self, margin):
-        """Lattice points at least `margin` nodes away from every face."""
-        shape = self.data.shape
-        pts = []
-        for idx in itertools.product(*(range(margin, s - margin) for s in shape)):
-            pts.append(self.origin + self.spacing * np.array(idx, dtype=float))
-        return np.array(pts)

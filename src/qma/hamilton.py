@@ -32,6 +32,10 @@ from .errors import DimensionError, NumericalInconsistencyError
 #: permutation expansions below grow factorially and are meant for small n.
 MAX_MATRIX_DIM = 8
 
+#: The largest vector part of a Moore determinant, relative to
+#: max(1, |real part|), that counts as rounding.
+_MOORE_TOL = 1e-9
+
 
 class Quaternion:
     """A quaternion with components of any exact or floating numeric type."""
@@ -43,20 +47,6 @@ class Quaternion:
         self.x1 = x1
         self.x2 = x2
         self.x3 = x3
-
-    @classmethod
-    def from_complex_pair(cls, c1, c2):
-        """Build x0+x1*i+x2*j+x3*k from q = c1 + j*c2 with c1, c2 complex.
-
-        Note j*(a+b*i) = a*j - b*k, so the k-component is -Im(c2).
-        """
-        c1 = complex(c1)
-        c2 = complex(c2)
-        return cls(c1.real, c1.imag, c2.real, -c2.imag)
-
-    def complex_pair(self):
-        """Return (c1, c2) with q = c1 + j*c2."""
-        return complex(self.x0, self.x1), complex(self.x2, -self.x3)
 
     @property
     def components(self):
@@ -70,17 +60,6 @@ class Quaternion:
 
     def norm(self):
         return math.sqrt(float(self.norm_sq()))
-
-    def inverse(self):
-        n2 = self.norm_sq()
-        if not n2:
-            raise ZeroDivisionError("inverse of zero quaternion")
-        if isinstance(n2, Fraction) or isinstance(n2, int):
-            s = Fraction(1, 1) / Fraction(n2)
-        else:
-            s = 1.0 / n2
-        c = self.conjugate()
-        return Quaternion(c.x0 * s, c.x1 * s, c.x2 * s, c.x3 * s)
 
     def __add__(self, other):
         other = _coerce(other)
@@ -337,7 +316,7 @@ def _cycles_decreasing_leader(perm):
     return cycles
 
 
-def moore_det(a, check_tol=1e-9):
+def moore_det(a):
     """Moore determinant of a hyperhermitian quaternionic matrix.
 
     Uses the cycle-ordered permutation expansion: for each permutation, write
@@ -347,7 +326,7 @@ def moore_det(a, check_tol=1e-9):
     sign.  Exact on exact (int/Fraction) entries.
 
     The result is a real scalar for hyperhermitian input; a vector residue
-    beyond check_tol (relative) raises NumericalInconsistencyError.
+    beyond ``_MOORE_TOL`` (relative) raises NumericalInconsistencyError.
     """
     if not isinstance(a, QMatrix):
         a = QMatrix(a)
@@ -369,13 +348,13 @@ def moore_det(a, check_tol=1e-9):
         total = total + term
     vec = max(abs(float(c)) for c in (total.x1, total.x2, total.x3))
     scale = max(1.0, abs(float(total.x0)))
-    if vec > check_tol * scale:
+    if vec > _MOORE_TOL * scale:
         raise NumericalInconsistencyError(
             f"moore_det: vector residue {vec:.3e} on input that should be hyperhermitian")
     return total.x0
 
 
-def mixed_discriminant(*matrices, check_tol=1e-9):
+def mixed_discriminant(*matrices):
     """Mixed discriminant of n hyperhermitian m x m matrices (n == m).
 
     Polarization of the Moore determinant by inclusion-exclusion:
@@ -401,7 +380,7 @@ def mixed_discriminant(*matrices, check_tol=1e-9):
             acc = mats[subset[0]]
             for idx in subset[1:]:
                 acc = acc + mats[idx]
-            total += sign * moore_det(acc, check_tol=check_tol)
+            total += sign * moore_det(acc)
     if exact:
         return total / math.factorial(n)
     return total / float(math.factorial(n))
@@ -426,38 +405,3 @@ def random_hyperhermitian(rng, m, exact=False):
     b = random_qmatrix(rng, m, exact=exact)
     return (b + b.conj_transpose()) * Fraction(1, 2)
 
-
-def random_unitary(rng, m, tol=1e-12):
-    """Random unitary quaternionic matrix via Gram-Schmidt on the columns.
-
-    The columns are orthonormalized for the inner product
-    <u, v> = sum_i conj(u_i) * v_i of the right quaternionic module.
-    """
-    while True:
-        a = random_qmatrix(rng, m)
-        cols = [[a[i, j] for i in range(m)] for j in range(m)]
-        ortho = []
-        ok = True
-        for v in cols:
-            w = list(v)
-            for u in ortho:
-                coef = _qdot(u, v)
-                w = [wi - ui * coef for wi, ui in zip(w, u)]
-            nrm = math.sqrt(float(sum(q.norm_sq() for q in w)))
-            if nrm < 1e-6:  # nearly dependent draw; retry
-                ok = False
-                break
-            inv = 1.0 / nrm
-            ortho.append([q * inv for q in w])
-        if ok:
-            u = QMatrix([[ortho[j][i] for j in range(m)] for i in range(m)])
-            resid = u.conj_transpose() @ u - QMatrix.identity(m)
-            if max(abs(float(c)) for _, _, q in resid.entries() for c in q.components) < tol:
-                return u
-
-
-def _qdot(u, v):
-    acc = Quaternion()
-    for ui, vi in zip(u, v):
-        acc = acc + ui.conjugate() * vi
-    return acc

@@ -198,8 +198,8 @@ def _hessian_components(u, pts):
     """Quaternion components of H(u) at many points: (N, n, n, 4) floats.
 
     One delta-matrix sweep; entry (l, k) is c1 + j*c2 with c1 = 2 D[2l, 2k+1]
-    and c2 = 2 D[2l+1, 2k+1], stored as (Re c1, Im c1, Re c2, -Im c2) as in
-    ``Quaternion.from_complex_pair``.
+    and c2 = 2 D[2l+1, 2k+1], stored as (Re c1, Im c1, Re c2, -Im c2): since
+    j*(a + b*i) = a*j - b*k, the k-component is -Im c2.
     """
     d = delta_matrices(u, np.atleast_2d(np.asarray(pts, dtype=float)))
     c1 = 2.0 * d[:, 0::2, 1::2]
@@ -239,6 +239,10 @@ def moore_equivalence_residual(u, pts):
     return float(np.max(np.abs(dens - moore), initial=0.0))
 
 
+# the most negative eigenvalue of tau(H) that psh_test counts as rounding
+_PSH_TOL = 1e-9
+
+
 class PshResult:
     """Outcome of a pointwise plurisubharmonicity scan."""
 
@@ -257,11 +261,12 @@ class PshResult:
                 f"min_eigenvalue={self.min_eigenvalue:.6g})")
 
 
-def psh_test(u, pts, tol=1e-9):
+def psh_test(u, pts):
     """Check nonnegativity of the hyperhermitian Hessian on sample points.
 
     The Hessian is nonnegative iff its complex embedding tau(H) is positive
-    semidefinite; eigenvalues are allowed to dip to -tol before failing.
+    semidefinite; eigenvalues are allowed to dip to -``_PSH_TOL`` before
+    failing.
     Returns a PshResult with the smallest eigenvalue seen and its point.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -273,7 +278,7 @@ def psh_test(u, pts, tol=1e-9):
     eigs = np.linalg.eigvalsh(0.5 * (th + np.conj(np.swapaxes(th, 1, 2))))
     idx = int(np.argmin(eigs[:, 0]))
     least = float(eigs[idx, 0])
-    return PshResult(least >= -tol, least, pts[idx].copy())
+    return PshResult(least >= -_PSH_TOL, least, pts[idx].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +295,6 @@ def fundamental_ma_density(n, eps, pts):
 def sphere_area_coefficient(n):
     """|S^(4n-1)| as the rational coefficient of pi^(2n): 2/(2n-1)!."""
     return Fraction(2, math.factorial(2 * n - 1))
-
-
-def ball_volume_coefficient(n):
-    """Volume of the unit ball of R^(4n) as a coefficient of pi^(2n)."""
-    return Fraction(1, math.factorial(2 * n))
 
 
 def fundamental_mass_exact(n, eps, r):

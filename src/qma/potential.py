@@ -81,15 +81,6 @@ def boundary_measure_density(phi, pts):
 # ---------------------------------------------------------------------------
 # surface and sublevel quadrature
 
-@dataclasses.dataclass
-class SurfaceResult:
-    value: float
-    error: float
-
-    def __float__(self):
-        return self.value
-
-
 def _quadratic_geometry(phi):
     """(center, m_real, const) when phi is quadratic with positive definite
     part, else None."""
@@ -124,8 +115,7 @@ def surface_integral(phi, r, f=None, sphere_pow=10, seed=0, center=None):
     ellipsoid rule; any other phi gets ``StarShapedRule`` around ``center``:
     the crossing radius of each Sobol ray and the area element
     rho^(d-1) |grad phi| / <grad phi, theta>.  Each rule's error estimate
-    halves its direction set.  Returns SurfaceResult (float() gives the
-    value).
+    halves its direction set.  Returns (value, error).
     """
     n = phi.n
     fn = _as_callable(f, n)
@@ -142,8 +132,7 @@ def surface_integral(phi, r, f=None, sphere_pow=10, seed=0, center=None):
             rule = EllipsoidRule(m, a, level, sphere_pow=sphere_pow, seed=seed)
     else:
         rule = StarShapedRule(phi, r, center=center, sphere_pow=sphere_pow, seed=seed)
-    val, err = rule.integrate(fn)
-    return SurfaceResult(val, err)
+    return rule.integrate(fn)
 
 
 def _ray_radii(phi, levels, center, dirs):
@@ -259,13 +248,13 @@ def lelong_jensen(phi, v, r, t_nodes=48, sphere_pow=9, radial_nodes=12,
     center = (np.zeros(4 * n) if center is None else np.asarray(center, dtype=float))
 
     dens_fn = lambda pts: boundary_measure_density(phi, pts) * v.values(pts)
-    mu_v = surface_integral(phi, r, dens_fn, sphere_pow=sphere_pow + 1,
-                            seed=seed, center=center)
+    mu_v, mu_err = surface_integral(phi, r, dens_fn, sphere_pow=sphere_pow + 1,
+                                    seed=seed, center=center)
 
     ma_fn = lambda pts: ma_density(phi, pts) * v.values(pts)
     interior, interior_err = sublevel_integral(
         phi, r, ma_fn, center, sphere_pow, radial_nodes, seed)
-    lhs = mu_v.value - interior
+    lhs = mu_v - interior
 
     mixed_fields = [v] + [phi] * (n - 1)
     mixed_fn = lambda pts: mixed_ma(mixed_fields, pts)
@@ -287,7 +276,7 @@ def lelong_jensen(phi, v, r, t_nodes=48, sphere_pow=9, radial_nodes=12,
             layered_err += w * err
 
     return JensenReport(
-        boundary_term=mu_v.value,
+        boundary_term=mu_v,
         interior_term=interior,
         lhs=lhs,
         rhs_spatial=rhs_spatial,
@@ -296,7 +285,7 @@ def lelong_jensen(phi, v, r, t_nodes=48, sphere_pow=9, radial_nodes=12,
         residual_layered=abs(lhs - rhs_layered),
         residual_cross=abs(rhs_spatial - rhs_layered),
         errors={
-            "boundary": mu_v.error,
+            "boundary": mu_err,
             "interior": interior_err,
             "spatial": spatial_err,
             "layered": layered_err,
@@ -310,11 +299,11 @@ def boundary_mass_residual(phi, r, sphere_pow=9, radial_nodes=12, seed=0,
     instance of the identity; both sides are the total boundary mass)."""
     n = phi.n
     center = np.zeros(4 * n) if center is None else np.asarray(center, dtype=float)
-    mu1 = surface_integral(phi, r, lambda pts: boundary_measure_density(phi, pts),
-                           sphere_pow=sphere_pow + 1, seed=seed, center=center)
+    mu1, _ = surface_integral(phi, r, lambda pts: boundary_measure_density(phi, pts),
+                              sphere_pow=sphere_pow + 1, seed=seed, center=center)
     total, err = sublevel_integral(phi, r, lambda pts: ma_density(phi, pts),
                                    center, sphere_pow, radial_nodes, seed)
-    return abs(mu1.value - total), mu1.value, total
+    return abs(mu1 - total), mu1, total
 
 
 # ---------------------------------------------------------------------------

@@ -119,20 +119,6 @@ def integrate_polynomial_ball(poly, r=Fraction(1), center=None):
     return acc
 
 
-def integrate_polynomial_sphere(poly, r=Fraction(1), center=None):
-    """Exact integral over the sphere of radius r: coefficient of pi^(2n)."""
-    if center is not None and any(center):
-        poly = translate_polynomial(poly, center)
-    d = poly.dim
-    r = Fraction(r)
-    acc = Fraction(0)
-    for expo, coeff in poly.terms.items():
-        c = sphere_moment_coefficient(d, expo)
-        if c:
-            acc += Fraction(coeff) * c * r ** (sum(expo) + d - 1)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # tier 2: radial rules
 

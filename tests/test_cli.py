@@ -17,7 +17,6 @@ from qma.cli import (
     main,
     parse_config,
     parse_field_expr,
-    render_config,
     run_command,
 )
 from qma.errors import ConfigError
@@ -29,6 +28,35 @@ PI2 = math.pi**2
 
 # ---------------------------------------------------------------------------
 # config parsing and rendering
+
+
+def _render_value(v):
+    if isinstance(v, bool):
+        raise AssertionError("no boolean config values")
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, float):
+        return repr(v)
+    if isinstance(v, list):
+        return ", ".join(_render_value(x) for x in v)
+    return str(v)
+
+
+def render_config(cfg):
+    """Canonical text for a RunConfig; parse_config(render_config(c)) == c."""
+    lines = ["[run]", f"command = {cfg.command}", f"n = {cfg.n}",
+             f"seed = {cfg.seed}"]
+    if cfg.fields:
+        lines += ["", "[fields]"]
+        lines += [f"{k} = {v}" for k, v in cfg.fields.items()]
+    for section, data in (("quadrature", cfg.quadrature), ("params", cfg.params),
+                          ("tolerances", cfg.tolerances)):
+        if data:
+            lines += ["", f"[{section}]"]
+            lines += [f"{k} = {_render_value(data[k])}" for k in sorted(data)]
+    lines += ["", "[output]", f"dir = {cfg.output_dir}",
+              f"format = {cfg.output_format}"]
+    return "\n".join(lines) + "\n"
 
 
 def test_parse_config_minimal():
@@ -624,11 +652,17 @@ def test_exit_1_on_negative_ball_radius(tmp_path, capsys, command, fields, param
 
 @pytest.mark.parametrize("command, fields, params, message", [
     ("lelong", "u = normsq()", "center = 0, 0", "line 9: center needs 4 components, got 2"),
+    ("lelong", "u = normsq()", "radii = 0.5",
+     "line 9: radii needs at least two distinct values, got 1"),
+    ("lelong", "u = normsq()", "radii = 0.5, 0.5",
+     "line 9: radii needs at least two distinct values, got 1"),
+    ("lelong", "u = normsq()", "radii = 0.5, -1.0", "line 9: radii must be positive, got -1.0"),
     ("fundamental", "", "eps = 0.1, -0.1",
      "line 9: fundamental needs strictly positive eps values, got -0.1"),
     ("cln", "u = normsq()", "inner_radius = 2.0",
      "line 9: inner_radius 2.0 must not exceed outer_radius 1.0"),
-], ids=["lelong-center", "fundamental-eps", "cln-radii"])
+], ids=["lelong-center", "lelong-one-radius", "lelong-repeated-radius",
+        "lelong-radius-sign", "fundamental-eps", "cln-radii"])
 def test_exit_1_on_param_value_names_its_line(tmp_path, capsys, command, fields, params,
                                               message):
     # checked while parsing, before any field is parsed or evaluated

@@ -49,7 +49,7 @@ def test_wedge_sign_and_perm_sign():
 
 def test_basic_wedge_algebra():
     n = 2
-    w = [ExtElement.from_indices(n, (i,)) for i in range(2 * n)]
+    w = [ExtElement(n, 1, {indices_to_mask((i,)): 1}) for i in range(2 * n)]
     assert (w[0] ^ w[0]).is_zero()
     ab = w[0] ^ w[1]
     ba = w[1] ^ w[0]
@@ -82,7 +82,7 @@ def test_rho_j_properties(n):
     assert rho_j(b) == b
     assert is_real(b)
     assert not is_real(b.scale(1j))
-    w0 = ExtElement.from_indices(n, (0,))
+    w0 = ExtElement(n, 1, {indices_to_mask((0,)): 1})
     assert rho_j(rho_j(w0)) == -w0
 
 
@@ -229,7 +229,7 @@ def test_elementary_sp_unit_map_is_coordinate_plane():
     # omega^0 ^ omega^1 exactly
     eta = QMatrix([[1, 0]]).tau()
     elem = elementary_sp(eta)
-    expect = ExtElement.from_indices(2, (0, 1))
+    expect = ExtElement(2, 2, {indices_to_mask((0, 1)): 1})
     assert elem == expect
 
 
@@ -287,7 +287,7 @@ def test_positivity_rejects_negative_multiple():
 
 
 def test_positivity_rejects_non_real():
-    elem = ExtElement.from_indices(2, (0, 1), coeff=1j)
+    elem = ExtElement(2, 2, {indices_to_mask((0, 1)): 1j})
     res = positivity_test(elem, samples=16, seed=0)
     assert not res
 

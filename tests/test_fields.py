@@ -532,6 +532,20 @@ def test_linear_substitution_shape_guard():
         LinearSubstitution(normsq(1), np.eye(3))
 
 
+def test_linear_substitution_rows_do_not_depend_on_the_batch():
+    # a BLAS product rounds a row according to how many rows share the call;
+    # each row of a 64-point batch must have the bits of its one-point read,
+    # through the third-derivative stencil of a DerivedField too
+    rng = np.random.default_rng(0)
+    rmat = np.eye(8) + 0.5 * rng.uniform(-1, 1, (8, 8))
+    u = LinearSubstitution(InvShift(2, 0.5), rmat, rng.uniform(-1, 1, 8))
+    pts = rng.uniform(-1, 1, (64, 8))
+    for batched in (u.values, u.gradients, u.hessians, DerivedField(u, 3).hessians):
+        full = batched(pts)
+        for k in range(len(pts)):
+            assert np.array_equal(full[k], batched(pts[k:k + 1])[0])
+
+
 # ---------------------------------------------------------------------------
 # field algebra
 
@@ -773,12 +787,3 @@ def test_grid_field_boundary_guard():
     g = GridField.sample(normsq(1), origin=[-1.0] * 4, spacing=0.25, shape=(9, 9, 9, 9))
     with pytest.raises(ValueError):
         g.gradient([-1.0, 0.0, 0.0, 0.0])
-
-
-def test_grid_field_interior_nodes():
-    g = GridField(np.full(4, -1.0), 0.25, np.zeros((9, 9, 9, 9)))
-    inner = g.interior_nodes(1)
-    assert inner.shape == (7**4, 4)
-    assert np.abs(inner).max() <= 0.75 + 1e-12
-    only_center = g.interior_nodes(4)
-    np.testing.assert_allclose(only_center, [[0.0, 0.0, 0.0, 0.0]], atol=1e-12)

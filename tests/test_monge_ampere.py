@@ -19,7 +19,6 @@ from qma.hamilton import (
     random_hyperhermitian,
 )
 from qma.monge_ampere import (
-    ball_volume_coefficient,
     fundamental_ma_density,
     fundamental_mass_exact,
     fundamental_mass_limit_coefficient,
@@ -33,6 +32,7 @@ from qma.monge_ampere import (
     tau_hessians,
 )
 from qma.calculus import delta_from_hessians, delta_matrices, delta_matrix
+from qma.quadrature import ball_moment_coefficient
 
 
 def psh_quadratic(rng, n):
@@ -321,9 +321,10 @@ def test_fundamental_density_closed_form(n, eps):
 def test_area_and_volume_coefficients():
     assert sphere_area_coefficient(1) == 2          # |S^3|  = 2 pi^2
     assert sphere_area_coefficient(2) == Fraction(1, 3)   # |S^7|  = pi^4 / 3
-    assert ball_volume_coefficient(1) == Fraction(1, 2)   # |B^4|  = pi^2 / 2
-    assert ball_volume_coefficient(2) == Fraction(1, 24)  # |B^8|  = pi^4 / 24
-    assert ball_volume_coefficient(3) == Fraction(1, 720)
+    # the zeroth ball moment is the volume, as sigma_mass reads it
+    assert ball_moment_coefficient(4, (0,) * 4) == Fraction(1, 2)   # |B^4|  = pi^2 / 2
+    assert ball_moment_coefficient(8, (0,) * 8) == Fraction(1, 24)  # |B^8|  = pi^4 / 24
+    assert ball_moment_coefficient(12, (0,) * 12) == Fraction(1, 720)
 
 
 @pytest.mark.parametrize("n", [1, 2])

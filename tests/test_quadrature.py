@@ -28,7 +28,6 @@ from qma.quadrature import (
     gauss_legendre_panels,
     graded_breaks,
     integrate_polynomial_ball,
-    integrate_polynomial_sphere,
     ndtri,
     radial_ball_integral,
     scrambled_sobol,
@@ -88,14 +87,6 @@ def test_translate_polynomial_exact():
     # (x + 1/2)^2 = x^2 + x + 1/4
     assert q.value([Fraction(0), 0, 0, 0]) == Fraction(1, 4)
     assert q.value([Fraction(1), 0, 0, 0]) == Fraction(9, 4)
-
-
-def test_integrate_polynomial_sphere():
-    assert integrate_polynomial_sphere(normsq(1)) == 2
-    assert integrate_polynomial_sphere(normsq(1), r=Fraction(1, 2)) == Fraction(2, 32)
-    p = Polynomial.coordinate(2, 3) ** 2
-    # int_{S^7} x^2 = |S^7| / 8 -> (1/3) / 8 coefficient of pi^4
-    assert integrate_polynomial_sphere(p) == Fraction(1, 24)
 
 
 # ---------------------------------------------------------------------------
