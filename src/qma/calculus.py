@@ -402,11 +402,6 @@ class FormField:
         return cls(element.n, element.degree, coeffs)
 
     # -------------------------------------------------------------- evaluate
-    def at(self, x):
-        """Evaluate to a constant-coefficient element at one point."""
-        return ExtElement(self.n, self.degree,
-                          {m: f.value(x) for m, f in self.coeffs.items()})
-
     def coefficient_table(self, pts):
         """{mask: complex array over pts} for batch work."""
         return {m: f.values(pts) for m, f in self.coeffs.items()}

@@ -39,14 +39,15 @@ An INI-like text format with ``#`` comments and six known sections:
 ``[fields]`` (<name> = <field expression>), ``[quadrature]``, ``[params]``
 and ``[tolerances]``.  Unknown sections or keys, keys the command does not
 read, negative tolerances, ``[quadrature]`` counts below 1 (below 32 for
-``fundamental``'s ``radial_nodes``), a negative ``trials``, for ``ma``
-and ``fundamental`` a ball radius ``r <= 0``, a ``lelong`` ``center``
-without 4n components, ``lelong`` ``radii`` with fewer than two distinct
-values or a value ``<= 0``, a ``fundamental`` ``eps <= 0`` and a ``cln``
-``inner_radius`` above its ``outer_radius`` are rejected with the
-offending line number (``jensen`` and ``boundary`` read ``r`` as a level,
-which may be negative).  Unset ``[quadrature]`` keys take the library's
-defaults.
+``fundamental``'s ``radial_nodes``, below 2 for ``jensen``'s
+``sphere_pow``), a ``cln`` ``sup_samples`` outside [64, 4096], a negative
+``trials``, for ``ma`` and ``fundamental`` a ball radius ``r <= 0``, a
+``lelong`` ``center`` without 4n components, ``lelong`` ``radii`` with fewer
+than two distinct values or a value ``<= 0``, a ``fundamental`` ``eps <= 0``
+and a ``cln`` ``inner_radius`` above its ``outer_radius`` are rejected with
+the offending line number (``jensen`` and ``boundary`` read ``r`` as a
+level, which may be negative).  Unset ``[quadrature]`` keys take the
+library's defaults.
 
 Field expressions
 -----------------
@@ -81,7 +82,7 @@ from pathlib import Path
 import numpy as np
 
 from .calculus import closedness_residual, delta_matrix, laplace, nabla, z_field
-from .currents import RegularizedCurrent, cln_ratio, lelong_number
+from .currents import SUP_SAMPLES_RANGE, RegularizedCurrent, cln_ratio, lelong_number
 from .errors import ConfigError, NumericalInconsistencyError, QmaError
 from .exterior import beta, positivity_test, random_strongly_positive, top_coefficient
 from .fields import (Polynomial, ScalarField, field_product, field_scale,
@@ -234,8 +235,8 @@ def parse_config(text):
     if params.get("trials", 0) < 0:
         raise ConfigError(f"line {raw['params']['trials'][0]}: 'trials' must not be "
                           f"negative")
-    _check_values(run["command"], run.get("n", 1), params,
-                  {k: ln for k, (ln, _) in raw["params"].items()})
+    _check_values(run["command"], run.get("n", 1), params, quadrature,
+                  {k: ln for s in ("params", "quadrature") for k, (ln, _) in raw[s].items()})
     for section in ("fields", "quadrature", "params", "tolerances"):
         known = getattr(reads, section)
         for key, (lineno, _) in raw[section].items():
@@ -256,8 +257,17 @@ def parse_config(text):
     )
 
 
-def _check_values(command, n, params, lines):
-    """The [params] checks that need the command: each names its line."""
+def _check_values(command, n, params, quadrature, lines):
+    """The [params] and [quadrature] checks that need the command: each
+    names its line."""
+    # jensen's layered term runs at sphere_pow - 1; one direction has no error
+    if command == "jensen" and quadrature.get("sphere_pow", 2) < 2:
+        raise ConfigError(f"line {lines['sphere_pow']}: jensen needs 'sphere_pow' at "
+                          f"least 2, got {quadrature['sphere_pow']}")
+    low, high = SUP_SAMPLES_RANGE
+    if command == "cln" and not low <= quadrature.get("sup_samples", low) <= high:
+        raise ConfigError(f"line {lines['sup_samples']}: 'sup_samples' must lie in "
+                          f"[{low}, {high}], got {quadrature['sup_samples']}")
     # ma and fundamental read r as a ball radius, jensen and boundary as a level
     if command in ("ma", "fundamental") and params.get("r", 1) <= 0:
         raise ConfigError(f"line {lines['r']}: ball radius must be positive, "

@@ -48,7 +48,9 @@ from .fields import GridField, InvShift, Polynomial, invshift, normsq
 from .hamilton import jmatrix
 from .monge_ampere import _to_real, mixed_pfaffian
 from .quadrature import (BallQuadrature, ball_moment_coefficient,
-                         gauss_legendre_panels, sobol_sphere, sphere_area)
+                         gauss_legendre_panels, sphere_rule)
+
+SUP_SAMPLES_RANGE = (64, 4096)   # sup-norm directions of cln_ratio
 
 
 def wedge_top_density(n, constant_coeffs, dmats):
@@ -88,11 +90,6 @@ class RegularizedCurrent:
         return 2 * len(self.potentials) + (self.constant.degree if self.constant else 0)
 
     # ------------------------------------------------------------ constructors
-    @classmethod
-    def beta_power(cls, n, k):
-        """beta^k as a constant-coefficient positive current."""
-        return cls(n, (), beta(n).wedge_power(k))
-
     @classmethod
     def from_laplace(cls, u):
         return cls(u.n, (u,))
@@ -193,19 +190,22 @@ def cln_ratio(fields, inner_radius, outer_radius, center=None, sup_samples=4096,
 
     L = B(center, inner_radius) inside K = B(center, outer_radius); the sup
     norms are sampled on quasi-random nodes of K (reported bound, not a
-    certified maximum).
+    certified maximum) along sup_samples directions, rounded up to a power
+    of two; a sup_samples outside ``SUP_SAMPLES_RANGE`` raises ValueError.
     """
     fields = list(fields)
     if not fields:
         raise ValueError("need at least one potential")
+    low, high = SUP_SAMPLES_RANGE
+    if not low <= sup_samples <= high:
+        raise ValueError(f"sup_samples must lie in [{low}, {high}], got {sup_samples!r}")
     n = fields[0].n
     if inner_radius > outer_radius:
         raise ValueError("inner ball must sit inside the outer ball")
     center = np.zeros(4 * n) if center is None else np.asarray(center, dtype=float)
     t = RegularizedCurrent(n, fields)
     norm, _ = sigma_mass(t, center, inner_radius, seed=seed, **quad_opts)
-    pow2 = min(12, max(6, int(math.ceil(math.log2(max(2, sup_samples))))))
-    dirs = sobol_sphere(4 * n, pow2, seed + 1)
+    dirs, _ = sphere_rule(4 * n, math.ceil(math.log2(sup_samples)), seed + 1)
     rng = np.random.default_rng(seed + 2)
     radii = outer_radius * rng.random(size=(len(dirs), 1)) ** (1.0 / (4 * n))
     block = np.concatenate([center + dirs * outer_radius,
@@ -307,14 +307,13 @@ def shell_identity_check(current, a, r1, r2, sphere_pow=9, radial_nodes=24,
     ratio = (t_hi / t_lo) ** (1.0 / panels)
     breaks = [t_lo * ratio ** k for k in range(panels + 1)]
     t, w = gauss_legendre_panels(breaks, radial_nodes)
-    dirs = sobol_sphere(4 * n, sphere_pow, seed, antithetic=True)
-    area = sphere_area(n)
+    dirs, weights = sphere_rule(4 * n, sphere_pow, seed, antithetic=True)
     lhs = 0.0
     for ti, wi in zip(t, w):
         pts = a[None, :] + math.sqrt(ti) * dirs
         dens = shell_current.trace_density(pts, pad=0)
-        lhs += wi * ti ** (2 * n - 1) * float(dens.mean())
-    lhs *= area * 0.5
+        lhs += wi * ti ** (2 * n - 1) * float(dens @ weights)
+    lhs *= 0.5
 
     s2, _ = sigma_mass(current, a, r2, sphere_pow=sphere_pow, radial_nodes=radial_nodes,
                        seed=seed)

@@ -294,10 +294,8 @@ class ExtElement:
     def norm_inf(self):
         return max((abs(complex(c)) for c in self.coeffs.values()), default=0.0)
 
-    def is_zero(self, tol=0.0):
-        if tol == 0.0:
-            return not self.coeffs
-        return self.norm_inf() <= tol
+    def is_zero(self):
+        return not self.coeffs
 
     def __eq__(self, other):
         if not isinstance(other, ExtElement):

@@ -211,11 +211,6 @@ def _qmatrix(components):
     return QMatrix([[Quaternion(*q) for q in row] for row in components.tolist()])
 
 
-def hyperhermitian_hessian(u, x):
-    """The n x n hyperhermitian Hessian of u at x (quaternion entries)."""
-    return _qmatrix(_hessian_components(u, np.asarray(x, dtype=float)[None])[0])
-
-
 def tau_hessians(u, pts):
     """Complex embeddings tau(H(u)) at many points: (N, 2n, 2n) Hermitian."""
     return _tau_blocks(_hessian_components(u, pts))

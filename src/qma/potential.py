@@ -27,15 +27,16 @@ set, with one rule per geometry: spherical and ellipsoidal level sets
 (quadratic phi) use the exact sphere and ellipsoid rules, and any other
 level set, star-shaped around a center, uses ``quadrature.StarShapedRule``.
 
-Off the quadratic path, the sublevel rule runs on a ray engine over Sobol
-directions from a center: ``_ray_radii`` solves the crossing radii of every
-(ray, level) pair in one batched Brent solve over the brackets of
-``quadrature.ray_brackets``, the bracket search and tolerances that
-``StarShapedRule`` uses too, and ``_ray_panel_sums`` integrates from the
-center out to each level on Gauss-Legendre panels, handing the integrand
-node blocks of at most ``_BLOCK_NODES`` points.  The layered term of the
-identity solves all of its levels at once and sums the panels one level at
-a time.
+Off the quadratic path, the sublevel rule runs on a ray engine from a
+center, over the directions and weights of ``quadrature.sphere_rule``, the
+one place every rule takes its direction set from: ``_ray_radii`` solves
+the crossing radii of every (ray, level) pair in one batched Brent solve
+over the brackets of ``quadrature.ray_brackets``, the bracket search and
+tolerances that ``StarShapedRule`` uses too, and ``_ray_panel_sums``
+integrates from the center out to each level on Gauss-Legendre panels,
+handing the integrand node blocks of at most ``_BLOCK_NODES`` points.  The
+layered term of the identity solves all of its levels at once and sums the
+panels one level at a time.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .fields import ChainField, QuadraticForm, ScalarField
 from .monge_ampere import _to_real, ma_density, mixed_ma, mixed_pfaffian
 from .quadrature import (RAY_TOL, BallQuadrature, EllipsoidRule, SphereRule,
                          StarShapedRule, brentq, gauss_legendre_panels,
-                         halving_estimate, ray_brackets, sobol_sphere, sphere_area)
+                         halving_estimate, ray_brackets, sphere_rule)
 
 _GRAD_FLOOR = 1e-6
 # most nodes per integrand call of _ray_panel_sums (bounds the kernels' batches)
@@ -182,7 +183,7 @@ def _sublevel_integrals(phi, levels, fn, center, sphere_pow, radial_nodes, seed)
     """(value, error) of the integral of fn over {phi < t} for each level t.
 
     A round quadratic phi takes one BallQuadrature per level.  Any other
-    phi takes the ray rule: one Sobol direction set and one ``_ray_radii``
+    phi takes the ray rule: one ``sphere_rule`` set and one ``_ray_radii``
     solve for all levels, then the panel sums one level at a time.  A level
     at or below the minimum of phi (on the ray rule, phi at the center)
     gives (0.0, 0.0)."""
@@ -206,9 +207,8 @@ def _sublevel_integrals(phi, levels, fn, center, sphere_pow, radial_nodes, seed)
     solved = [k for k, t in enumerate(levels) if not t_center >= t]
     if not solved:
         return out
-    dirs = sobol_sphere(4 * phi.n, sphere_pow, seed)
+    dirs, weights = sphere_rule(4 * phi.n, sphere_pow, seed)
     edges = _ray_radii(phi, [levels[k] for k in solved], center, dirs)
-    weights = np.full(len(dirs), sphere_area(phi.n) / len(dirs))
     for k, edge in zip(solved, edges.T):
         contrib = _ray_panel_sums(fn, center, dirs, np.zeros(len(dirs)), edge,
                                   radial_nodes)

@@ -12,9 +12,10 @@ Three tiers, from exact to sampled:
 3. **Product rules.**  Generic integrands use radial panels crossed with
    low-discrepancy (scrambled Sobol) directions on the sphere; surface
    rules for spheres, ellipsoids (exact level sets of quadratic forms) and
-   star-shaped level sets of general fields.  Error estimates come from
-   halving the direction set (prefixes of a Sobol sequence at powers of two
-   are again balanced node sets).
+   star-shaped level sets of general fields.  ``sphere_rule`` is the one
+   place any rule, here, in ``potential`` or in ``currents``, chooses its
+   directions and weights.  Error estimates come from halving the direction
+   set (prefixes of a Sobol sequence at powers of two are balanced again).
 
 Everything is deterministic given the seed.
 
@@ -519,12 +520,12 @@ def sobol_sphere(d, m_pow, seed=0, antithetic=False):
     if d > 4 * MAX_N:
         raise DimensionError(f"Sobol directions exist for d <= 4 * MAX_N = {4 * MAX_N}, "
                              f"got d = {d}")
-    if m_pow > _SOBOL_BITS:
-        raise ValueError(f"at most 2**{_SOBOL_BITS} Sobol points, got m_pow = {m_pow}")
+    if not int(antithetic) <= m_pow <= _SOBOL_BITS:
+        raise ValueError(f"m_pow must lie in [{int(antithetic)}, {_SOBOL_BITS}] (at most "
+                         f"2**{_SOBOL_BITS} Sobol points), got m_pow = {m_pow}")
     if antithetic:
-        if m_pow < 1:
-            raise ValueError("antithetic rules need at least two points")
-        base = sobol_sphere(d, m_pow - 1, seed)
+        # spelled as sphere_rule spells a plain set, so the memo shares it
+        base = sobol_sphere(d, m_pow - 1, seed, False)
         out = np.empty((2 * len(base), d))
         out[0::2] = base
         out[1::2] = -base
@@ -538,6 +539,18 @@ def sobol_sphere(d, m_pow, seed=0, antithetic=False):
         out = g / norms[:, None]
     out.flags.writeable = False
     return out
+
+
+def sphere_rule(d, m_pow, seed, antithetic=False):
+    """Read-only (dirs, weights) on S^(d-1): the 2^m_pow ``sobol_sphere``
+    directions, each weighing |S^(d-1)| / 2^m_pow.  m_pow < 1 raises
+    ValueError: one direction has no half set to estimate an error from."""
+    if m_pow < 1:
+        raise ValueError(f"a sphere rule needs at least two directions, got m_pow = {m_pow}")
+    dirs = sobol_sphere(d, m_pow, seed, antithetic)
+    weights = np.full(len(dirs), sphere_area(d // 4) / len(dirs))
+    weights.flags.writeable = False
+    return dirs, weights
 
 
 class BallQuadrature:
@@ -555,11 +568,10 @@ class BallQuadrature:
         if not radius > 0:
             raise QuadratureError(f"ball radius must be positive, got {radius!r}")
         self.n = n
-        self.radius = float(radius)
         self.center = np.zeros(4 * n) if center is None else np.asarray(center, dtype=float)
-        self.dirs = sobol_sphere(4 * n, sphere_pow, seed, antithetic=True)
+        self.dirs, self.dir_weights = sphere_rule(4 * n, sphere_pow, seed, antithetic=True)
         self.t_nodes, self.t_weights = gauss_legendre_panels(
-            graded_breaks(self.radius ** 2, peak_scale), radial_nodes)
+            graded_breaks(float(radius) ** 2, peak_scale), radial_nodes)
 
     def integrate(self, fn):
         n_dirs = len(self.dirs)
@@ -573,28 +585,29 @@ class BallQuadrature:
                    + rho[:, None, None] * self.dirs[None, :, :]).reshape(-1, 4 * self.n)
             vals = np.asarray(fn(pts), dtype=float).reshape(len(t), n_dirs)
             per_dir += tw[start:start + rows_per_block] @ vals
-        weights = np.full(n_dirs, sphere_area(self.n) * 0.5 / n_dirs)
-        return halving_estimate(per_dir, weights)
+        return halving_estimate(per_dir, self.dir_weights * 0.5)
 
 
-class SphereRule:
-    """Equal-weight antithetic Sobol rule on a round sphere; exposes outward
-    normals."""
-
-    def __init__(self, n, radius, center=None, sphere_pow=10, seed=0):
-        self.n = n
-        self.radius = float(radius)
-        self.center = np.zeros(4 * n) if center is None else np.asarray(center, dtype=float)
-        self.normals = sobol_sphere(4 * n, sphere_pow, seed, antithetic=True)
-        self.points = self.center[None, :] + self.radius * self.normals
-        area = sphere_area(n) * self.radius ** (4 * n - 1)
-        self.weights = np.full(len(self.points), area / len(self.points))
+class _SurfaceRule:
+    """Level-set nodes ``points``, area ``weights`` and outward unit
+    ``normals``; ``integrate(fn)`` is (value, error from the half set)."""
 
     def integrate(self, fn):
         return halving_estimate(fn(self.points), self.weights)
 
 
-class EllipsoidRule:
+class SphereRule(_SurfaceRule):
+    """Equal-weight antithetic Sobol rule on a round sphere."""
+
+    def __init__(self, n, radius, center=None, sphere_pow=10, seed=0):
+        radius = float(radius)
+        center = np.zeros(4 * n) if center is None else np.asarray(center, dtype=float)
+        self.normals, weights = sphere_rule(4 * n, sphere_pow, seed, antithetic=True)
+        self.points = center[None, :] + radius * self.normals
+        self.weights = weights * radius ** (4 * n - 1)
+
+
+class EllipsoidRule(_SurfaceRule):
     """Surface rule for a level set {(x-a)^T M (x-a) = level} of a
     positive quadratic form (exact geometry, antithetic Sobol directions).
 
@@ -607,7 +620,6 @@ class EllipsoidRule:
         d = m_real.shape[0]
         if d % 4:
             raise DimensionError("ambient dimension must be a multiple of 4")
-        self.n = d // 4
         evals, evecs = np.linalg.eigh(0.5 * (m_real + m_real.T))
         if evals.min() <= 0:
             raise DegenerateLevelSetError("quadratic form is not positive definite")
@@ -615,22 +627,18 @@ class EllipsoidRule:
             raise DegenerateLevelSetError("level must be positive")
         b = evecs @ np.diag(evals ** -0.5) @ evecs.T
         b_inv_t = evecs @ np.diag(evals ** 0.5) @ evecs.T
-        theta = sobol_sphere(d, sphere_pow, seed, antithetic=True)
+        theta, weights = sphere_rule(d, sphere_pow, seed, antithetic=True)
         root = math.sqrt(level)
-        self.center = np.asarray(center, dtype=float)
-        self.points = self.center[None, :] + root * theta @ b.T
+        center = np.asarray(center, dtype=float)
+        self.points = center[None, :] + root * theta @ b.T
         det_b = float(np.prod(evals ** -0.5))
         stretch = np.linalg.norm(theta @ b_inv_t.T, axis=1)
-        area = sphere_area(self.n)
-        self.weights = (area / len(theta)) * det_b * stretch * root ** (d - 1)
-        grad_dir = (self.points - self.center) @ m_real.T
+        self.weights = weights * det_b * stretch * root ** (d - 1)
+        grad_dir = (self.points - center) @ m_real.T
         self.normals = grad_dir / np.linalg.norm(grad_dir, axis=1)[:, None]
 
-    def integrate(self, fn):
-        return halving_estimate(fn(self.points), self.weights)
 
-
-class StarShapedRule:
+class StarShapedRule(_SurfaceRule):
     """Surface rule for a level set {phi = level} star-shaped around a
     center: the crossing radii of all Sobol rays come from one batched
     ``brentq`` over the brackets of ``ray_brackets``, and the area element
@@ -638,11 +646,9 @@ class StarShapedRule:
     """
 
     def __init__(self, field, level, center=None, sphere_pow=9, seed=0):
-        n = field.n
-        d = 4 * n
-        self.n = n
+        d = 4 * field.n
         center = np.zeros(d) if center is None else np.asarray(center, dtype=float)
-        dirs = sobol_sphere(d, sphere_pow, seed)
+        dirs, weights = sphere_rule(d, sphere_pow, seed)
         g, lo, hi, glo, ghi = ray_brackets(field, (level,), center, dirs)
         radii = brentq(g, lo, hi, xtol=RAY_TOL, rtol=RAY_TOL, fa=glo, fb=ghi)
         self.points = center[None, :] + radii[:, None] * dirs
@@ -651,9 +657,5 @@ class StarShapedRule:
         radial = np.einsum("bi,bi->b", grads, dirs)
         if np.any(radial <= 0):
             raise DegenerateLevelSetError("gradient not outward along a ray")
-        area = sphere_area(n)
-        self.weights = (area / len(dirs)) * radii ** (d - 1) * gnorm / radial
+        self.weights = weights * radii ** (d - 1) * gnorm / radial
         self.normals = grads / gnorm[:, None]
-
-    def integrate(self, fn):
-        return halving_estimate(fn(self.points), self.weights)

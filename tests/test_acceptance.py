@@ -41,14 +41,13 @@ from qma.hamilton import (
     random_quaternion,
     tau,
 )
-from qma.monge_ampere import (
-    hyperhermitian_hessian,
-    ma_density,
-    mixed_ma,
-)
+from qma.monge_ampere import ma_density, mixed_ma
 from qma.potential import boundary_mass_residual, lelong_jensen
 from qma.quadrature import radial_ball_integral
+from test_calculus import form_at
+from test_currents import beta_power_current
 from test_hamilton import random_unitary
+from test_monge_ampere import hyperhermitian_hessian
 
 PI2 = math.pi**2
 PI4 = math.pi**4
@@ -175,7 +174,7 @@ def test_criterion_03_coordinate_anchors():
                         assert g.re == want and g.im == 0
                 d = nabla(normsq(n), j, alpha) - z_field(n, j, alpha).conj() * 2
                 assert d.is_exact_zero()
-        assert laplace(normsq(n)).at(np.zeros(4 * n)) == beta(n) * 8
+        assert form_at(laplace(normsq(n)), np.zeros(4 * n)) == beta(n) * 8
     for n in (1, 2, 3):
         assert beta(n).wedge_power(n) == omega_top(n) * math.factorial(n)
     _scorecard(3, "coordinate anchors",
@@ -285,7 +284,7 @@ def test_criterion_07_lelong_numbers():
     assert abs(nu - want) <= 1e-2 * want
     assert profile.monotone_violations() == []
 
-    smooth = RegularizedCurrent.beta_power(2, 1)
+    smooth = beta_power_current(2, 1)
     sprof, snu = lelong_number(smooth, np.zeros(8), radii,
                                sphere_pow=8, radial_nodes=16)
     assert abs(snu) <= 1e-5

@@ -153,6 +153,14 @@ def test_parse_config_full_round_trip():
      "line 4: 't_nodes' must be at least 1"),
     ("[run]\ncommand = cln\n[quadrature]\nsup_samples = -5\n",
      "line 4: 'sup_samples' must be at least 1"),
+    # the layered term runs at sphere_pow - 1: one direction, no error estimate
+    ("[run]\ncommand = jensen\n[quadrature]\nsphere_pow = 1\n",
+     "line 4: jensen needs 'sphere_pow' at least 2, got 1"),
+    # cln_ratio used to clamp these to 64 and 4096 directions
+    ("[run]\ncommand = cln\n[quadrature]\nsup_samples = 1\n",
+     "line 4: 'sup_samples' must lie in \\[64, 4096\\], got 1"),
+    ("[run]\ncommand = cln\n[quadrature]\nsup_samples = 100000\n",
+     "line 4: 'sup_samples' must lie in \\[64, 4096\\], got 100000"),
     ("[run]\ncommand = cln\n[params]\ntrials = -4\n",
      "line 4: 'trials' must not be negative"),
     ("[run]\ncommand = verify\n[output]\nformat = yaml\n", "csv, json or both"),
@@ -190,8 +198,8 @@ _READ_KEYS = {
 }
 _KEY_VALUES = {
     "fields": dict.fromkeys(("u", "w", "phi", "v"), "normsq()"),
-    "quadrature": dict.fromkeys(("sphere_pow", "radial_nodes", "t_nodes",
-                                 "sup_samples"), "40"),
+    "quadrature": {**dict.fromkeys(("sphere_pow", "radial_nodes", "t_nodes"), "40"),
+                   "sup_samples": "64"},
     "params": {"r": "0.5", "radii": "0.5, 1.0", "eps": "0.1", "center": "0, 0, 0, 0",
                "inner_radius": "0.5", "outer_radius": "1.0", "trials": "1"},
     "tolerances": dict.fromkeys(("identity", "moore", "mass", "jensen",

@@ -30,6 +30,7 @@ from qma.currents import (
     stokes_check,
     wedge_top_density,
 )
+from test_calculus import form_at
 
 PI2 = math.pi**2
 PI4 = math.pi**4
@@ -44,15 +45,20 @@ def _unit(n):
     return RegularizedCurrent(n, (), ExtElement.scalar(n, 1))
 
 
+def beta_power_current(n, k):
+    """beta^k as a constant-coefficient positive current."""
+    return RegularizedCurrent(n, (), beta(n).wedge_power(k))
+
+
 def test_unit_and_beta_power_densities():
     pts1 = np.zeros((3, 4))
     np.testing.assert_allclose(_unit(1).trace_density(pts1), 1.0)
     pts2 = np.zeros((3, 8))
     np.testing.assert_allclose(_unit(2).trace_density(pts2), 2.0)
     np.testing.assert_allclose(
-        RegularizedCurrent.beta_power(2, 1).trace_density(pts2), 2.0
+        beta_power_current(2, 1).trace_density(pts2), 2.0
     )
-    np.testing.assert_allclose(RegularizedCurrent.beta_power(2, 2).density(pts2), 2.0)
+    np.testing.assert_allclose(beta_power_current(2, 2).density(pts2), 2.0)
 
 
 def test_laplace_current_density_matches_ma():
@@ -102,7 +108,7 @@ def test_current_form_matches_symbolic():
     u = normsq(1)
     t = RegularizedCurrent.from_laplace(u)
     f = t.form()
-    assert f.at(np.zeros(4)) == beta(1) * 8
+    assert form_at(f, np.zeros(4)) == beta(1) * 8
 
 
 def test_wedge_top_density_guards():
@@ -118,7 +124,7 @@ def test_wedge_top_density_guards():
 
 
 def test_sigma_mass_constant_current_exact():
-    value, error = sigma_mass(RegularizedCurrent.beta_power(1, 1), np.zeros(4), 1.0)
+    value, error = sigma_mass(beta_power_current(1, 1), np.zeros(4), 1.0)
     assert error == 0.0
     assert value == pytest.approx(PI2 / 2, rel=1e-12)
 
@@ -160,6 +166,10 @@ def test_cln_ratio_guards():
     # the sup-norm sample includes the center, where -1/|q|^2 has its pole
     with pytest.raises(ValueError, match="not finite"):
         cln_ratio([invshift(1)], 0.5, 1.0)
+    # refused, not clamped to 64 or 4096 directions
+    for samples in (1, 63, 4097, 100000):
+        with pytest.raises(ValueError, match="sup_samples must lie in \\[64, 4096\\]"):
+            cln_ratio([normsq(1)], 0.5, 1.0, sup_samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +297,7 @@ def test_positivity_pairing():
     pts = np.random.default_rng(5).standard_normal((16, 8))
     t = RegularizedCurrent.from_laplace(normsq(2))
     assert positivity_pairing_min(t, pts, trials=8) >= -1e-9
-    top = RegularizedCurrent.beta_power(2, 2)
+    top = beta_power_current(2, 2)
     assert positivity_pairing_min(top, pts, trials=2) == pytest.approx(2.0, rel=1e-12)
 
 

@@ -1,15 +1,16 @@
-"""Every function and class that ``qma`` exports has a caller in the package.
+"""Every function, class and method in ``src/qma`` has a caller in the package.
 
 A helper only the tests call belongs in the test that calls it.  The few
-exported names with no caller in ``src/qma`` are listed below, each with the
-reason it stays: a check of one of the paper's identities, which the tests
-run and a ``qma`` command row may run later, or a reference implementation
-the tests compare against.  A listed name that gains a caller leaves the list.
+names with no caller in ``src/qma`` are listed below, each with the reason
+it stays: a check of one of the paper's identities, which the tests run and
+a ``qma`` command row may run later, or a reference implementation the
+tests compare against.  A listed name that gains a caller leaves the list.
+Special methods (``__init__``, ``__add__``, ...) are called by the
+language, not by name, and are not checked.
 """
 
 import ast
 import pathlib
-import types
 
 import qma
 
@@ -31,30 +32,54 @@ UNCALLED = {
 }
 
 
-def _names_used_in_package():
-    """Names read in ``src/qma`` outside the definition that binds them;
-    the re-exports of ``__init__`` and the imports themselves do not count."""
+def _package_modules():
+    return [ast.parse(path.read_text())
+            for path in sorted(pathlib.Path(qma.__file__).parent.glob("*.py"))
+            if path.name != "__init__.py"]
+
+
+def _defined_names(module):
+    """Each module-level function and class, and each method but the
+    special ones."""
+    for top in module.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            yield top.name
+        if isinstance(top, ast.ClassDef):
+            for item in top.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield item.name
+
+
+def _names_read(node, skip):
+    for sub in ast.walk(node):
+        name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+        if name is not None and name != skip:
+            yield name
+
+
+def _names_used_in_package(modules):
+    """Names read in ``src/qma`` outside the definition that binds them; a
+    method's own body does not count for its name, and neither do the
+    re-exports of ``__init__`` or the imports themselves."""
     used = set()
-    for path in pathlib.Path(qma.__file__).parent.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for top in ast.parse(path.read_text()).body:
-            own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                else:
-                    continue
-                if name != own:
-                    used.add(name)
+    for module in modules:
+        for top in module.body:
+            if isinstance(top, ast.ClassDef):
+                for item in top.body:
+                    own = item.name if isinstance(item, ast.FunctionDef) else top.name
+                    used.update(_names_read(item, own))
+                for node in top.bases + top.decorator_list:
+                    used.update(_names_read(node, top.name))
+            else:
+                own = top.name if isinstance(top, ast.FunctionDef) else None
+                used.update(_names_read(top, own))
     return used
 
 
-def test_every_exported_name_has_a_caller_or_a_listed_reason():
-    exported = {name for name in qma.__all__
-                if not isinstance(getattr(qma, name), types.ModuleType)}
-    uncalled = exported - _names_used_in_package()
-    assert sorted(uncalled - set(UNCALLED)) == [], "exported with no caller in src/qma"
-    assert sorted(set(UNCALLED) - uncalled) == [], "listed, but exported with a caller"
+def test_every_definition_has_a_caller_or_a_listed_reason():
+    modules = _package_modules()
+    defined = {name for module in modules for name in _defined_names(module)}
+    uncalled = defined - _names_used_in_package(modules)
+    assert sorted(uncalled - set(UNCALLED)) == [], "defined with no caller in src/qma"
+    assert sorted(set(UNCALLED) - uncalled) == [], "listed, but defined with a caller"

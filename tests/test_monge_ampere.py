@@ -19,10 +19,11 @@ from qma.hamilton import (
     random_hyperhermitian,
 )
 from qma.monge_ampere import (
+    _hessian_components,
+    _qmatrix,
     fundamental_ma_density,
     fundamental_mass_exact,
     fundamental_mass_limit_coefficient,
-    hyperhermitian_hessian,
     ma_density,
     mixed_ma,
     moore_equivalence_residual,
@@ -33,6 +34,12 @@ from qma.monge_ampere import (
 )
 from qma.calculus import delta_from_hessians, delta_matrices, delta_matrix
 from qma.quadrature import ball_moment_coefficient
+
+
+def hyperhermitian_hessian(u, x):
+    """The n x n hyperhermitian Hessian of u at x (quaternion entries): row 0
+    of the batched read-off."""
+    return _qmatrix(_hessian_components(u, np.asarray(x, dtype=float)[None])[0])
 
 
 def psh_quadratic(rng, n):

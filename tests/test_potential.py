@@ -328,7 +328,7 @@ def test_lelong_jensen_solves_all_layered_levels_at_once(monkeypatch):
     phi, r = _radial_quartic()
     v = Polynomial.coordinate(1, 0) * Polynomial.coordinate(1, 0) + 1.5
     solved, drawn = [], []
-    ray_radii, sobol = potential._ray_radii, potential.sobol_sphere
+    ray_radii, sobol = potential._ray_radii, quadrature.sobol_sphere
 
     def counted_radii(phi, levels, center, dirs):
         solved.append(len(levels))
@@ -339,9 +339,8 @@ def test_lelong_jensen_solves_all_layered_levels_at_once(monkeypatch):
         return sobol(*args, **kwargs)
 
     monkeypatch.setattr(potential, "_ray_radii", counted_radii)
-    # the surface rule draws its directions through quadrature's name
-    for mod in (potential, quadrature):
-        monkeypatch.setattr(mod, "sobol_sphere", counted_sobol)
+    # every rule draws its directions through quadrature.sphere_rule
+    monkeypatch.setattr(quadrature, "sobol_sphere", counted_sobol)
     lelong_jensen(phi, v, r, t_nodes=12, sphere_pow=4, radial_nodes=4)
     # the interior and spatial terms, the layered term; the surface rule
     # solves its rays in quadrature
@@ -362,9 +361,9 @@ def test_lelong_jensen_builds_each_direction_set_once(monkeypatch):
         asked.append((args, tuple(sorted(kwargs.items()))))
         return cached(*args, **kwargs)
 
-    # the antithetic sets ask for their base set through quadrature's name
-    for mod in (potential, quadrature):
-        monkeypatch.setattr(mod, "sobol_sphere", recorded)
+    # sphere_rule, and each antithetic set for its base set, ask through
+    # quadrature's name
+    monkeypatch.setattr(quadrature, "sobol_sphere", recorded)
     cached.cache_clear()
     lelong_jensen(phi, v, 1.0, t_nodes=12, sphere_pow=4, radial_nodes=4)
     info = cached.cache_info()

@@ -27,6 +27,7 @@ from qma.quadrature import (
     brentq,
     gauss_legendre_panels,
     graded_breaks,
+    halving_estimate,
     integrate_polynomial_ball,
     ndtri,
     radial_ball_integral,
@@ -34,6 +35,7 @@ from qma.quadrature import (
     sobol_sphere,
     sphere_area,
     sphere_moment_coefficient,
+    sphere_rule,
     translate_polynomial,
 )
 
@@ -206,6 +208,26 @@ def test_sobol_sphere_limits():
         sobol_sphere(4, 31)
     with pytest.raises(ValueError, match="2\\*\\*30"):
         sobol_sphere(4, 32, antithetic=True)
+
+
+@settings(max_examples=40)
+@given(d=st.sampled_from([4, 8, 12]), m_pow=st.integers(1, 12),
+       seed=st.integers(0, 2 ** 64 - 1), antithetic=st.booleans())
+def test_sphere_rule_weights_sum_to_the_sphere_area(d, m_pow, seed, antithetic):
+    dirs, weights = sphere_rule(d, m_pow, seed, antithetic)
+    assert dirs.shape == (2 ** m_pow, d) and weights.shape == (2 ** m_pow,)
+    np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=1e-12)
+    assert (weights > 0).all()
+    assert not dirs.flags.writeable and not weights.flags.writeable
+    area = sphere_area(d // 4)
+    assert abs(weights.sum() - area) <= 1e-15 * area
+
+
+def test_sphere_rule_refuses_a_single_direction():
+    # halving_estimate would compare the rule with an empty leading half
+    for antithetic in (False, True):
+        with pytest.raises(ValueError, match="at least two directions"):
+            sphere_rule(4, 0, 0, antithetic)
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +556,41 @@ def test_star_shaped_rule_guards():
     # -|q|^2 = -0.25 is the sphere of radius 1/2, but the gradient points in
     with pytest.raises(DegenerateLevelSetError, match="not outward"):
         StarShapedRule(down, level=-0.25, sphere_pow=4)
+
+
+@pytest.mark.parametrize("n, sphere_pow, seed", [(1, 5, 0), (1, 9, 4), (2, 7, 3)])
+def test_rules_equal_their_inline_weight_oracles(n, sphere_pow, seed):
+    # the ball, sphere and ellipsoid rules with the directions of
+    # sobol_sphere and the weight |S^(d-1)| / N written out inline
+    d = 4 * n
+    dirs = sobol_sphere(d, sphere_pow, seed, antithetic=True)
+    area = sphere_area(n)
+    center = np.linspace(-0.5, 0.5, d)
+    fn = lambda pts: 1.0 + pts[:, 0] ** 2 + pts[:, 1] ** 3 * pts[:, 2]
+
+    radius = 0.75
+    ball = BallQuadrature(n, radius, center=center, sphere_pow=sphere_pow,
+                          radial_nodes=8, seed=seed)
+    t, tw = gauss_legendre_panels(graded_breaks(radius ** 2), 8)
+    pts = (center[None, None, :] + np.sqrt(t)[:, None, None] * dirs[None, :, :]).reshape(-1, d)
+    per_dir = (tw * t ** (2 * n - 1)) @ fn(pts).reshape(len(t), len(dirs))
+    weights = np.full(len(dirs), area * 0.5 / len(dirs))
+    assert ball.integrate(fn) == halving_estimate(per_dir, weights)
+
+    sphere = SphereRule(n, radius, center, sphere_pow=sphere_pow, seed=seed)
+    weights = np.full(len(dirs), area * radius ** (d - 1) / len(dirs))
+    assert sphere.integrate(fn) == halving_estimate(fn(center + radius * dirs), weights)
+
+    a = np.random.default_rng(seed).standard_normal((d, d))
+    m, level = a @ a.T + np.eye(d), 1.3
+    ellipsoid = EllipsoidRule(m, center, level, sphere_pow=sphere_pow, seed=seed)
+    evals, evecs = np.linalg.eigh(0.5 * (m + m.T))
+    b = evecs @ np.diag(evals ** -0.5) @ evecs.T
+    b_inv_t = evecs @ np.diag(evals ** 0.5) @ evecs.T
+    root = math.sqrt(level)
+    weights = ((area / len(dirs)) * float(np.prod(evals ** -0.5))
+               * np.linalg.norm(dirs @ b_inv_t.T, axis=1) * root ** (d - 1))
+    assert ellipsoid.integrate(fn) == halving_estimate(fn(center + root * dirs @ b.T), weights)
 
 
 def test_rules_deterministic_in_seed():
