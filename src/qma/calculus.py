@@ -16,8 +16,9 @@ built from them:
   (1/2)(nabla_{i0} nabla_{j1} - nabla_{i1} nabla_{j0}) u;
 * ``laplace(u)``            the 2-form sum_{i<j} 2 delta_{ij} u  w^i ^ w^j,
   equal to d0 d1 u;
-* ``FormField``             forms with field coefficients, with wedge and
-  the two exterior-type differentials d0/d1 (both square to zero);
+* ``FormField``             forms with field coefficients: the
+  ``exterior.ExtElement`` algebra over ``CxField`` coefficients, plus the
+  two exterior-type differentials d0/d1 (both square to zero);
 * ``delta_matrix(u, x)``    the 2n x 2n antisymmetric matrix of
   delta_{ij} u(x): row 0 of the batched ``delta_matrices``, whose
   ``delta_from_hessians`` reads each entry off the real Hessian with an
@@ -97,11 +98,7 @@ class CxField:
     def __mul__(self, other):
         if isinstance(other, (int, float, Fraction)):
             return CxField(field_scale(self.re, other), field_scale(self.im, other))
-        if isinstance(other, RationalComplex):
-            a, b = other.re, other.im
-            return CxField(field_sum(field_scale(self.re, a), field_scale(self.im, -b)),
-                           field_sum(field_scale(self.re, b), field_scale(self.im, a)))
-        if isinstance(other, complex):
+        if isinstance(other, (RationalComplex, complex)):
             a, b = other.real, other.imag
             return CxField(field_sum(field_scale(self.re, a), field_scale(self.im, -b)),
                            field_sum(field_scale(self.re, b), field_scale(self.im, a)))
@@ -364,91 +361,25 @@ def _invshift_delta_matrices(u, pts):
 # ---------------------------------------------------------------------------
 # forms with field coefficients
 
-class FormField:
+class FormField(ExtElement):
     """A degree-p form whose coefficients are complex-valued fields.
 
-    Stored sparsely as {index bitmask: CxField}; masks use bit j for the
-    basis covector w^j, exactly like the constant-coefficient elements.
+    An ``ExtElement`` over ``CxField`` coefficients: {index bitmask:
+    CxField}, with the algebra of ``exterior``.  Each coefficient is stored
+    as a ``CxField`` and dropped when it is exactly zero; a form wedges a
+    constant-coefficient ``ExtElement`` directly.
     """
 
-    __slots__ = ("n", "degree", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, n, degree, coeffs=None):
-        if not 0 <= degree <= 2 * n:
-            raise DimensionError(f"degree {degree} out of range for n={n}")
-        self.n = n
-        self.degree = degree
-        self.coeffs = {}
-        if coeffs:
-            for mask, f in coeffs.items():
-                if mask.bit_count() != degree or mask >= 1 << (2 * n):
-                    raise DimensionError(f"mask {mask:b} is not degree {degree}")
-                f = _as_cx(f, n)
-                if not f.is_exact_zero():
-                    self.coeffs[mask] = f
-
-    @classmethod
-    def zero(cls, n, degree):
-        return cls(n, degree)
+    def _coefficient(self, c):
+        c = _as_cx(c, self.n)
+        return None if c.is_exact_zero() else c
 
     @classmethod
     def from_scalar(cls, u):
-        return cls(u.n, 0, {0: _as_cx(u, u.n)})
+        return cls(u.n, 0, {0: u})
 
-    @classmethod
-    def from_constant(cls, element):
-        """Constant-coefficient form from an exterior-algebra element."""
-        coeffs = {m: CxField.constant(element.n, c) for m, c in element.coeffs.items()}
-        return cls(element.n, element.degree, coeffs)
-
-    # -------------------------------------------------------------- evaluate
-    def coefficient_table(self, pts):
-        """{mask: complex array over pts} for batch work."""
-        return {m: f.values(pts) for m, f in self.coeffs.items()}
-
-    # -------------------------------------------------------------- algebra
-    def __add__(self, other):
-        if not isinstance(other, FormField):
-            return NotImplemented
-        if (self.n, self.degree) != (other.n, other.degree):
-            raise DimensionError("cannot add forms of different shape")
-        out = dict(self.coeffs)
-        for m, f in other.coeffs.items():
-            out[m] = out[m] + f if m in out else f
-        return FormField(self.n, self.degree, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, s):
-        return FormField(self.n, self.degree,
-                         {m: f * s for m, f in self.coeffs.items()})
-
-    def wedge(self, other):
-        if isinstance(other, ExtElement):
-            other = FormField.from_constant(other)
-        if self.n != other.n:
-            raise DimensionError("mismatched dimensions")
-        deg = self.degree + other.degree
-        if deg > 2 * self.n:
-            return FormField(self.n, 2 * self.n)
-        out = {}
-        for ma, fa in self.coeffs.items():
-            for mb, fb in other.coeffs.items():
-                if ma & mb:
-                    continue
-                s = wedge_sign(ma, mb)
-                term = fa * fb if s > 0 else (fa * fb) * -1
-                m = ma | mb
-                out[m] = out[m] + term if m in out else term
-        return FormField(self.n, deg, out)
-
-    __xor__ = wedge
-
-    # -------------------------------------------------------------- calculus
     def d(self, alpha):
         """Exterior-type differential: sum_j nabla_{j,alpha} f_I w^j ^ w^I."""
         if self.degree == 2 * self.n:
@@ -469,9 +400,6 @@ class FormField:
     def is_exact(self):
         return all(f.is_exact() for f in self.coeffs.values())
 
-    def is_exact_zero(self):
-        return all(f.is_exact_zero() for f in self.coeffs.values())
-
 
 def laplace(u):
     """The closed 2-form with coefficients 2 delta_{ij} u at mask {i, j}.
@@ -479,13 +407,8 @@ def laplace(u):
     Equals d0(d1(u)); for plurisubharmonic u this is the basic positive form
     (e.g. u = |q|^2 gives 8 * beta)."""
     n = u.n
-    coeffs = {}
-    for i in range(2 * n):
-        for j in range(i + 1, 2 * n):
-            f = delta_field(u, i, j) * 2
-            if not f.is_exact_zero():
-                coeffs[(1 << i) | (1 << j)] = f
-    return FormField(n, 2, coeffs)
+    return FormField(n, 2, {(1 << i) | (1 << j): delta_field(u, i, j) * 2
+                            for i, j in itertools.combinations(range(2 * n), 2)})
 
 
 def d_scalar(u, alpha):
@@ -512,7 +435,8 @@ def closedness_residual(form, pts=None):
         raise ValueError("sample points are required for non-polynomial forms")
     worst = 0.0
     for alpha in (0, 1):
-        for arr in form.d(alpha).coefficient_table(pts).values():
+        for f in form.d(alpha).coeffs.values():
+            arr = f.values(pts)
             if len(arr):
                 worst = max(worst, float(np.abs(arr).max()))
     return worst

@@ -40,7 +40,10 @@ An INI-like text format with ``#`` comments and six known sections:
 and ``[tolerances]``.  Unknown sections or keys, keys the command does not
 read, negative tolerances, ``[quadrature]`` counts below 1 (below 32 for
 ``fundamental``'s ``radial_nodes``, below 2 for ``jensen``'s
-``sphere_pow``), a ``cln`` ``sup_samples`` outside [64, 4096], a negative
+``sphere_pow``), a ``sphere_pow`` above 29 for ``jensen`` and ``boundary``
+(their surface rule runs at ``sphere_pow + 1``) or above 30 for ``lelong``
+and ``cln`` (no rule draws more than 2^30 directions), a ``cln``
+``sup_samples`` outside [64, 4096], a negative
 ``trials``, for ``ma`` and ``fundamental`` a ball radius ``r <= 0``, a
 ``lelong`` ``center`` without 4n components, ``lelong`` ``radii`` with fewer
 than two distinct values or a value ``<= 0``, a ``fundamental`` ``eps <= 0``
@@ -92,7 +95,7 @@ from .hamilton import (QMatrix, Quaternion, _tau_blocks, jmatrix, moore_det,
 from .monge_ampere import (fundamental_mass_exact, fundamental_mass_limit_coefficient,
                            ma_density, mixed_ma, moore_equivalence_residual, psh_test)
 from .potential import boundary_mass_residual, boundary_measure_density, lelong_jensen
-from .quadrature import StarShapedRule, radial_ball_integral
+from .quadrature import _SOBOL_BITS, StarShapedRule, radial_ball_integral
 
 SCHEMA_VERSION = 2
 
@@ -264,6 +267,14 @@ def _check_values(command, n, params, quadrature, lines):
     if command == "jensen" and quadrature.get("sphere_pow", 2) < 2:
         raise ConfigError(f"line {lines['sphere_pow']}: jensen needs 'sphere_pow' at "
                           f"least 2, got {quadrature['sphere_pow']}")
+    # no rule draws more than 2**_SOBOL_BITS directions, and jensen and
+    # boundary run their surface rule at sphere_pow + 1
+    if "sphere_pow" in _COMMANDS[command].quadrature:
+        high = _SOBOL_BITS - 1 if command in ("jensen", "boundary") else _SOBOL_BITS
+        if quadrature.get("sphere_pow", high) > high:
+            raise ConfigError(f"line {lines['sphere_pow']}: {command} needs 'sphere_pow' "
+                              f"at most {high} (at most 2**{_SOBOL_BITS} directions per "
+                              f"rule), got {quadrature['sphere_pow']}")
     low, high = SUP_SAMPLES_RANGE
     if command == "cln" and not low <= quadrature.get("sup_samples", low) <= high:
         raise ConfigError(f"line {lines['sup_samples']}: 'sup_samples' must lie in "
@@ -819,8 +830,6 @@ def _cmd_jensen(cfg, params, tol):
     fields, r = _parsed_fields(cfg), params["r"]
     report = lelong_jensen(fields["phi"], fields["v"], r, seed=cfg.seed,
                            **cfg.quadrature)
-    if not report.finite():
-        raise QmaError("Jensen evaluation produced non-finite terms")
     scale = max(abs(report.boundary_term), abs(report.interior_term), 1.0)
     rows = [
         _quantity_row("boundary_term", report.boundary_term),

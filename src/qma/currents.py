@@ -42,7 +42,7 @@ import numpy as np
 import dataclasses
 
 from .errors import DimensionError
-from .exterior import ExtElement, beta, random_strongly_positive
+from .exterior import beta, random_strongly_positive
 from .calculus import FormField, delta_matrices, laplace
 from .fields import GridField, InvShift, Polynomial, invshift, normsq
 from .hamilton import jmatrix
@@ -143,11 +143,9 @@ class RegularizedCurrent:
             lf = laplace(u)
             f = lf if f is None else f.wedge(lf)
         if self.constant is not None:
-            cf = FormField.from_constant(self.constant)
-            f = cf if f is None else f.wedge(cf)
-        if f is None:
-            f = FormField.from_constant(ExtElement.scalar(self.n, 1))
-        return f
+            c = self.constant
+            f = FormField(c.n, c.degree, c.coeffs) if f is None else f.wedge(c)
+        return FormField.scalar(self.n, 1) if f is None else f
 
 
 def bt_product(u, current):

@@ -30,12 +30,4 @@ class DegenerateLevelSetError(QmaError, ValueError):
 
 
 class ConfigError(QmaError, ValueError):
-    """Config file rejected; carries 1-based line/column when known."""
-
-    def __init__(self, message, line=None, col=None):
-        self.line = line
-        self.col = col
-        if line is not None:
-            where = f"line {line}" + (f", col {col}" if col is not None else "")
-            message = f"{where}: {message}"
-        super().__init__(message)
+    """Config file rejected; a message about one line starts "line N:"."""

@@ -30,7 +30,11 @@ lane apart from the float one.
 
 Coefficients may be python complex numbers or exact RationalComplex values;
 all structural operations (wedge, rho, pullback on exact tau data) preserve
-exactness.
+exactness.  The algebra (sum, negation, scaling, wedge and wedge power) is
+written once, here: every result takes the type of its left operand, and a
+subclass changes only ``_coefficient``, the rule that says what a
+coefficient is stored as and when it is dropped.  ``calculus.FormField`` is
+that subclass over complex-valued field coefficients.
 """
 
 from __future__ import annotations
@@ -72,6 +76,14 @@ class RationalComplex:
     def __init__(self, re=0, im=0):
         self.re = Fraction(re)
         self.im = Fraction(im)
+
+    @property
+    def real(self):
+        return self.re
+
+    @property
+    def imag(self):
+        return self.im
 
     def conjugate(self):
         return RationalComplex(self.re, -self.im)
@@ -210,12 +222,13 @@ class ExtElement:
                 if mask.bit_count() != degree:
                     raise DimensionError(
                         f"mask {mask:#x} has degree {mask.bit_count()}, element has {degree}")
-                if not _negligible(c):
+                c = self._coefficient(c)
+                if c is not None:
                     self.coeffs[mask] = c
 
-    @classmethod
-    def zero(cls, n, degree=0):
-        return cls(n, degree)
+    def _coefficient(self, c):
+        """The value to store for coefficient c, or None to drop it."""
+        return None if _negligible(c) else c
 
     @classmethod
     def scalar(cls, n, value):
@@ -228,23 +241,19 @@ class ExtElement:
         self._check_compatible(other)
         out = dict(self.coeffs)
         for mask, c in other.coeffs.items():
-            v = out.get(mask, 0) + c
-            if _negligible(v):
-                out.pop(mask, None)
-            else:
-                out[mask] = v
-        return ExtElement(self.n, self.degree, out)
+            out[mask] = out.get(mask, 0) + c
+        return type(self)(self.n, self.degree, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return ExtElement(self.n, self.degree, {m: -c for m, c in self.coeffs.items()})
+        return type(self)(self.n, self.degree, {m: -c for m, c in self.coeffs.items()})
 
     def scale(self, s):
         if _negligible(s):
-            return ExtElement(self.n, self.degree)
-        return ExtElement(self.n, self.degree, {m: c * s for m, c in self.coeffs.items()})
+            return type(self)(self.n, self.degree)
+        return type(self)(self.n, self.degree, {m: c * s for m, c in self.coeffs.items()})
 
     def __mul__(self, s):
         if isinstance(s, ExtElement):
@@ -263,7 +272,7 @@ class ExtElement:
         deg = self.degree + other.degree
         if deg > 2 * self.n:
             # the product vanishes above top degree; report a top-degree zero
-            return ExtElement(self.n, 2 * self.n)
+            return type(self)(self.n, 2 * self.n)
         out = {}
         for ma, ca in self.coeffs.items():
             for mb, cb in other.coeffs.items():
@@ -274,19 +283,19 @@ class ExtElement:
                 v = ca * cb
                 v = v if s > 0 else -v
                 acc = out.get(m)
-                v = v if acc is None else acc + v
-                if _negligible(v):
+                v = self._coefficient(v if acc is None else acc + v)
+                if v is None:
                     out.pop(m, None)
                 else:
                     out[m] = v
-        return ExtElement(self.n, deg, out)
+        return type(self)(self.n, deg, out)
 
     __xor__ = wedge
 
     def wedge_power(self, k):
         if k < 0:
             raise ValueError("negative wedge power")
-        acc = ExtElement.scalar(self.n, 1)
+        acc = type(self).scalar(self.n, 1)
         for _ in range(k):
             acc = acc.wedge(self)
         return acc
@@ -311,7 +320,7 @@ class ExtElement:
             idx = "".join(str(i) for i in mask_to_indices(mask))
             parts.append(f"{c!r}*w{idx}" if idx else f"{c!r}")
         body = " + ".join(parts) if parts else "0"
-        return f"<ExtElement n={self.n} deg={self.degree}: {body}>"
+        return f"<{type(self).__name__} n={self.n} deg={self.degree}: {body}>"
 
     def _check_compatible(self, other):
         if not isinstance(other, ExtElement):

@@ -192,11 +192,6 @@ class QMatrix:
     def identity(cls, m):
         return cls([[QONE if i == j else Quaternion() for j in range(m)] for i in range(m)])
 
-    @classmethod
-    def zeros(cls, rows, cols=None):
-        cols = rows if cols is None else cols
-        return cls([[Quaternion() for _ in range(cols)] for _ in range(rows)])
-
     def __getitem__(self, idx):
         i, j = idx
         return self._data[i][j]

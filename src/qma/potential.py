@@ -229,13 +229,7 @@ class JensenReport:
     rhs_layered: float            # integral dt integral_{B_t} ...
     residual_spatial: float
     residual_layered: float
-    residual_cross: float
     errors: dict
-
-    def finite(self):
-        vals = [self.boundary_term, self.interior_term, self.lhs,
-                self.rhs_spatial, self.rhs_layered]
-        return all(math.isfinite(v) for v in vals)
 
 
 def lelong_jensen(phi, v, r, t_nodes=48, sphere_pow=9, radial_nodes=12,
@@ -283,7 +277,6 @@ def lelong_jensen(phi, v, r, t_nodes=48, sphere_pow=9, radial_nodes=12,
         rhs_layered=rhs_layered,
         residual_spatial=abs(lhs - rhs_spatial),
         residual_layered=abs(lhs - rhs_layered),
-        residual_cross=abs(rhs_spatial - rhs_layered),
         errors={
             "boundary": mu_err,
             "interior": interior_err,

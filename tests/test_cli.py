@@ -1,5 +1,6 @@
 """Config parsing, the field-expression grammar, and end-to-end CLI runs."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -11,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qma import cli
 from qma.cli import (
     RunConfig,
     _render_json,
@@ -161,6 +163,14 @@ def test_parse_config_full_round_trip():
      "line 4: 'sup_samples' must lie in \\[64, 4096\\], got 1"),
     ("[run]\ncommand = cln\n[quadrature]\nsup_samples = 100000\n",
      "line 4: 'sup_samples' must lie in \\[64, 4096\\], got 100000"),
+    # jensen's surface rule runs at sphere_pow + 1 and no rule draws more
+    # than 2**30 directions; both used to fail in the rule, naming no line
+    ("[run]\ncommand = jensen\n[quadrature]\nsphere_pow = 30\n",
+     "line 4: jensen needs 'sphere_pow' at most 29 \\(at most 2\\*\\*30 directions "
+     "per rule\\), got 30"),
+    ("[run]\ncommand = lelong\n[quadrature]\nsphere_pow = 31\n",
+     "line 4: lelong needs 'sphere_pow' at most 30 \\(at most 2\\*\\*30 directions "
+     "per rule\\), got 31"),
     ("[run]\ncommand = cln\n[params]\ntrials = -4\n",
      "line 4: 'trials' must not be negative"),
     ("[run]\ncommand = verify\n[output]\nformat = yaml\n", "csv, json or both"),
@@ -176,6 +186,14 @@ def test_parse_config_full_round_trip():
 def test_parse_config_errors(text, match):
     with pytest.raises(ConfigError, match=match):
         parse_config(text)
+
+
+@pytest.mark.parametrize("command, sphere_pow", [("jensen", 29), ("boundary", 29),
+                                                 ("lelong", 30), ("cln", 30)])
+def test_parse_config_accepts_sphere_pow_at_the_direction_limit(command, sphere_pow):
+    # parsed only: a run at this bound draws 2**30 directions
+    text = f"[run]\ncommand = {command}\n[quadrature]\nsphere_pow = {sphere_pow}\n"
+    assert parse_config(text).quadrature == {"sphere_pow": sphere_pow}
 
 
 # the keys each command reads outside [run] and [output] (fields None: any
@@ -198,8 +216,8 @@ _READ_KEYS = {
 }
 _KEY_VALUES = {
     "fields": dict.fromkeys(("u", "w", "phi", "v"), "normsq()"),
-    "quadrature": {**dict.fromkeys(("sphere_pow", "radial_nodes", "t_nodes"), "40"),
-                   "sup_samples": "64"},
+    "quadrature": {**dict.fromkeys(("radial_nodes", "t_nodes"), "40"),
+                   "sphere_pow": "8", "sup_samples": "64"},
     "params": {"r": "0.5", "radii": "0.5, 1.0", "eps": "0.1", "center": "0, 0, 0, 0",
                "inner_radius": "0.5", "outer_radius": "1.0", "trials": "1"},
     "tolerances": dict.fromkeys(("identity", "moore", "mass", "jensen",
@@ -615,6 +633,36 @@ def test_nan_on_a_sample_ray_emits_no_runtime_warning(tmp_path, capsys):
         assert _run("boundary", _nan_ray_config(tmp_path), tmp_path / "out") == 1
     assert "NaN" in capsys.readouterr().err
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+def test_exit_1_on_a_non_finite_jensen_term_names_its_row(tmp_path, capsys, monkeypatch):
+    real = cli.lelong_jensen
+
+    def nan_boundary(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), boundary_term=math.nan)
+
+    monkeypatch.setattr(cli, "lelong_jensen", nan_boundary)
+    cfg = _write(tmp_path, "jensen.ini", """\
+        [run]
+        command = jensen
+        n = 1
+
+        [fields]
+        phi = normsq()
+        v = normsq()
+
+        [quadrature]
+        sphere_pow = 4
+        radial_nodes = 4
+        t_nodes = 4
+
+        [params]
+        r = 1.0
+        """)
+    assert _run("jensen", cfg, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert "row 0 (boundary_term) column 'value' is not finite (nan)" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_1_on_missing_config(tmp_path, capsys):

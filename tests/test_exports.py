@@ -3,10 +3,16 @@
 A helper only the tests call belongs in the test that calls it.  The few
 names with no caller in ``src/qma`` are listed below, each with the reason
 it stays: a check of one of the paper's identities, which the tests run and
-a ``qma`` command row may run later, or a reference implementation the
-tests compare against.  A listed name that gains a caller leaves the list.
+a ``qma`` command row may run later, a reference implementation the
+tests compare against, or the builder of such a check's input.  A listed name that gains a caller leaves the list.
 Special methods (``__init__``, ``__add__``, ...) are called by the
 language, not by name, and are not checked.
+
+A method counts as called only through an attribute read (``x.name``), and
+not one on an imported module (``np.zeros`` does not call a ``zeros``
+method); a module-level function or class counts as called through a name
+read or such an attribute read.  A local variable of the same name is not a
+caller of a method.
 """
 
 import ast
@@ -29,6 +35,7 @@ UNCALLED = {
     "fundamental_ma_density": "reference: the closed-form density ma_density is compared to",
     "BlackBox": "reference: finite-difference derivatives of a value oracle",
     "ClosedForm": "reference: a field given by its value, gradient and Hessian oracles",
+    "sample": "check input: GridField.sample builds the lattice the mollify check smooths",
 }
 
 
@@ -39,47 +46,70 @@ def _package_modules():
 
 
 def _defined_names(module):
-    """Each module-level function and class, and each method but the
-    special ones."""
+    """(module-level functions and classes, methods but the special ones)."""
+    top_level, methods = set(), set()
     for top in module.body:
         if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-            yield top.name
+            top_level.add(top.name)
         if isinstance(top, ast.ClassDef):
-            for item in top.body:
-                if isinstance(item, ast.FunctionDef) and not (
-                        item.name.startswith("__") and item.name.endswith("__")):
-                    yield item.name
+            methods.update(item.name for item in top.body
+                           if isinstance(item, ast.FunctionDef)
+                           and not (item.name.startswith("__") and item.name.endswith("__")))
+    return top_level, methods
 
 
-def _names_read(node, skip):
+def _imported_modules(module):
+    """The names an ``import`` statement binds to a module (np, math, ...)."""
+    return {alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(module) if isinstance(node, ast.Import)
+            for alias in node.names}
+
+
+def _on_a_module(attribute, modules):
+    """Whether an attribute chain starts at an imported module's name."""
+    root = attribute.value
+    while isinstance(root, ast.Attribute):
+        root = root.value
+    return isinstance(root, ast.Name) and root.id in modules
+
+
+def _reads(node, skip, modules, names, attributes):
     for sub in ast.walk(node):
-        name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
-        if name is not None and name != skip:
-            yield name
+        if isinstance(sub, ast.Name) and sub.id != skip:
+            names.add(sub.id)
+        elif (isinstance(sub, ast.Attribute) and sub.attr != skip
+              and not _on_a_module(sub, modules)):
+            attributes.add(sub.attr)
 
 
-def _names_used_in_package(modules):
-    """Names read in ``src/qma`` outside the definition that binds them; a
-    method's own body does not count for its name, and neither do the
-    re-exports of ``__init__`` or the imports themselves."""
-    used = set()
+def _reads_in_package(modules):
+    """(names, attributes) read in ``src/qma`` outside the definition that
+    binds them; a method's own body does not count for its name, and
+    neither do the re-exports of ``__init__`` or the imports themselves."""
+    names, attributes = set(), set()
     for module in modules:
+        imported = _imported_modules(module)
         for top in module.body:
             if isinstance(top, ast.ClassDef):
                 for item in top.body:
                     own = item.name if isinstance(item, ast.FunctionDef) else top.name
-                    used.update(_names_read(item, own))
+                    _reads(item, own, imported, names, attributes)
                 for node in top.bases + top.decorator_list:
-                    used.update(_names_read(node, top.name))
+                    _reads(node, top.name, imported, names, attributes)
             else:
                 own = top.name if isinstance(top, ast.FunctionDef) else None
-                used.update(_names_read(top, own))
-    return used
+                _reads(top, own, imported, names, attributes)
+    return names, attributes
 
 
 def test_every_definition_has_a_caller_or_a_listed_reason():
     modules = _package_modules()
-    defined = {name for module in modules for name in _defined_names(module)}
-    uncalled = defined - _names_used_in_package(modules)
+    top_level, methods = set(), set()
+    for module in modules:
+        t, m = _defined_names(module)
+        top_level |= t
+        methods |= m
+    names, attributes = _reads_in_package(modules)
+    uncalled = (top_level - names - attributes) | (methods - attributes)
     assert sorted(uncalled - set(UNCALLED)) == [], "defined with no caller in src/qma"
     assert sorted(set(UNCALLED) - uncalled) == [], "listed, but defined with a caller"
