@@ -25,8 +25,7 @@ from .exterior import (RationalComplex, ExtElement, beta, omega_top,
                        positivity_test, PositivityResult)
 from .fields import (ScalarField, Polynomial, QuadraticForm, ClosedForm,
                      BlackBox, DerivedField, LinearSubstitution, ChainField,
-                     GridField, InvShift, field_sum, field_scale, field_product,
-                     normsq, quadform, invshift)
+                     GridField, InvShift, normsq, quadform, invshift)
 from .calculus import (CxField, nabla, nabla_matrices, z_field,
                        delta_field, delta_matrix, delta_matrices, laplace,
                        d_scalar, FormField, closedness_residual, real_rep,

@@ -38,8 +38,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .exterior import ExtElement, RationalComplex, wedge_sign
-from .fields import (InvShift, LinearSubstitution, Polynomial, ScalarField,
-                     field_scale, field_sum)
+from .fields import InvShift, LinearSubstitution, Polynomial, ScalarField
 from .hamilton import QMatrix
 
 
@@ -80,11 +79,11 @@ class CxField:
         return CxField(self.re.diff(axis), self.im.diff(axis))
 
     def conj(self):
-        return CxField(self.re, field_scale(self.im, -1))
+        return CxField(self.re, -self.im)
 
     def __add__(self, other):
         other = _as_cx(other, self.n)
-        return CxField(field_sum(self.re, other.re), field_sum(self.im, other.im))
+        return CxField(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
@@ -93,20 +92,19 @@ class CxField:
         return self + (-other)
 
     def __neg__(self):
-        return CxField(field_scale(self.re, -1), field_scale(self.im, -1))
+        return CxField(-self.re, -self.im)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, Fraction)):
-            return CxField(field_scale(self.re, other), field_scale(self.im, other))
+            return CxField(self.re * other, self.im * other)
         if isinstance(other, (RationalComplex, complex)):
             a, b = other.real, other.imag
-            return CxField(field_sum(field_scale(self.re, a), field_scale(self.im, -b)),
-                           field_sum(field_scale(self.re, b), field_scale(self.im, a)))
+            re, im = self.re, self.im
+            return CxField(re * a + im * -b, re * b + im * a)
         other = _as_cx(other, self.n)
         # (a + ib)(c + id) = (ac - bd) + i(ad + bc)
         a, b, c, d = self.re, self.im, other.re, other.im
-        return CxField(field_sum(a * c, field_scale(b * d, -1)),
-                       field_sum(a * d, b * c))
+        return CxField(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -152,11 +150,10 @@ def nabla(f, j, alpha):
         gr = nabla(f.re, j, alpha)
         gi = nabla(f.im, j, alpha)
         # gr + i*gi
-        return CxField(field_sum(gr.re, field_scale(gi.im, -1)),
-                       field_sum(gr.im, gi.re))
+        return CxField(gr.re - gi.im, gr.im + gi.re)
     (mr, sr), (mi, si) = _nabla_parts(j, alpha)
-    re = f.diff(mr) if sr > 0 else field_scale(f.diff(mr), -1)
-    im = f.diff(mi) if si > 0 else field_scale(f.diff(mi), -1)
+    re = f.diff(mr) if sr > 0 else -f.diff(mr)
+    im = f.diff(mi) if si > 0 else -f.diff(mi)
     return CxField(re, im)
 
 
@@ -183,8 +180,8 @@ def z_field(n, j, alpha):
     c = lambda m: Polynomial.coordinate(n, m)
     if j % 2 == 0:
         if alpha == 0:
-            return CxField(c(base), field_scale(c(base + 1), -1))
-        return CxField(field_scale(c(base + 2), -1), c(base + 3))
+            return CxField(c(base), -c(base + 1))
+        return CxField(-c(base + 2), c(base + 3))
     if alpha == 0:
         return CxField(c(base + 2), c(base + 3))
     return CxField(c(base), c(base + 1))

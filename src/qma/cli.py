@@ -58,8 +58,7 @@ A small exact grammar over the coordinates ``x0 .. x{4n-1}``::
 
     expr    :=  term (('+' | '-') term)*
     term    :=  factor ('*' factor)*
-    factor  :=  unary ('^' INT)?
-    unary   :=  '-' unary | atom
+    factor  :=  '-' factor | atom ('^' INT)?
     atom    :=  NUMBER | RATIONAL | VAR | CALL | '(' expr ')'
     CALL    :=  normsq() | invshift(NUMBER) | quadform(MATRIX)
     MATRIX  :=  '[' row (';' row)* ']'         rows of scalar or
@@ -88,8 +87,7 @@ from .calculus import closedness_residual, delta_matrix, laplace, nabla, z_field
 from .currents import SUP_SAMPLES_RANGE, RegularizedCurrent, cln_ratio, lelong_number
 from .errors import ConfigError, NumericalInconsistencyError, QmaError
 from .exterior import beta, positivity_test, random_strongly_positive, top_coefficient
-from .fields import (Polynomial, ScalarField, field_product, field_scale,
-                     field_sum, invshift, normsq, quadform)
+from .fields import Polynomial, ScalarField, invshift, normsq, quadform
 from .hamilton import (QMatrix, Quaternion, _tau_blocks, jmatrix, moore_det,
                        random_hyperhermitian, random_qmatrix)
 from .monge_ampere import (fundamental_mass_exact, fundamental_mass_limit_coefficient,
@@ -342,34 +340,6 @@ class _ExprParser:
             self.fail(f"expected {ch!r}")
         self.pos += 1
 
-    # ------------------------------------------------------------ values
-    @staticmethod
-    def _neg(v):
-        return field_scale(v, -1) if isinstance(v, ScalarField) else -v
-
-    def _add(self, a, b, sign):
-        if not isinstance(a, ScalarField) and not isinstance(b, ScalarField):
-            return a + sign * b
-        return field_sum(a, self._neg(b) if sign < 0 else b)
-
-    @staticmethod
-    def _mul(a, b):
-        if not isinstance(a, ScalarField) and not isinstance(b, ScalarField):
-            return a * b
-        return field_product(a, b)
-
-    def _pow(self, v, k):
-        if not isinstance(v, ScalarField):
-            return v ** k
-        if isinstance(v, Polynomial):
-            return v ** k
-        if k == 0:
-            return Fraction(1)
-        out = v
-        for _ in range(k - 1):
-            out = field_product(out, v)
-        return out
-
     # ------------------------------------------------------------ grammar
     def parse(self):
         v = self.expr()
@@ -382,9 +352,10 @@ class _ExprParser:
     def expr(self):
         v = self.term()
         while self.peek() in ("+", "-"):
-            sign = 1 if self.peek() == "+" else -1
+            op = self.peek()
             self.pos += 1
-            v = self._add(v, self.term(), sign)
+            t = self.term()
+            v = v + t if op == "+" else v - t
         return v
 
     def term(self):
@@ -393,14 +364,17 @@ class _ExprParser:
             c = self.peek()
             if c == "*":
                 self.pos += 1
-                v = self._mul(v, self.factor())
+                v = v * self.factor()
             elif c == "/":
                 self.fail("'/' is only allowed inside rational literals like 3/2")
             else:
                 return v
 
     def factor(self):
-        v = self.unary()
+        if self.peek() == "-":
+            self.pos += 1
+            return -self.factor()
+        v = self.atom()
         if self.peek() == "^":
             self.pos += 1
             k = self.integer()
@@ -408,14 +382,8 @@ class _ExprParser:
                 self.fail("exponent must be nonnegative")
             if k > 16:
                 self.fail("exponent too large (max 16)")
-            v = self._pow(v, k)
+            v = v ** k
         return v
-
-    def unary(self):
-        if self.peek() == "-":
-            self.pos += 1
-            return self._neg(self.unary())
-        return self.atom()
 
     def atom(self):
         c = self.peek()
@@ -632,7 +600,7 @@ def _psd_quadratic(a, n):
     m = 0.5 * (u.m_real + u.m_real.T)
     lam = float(np.linalg.eigvalsh(m).min())
     shift = max(0.0, -lam) + 0.5
-    return field_sum(u, field_scale(normsq(n), shift))
+    return u + normsq(n) * shift
 
 
 # ---------------------------------------------------------------------------

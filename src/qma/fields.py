@@ -37,6 +37,14 @@ a field defining neither would send the two defaults into each other.
 A Polynomial's ``value`` and ``values`` share one walk over a cached term
 table per lane: exact points use the stored coefficients, float arrays use
 float(c), and a float point gives the same bits pointwise and batched.
+
+Field arithmetic has one spelling, the operators ``+ - * ** unary-``: they
+build the sum, scaling and product combinators, and ``u ** k`` is the
+repeated product ((u * u) * u) ...  A Polynomial stays an exact Polynomial
+with Polynomials and numbers (a scale that is not an int or Fraction becomes
+a float); with any other field it joins the combinators.  An exact zero
+Polynomial (or the number 0) is the identity of ``+`` in both operand
+orders, so a sum grows no layer for it.
 """
 
 from __future__ import annotations
@@ -97,29 +105,52 @@ class ScalarField:
 
     # --- algebra --------------------------------------------------------------
     def __add__(self, other):
-        return field_sum(self, other)
+        other = _as_field(other, self.n)
+        if self.n == other.n:
+            # an exact zero is the identity: the sum is the other operand
+            if _is_zero(other):
+                return self
+            if _is_zero(self):
+                return other
+        return _SumField(self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return field_sum(self, field_scale(_as_field(other, self.n), -1))
+        return self + -other
 
     def __rsub__(self, other):
-        return field_sum(field_scale(self, -1), other)
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, ScalarField):
-            return field_product(self, other)
-        return field_scale(self, other)
+            return _ProductField(self, other)
+        return _ScaledField(self, other)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return field_scale(self, -1)
+        return self * -1
+
+    def __pow__(self, k):
+        """The product ((self * self) * self) ... of k factors; k = 0 gives
+        the constant 1."""
+        _check_exponent(k)
+        if not k:
+            return Polynomial.constant(self.n, Fraction(1))
+        out = self
+        for _ in range(k - 1):
+            out = out * self
+        return out
 
 
 def _zero_exponent(n):
     return (0,) * (4 * n)
+
+
+def _check_exponent(k):
+    if not isinstance(k, int) or k < 0:
+        raise ValueError("field powers must be nonnegative integers")
 
 
 def _walk(table, x):
@@ -192,26 +223,11 @@ class Polynomial(ScalarField):
             for e, c in other.terms.items():
                 out[e] = out.get(e, 0) + c
             return Polynomial(self.n, out)
-        return field_sum(self, other)
+        return super().__add__(other)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        if isinstance(other, (int, float, Fraction, Polynomial)):
-            return self + (other * -1 if isinstance(other, Polynomial) else -other)
-        return field_sum(self, field_scale(other, -1))
-
-    def __rsub__(self, other):
-        return (self * -1) + other
-
-    def __neg__(self):
-        return self * -1
-
     def __mul__(self, other):
-        if isinstance(other, (int, float, Fraction)):
-            if not other:
-                return Polynomial(self.n)
-            return Polynomial(self.n, {e: c * other for e, c in self.terms.items()})
         if isinstance(other, Polynomial):
             out = {}
             for ea, ca in self.terms.items():
@@ -219,13 +235,18 @@ class Polynomial(ScalarField):
                     e = tuple(a + b for a, b in zip(ea, eb))
                     out[e] = out.get(e, 0) + ca * cb
             return Polynomial(self.n, out)
-        return field_product(self, other)
+        if isinstance(other, ScalarField):
+            return super().__mul__(other)
+        if not isinstance(other, (int, Fraction)):
+            other = float(other)
+        if not other:
+            return Polynomial(self.n)
+        return Polynomial(self.n, {e: c * other for e, c in self.terms.items()})
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("polynomial powers must be nonnegative integers")
+        _check_exponent(k)
         acc = Polynomial.constant(self.n, Fraction(1))
         base = self
         while k:
@@ -542,7 +563,7 @@ class ChainField(ScalarField):
 
 
 # ---------------------------------------------------------------------------
-# generic field algebra (closed under +, scalar *, *), with batch support
+# the combinators behind the operators: sum, scaling and product
 
 class _SumField(ScalarField):
     def __init__(self, a, b):
@@ -607,30 +628,8 @@ def _as_field(v, n):
     raise TypeError(f"cannot use {type(v).__name__} as a scalar field")
 
 
-def field_sum(a, b):
-    if isinstance(a, ScalarField):
-        b = _as_field(b, a.n)
-    else:
-        a = _as_field(a, b.n)
-    if isinstance(a, Polynomial) and isinstance(b, Polynomial):
-        return Polynomial.__add__(a, b)
-    return _SumField(a, b)
-
-
-def field_scale(a, s):
-    if isinstance(a, Polynomial):
-        return Polynomial.__mul__(a, s if isinstance(s, (int, Fraction)) else float(s))
-    return _ScaledField(a, s)
-
-
-def field_product(a, b):
-    if isinstance(a, ScalarField) and not isinstance(b, ScalarField):
-        return field_scale(a, b)
-    if not isinstance(a, ScalarField):
-        return field_scale(b, a)
-    if isinstance(a, Polynomial) and isinstance(b, Polynomial):
-        return Polynomial.__mul__(a, b)
-    return _ProductField(a, b)
+def _is_zero(v):
+    return isinstance(v, Polynomial) and v.is_zero()
 
 
 # ---------------------------------------------------------------------------

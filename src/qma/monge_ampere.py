@@ -44,6 +44,7 @@ from .errors import DimensionError, NumericalInconsistencyError
 from .calculus import delta_matrices
 from .hamilton import MAX_MATRIX_DIM, QMatrix, Quaternion, _tau_blocks, moore_det
 from .exterior import perm_sign
+from .quadrature import sphere_moment_coefficient
 
 
 @lru_cache(maxsize=None)
@@ -287,11 +288,6 @@ def fundamental_ma_density(n, eps, pts):
     return (8.0 ** n) * math.factorial(n) * eps / s ** (2 * n + 1)
 
 
-def sphere_area_coefficient(n):
-    """|S^(4n-1)| as the rational coefficient of pi^(2n): 2/(2n-1)!."""
-    return Fraction(2, math.factorial(2 * n - 1))
-
-
 def fundamental_mass_exact(n, eps, r):
     """Exact mass of the regularized density over the ball B(0, r).
 
@@ -317,7 +313,9 @@ def fundamental_mass_exact(n, eps, r):
         return acc
 
     integral = antideriv(r * r) - antideriv(Fraction(0))
-    return (sphere_area_coefficient(n) * Fraction(8 ** n * math.factorial(n), 2)
+    # |S^(4n-1)| = 2/(2n-1)! pi^(2n), the sphere's zeroth moment
+    area = sphere_moment_coefficient(4 * n, (0,) * (4 * n))
+    return (area * Fraction(8 ** n * math.factorial(n), 2)
             * eps * integral)
 
 

@@ -31,7 +31,7 @@ from qma.exterior import (
     positivity_test,
     random_strongly_positive,
 )
-from qma.fields import GridField, Polynomial, field_scale, field_sum, invshift, normsq, quadform
+from qma.fields import GridField, Polynomial, invshift, normsq, quadform
 from qma.hamilton import (
     jmatrix,
     mixed_discriminant,
@@ -74,7 +74,7 @@ def _psh_quadratic(rng, n):
     a = random_hyperhermitian(rng, n)
     u = quadform(a)
     lam = float(np.linalg.eigvalsh(0.5 * (u.m_real + u.m_real.T)).min())
-    return field_sum(u, field_scale(normsq(n), max(0.0, -lam) + 0.5))
+    return u + normsq(n) * (max(0.0, -lam) + 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -448,6 +448,15 @@ def test_form_field_algebra_is_the_exterior_algebra(data):
     assert (fa.wedge(fb) - fb.wedge(fa).scale((-1) ** (p * q))).is_zero()
 
 
+def test_sum_keeps_a_coefficient_only_one_form_has():
+    # 0 + c is c itself: the zero of the field algebra adds no layer
+    a = FormField(1, 1, {1: invshift(1, 0.5)})
+    b = FormField(1, 1, {2: invshift(1, 0.5)})
+    s = a + b
+    assert s.coeffs[2].re is b.coeffs[2].re
+    assert s.coeffs[1].re is a.coeffs[1].re
+
+
 def test_form_field_wedge_with_element():
     u = normsq(1)
     f = FormField.from_scalar(u).wedge(beta(1))

@@ -311,6 +311,15 @@ def test_expr_precedence_and_grouping():
     assert w.terms == {(1, 0, 0, 0): Fraction(-1), (0, 1, 0, 0): Fraction(1)}
 
 
+def test_expr_unary_minus_binds_looser_than_power():
+    # as in mathematics and Python: -x0^2 is -(x0^2), not (-x0)^2
+    assert parse_field_expr("-x0^2", 1).terms == {(2, 0, 0, 0): -1}
+    assert parse_field_expr("-2^2", 1).terms == {(0, 0, 0, 0): Fraction(-4)}
+    assert parse_field_expr("(-x0)^2", 1).terms == {(2, 0, 0, 0): 1}
+    assert parse_field_expr("2 * -x0^3", 1).terms == {(3, 0, 0, 0): -2}
+    assert parse_field_expr("--x0^2", 1).terms == {(2, 0, 0, 0): 1}
+
+
 def test_expr_decimal_literals_are_floats():
     u = parse_field_expr("0.5*x0", 1)
     assert u.terms == {(1, 0, 0, 0): 0.5}

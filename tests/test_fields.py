@@ -1,5 +1,6 @@
 """Scalar field layer: exact polynomials, closed-form fields, grids."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -550,7 +551,7 @@ def test_linear_substitution_rows_do_not_depend_on_the_batch():
 # field algebra
 
 
-def test_field_sum_and_scale_mixed_types():
+def test_sum_and_scale_mixed_types():
     rng = np.random.default_rng(41)
     p = normsq(1)
     u = invshift(1, eps=0.5)
@@ -569,7 +570,7 @@ def test_field_sum_and_scale_mixed_types():
     assert shifted.value(x) == pytest.approx(1 - u.value(x))
 
 
-def test_field_product_rule():
+def test_product_rule():
     rng = np.random.default_rng(43)
     p = normsq(1)
     u = invshift(1, eps=0.25)
@@ -591,6 +592,93 @@ def test_field_algebra_guards():
         invshift(1) + invshift(2)
     with pytest.raises(TypeError):
         normsq(1) + "x"
+
+
+def test_exact_zero_is_the_identity_of_sum():
+    u = invshift(1, 0.5)
+    for zero in (Polynomial(1), 0, Fraction(0), 0.0):
+        assert u + zero is u
+        assert zero + u is u
+        assert u - zero is u
+    assert Polynomial(1) + u is u
+    assert isinstance(u + Polynomial.constant(1, 1), _SumField)
+    # a zero of another dimension is no identity
+    with pytest.raises(DimensionError):
+        u + Polynomial(2)
+    with pytest.raises(DimensionError):
+        Polynomial(2) + u
+
+
+def test_power_is_the_repeated_product():
+    u = invshift(1, 0.5)
+    assert u ** 0 == Polynomial.constant(1, 1)
+    assert u ** 1 is u
+    cube = u ** 3
+    assert isinstance(cube, _ProductField) and cube.b is u
+    assert isinstance(cube.a, _ProductField) and cube.a.a is u and cube.a.b is u
+    for k in (-1, 1.5):
+        with pytest.raises(ValueError):
+            u ** k
+        with pytest.raises(ValueError):
+            normsq(1) ** k
+
+
+_MONOMIALS_DEG2 = [e for e in itertools.product(range(3), repeat=4) if sum(e) <= 2]
+_SMALL_FRACTIONS = st.fractions(-3, 3, max_denominator=6)
+_NUMBERS = st.one_of(st.integers(-3, 3), _SMALL_FRACTIONS,
+                     st.floats(-3, 3, allow_nan=False, width=32))
+_exact_quadratics = st.dictionaries(st.sampled_from(_MONOMIALS_DEG2), _SMALL_FRACTIONS,
+                                    max_size=6).map(lambda t: Polynomial(1, t))
+
+
+def _dict_sum(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _dict_product(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(i + j for i, j in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+@settings(max_examples=80)
+@given(_exact_quadratics, _exact_quadratics, _NUMBERS,
+       st.floats(min_value=0.1, max_value=2.0), st.integers(0, 3))
+def test_one_field_algebra(p, q, c, eps, k):
+    # exact Polynomials stay exact under every operator, term by term
+    zero = (0, 0, 0, 0)
+    neg = {e: -v for e, v in p.terms.items()}
+    power = {zero: 1}
+    for _ in range(k):
+        power = _dict_product(power, p.terms)
+    for got, want in [(p + q, _dict_sum(p.terms, q.terms)),
+                      (p - q, _dict_sum(p.terms, {e: -v for e, v in q.terms.items()})),
+                      (p * q, _dict_product(p.terms, q.terms)),
+                      (c * p, {e: v * c for e, v in p.terms.items() if v * c}),
+                      (p - c, _dict_sum(p.terms, {zero: -c})),
+                      (c - p, _dict_sum(neg, {zero: c})),
+                      (-p, neg),
+                      (p ** k, power)]:
+        assert isinstance(got, Polynomial)
+        assert got.terms == want
+    # with a field that is no Polynomial, each operator builds the
+    # combinator whose values are the numpy operation in operand order
+    u = invshift(1, eps)
+    pts = np.random.default_rng(5).uniform(-1.5, 1.5, (16, 4))
+    uv, pv = u.values(pts), p.values(pts)
+    for got, want in [(u + p, uv if p.is_zero() else uv + pv),
+                      (p + u, uv if p.is_zero() else pv + uv),
+                      (c - u, -1.0 * uv + float(c)),
+                      (u * p, uv * pv),
+                      (p * u, pv * uv),
+                      (u ** 3, uv * uv * uv)]:
+        assert np.array_equal(got.values(pts), want)
 
 
 # ---------------------------------------------------------------------------

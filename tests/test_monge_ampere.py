@@ -29,11 +29,10 @@ from qma.monge_ampere import (
     moore_equivalence_residual,
     perfect_matchings,
     psh_test,
-    sphere_area_coefficient,
     tau_hessians,
 )
 from qma.calculus import delta_from_hessians, delta_matrices, delta_matrix
-from qma.quadrature import ball_moment_coefficient
+from qma.quadrature import ball_moment_coefficient, sphere_moment_coefficient
 
 
 def hyperhermitian_hessian(u, x):
@@ -326,8 +325,8 @@ def test_fundamental_density_closed_form(n, eps):
 
 
 def test_area_and_volume_coefficients():
-    assert sphere_area_coefficient(1) == 2          # |S^3|  = 2 pi^2
-    assert sphere_area_coefficient(2) == Fraction(1, 3)   # |S^7|  = pi^4 / 3
+    assert sphere_moment_coefficient(4, (0,) * 4) == 2          # |S^3|  = 2 pi^2
+    assert sphere_moment_coefficient(8, (0,) * 8) == Fraction(1, 3)   # |S^7|  = pi^4 / 3
     # the zeroth ball moment is the volume, as sigma_mass reads it
     assert ball_moment_coefficient(4, (0,) * 4) == Fraction(1, 2)   # |B^4|  = pi^2 / 2
     assert ball_moment_coefficient(8, (0,) * 8) == Fraction(1, 24)  # |B^8|  = pi^4 / 24
@@ -339,7 +338,7 @@ def test_fundamental_mass_exact_vs_quadrature(n):
     eps, r = 0.1, 1.0
     coeff = fundamental_mass_exact(n, Fraction(1, 10), 1)
     assert isinstance(coeff, Fraction)
-    area = float(sphere_area_coefficient(n)) * math.pi ** (2 * n)
+    area = float(sphere_moment_coefficient(4 * n, (0,) * (4 * n))) * math.pi ** (2 * n)
 
     def integrand(rho):
         return area * rho ** (4 * n - 1) * (8.0**n) * math.factorial(n) * eps / (
