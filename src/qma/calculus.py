@@ -20,9 +20,12 @@ built from them:
   ``exterior.ExtElement`` algebra over ``CxField`` coefficients, plus the
   two exterior-type differentials d0/d1 (both square to zero);
 * ``delta_matrix(u, x)``    the 2n x 2n antisymmetric matrix of
-  delta_{ij} u(x): row 0 of the batched ``delta_matrices``, whose
-  ``delta_from_hessians`` reads each entry off the real Hessian with an
-  exact two-term gather.
+  delta_{ij} u(x): row 0 of the batched ``delta_matrices``.  Each part of
+  each entry is an exact two-term gather of real Hessian entries
+  (``delta_from_hessians``); a Polynomial gathers the parts that read only
+  constant second partials once and the others per point, an InvShift
+  gathers its distinct Hessian entries, and every other field gathers from
+  a full Hessian sweep, all with the sweep's bits.
 
 Complex-valued fields are pairs of real fields (``CxField``), so exact
 polynomial inputs stay exact through every operator.
@@ -209,20 +212,21 @@ def delta_matrices(u, pts):
 
     Routes, by the field's structure:
 
-    * a Polynomial of degree <= 2 (a QuadraticForm among them) has one
-      delta matrix everywhere, since the nabla operators have constant
-      coefficients: its Hessian is read at pts[0] only and the matrix comes
-      back as a read-only broadcast view.  Every row equals what a full
-      sweep gives, since the walk of a constant second partial reads no
-      coordinate and delta_from_hessians computes each row on its own;
+    * a Polynomial (a QuadraticForm among them) reads its Hessian at pts[0]
+      and gathers that row's delta matrix once; over the batch it recomputes
+      only the parts that read a second partial ``Polynomial._plan`` lists
+      as varying (``_polynomial_delta_matrices``).  With no varying partial
+      (degree <= 2: the nabla operators have constant coefficients) the
+      matrix is the same everywhere and comes back as a read-only broadcast
+      view;
     * an InvShift gathers its distinct Hessian entries
-      (``_invshift_delta_matrices``), with no (N, 4n, 4n) tensor and the
-      sweep's bits;
+      (``_invshift_delta_matrices``);
     * every other field is ``delta_from_hessians`` of one Hessian sweep.
+
+    The first two build no (N, 4n, 4n) tensor and give the sweep's bits.
     """
-    if isinstance(u, Polynomial) and u.degree() <= 2 and len(pts):
-        one = delta_from_hessians(u.n, u.hessians(pts[:1]))[0]
-        return np.broadcast_to(one, (len(pts), *one.shape))
+    if isinstance(u, Polynomial) and len(pts):
+        return _polynomial_delta_matrices(u, pts)
     if isinstance(u, InvShift):
         return _invshift_delta_matrices(u, pts)
     return delta_from_hessians(u.n, u.hessians(pts))
@@ -272,13 +276,86 @@ def delta_from_hessians(n, hess):
     """
     hess = np.asarray(hess, dtype=float)
     idx, sgn = _delta_gather(n)
-    flat = hess.reshape(len(hess), 16 * n * n)
+    return _antisymmetric_half(n, _gather(hess.reshape(len(hess), 16 * n * n), idx, sgn))
+
+
+def _gather(flat, idx, sgn):
+    """The two-term sums sgn[0] flat[:, idx[0]] + sgn[1] flat[:, idx[1]],
+    plus 0.0, one column per part."""
     parts = flat.take(idx[0], axis=1)
     parts *= sgn[0]
     parts += flat.take(idx[1], axis=1) * sgn[1]
     parts += 0.0
-    a = parts.view(complex).reshape(len(hess), 2 * n, 2 * n)
+    return parts
+
+
+def _antisymmetric_half(n, parts):
+    """(a - a^T) / 2 of a = the parts (N, 8n^2) read as (N, 2n, 2n) complex."""
+    a = parts.view(complex).reshape(len(parts), 2 * n, 2 * n)
     return 0.5 * (a - np.swapaxes(a, 1, 2))
+
+
+@lru_cache(maxsize=128)
+def _varying_gather(n, varying):
+    """The gather of ``_delta_gather`` restricted to the parts that read a
+    second partial listed in ``varying``, (i, j) pairs with i <= j.
+
+    Returns (cols, fixed, src, sgn): the part columns that read a varying
+    partial; the flattened Hessian indices of the constant entries those
+    columns also read; and the two terms of each column as (2, len(cols))
+    column indices into a source array holding the varying partials in
+    order, then the ``fixed`` entries, with the gather's signs.  The cache
+    is keyed by the polynomial's pattern of varying partials, so it is
+    bounded.
+    """
+    idx, sgn = _delta_gather(n)
+    d = 4 * n
+    slot = {}
+    for r, (i, j) in enumerate(varying):
+        slot[i * d + j] = slot[j * d + i] = r
+    cols = [c for c in range(idx.shape[1]) if idx[0, c] in slot or idx[1, c] in slot]
+    fixed = sorted({int(idx[t, c]) for t in (0, 1) for c in cols} - slot.keys())
+    slot.update({f: len(varying) + q for q, f in enumerate(fixed)})
+    src = np.array([[slot[int(idx[t, c])] for c in cols] for t in (0, 1)], dtype=np.intp)
+    out = (np.array(cols, dtype=np.intp), np.array(fixed, dtype=np.intp), src,
+           sgn[:, cols].copy())
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def _polynomial_delta_matrices(u, pts):
+    """Delta matrices of a Polynomial at N >= 1 points without the
+    (N, 4n, 4n) Hessian tensor.
+
+    The Hessian is read at pts[0] and that row's parts are gathered once.
+    Every part that reads only constant second partials is the same at
+    every point; the parts that read a varying one are gathered again over
+    the batch, from ``dij.values(pts)`` as ``Polynomial.hessians`` computes
+    them and the constant entries of row 0, by the same two-term sums.  The
+    result is ``delta_from_hessians(n, u.hessians(pts))`` bit for bit, and
+    row k is the one-row call on pts[k].  With no varying partial (degree
+    <= 2: a monomial of degree >= 3 has a second partial that reads a
+    coordinate) it is row 0 as a read-only broadcast view.
+    """
+    n = u.n
+    flat0 = u.hessians(pts[:1]).reshape(1, 16 * n * n)
+    idx, sgn = _delta_gather(n)
+    parts0 = _gather(flat0, idx, sgn)
+    if u.degree() <= 2:
+        # no varying partial, and no plan to build (a QuadraticForm's
+        # Hessian never builds one)
+        one = _antisymmetric_half(n, parts0)[0]
+        return np.broadcast_to(one, (len(pts), *one.shape))
+    _, varying = u._plan()
+    cols, fixed, src, csgn = _varying_gather(n, tuple((i, j) for i, j, _ in varying))
+    h = np.empty((len(pts), len(varying) + len(fixed)))
+    for r, (_, _, dij) in enumerate(varying):
+        h[:, r] = dij.values(pts)
+    h[:, len(varying):] = flat0[:, fixed]
+    parts = np.repeat(parts0, len(pts), axis=0)
+    parts[:, cols] = _gather(h, src, csgn)
+    return _antisymmetric_half(n, parts)
 
 
 @lru_cache(maxsize=None)

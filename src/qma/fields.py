@@ -41,8 +41,10 @@ float(c), and a float point gives the same bits pointwise and batched.
 Field arithmetic has one spelling, the operators ``+ - * ** unary-``: they
 build the sum, scaling and product combinators, and ``u ** k`` is the
 repeated product ((u * u) * u) ...  A Polynomial stays an exact Polynomial
-with Polynomials and numbers (a scale that is not an int or Fraction becomes
-a float); with any other field it joins the combinators.  An exact zero
+with Polynomials and numbers; with any other field it joins the
+combinators.  A number is an int, Fraction or float, a numpy integer scalar
+counting as an int and a numpy floating scalar as a float, alike for
+``+ - *``; any other operand raises TypeError.  An exact zero
 Polynomial (or the number 0) is the identity of ``+`` in both operand
 orders, so a sum grows no layer for it.
 """
@@ -125,7 +127,7 @@ class ScalarField:
     def __mul__(self, other):
         if isinstance(other, ScalarField):
             return _ProductField(self, other)
-        return _ScaledField(self, other)
+        return _ScaledField(self, _as_number(other))
 
     __rmul__ = __mul__
 
@@ -216,8 +218,8 @@ class Polynomial(ScalarField):
 
     # ------------------------------------------------------------------ algebra
     def __add__(self, other):
-        if isinstance(other, (int, float, Fraction)):
-            other = Polynomial.constant(self.n, other)
+        if not isinstance(other, ScalarField):
+            other = Polynomial.constant(self.n, _as_number(other))
         if isinstance(other, Polynomial):
             out = dict(self.terms)
             for e, c in other.terms.items():
@@ -237,8 +239,7 @@ class Polynomial(ScalarField):
             return Polynomial(self.n, out)
         if isinstance(other, ScalarField):
             return super().__mul__(other)
-        if not isinstance(other, (int, Fraction)):
-            other = float(other)
+        other = _as_number(other)
         if not other:
             return Polynomial(self.n)
         return Polynomial(self.n, {e: c * other for e, c in self.terms.items()})
@@ -623,8 +624,20 @@ class _ProductField(ScalarField):
 def _as_field(v, n):
     if isinstance(v, ScalarField):
         return v
-    if isinstance(v, (int, float, Fraction)):
-        return Polynomial.constant(n, Fraction(v) if not isinstance(v, float) else v)
+    v = _as_number(v)
+    return Polynomial.constant(n, v if isinstance(v, float) else Fraction(v))
+
+
+def _as_number(v):
+    """A number operand as an int, Fraction or float: a numpy integer
+    scalar is an int and a numpy floating scalar a float.  Anything else,
+    complex numbers included, raises TypeError."""
+    if isinstance(v, (int, Fraction)):
+        return v
+    if isinstance(v, np.integer):
+        return int(v)
+    if isinstance(v, (float, np.floating)):
+        return float(v)
     raise TypeError(f"cannot use {type(v).__name__} as a scalar field")
 
 

@@ -125,9 +125,10 @@ def mixed_pfaffian(n, factors, mask=0):
     (2m-1)!! * m! / prod_i k_i!.  Returns a complex (N,) array.
 
     Constant factors (every one a stride-0 broadcast along the points, as
-    ``delta_matrices`` gives for a polynomial of degree <= 2) are expanded
-    at row 0 only, each distinct array sliced once so the term table stays
-    the same, and that value comes back as a read-only broadcast view.
+    ``delta_matrices`` gives for a polynomial whose second partials are all
+    constant) are expanded at row 0 only, each distinct array sliced once so
+    the term table stays the same, and that value comes back as a read-only
+    broadcast view.
     """
     npts = len(factors[0])
     if npts > 1 and all(f.strides[0] == 0 for f in factors):

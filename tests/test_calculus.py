@@ -319,17 +319,20 @@ def test_quadratic_delta_matrices_read_one_hessian_row(monkeypatch, u):
     assert np.ascontiguousarray(got).tobytes() == sweep.tobytes()
 
 
-@pytest.mark.parametrize("u, read", [(Polynomial.coordinate(2, 0) ** 3 + normsq(2), [9]),
+@pytest.mark.parametrize("u, read", [(Polynomial.coordinate(2, 0) ** 3 + normsq(2), [1]),
                                      (invshift(2, 0.1), [])],
                          ids=["cubic", "invshift"])
-def test_other_delta_matrices_take_the_full_sweep(monkeypatch, u, read):
-    # a cubic reads every Hessian row; an InvShift gathers its distinct
-    # Hessian entries and reads no row on finite points
+def test_non_quadratic_delta_matrices_skip_the_hessian_sweep(monkeypatch, u, read):
+    # a cubic reads one Hessian row and gathers only the parts that read a
+    # varying second partial; an InvShift gathers its distinct Hessian
+    # entries and reads no row on finite points; both give the sweep's bytes
     pts = np.random.default_rng(15).standard_normal((9, 8))
+    sweep = delta_from_hessians(2, u.hessians(pts))
     rows = _record_hessian_rows(monkeypatch, type(u))
     got = delta_matrices(u, pts)
     assert rows == read
     assert got.flags.writeable
+    assert got.tobytes() == sweep.tobytes()
 
 
 @st.composite
@@ -370,6 +373,60 @@ def test_invshift_delta_matrices_equal_the_hessian_path(case):
         want = delta_from_hessians(u.n, u.hessians(pts))
     assert got.shape == want.shape == (len(pts), 2 * u.n, 2 * u.n)
     assert np.array_equal(got.view(float), want.view(float), equal_nan=True)
+
+
+def _assert_same_floats(got, want):
+    """Equal floats part by part: NaN where NaN, and the same sign bits."""
+    got, want = np.asarray(got).view(float), np.asarray(want).view(float)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+_AWKWARD_COORDS = [0.0, -0.0, 5e-324, -2.5e-310, 1e150, -1e150, np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def _polynomial_points(draw):
+    """A Polynomial over H^n (n in {1, 2, 3}) of degree <= 4 with Fraction
+    or float coefficients, and 0 to 6 points whose coordinates include +-0,
+    subnormals, +-1e150, inf and NaN."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    d = 4 * n
+    monomial = st.lists(st.integers(0, d - 1), max_size=4).map(
+        lambda axes: tuple(axes.count(m) for m in range(d)))
+    coeff = st.one_of(st.fractions(min_value=-5, max_value=5, max_denominator=7),
+                      st.floats(-1e3, 1e3, allow_nan=False))
+    u = Polynomial(n, draw(st.dictionaries(monomial, coeff, max_size=5)))
+    coord = st.one_of(st.floats(-4.0, 4.0), st.sampled_from(_AWKWARD_COORDS))
+    rows = draw(st.integers(0, 6))
+    pts = draw(st.lists(coord, min_size=rows * d, max_size=rows * d))
+    return u, np.array(pts, dtype=float).reshape(rows, d)
+
+
+_X = [Polynomial.coordinate(2, m) for m in range(8)]
+
+
+@settings(max_examples=200)
+@given(_polynomial_points())
+@example((normsq(2) + _X[0] ** 4, np.array([[0.5, -0.0, 1.0, 2.0, 0.0, 1.0, -1.0, 3.0],
+                                            [np.inf, 0.0, np.nan, 1.0, 5e-324, 0.0, 0.0, 1.0]])))
+@example((_X[0] * _X[1] * _X[5] - Fraction(1, 3) * _X[2] * _X[7],  # off-diagonal partials only
+          np.array([[1e150, -1e150, 0.0, -0.0, 2.0, np.inf, 1.0, -2.5e-310]])))
+@example((_X[0] ** 2 - 0.5 * _X[1] * _X[6] + 3, np.array([[np.nan] * 8, [-0.0] * 8])))
+@example((Polynomial(2), np.zeros((0, 8))))
+def test_polynomial_delta_matrices_equal_the_hessian_path(case):
+    # gathering only the parts that read a varying second partial gives the
+    # sweep's floats, zero signs and non-finite entries included, and a row
+    # of the batch is the one-row call
+    u, pts = case
+    with np.errstate(all="ignore"):
+        got = delta_matrices(u, pts)
+        want = delta_from_hessians(u.n, u.hessians(pts))
+        rows = [delta_matrices(u, pts[k:k + 1])[0] for k in range(len(pts))]
+    assert got.shape == want.shape == (len(pts), 2 * u.n, 2 * u.n)
+    _assert_same_floats(got, want)
+    for k, row in enumerate(rows):
+        _assert_same_floats(got[k], row)
 
 
 @pytest.mark.parametrize("u", [normsq(2), Polynomial.coordinate(2, 3) ** 2,

@@ -1,6 +1,7 @@
 """Scalar field layer: exact polynomials, closed-form fields, grids."""
 
 import itertools
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -592,6 +593,38 @@ def test_field_algebra_guards():
         invshift(1) + invshift(2)
     with pytest.raises(TypeError):
         normsq(1) + "x"
+
+
+_OPERATORS = [operator.add, operator.sub, operator.mul]
+
+
+@pytest.mark.parametrize("u", [normsq(1), invshift(1, 0.5)], ids=["polynomial", "invshift"])
+@pytest.mark.parametrize("scalar, number", [(np.int64(3), 3), (np.int32(-2), -2),
+                                            (np.float64(0.25), 0.25), (np.float32(1.5), 1.5)],
+                         ids=["int64", "int32", "float64", "float32"])
+@pytest.mark.parametrize("op", _OPERATORS, ids=["add", "sub", "mul"])
+def test_numpy_scalars_are_the_numbers_they_hold(u, scalar, number, op):
+    # a numpy integer scalar is an int and a numpy floating scalar a float,
+    # for every operator and in both operand orders
+    pts = rand_pts(np.random.default_rng(40), 1, 5)
+    for got, want in ((op(u, scalar), op(u, number)), (op(scalar, u), op(number, u))):
+        assert type(got) is type(want)
+        assert got.values(pts).tobytes() == want.values(pts).tobytes()
+        if isinstance(want, Polynomial):
+            assert got == want
+            assert ([type(c) for c in got.terms.values()]
+                    == [type(c) for c in want.terms.values()])
+
+
+@pytest.mark.parametrize("u", [normsq(1), invshift(1, 0.5)], ids=["polynomial", "invshift"])
+@pytest.mark.parametrize("bad", ["x", None, 1j, np.complex128(1.0), [1.0]],
+                         ids=["str", "none", "complex", "complex128", "list"])
+@pytest.mark.parametrize("op", _OPERATORS, ids=["add", "sub", "mul"])
+def test_every_operator_refuses_a_non_number_with_type_error(u, bad, op):
+    with pytest.raises(TypeError):
+        op(u, bad)
+    with pytest.raises(TypeError):
+        op(bad, u)
 
 
 def test_exact_zero_is_the_identity_of_sum():
