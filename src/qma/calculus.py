@@ -23,9 +23,9 @@ built from them:
   delta_{ij} u(x): row 0 of the batched ``delta_matrices``.  Each part of
   each entry is an exact two-term gather of real Hessian entries
   (``delta_from_hessians``); a Polynomial gathers the parts that read only
-  constant second partials once and the others per point, an InvShift
-  gathers its distinct Hessian entries, and every other field gathers from
-  a full Hessian sweep, all with the sweep's bits.
+  constant second partials once, cached on it, and the others per point,
+  an InvShift gathers its distinct Hessian entries, and every other field
+  gathers from a full Hessian sweep, all with the sweep's bits.
 
 Complex-valued fields are pairs of real fields (``CxField``), so exact
 polynomial inputs stay exact through every operator.
@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .exterior import ExtElement, RationalComplex, wedge_sign
-from .fields import InvShift, LinearSubstitution, Polynomial, ScalarField
+from .fields import InvShift, LinearSubstitution, Polynomial, ScalarField, _as_number
 from .hamilton import QMatrix
 
 
@@ -98,9 +98,10 @@ class CxField:
         return CxField(-self.re, -self.im)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, Fraction)):
-            return CxField(self.re * other, self.im * other)
-        if isinstance(other, (RationalComplex, complex)):
+        if not isinstance(other, (CxField, ScalarField)):
+            other = _as_cx_number(other)
+            if not isinstance(other, (RationalComplex, complex)):
+                return CxField(self.re * other, self.im * other)
             a, b = other.real, other.imag
             re, im = self.re, self.im
             return CxField(re * a + im * -b, re * b + im * a)
@@ -124,9 +125,22 @@ def _as_cx(v, n):
         return v
     if isinstance(v, ScalarField):
         return CxField(v)
-    if isinstance(v, (int, float, Fraction, complex, RationalComplex)):
-        return CxField.constant(n, v)
-    raise TypeError(f"cannot use {type(v).__name__} as a complex field")
+    return CxField.constant(n, _as_cx_number(v))
+
+
+def _as_cx_number(v):
+    """A number operand of a complex field: a complex or RationalComplex
+    as it is, a numpy complex scalar as a complex, and any other number as
+    ``fields._as_number`` takes it (a numpy integer scalar as an int, a
+    numpy floating scalar as a float).  Anything else raises TypeError."""
+    if isinstance(v, (complex, RationalComplex)):
+        return v
+    if isinstance(v, np.complexfloating):
+        return complex(v)
+    try:
+        return _as_number(v)
+    except TypeError:
+        raise TypeError(f"cannot use {type(v).__name__} as a complex field") from None
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +226,14 @@ def delta_matrices(u, pts):
 
     Routes, by the field's structure:
 
-    * a Polynomial (a QuadraticForm among them) reads its Hessian at pts[0]
-      and gathers that row's delta matrix once; over the batch it recomputes
-      only the parts that read a second partial ``Polynomial._plan`` lists
-      as varying (``_polynomial_delta_matrices``).  With no varying partial
-      (degree <= 2: the nabla operators have constant coefficients) the
-      matrix is the same everywhere and comes back as a read-only broadcast
-      view;
+    * a Polynomial (a QuadraticForm among them) gathers the parts of its
+      delta matrix that read only constant second partials once, from one
+      Hessian row, and keeps them on the polynomial; over the batch it
+      computes only the entries that a second partial ``Polynomial._plan``
+      lists as varying reaches (``_polynomial_delta_matrices``).  With no
+      varying partial (degree <= 2: the nabla operators have constant
+      coefficients) the matrix is the same everywhere and comes back as a
+      read-only broadcast view;
     * an InvShift gathers its distinct Hessian entries
       (``_invshift_delta_matrices``);
     * every other field is ``delta_from_hessians`` of one Hessian sweep.
@@ -297,65 +312,106 @@ def _antisymmetric_half(n, parts):
 
 @lru_cache(maxsize=128)
 def _varying_gather(n, varying):
-    """The gather of ``_delta_gather`` restricted to the parts that read a
-    second partial listed in ``varying``, (i, j) pairs with i <= j.
+    """The gather of ``_delta_gather`` restricted to the entries of a whose
+    parts read a second partial listed in ``varying``, (i, j) pairs with
+    i <= j, and to their transposes.
 
-    Returns (cols, fixed, src, sgn): the part columns that read a varying
-    partial; the flattened Hessian indices of the constant entries those
-    columns also read; and the two terms of each column as (2, len(cols))
-    column indices into a source array holding the varying partials in
-    order, then the ``fixed`` entries, with the gather's signs.  The cache
+    Returns (entries, cols, fixed, src, sgn, swap): the flat indices into
+    the (2n, 2n) matrix of those entries; the columns, in the float view of
+    an (N, len(entries)) complex array of them, of the parts that read a
+    varying partial; the flattened Hessian indices of the constant entries
+    those parts also read; the two terms of each such part as (2,
+    len(cols)) column indices into a source array holding the varying
+    partials in order, then the ``fixed`` entries, with the gather's signs;
+    and the position in ``entries`` of each entry's transpose.  The cache
     is keyed by the polynomial's pattern of varying partials, so it is
     bounded.
     """
     idx, sgn = _delta_gather(n)
-    d = 4 * n
+    d, m = 4 * n, 2 * n
     slot = {}
     for r, (i, j) in enumerate(varying):
         slot[i * d + j] = slot[j * d + i] = r
-    cols = [c for c in range(idx.shape[1]) if idx[0, c] in slot or idx[1, c] in slot]
-    fixed = sorted({int(idx[t, c]) for t in (0, 1) for c in cols} - slot.keys())
+    reads = [c for c in range(idx.shape[1]) if idx[0, c] in slot or idx[1, c] in slot]
+    transpose = lambda e: (e % m) * m + e // m
+    touched = {c // 2 for c in reads}
+    entries = sorted(touched | {transpose(e) for e in touched})
+    where = {e: k for k, e in enumerate(entries)}
+    fixed = sorted({int(idx[t, c]) for t in (0, 1) for c in reads} - slot.keys())
     slot.update({f: len(varying) + q for q, f in enumerate(fixed)})
-    src = np.array([[slot[int(idx[t, c])] for c in cols] for t in (0, 1)], dtype=np.intp)
-    out = (np.array(cols, dtype=np.intp), np.array(fixed, dtype=np.intp), src,
-           sgn[:, cols].copy())
+    out = (np.array(entries, dtype=np.intp),
+           np.array([2 * where[c // 2] + c % 2 for c in reads], dtype=np.intp),
+           np.array(fixed, dtype=np.intp),
+           np.array([[slot[int(idx[t, c])] for c in reads] for t in (0, 1)], dtype=np.intp),
+           sgn[:, reads].copy(),
+           np.array([where[transpose(e)] for e in entries], dtype=np.intp))
     for arr in out:
         arr.setflags(write=False)
     return out
+
+
+def _constant_delta_parts(u):
+    """The parts of a Polynomial's delta matrix that read only constant
+    second partials, gathered once from its Hessian at the origin:
+    (row, varying).
+
+    ``row`` is the finished (2n, 2n) matrix, right at every point on the
+    entries no varying partial reaches.  ``varying`` is None at degree <= 2
+    (a monomial of degree >= 3 has a second partial that reads a
+    coordinate, and a QuadraticForm's Hessian never builds a plan);
+    otherwise it is (tables, partials, a, fixed): the ``_varying_gather``
+    tables, the varying second partials, the reached entries of a = V0 H
+    V1^T before halving, and the constant Hessian entries their parts read.
+    Every array is read-only.
+    """
+    n = u.n
+    flat = u.hessians(np.zeros((1, u.dim))).reshape(1, 16 * n * n)
+    idx, sgn = _delta_gather(n)
+    parts = _gather(flat, idx, sgn)
+    row = _antisymmetric_half(n, parts)[0]
+    row.setflags(write=False)
+    if u.degree() <= 2:
+        return row, None
+    _, varying = u._plan()
+    tables = _varying_gather(n, tuple((i, j) for i, j, _ in varying))
+    entries, _, fixed = tables[:3]
+    a, fixed_vals = parts.view(complex)[0, entries], flat[0, fixed]
+    a.setflags(write=False)
+    fixed_vals.setflags(write=False)
+    return row, (tables, tuple(dij for _, _, dij in varying), a, fixed_vals)
 
 
 def _polynomial_delta_matrices(u, pts):
     """Delta matrices of a Polynomial at N >= 1 points without the
     (N, 4n, 4n) Hessian tensor.
 
-    The Hessian is read at pts[0] and that row's parts are gathered once.
-    Every part that reads only constant second partials is the same at
-    every point; the parts that read a varying one are gathered again over
-    the batch, from ``dij.values(pts)`` as ``Polynomial.hessians`` computes
-    them and the constant entries of row 0, by the same two-term sums.  The
-    result is ``delta_from_hessians(n, u.hessians(pts))`` bit for bit, and
-    row k is the one-row call on pts[k].  With no varying partial (degree
-    <= 2: a monomial of degree >= 3 has a second partial that reads a
-    coordinate) it is row 0 as a read-only broadcast view.
+    The parts that read only constant second partials are the same at
+    every point; ``_constant_delta_parts`` gathers them once per
+    polynomial, cached on it.  Over the batch only the entries that a
+    varying partial reaches, and their transposes, are computed: their
+    varying parts gathered from ``dij.values(pts)`` as
+    ``Polynomial.hessians`` computes them and the cached constant entries,
+    by the same two-term sums, then halved by the same complex
+    0.5 * (a - a^T).  The result is ``delta_from_hessians(n,
+    u.hessians(pts))`` bit for bit, and row k is the one-row call on
+    pts[k].  With no varying partial (degree <= 2) it is the cached row as
+    a read-only broadcast view, with no Hessian read or gather.
     """
-    n = u.n
-    flat0 = u.hessians(pts[:1]).reshape(1, 16 * n * n)
-    idx, sgn = _delta_gather(n)
-    parts0 = _gather(flat0, idx, sgn)
-    if u.degree() <= 2:
-        # no varying partial, and no plan to build (a QuadraticForm's
-        # Hessian never builds one)
-        one = _antisymmetric_half(n, parts0)[0]
-        return np.broadcast_to(one, (len(pts), *one.shape))
-    _, varying = u._plan()
-    cols, fixed, src, csgn = _varying_gather(n, tuple((i, j) for i, j, _ in varying))
-    h = np.empty((len(pts), len(varying) + len(fixed)))
-    for r, (_, _, dij) in enumerate(varying):
+    if u._delta_row is None:
+        u._delta_row = _constant_delta_parts(u)
+    row, varying = u._delta_row
+    if varying is None:
+        return np.broadcast_to(row, (len(pts), *row.shape))
+    (entries, cols, _, src, csgn, swap), partials, a0, fixed_vals = varying
+    h = np.empty((len(pts), len(partials) + len(fixed_vals)))
+    for r, dij in enumerate(partials):
         h[:, r] = dij.values(pts)
-    h[:, len(varying):] = flat0[:, fixed]
-    parts = np.repeat(parts0, len(pts), axis=0)
-    parts[:, cols] = _gather(h, src, csgn)
-    return _antisymmetric_half(n, parts)
+    h[:, len(partials):] = fixed_vals
+    a = np.repeat(a0[None], len(pts), axis=0)
+    a.view(float)[:, cols] = _gather(h, src, csgn)
+    out = np.repeat(row.reshape(1, -1), len(pts), axis=0)
+    out[:, entries] = 0.5 * (a - a[:, swap])
+    return out.reshape(len(pts), *row.shape)
 
 
 @lru_cache(maxsize=None)

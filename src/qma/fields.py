@@ -185,7 +185,9 @@ class Polynomial(ScalarField):
     equality is structural.
     """
 
-    __slots__ = ("n", "terms", "_tables", "_diff_cache", "_hessian_plan")
+    # _delta_row holds calculus's read-only cache of the parts of the delta
+    # matrix that read only constant second partials
+    __slots__ = ("n", "terms", "_tables", "_diff_cache", "_hessian_plan", "_delta_row")
 
     def __init__(self, n, terms=None):
         self.n = n
@@ -204,6 +206,7 @@ class Polynomial(ScalarField):
         self._tables = None
         self._diff_cache = {}
         self._hessian_plan = None
+        self._delta_row = None
 
     # ------------------------------------------------------------------ build
     @classmethod

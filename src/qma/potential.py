@@ -34,9 +34,9 @@ the crossing radii of every (ray, level) pair in one batched Brent solve
 over the brackets of ``quadrature.ray_brackets``, the bracket search and
 tolerances that ``StarShapedRule`` uses too, and ``_ray_panel_sums``
 integrates from the center out to each level on Gauss-Legendre panels,
-handing the integrand node blocks of at most ``_BLOCK_NODES`` points.  The
-layered term of the identity solves all of its levels at once and sums the
-panels one level at a time.
+handing the integrand the node blocks of ``quadrature.block_values``, as
+``BallQuadrature`` does.  The layered term of the identity solves all of
+its levels at once and sums the panels one level at a time.
 """
 
 from __future__ import annotations
@@ -51,12 +51,11 @@ from .calculus import delta_matrices, nabla_matrices
 from .fields import ChainField, QuadraticForm, ScalarField
 from .monge_ampere import _to_real, ma_density, mixed_ma, mixed_pfaffian
 from .quadrature import (RAY_TOL, BallQuadrature, EllipsoidRule, SphereRule,
-                         StarShapedRule, brentq, gauss_legendre_panels,
-                         halving_estimate, ray_brackets, sphere_rule)
+                         StarShapedRule, block_values, brentq,
+                         gauss_legendre_panels, halving_estimate, ray_brackets,
+                         sphere_rule)
 
 _GRAD_FLOOR = 1e-6
-# most nodes per integrand call of _ray_panel_sums (bounds the kernels' batches)
-_BLOCK_NODES = 1024
 
 
 def boundary_measure_density(phi, pts):
@@ -153,7 +152,8 @@ def _ray_panel_sums(fn, center, dirs, lo, hi, nodes):
     """Per-ray Gauss-Legendre sums of fn * rho^(d-1) over the panels
     [lo_i, hi_i] along the rays center + rho * dirs_i.
 
-    fn sees the nodes in blocks of at most _BLOCK_NODES points.
+    Node k is panel node k % nodes on ray k // nodes; fn sees the nodes in
+    the blocks of ``quadrature.block_values``.
     """
     if np.any(hi <= lo):
         raise QuadratureError("empty panel on a sample ray")
@@ -161,15 +161,16 @@ def _ray_panel_sums(fn, center, dirs, lo, hi, nodes):
     # the rule on [-1, 1], mapped to each panel as gauss_legendre_panels does
     x, w = gauss_legendre_panels([-1.0, 1.0], nodes)
     half = (0.5 * (hi - lo))[:, None]
-    rho = (0.5 * (lo + hi))[:, None] + half * x
+    rho = ((0.5 * (lo + hi))[:, None] + half * x).ravel()
     w = (half * w).ravel()
-    pts = (center + rho[:, :, None] * dirs[:, None, :]).reshape(-1, d)
-    rho_pow = rho.ravel() ** (d - 1)
-    terms = np.empty(len(pts))
-    for s in range(0, len(pts), _BLOCK_NODES):
-        block = slice(s, s + _BLOCK_NODES)
-        terms[block] = w[block] * np.asarray(fn(pts[block]), dtype=float) * rho_pow[block]
-    return terms.reshape(rho.shape).sum(axis=1)
+
+    def build(start, stop):
+        first = start // nodes
+        ray_dirs = np.repeat(dirs[first:(stop - 1) // nodes + 1], nodes, axis=0)
+        return center + rho[start:stop, None] * ray_dirs[start - first * nodes:stop - first * nodes]
+
+    terms = w * block_values(fn, len(rho), build) * rho ** (d - 1)
+    return terms.reshape(len(dirs), nodes).sum(axis=1)
 
 
 def sublevel_integral(phi, t, fn, center=None, sphere_pow=9, radial_nodes=12,

@@ -16,6 +16,9 @@ Three tiers, from exact to sampled:
    place any rule, here, in ``potential`` or in ``currents``, chooses its
    directions and weights.  Error estimates come from halving the direction
    set (prefixes of a Sobol sequence at powers of two are balanced again).
+   ``block_values`` is the one place a rule, here or the ray rule of
+   ``potential``, splits its nodes into the integrand's calls: blocks of at
+   most ``_BLOCK_NODES`` nodes, each built when it is evaluated.
 
 Everything is deterministic given the seed.
 
@@ -59,8 +62,10 @@ from .errors import (DegenerateLevelSetError, DimensionError,
 from .exterior import MAX_N
 from .fields import Polynomial
 
-# most nodes per integrand call of BallQuadrature (bounds its memory use)
-_BALL_CHUNK_NODES = 65536
+# most nodes per integrand call of every rule that hands its integrand node
+# blocks (BallQuadrature, the ray panels of potential): bounds the batches,
+# and with them the memory, of the density kernels
+_BLOCK_NODES = 1024
 
 # ---------------------------------------------------------------------------
 # tier 1: exact moments
@@ -181,6 +186,17 @@ def halving_estimate(contrib, weights):
     full = float(contrib @ weights)
     half = float(contrib[:nh] @ weights[:nh]) * (weights.sum() / weights[:nh].sum())
     return full, abs(full - half)
+
+
+def block_values(fn, count, nodes):
+    """fn at ``count`` nodes as one (count,) float array, fn seeing at most
+    ``_BLOCK_NODES`` of them per call: ``nodes(lo, hi)`` builds the rows
+    lo:hi, and only when that block is evaluated."""
+    out = np.empty(count)
+    for lo in range(0, count, _BLOCK_NODES):
+        hi = min(lo + _BLOCK_NODES, count)
+        out[lo:hi] = np.asarray(fn(nodes(lo, hi)), dtype=float).reshape(hi - lo)
+    return out
 
 
 def radial_ball_integral(n, fn_rho, r, peak_scale=None, nodes=32):
@@ -323,8 +339,9 @@ def ndtri(p):
 
     The operations of Cephes ``ndtri`` in the same order, so the result
     equals ``scipy.special.ndtri`` bit for bit.  The tail's two logs go
-    through ``math.log``, the C library's log as Cephes calls it: numpy's
-    own vectorized log can differ from it in the last bits.
+    through ``math.log``, the C library's log as Cephes calls it, mapped
+    over the values into a preallocated array: numpy's own vectorized log
+    can differ from it in the last bits.
     """
     p = np.asarray(p, dtype=float)
     out = np.empty_like(p)
@@ -336,8 +353,9 @@ def ndtri(p):
     ratio = c2 * _polevl(c2, _NDTRI_P0) / _p1evl(c2, _NDTRI_Q0)
     out[centre] = (c + c * ratio) * 2.50662827463100050242E0
     tail = ~centre
-    z = np.sqrt(-2.0 * np.array([math.log(v) for v in y[tail].tolist()]))
-    z0 = z - np.array([math.log(v) for v in z.tolist()]) / z
+    logs = np.fromiter(map(math.log, y[tail].tolist()), float, np.count_nonzero(tail))
+    z = np.sqrt(-2.0 * logs)
+    z0 = z - np.fromiter(map(math.log, z.tolist()), float, len(z)) / z
     w = 1.0 / z
     z1 = np.where(z < 8.0,
                   w * _polevl(w, _NDTRI_P1) / _p1evl(w, _NDTRI_Q1),
@@ -556,11 +574,15 @@ def sphere_rule(d, m_pow, seed, antithetic=False):
 class BallQuadrature:
     """Product rule (graded radial panels x Sobol directions) on a ball.
 
-    ``integrate(fn)`` evaluates fn on (N, 4n) node blocks and returns
-    (value, error_estimate); the estimate compares the full direction set
-    against its leading half.  Memory use is bounded by
-    ``_BALL_CHUNK_NODES`` nodes per call.  Directions are antithetic.  A
-    radius <= 0 raises QuadratureError.
+    ``integrate(fn)`` evaluates fn on (N, 4n) node blocks of at most
+    ``_BLOCK_NODES`` nodes (``block_values``) and returns (value,
+    error_estimate); the estimate compares the full direction set against
+    its leading half.  Node k is radial node k // len(dirs) on direction
+    k % len(dirs), and a block's nodes are built when it is evaluated, so
+    memory is bounded by the block, not the rule.  The value does not
+    depend on the block size: the per-direction sums are one product over
+    all radial nodes.  Directions are antithetic.  A radius <= 0 raises
+    QuadratureError.
     """
 
     def __init__(self, n, radius, center=None, peak_scale=None,
@@ -575,17 +597,21 @@ class BallQuadrature:
 
     def integrate(self, fn):
         n_dirs = len(self.dirs)
-        per_dir = np.zeros(n_dirs)
-        rows_per_block = max(1, _BALL_CHUNK_NODES // n_dirs)
+        rho = np.sqrt(self.t_nodes)
+
+        def nodes(lo, hi):
+            # one slice of the directions per radial row the block meets
+            out = np.empty((hi - lo, self.dirs.shape[1]))
+            for row in range(lo // n_dirs, (hi - 1) // n_dirs + 1):
+                a, b = max(lo, row * n_dirs), min(hi, (row + 1) * n_dirs)
+                np.multiply(rho[row], self.dirs[a - row * n_dirs:b - row * n_dirs],
+                            out=out[a - lo:b - lo])
+            out += self.center
+            return out
+
+        vals = block_values(fn, len(rho) * n_dirs, nodes).reshape(len(rho), n_dirs)
         tw = self.t_weights * self.t_nodes ** (2 * self.n - 1)
-        for start in range(0, len(self.t_nodes), rows_per_block):
-            t = self.t_nodes[start:start + rows_per_block]
-            rho = np.sqrt(t)
-            pts = (self.center[None, None, :]
-                   + rho[:, None, None] * self.dirs[None, :, :]).reshape(-1, 4 * self.n)
-            vals = np.asarray(fn(pts), dtype=float).reshape(len(t), n_dirs)
-            per_dir += tw[start:start + rows_per_block] @ vals
-        return halving_estimate(per_dir, self.dir_weights * 0.5)
+        return halving_estimate(tw @ vals, self.dir_weights * 0.5)
 
 
 class _SurfaceRule:

@@ -79,8 +79,28 @@ def test_cxfield_exactness_flags():
 def test_cxfield_guards():
     with pytest.raises(DimensionError):
         CxField(Polynomial.coordinate(1, 0), Polynomial.coordinate(2, 0))
-    with pytest.raises(TypeError):
-        CxField(Polynomial.coordinate(1, 0)) + "x"
+    for bad in ("x", None, np.array([1.0])):
+        with pytest.raises(TypeError, match="as a complex field"):
+            CxField(Polynomial.coordinate(1, 0)) + bad
+        with pytest.raises(TypeError, match="as a complex field"):
+            CxField(Polynomial.coordinate(1, 0)) * bad
+
+
+@pytest.mark.parametrize("number, same", [
+    (np.int64(2), 2), (np.int32(-3), -3), (np.float32(0.5), 0.5), (np.float64(2.5), 2.5),
+    (np.complex128(1 + 2j), 1 + 2j), (np.complex64(-1j), -1j), (1 + 2j, 1 + 2j),
+    (RationalComplex(Fraction(1, 2), 3), RationalComplex(Fraction(1, 2), 3)),
+], ids=["int64", "int32", "float32", "float64", "complex128", "complex64", "complex",
+        "RationalComplex"])
+def test_cxfield_takes_numpy_scalars_as_the_numbers_they_hold(number, same):
+    # a numpy integer or floating scalar is an int or a float, as for the
+    # real fields, and a numpy complex scalar a complex, in both orders
+    f = CxField(Polynomial.coordinate(1, 0) ** 2, Polynomial.coordinate(1, 1))
+    results = [(f + number, f + same), (f - number, f - same), (f * number, f * same)]
+    if not isinstance(number, RationalComplex):
+        results += [(number + f, same + f), (number * f, same * f)]
+    for got, want in results:
+        assert (got.re, got.im) == (want.re, want.im)
 
 
 def test_cxfield_batch_values():
@@ -427,6 +447,38 @@ def test_polynomial_delta_matrices_equal_the_hessian_path(case):
     _assert_same_floats(got, want)
     for k, row in enumerate(rows):
         _assert_same_floats(got[k], row)
+
+
+def _arrays(obj):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _arrays(item)
+
+
+@pytest.mark.parametrize("u", [normsq(2), normsq(2) + _X[0] ** 4], ids=["quadform", "quartic"])
+def test_polynomial_delta_row_is_cached_read_only(monkeypatch, u):
+    # the constant parts are gathered once, from one Hessian row, and kept
+    # on the polynomial; a later call reads no Hessian row and reuses them
+    rng = np.random.default_rng(16)
+    first, second = rng.standard_normal((5, 8)), rng.standard_normal((7, 8))
+    rows = _record_hessian_rows(monkeypatch, type(u))
+    delta_matrices(u, first)
+    cached = u._delta_row
+    assert rows == [1]
+    got = delta_matrices(u, second)
+    assert rows == [1]
+    assert u._delta_row is cached
+    arrays = list(_arrays(cached))
+    assert len(arrays) == (1 if u.degree() <= 2 else 9)
+    for arr in arrays:
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        cached[0][0, 1] = 1.0
+    monkeypatch.undo()
+    sweep = delta_from_hessians(2, u.hessians(second))
+    assert np.ascontiguousarray(got).tobytes() == sweep.tobytes()
 
 
 @pytest.mark.parametrize("u", [normsq(2), Polynomial.coordinate(2, 3) ** 2,

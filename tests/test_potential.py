@@ -254,8 +254,8 @@ def test_ray_rules_match_per_ray_oracle(monkeypatch, geometry, sphere_pow, kind)
     # a level set that is not a sphere or an ellipsoid takes the star-shaped rule
     want_surf = StarShapedRule(phi, level, sphere_pow=sphere_pow).integrate(fn)
     # any node block size gives the same bits, down to one node per call
-    for block in (potential._BLOCK_NODES, 1, 10**9):
-        monkeypatch.setattr(potential, "_BLOCK_NODES", block)
+    for block in (quadrature._BLOCK_NODES, 1, 10**9):
+        monkeypatch.setattr(quadrature, "_BLOCK_NODES", block)
         assert sublevel_integral(phi, level, fn, sphere_pow=sphere_pow) == want_sub
         assert surface_integral(phi, level, fn, sphere_pow=sphere_pow) == want_surf
 
@@ -374,8 +374,8 @@ def test_lelong_jensen_builds_each_direction_set_once(monkeypatch):
 @pytest.mark.parametrize("block", [None, 100])
 def test_ray_rules_call_the_integrand_once_per_block(monkeypatch, block):
     if block is not None:
-        monkeypatch.setattr(potential, "_BLOCK_NODES", block)
-    block = potential._BLOCK_NODES
+        monkeypatch.setattr(quadrature, "_BLOCK_NODES", block)
+    block = quadrature._BLOCK_NODES
     phi, level = _radial_quartic()
     sizes = []
 

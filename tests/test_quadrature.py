@@ -4,10 +4,11 @@ import math
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq as scipy_brentq
 from scipy.special import ndtri as scipy_ndtri
 from scipy.stats import qmc
@@ -15,9 +16,9 @@ from scipy.stats import qmc
 from qma import quadrature
 from qma.errors import DegenerateLevelSetError, DimensionError, QuadratureError
 from qma.exterior import MAX_N
-from qma.fields import Polynomial, normsq, quadform
+from qma.fields import InvShift, Polynomial, normsq, quadform
 from qma.hamilton import QMatrix, Quaternion
-from qma.monge_ampere import fundamental_ma_density, fundamental_mass_exact
+from qma.monge_ampere import fundamental_ma_density, fundamental_mass_exact, ma_density
 from qma.quadrature import (
     BallQuadrature,
     EllipsoidRule,
@@ -430,13 +431,68 @@ def test_ball_quadrature_center_shift():
 def test_ball_quadrature_chunking_consistent(monkeypatch):
     p = normsq(1) * normsq(1)
     rule = BallQuadrature(1, 1.0, sphere_pow=7, radial_nodes=8)
-    big = rule.integrate(p.values)[0]
-    monkeypatch.setattr(quadrature, "_BALL_CHUNK_NODES", 100)
+    big = rule.integrate(p.values)
+    monkeypatch.setattr(quadrature, "_BLOCK_NODES", 100)
     sizes = []
-    small = rule.integrate(lambda pts: sizes.append(len(pts)) or p.values(pts))[0]
-    # 128 directions: one radial row of nodes per call
-    assert sizes == [128] * len(rule.t_nodes)
-    np.testing.assert_allclose(big, small, rtol=1e-12)
+    small = rule.integrate(lambda pts: sizes.append(len(pts)) or p.values(pts))
+    # 32 radial rows (4 panels of 8) of 128 directions, 100 nodes per call
+    # across the rows
+    assert sizes == [100] * 40 + [96]
+    assert small == big
+
+
+@st.composite
+def _ball_integrands(draw):
+    """A small BallQuadrature over H^n (n in {1, 2}) and an integrand: the
+    Monge-Ampere density of an InvShift (eps >= 0, 0 included), of a
+    quartic, or of a quadratic times a polynomial.  The pole sits 1/4 to 2
+    outside the ball, off the nodes, where the density at eps = 0 is
+    rounding noise small enough to come out real."""
+    n = draw(st.sampled_from([1, 2]))
+    d = 4 * n
+    small = st.floats(-1.0, 1.0)
+    center = np.array(draw(st.lists(small, min_size=d, max_size=d)))
+    radius = draw(st.floats(0.125, 2.0))
+    rule = BallQuadrature(n, radius, center=center,
+                          peak_scale=draw(st.sampled_from([None, 1e-2])),
+                          sphere_pow=draw(st.integers(1, 4)),
+                          radial_nodes=draw(st.integers(1, 4)), seed=draw(st.integers(0, 3)))
+    x0 = Polynomial.coordinate(n, 0)
+    kind = draw(st.sampled_from(["invshift", "quartic", "quadratic"]))
+    if kind == "invshift":
+        way = np.array(draw(st.lists(small, min_size=d, max_size=d)))
+        assume(np.linalg.norm(way) > 0.1)
+        pole = center + (radius + draw(st.floats(0.25, 2.0))) * way / np.linalg.norm(way)
+        u = InvShift(n, draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))), pole)
+        return rule, lambda pts: ma_density(u, pts)
+    if kind == "quartic":
+        u = normsq(n) + x0 ** 4 * draw(st.fractions(-2, 2, max_denominator=4))
+        return rule, lambda pts: ma_density(u, pts)
+    u = normsq(n) * draw(st.floats(0.5, 2.0)) + x0 * x0
+    v = x0 * x0 + Fraction(3, 2)
+    return rule, lambda pts: ma_density(u, pts) * v.values(pts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ball_integrands())
+def test_ball_quadrature_gives_the_same_bytes_at_any_block_size(case):
+    # every node block size gives the same bits, down to one node per call,
+    # and no call sees more nodes than the block
+    rule, fn = case
+    got = set()
+    for block in (1, quadrature._BLOCK_NODES, 10**9):
+        sizes = []
+
+        def counted(pts):
+            sizes.append(len(pts))
+            return fn(pts)
+
+        with mock.patch.object(quadrature, "_BLOCK_NODES", block), \
+                np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            got.add(np.array(rule.integrate(counted)).tobytes())
+        assert max(sizes) <= block
+        assert sum(sizes) == len(rule.t_nodes) * len(rule.dirs)
+    assert len(got) == 1
 
 
 # ---------------------------------------------------------------------------
