@@ -23,9 +23,9 @@ from .exterior import (RationalComplex, ExtElement, beta, omega_top,
                        top_coefficient, rho_j, is_real, pullback, elementary_sp,
                        random_elementary_sp, random_strongly_positive,
                        positivity_test, PositivityResult)
-from .fields import (ScalarField, Polynomial, QuadraticForm, ClosedForm,
-                     BlackBox, DerivedField, LinearSubstitution, ChainField,
-                     GridField, InvShift, normsq, quadform, invshift)
+from .fields import (ScalarField, Polynomial, ClosedForm, BlackBox,
+                     DerivedField, LinearSubstitution, ChainField, GridField,
+                     InvShift, normsq, quadform, invshift)
 from .calculus import (CxField, nabla, nabla_matrices, z_field,
                        delta_field, delta_matrix, delta_matrices, laplace,
                        d_scalar, FormField, closedness_residual, real_rep,

@@ -94,6 +94,9 @@ class CxField:
         other = _as_cx(other, self.n)
         return self + (-other)
 
+    def __rsub__(self, other):
+        return -self + other
+
     def __neg__(self):
         return CxField(-self.re, -self.im)
 
@@ -226,11 +229,11 @@ def delta_matrices(u, pts):
 
     Routes, by the field's structure:
 
-    * a Polynomial (a QuadraticForm among them) gathers the parts of its
-      delta matrix that read only constant second partials once, from one
-      Hessian row, and keeps them on the polynomial; over the batch it
-      computes only the entries that a second partial ``Polynomial._plan``
-      lists as varying reaches (``_polynomial_delta_matrices``).  With no
+    * a Polynomial gathers the parts of its delta matrix that read only
+      constant second partials once, from one Hessian row, and keeps them
+      on the polynomial; over the batch it computes only the entries that
+      a second partial ``Polynomial._plan`` lists as varying reaches
+      (``_polynomial_delta_matrices``).  With no
       varying partial (degree <= 2: the nabla operators have constant
       coefficients) the matrix is the same everywhere and comes back as a
       read-only broadcast view;
@@ -358,8 +361,7 @@ def _constant_delta_parts(u):
     ``row`` is the finished (2n, 2n) matrix, right at every point on the
     entries no varying partial reaches.  ``varying`` is None at degree <= 2
     (a monomial of degree >= 3 has a second partial that reads a
-    coordinate, and a QuadraticForm's Hessian never builds a plan);
-    otherwise it is (tables, partials, a, fixed): the ``_varying_gather``
+    coordinate); otherwise it is (tables, partials, a, fixed): the ``_varying_gather``
     tables, the varying second partials, the reached entries of a = V0 H
     V1^T before halving, and the constant Hessian entries their parts read.
     Every array is read-only.

@@ -597,8 +597,7 @@ def _ball_points(n, r, count, seed):
 def _psd_quadratic(a, n):
     """Shift a hyperhermitian quadratic form until it is plurisubharmonic."""
     u = quadform(a)
-    m = 0.5 * (u.m_real + u.m_real.T)
-    lam = float(np.linalg.eigvalsh(m).min())
+    lam = float(np.linalg.eigvalsh(0.5 * u.hessian(np.zeros(4 * n))).min())
     shift = max(0.0, -lam) + 0.5
     return u + normsq(n) * shift
 

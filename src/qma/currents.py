@@ -332,7 +332,7 @@ def bump_field(n, radius=1.0, center=None):
     supported test factor on B(a, r).
     """
     r2 = Fraction(radius) ** 2
-    base = Polynomial.constant(n, r2) - Polynomial(n, normsq(n, center=center).terms)
+    base = Polynomial.constant(n, r2) - normsq(n, center=center)
     return base ** 3 * (1 / r2 ** 3)
 
 

@@ -68,6 +68,19 @@ _POSITIVITY_TOL = 1e-9
 _SP_TERMS = 3
 
 
+def _rc_operand(op):
+    """op(self, other) with other taken to a RationalComplex.  An operand
+    that is not an int, Fraction or RationalComplex gets NotImplemented, so
+    its own reflected method (a complex field's, say) may take over."""
+    def method(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = RationalComplex(other)
+        elif not isinstance(other, RationalComplex):
+            return NotImplemented
+        return op(self, other)
+    return method
+
+
 class RationalComplex:
     """Exact complex number with Fraction real and imaginary parts."""
 
@@ -88,21 +101,22 @@ class RationalComplex:
     def conjugate(self):
         return RationalComplex(self.re, -self.im)
 
+    @_rc_operand
     def __add__(self, other):
-        other = _as_rc(other)
         return RationalComplex(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
+    @_rc_operand
     def __sub__(self, other):
-        other = _as_rc(other)
         return RationalComplex(self.re - other.re, self.im - other.im)
 
+    @_rc_operand
     def __rsub__(self, other):
-        return _as_rc(other) - self
+        return other - self
 
+    @_rc_operand
     def __mul__(self, other):
-        other = _as_rc(other)
         return RationalComplex(self.re * other.re - self.im * other.im,
                                self.re * other.im + self.im * other.re)
 
@@ -114,11 +128,8 @@ class RationalComplex:
     def __bool__(self):
         return bool(self.re or self.im)
 
+    @_rc_operand
     def __eq__(self, other):
-        try:
-            other = _as_rc(other)
-        except TypeError:
-            return NotImplemented
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
@@ -129,14 +140,6 @@ class RationalComplex:
 
     def __repr__(self):
         return f"RationalComplex({self.re!r}, {self.im!r})"
-
-
-def _as_rc(value):
-    if isinstance(value, RationalComplex):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return RationalComplex(value)
-    raise TypeError(f"cannot coerce {type(value).__name__} to RationalComplex")
 
 
 def _conj(c):

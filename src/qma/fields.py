@@ -10,10 +10,9 @@ provided, mirroring how much derivative information is trustworthy:
 * ``ClosedForm``   value with hand-written gradient and Hessian callables.
 * ``BlackBox``     value only; derivatives by central differences.
 
-``QuadraticForm`` is a Polynomial subclass that remembers its matrix data so
-level sets stay recognizable (exact sphere/ellipsoid quadrature), ``InvShift``
-is the fundamental-solution family -1/(|q - a|^2 + eps), and ``GridField``
-holds lattice samples for the mollification machinery.
+``normsq`` and ``quadform`` build quadratic Polynomials, ``InvShift`` is the
+fundamental-solution family -1/(|q - a|^2 + eps), and ``GridField`` holds
+lattice samples for the mollification machinery.
 
 All fields share pointwise ``value/gradient/hessian`` plus batched
 ``values/gradients/hessians`` (shape (N, 4n) in, used heavily by quadrature).
@@ -22,11 +21,9 @@ pointwise trio returns row 0 of the batched trio at ``x[None]``, so every
 gradient and Hessian, a ``Polynomial``'s and ``DerivedField``'s among them,
 has one evaluator.  Only these define pointwise methods of their own:
 
-* the exact lane, ``Polynomial.value`` and ``QuadraticForm.value``: the
-  scalar walk keeps Fraction points exact and gives a float point the bits
-  of ``values`` without a one-row array; ``QuadraticForm``, whose
-  ``values`` is an einsum over its matrix rather than the walk, takes a
-  float point's value back to one row of it;
+* the exact lane, ``Polynomial.value``: the scalar walk keeps Fraction
+  points exact and gives a float point the bits of ``values`` without a
+  one-row array;
 * ``ClosedForm``, ``BlackBox`` and ``GridField``, pointwise by contract;
   their batched methods are the base class's loop over points (a
   ``ClosedForm`` may pass vectorized callables instead).
@@ -321,7 +318,8 @@ class Polynomial(ScalarField):
         partial filled in, zeros included, and (i, j, partial) for the
         second partials that read a coordinate, i <= j.  A constant
         partial's walk is 0 + c, which is c, so the template holds the bits
-        a walk would give."""
+        a walk would give.  A partial d_j d_i with no term of d_i reading x_j
+        is 0, as filled, and is not built."""
         if self._hessian_plan is None:
             d = self.dim
             zero = _zero_exponent(self.n)
@@ -329,7 +327,7 @@ class Polynomial(ScalarField):
             varying = []
             for i in range(d):
                 di = self.diff(i)
-                for j in range(i, d):
+                for j in sorted({m for e in di.terms for m in range(i, d) if e[m]}):
                     dij = di.diff(j)
                     if dij.degree():
                         varying.append((i, j, dij))
@@ -346,40 +344,6 @@ class Polynomial(ScalarField):
         for i, j, dij in varying:
             out[:, i, j] = out[:, j, i] = dij.values(pts)
         return out
-
-
-class QuadraticForm(Polynomial):
-    """(q-a)^bar^T A (q-a) + const as an exact polynomial, with its real
-    symmetric matrix M, center and the quaternionic matrix kept around so the
-    sphere/ellipsoid structure of level sets stays visible."""
-
-    __slots__ = ("matrix", "m_real", "center", "const")
-
-    def __init__(self, n, terms, matrix, m_real, center, const):
-        super().__init__(n, terms)
-        self.matrix = matrix
-        self.m_real = np.asarray(m_real, dtype=float)
-        self.center = np.asarray(center, dtype=float)
-        self.const = float(const)
-
-    def values(self, pts):
-        y = np.asarray(pts, dtype=float) - self.center
-        return np.einsum("bi,ij,bj->b", y, self.m_real, y) + self.const
-
-    def gradients(self, pts):
-        y = np.asarray(pts, dtype=float) - self.center
-        return 2.0 * y @ self.m_real
-
-    def hessians(self, pts):
-        h = 2.0 * self.m_real
-        return np.broadcast_to(h, (len(pts), *h.shape)).copy()
-
-    def value(self, x):
-        # a float point is row 0 of the einsum in values, as for every
-        # batched field; an exact point keeps the walk and stays exact
-        if isinstance(x, np.ndarray) and x.dtype == float:
-            return ScalarField.value(self, x)
-        return Polynomial.value(self, x)
 
 
 class ClosedForm(ScalarField):
@@ -660,7 +624,7 @@ def _monomial(d, *axes):
 
 
 def normsq(n, center=None):
-    """|q - a|^2 as an exact QuadraticForm (Hessian 2*Id)."""
+    """|q - a|^2 as an exact Polynomial (Hessian 2*Id)."""
     center = np.zeros(4 * n) if center is None else np.asarray(center, dtype=float)
     c_exact = [Fraction(v) if float(v).is_integer() else v for v in center]
     d = 4 * n
@@ -671,7 +635,7 @@ def normsq(n, center=None):
     const = sum(Fraction(c) * Fraction(c) if isinstance(c, Fraction) else c * c for c in c_exact)
     if const:
         poly = poly + Polynomial.constant(n, const)
-    return QuadraticForm(n, poly.terms, QMatrix.identity(n), np.eye(d), center, 0.0)
+    return poly
 
 
 def _centered_lower_terms(r, c):
@@ -702,13 +666,12 @@ def _centered_lower_terms(r, c):
 
 
 def quadform(a_matrix, center=None):
-    """(q-a)^bar^T A (q-a) for hyperhermitian A, as an exact QuadraticForm.
+    """(q-a)^bar^T A (q-a) for hyperhermitian A, as an exact Polynomial.
 
     With R the real representation of A (``QMatrix.real_rep``, exact on
     exact entries) and y = x - a the value is y^T R y: y_i^2 carries R_ii
-    and y_i y_j carries R_ij + R_ji, and M = (R + R^T)/2, which is R when A
-    is exactly hyperhermitian.  Raises if A is not hyperhermitian (the value
-    would not be real).
+    and y_i y_j carries R_ij + R_ji, so the Hessian is R + R^T.  Raises if
+    A is not hyperhermitian (the value would not be real).
     """
     a_matrix = a_matrix if isinstance(a_matrix, QMatrix) else QMatrix(a_matrix)
     if not is_hyperhermitian(a_matrix, tol=1e-12):
@@ -716,23 +679,21 @@ def quadform(a_matrix, center=None):
     n = a_matrix.rows
     d = 4 * n
     r = a_matrix.real_rep()
-    sym = r + r.T
     terms = {}
     for i in range(d):
         for j in range(i, d):
-            c = r[i, i] if i == j else sym[i, j]
+            c = r[i, i] if i == j else r[i, j] + r[j, i]
             if c:
                 terms[_monomial(d, i, j)] = c
-    ctr = np.zeros(d) if center is None else np.asarray(center, dtype=float)
     if center is not None:
-        lin, const = _centered_lower_terms(r, ctr.reshape(n, 4).tolist())
+        ctr = np.asarray(center, dtype=float).reshape(n, 4).tolist()
+        lin, const = _centered_lower_terms(r, ctr)
         for m, c in enumerate(lin):
             if c:
                 terms[_monomial(d, m)] = c
         if const:
             terms[_monomial(d)] = const
-    # + 0.0 turns the -0.0 of cancelled zero components into 0.0
-    return QuadraticForm(n, terms, a_matrix, 0.5 * sym.astype(float) + 0.0, ctr, 0.0)
+    return Polynomial(n, terms)
 
 
 class InvShift(ScalarField):

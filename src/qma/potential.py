@@ -24,8 +24,9 @@ The Lelong-Jensen identity ties three quantities together:
 and ``lelong_jensen`` evaluates all three with residuals and quadrature
 error estimates.  The boundary measure is a surface integral over the level
 set, with one rule per geometry: spherical and ellipsoidal level sets
-(quadratic phi) use the exact sphere and ellipsoid rules, and any other
-level set, star-shaped around a center, uses ``quadrature.StarShapedRule``.
+(phi a Polynomial of degree <= 2) use the exact sphere and ellipsoid rules,
+and any other level set, star-shaped around a center, uses
+``quadrature.StarShapedRule``.
 
 Off the quadratic path, the sublevel rule runs on a ray engine from a
 center, over the directions and weights of ``quadrature.sphere_rule``, the
@@ -48,7 +49,7 @@ import numpy as np
 
 from .errors import DegenerateLevelSetError, DimensionError, QuadratureError
 from .calculus import delta_matrices, nabla_matrices
-from .fields import ChainField, QuadraticForm, ScalarField
+from .fields import ChainField, Polynomial, ScalarField
 from .monge_ampere import _to_real, ma_density, mixed_ma, mixed_pfaffian
 from .quadrature import (RAY_TOL, BallQuadrature, EllipsoidRule, SphereRule,
                          StarShapedRule, block_values, brentq,
@@ -82,15 +83,19 @@ def boundary_measure_density(phi, pts):
 # surface and sublevel quadrature
 
 def _quadratic_geometry(phi):
-    """(center, m_real, const) when phi is quadratic with positive definite
-    part, else None."""
-    if not isinstance(phi, QuadraticForm):
+    """(center, M, const) with phi = (x - center)^T M (x - center) + const
+    when phi is a Polynomial of degree <= 2 with M positive definite, else
+    None.  M is half the Hessian at 0, exact at degree <= 2, where every
+    second partial is a constant of the ``Polynomial._plan`` template; the
+    center solves -2 M center = grad phi(0) and const is phi(center)."""
+    if not isinstance(phi, Polynomial) or phi.degree() > 2:
         return None
-    m = np.asarray(phi.m_real, dtype=float)
-    if np.linalg.eigvalsh(0.5 * (m + m.T)).min() <= 0:
+    zero = np.zeros(phi.dim)
+    m = 0.5 * phi.hessian(zero)
+    if np.linalg.eigvalsh(m).min() <= 0:
         return None
-    center = np.zeros(4 * phi.n) if phi.center is None else np.asarray(phi.center, dtype=float)
-    return center, m, float(phi.const)
+    center = np.linalg.solve(-2.0 * m, phi.gradient(zero))
+    return center, m, float(phi.value(center))
 
 
 def _round(m):
@@ -236,11 +241,18 @@ class JensenReport:
 def lelong_jensen(phi, v, r, t_nodes=48, sphere_pow=9, radial_nodes=12,
                   seed=0, center=None):
     """Evaluate the Lelong-Jensen identity for exhaustion phi and potential
-    v at level r; returns a JensenReport."""
+    v at level r; returns a JensenReport.
+
+    The layered term integrates the levels from phi(center) up to r, and
+    the ray rules start at center.  It defaults to the center of a
+    quadratic phi, its minimum, and to 0 otherwise."""
     n = phi.n
     if v.n != n:
         raise DimensionError("phi and V live on different spaces")
-    center = (np.zeros(4 * n) if center is None else np.asarray(center, dtype=float))
+    if center is None:
+        geom = _quadratic_geometry(phi)
+        center = np.zeros(4 * n) if geom is None else geom[0]
+    center = np.asarray(center, dtype=float)
 
     dens_fn = lambda pts: boundary_measure_density(phi, pts) * v.values(pts)
     mu_v, mu_err = surface_integral(phi, r, dens_fn, sphere_pow=sphere_pow + 1,

@@ -641,12 +641,12 @@ class EllipsoidRule(_SurfaceRule):
     sphere: det(B) * |B^(-T) theta| per unit sphere element, B = M^(-1/2).
     """
 
-    def __init__(self, m_real, center, level, sphere_pow=10, seed=0):
-        m_real = np.asarray(m_real, dtype=float)
-        d = m_real.shape[0]
+    def __init__(self, m, center, level, sphere_pow=10, seed=0):
+        m = np.asarray(m, dtype=float)
+        d = m.shape[0]
         if d % 4:
             raise DimensionError("ambient dimension must be a multiple of 4")
-        evals, evecs = np.linalg.eigh(0.5 * (m_real + m_real.T))
+        evals, evecs = np.linalg.eigh(0.5 * (m + m.T))
         if evals.min() <= 0:
             raise DegenerateLevelSetError("quadratic form is not positive definite")
         if level <= 0:
@@ -660,7 +660,7 @@ class EllipsoidRule(_SurfaceRule):
         det_b = float(np.prod(evals ** -0.5))
         stretch = np.linalg.norm(theta @ b_inv_t.T, axis=1)
         self.weights = weights * det_b * stretch * root ** (d - 1)
-        grad_dir = (self.points - center) @ m_real.T
+        grad_dir = (self.points - center) @ m.T
         self.normals = grad_dir / np.linalg.norm(grad_dir, axis=1)[:, None]
 
 

@@ -73,7 +73,7 @@ def _random_cubic(rng, n):
 def _psh_quadratic(rng, n):
     a = random_hyperhermitian(rng, n)
     u = quadform(a)
-    lam = float(np.linalg.eigvalsh(0.5 * (u.m_real + u.m_real.T)).min())
+    lam = float(np.linalg.eigvalsh(0.5 * u.hessian(np.zeros(4 * n))).min())
     return u + normsq(n) * (max(0.0, -lam) + 0.5)
 
 

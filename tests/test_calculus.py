@@ -1,5 +1,6 @@
 """First/second-order operators, form fields, and the two differentials."""
 
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -96,11 +97,24 @@ def test_cxfield_takes_numpy_scalars_as_the_numbers_they_hold(number, same):
     # a numpy integer or floating scalar is an int or a float, as for the
     # real fields, and a numpy complex scalar a complex, in both orders
     f = CxField(Polynomial.coordinate(1, 0) ** 2, Polynomial.coordinate(1, 1))
-    results = [(f + number, f + same), (f - number, f - same), (f * number, f * same)]
-    if not isinstance(number, RationalComplex):
-        results += [(number + f, same + f), (number * f, same * f)]
-    for got, want in results:
+    for got, want in [(f + number, f + same), (f - number, f - same),
+                      (f * number, f * same), (number + f, same + f),
+                      (number - f, same - f), (number * f, same * f)]:
         assert (got.re, got.im) == (want.re, want.im)
+
+
+def test_rational_complex_operators_defer_to_a_complex_field():
+    # RationalComplex returns NotImplemented for a complex field, whose
+    # reflected methods then give the results of the other operand order
+    z, f = RationalComplex(1, 2), CxField(normsq(1))
+    for got, want in [(z + f, f + z), (z - f, -(f - z)), (z * f, f * z)]:
+        assert (got.re, got.im) == (want.re, want.im)
+    # a float is still no RationalComplex operand, in either order
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(z, 1.5)
+        with pytest.raises(TypeError):
+            op(1.5, z)
 
 
 def test_cxfield_batch_values():

@@ -525,6 +525,44 @@ def test_cmd_jensen(tmp_path):
         "boundary", "interior", "spatial", "layered"}
 
 
+def _run_jensen(tmp_path, n, seed, phi, r):
+    """(exit status, CSV bytes) of ``qma jensen`` on phi with v = x0^2 + 3/2."""
+    tmp_path.mkdir(exist_ok=True)
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, "jensen.ini", f"""\
+        [run]
+        command = jensen
+        n = {n}
+        seed = {seed}
+
+        [fields]
+        phi = {phi}
+        v = x0^2 + 3/2
+
+        [params]
+        r = {r}
+        """)
+    return _run("jensen", cfg, out), (out / "jensen.csv").read_bytes()
+
+
+def test_jensen_reads_the_ball_of_any_quadratic_spelling(tmp_path):
+    # normsq() + 1 at level 2 is the unit ball of normsq() at level 1: the
+    # same sphere and ball rules give the same rows, bit for bit
+    plain = _run_jensen(tmp_path / "plain", 2, 4, "normsq()", 1.0)
+    shifted = _run_jensen(tmp_path / "shifted", 2, 4, "normsq() + 1", 2.0)
+    assert shifted == plain and plain[0] == 0
+    assert _run_jensen(tmp_path / "scaled", 2, 4, "2*normsq()", 2.0)[0] == 0
+
+
+def test_jensen_layers_an_off_center_quadratic_from_its_minimum(tmp_path):
+    # |q|^2 + 2 x0 = |q + e0|^2 - 1 has its minimum -1 at -e0, below phi(0)
+    status, csv = _run_jensen(tmp_path, 1, 0, "normsq() + 2*x0", 1.0)
+    assert status == 0
+    rows = {line.split(",")[0]: line.split(",") for line in csv.decode().splitlines()}
+    assert rows["residual_layered"][3] == "pass"
+    assert float(rows["residual_layered"][1]) < 0.1
+
+
 def test_cmd_boundary(tmp_path):
     cfg = _write(tmp_path, "boundary.ini", """\
         [run]

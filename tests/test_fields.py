@@ -19,7 +19,6 @@ from qma.fields import (
     InvShift,
     LinearSubstitution,
     Polynomial,
-    QuadraticForm,
     ScalarField,
     _ProductField,
     _ScaledField,
@@ -251,14 +250,13 @@ def test_normsq_center():
 
 def test_normsq_is_exact_polynomial():
     u = normsq(1)
-    assert isinstance(u, QuadraticForm)
+    assert type(u) is Polynomial
     assert u.terms == {
         (2, 0, 0, 0): Fraction(1),
         (0, 2, 0, 0): Fraction(1),
         (0, 0, 2, 0): Fraction(1),
         (0, 0, 0, 2): Fraction(1),
     }
-    assert u.matrix == QMatrix.identity(1)
 
 
 def test_quadform_matches_quaternion_arithmetic_exactly():
@@ -302,7 +300,7 @@ def _qpoly_mul(a, b):
 
 
 def _product_path_quadform(a_matrix, center=None):
-    """Oracle: (terms, m_real) of (q-a)^bar^T A (q-a) from quaternion
+    """Oracle: (terms, M) of (q-a)^bar^T A (q-a) from quaternion
     polynomial products, with M read back by exact differentiation."""
     n = a_matrix.rows
     center_arr = None if center is None else np.asarray(center, dtype=float)
@@ -320,17 +318,22 @@ def _product_path_quadform(a_matrix, center=None):
     for vec_part in total[1:]:
         assert all(abs(float(c)) <= 1e-9 for c in vec_part.terms.values())
     scalar = total[0]
-    m_real = 0.5 * np.array(
+    m = 0.5 * np.array(
         [[float(scalar.diff(i).diff(j).value(np.zeros(4 * n))) for j in range(4 * n)]
          for i in range(4 * n)])
-    return scalar.terms, m_real
+    return scalar.terms, m
 
 
-def _assert_same_bits(u, terms, m_real):
+def _half_hessian(u):
+    """M of a quadratic u, half its Hessian at 0."""
+    return 0.5 * u.hessian(np.zeros(u.dim))
+
+
+def _assert_same_bits(u, terms, m):
     assert set(u.terms) == set(terms)
     for e, c in terms.items():
         assert np.float64(u.terms[e]).tobytes() == np.float64(c).tobytes()
-    assert u.m_real.tobytes() == m_real.tobytes()
+    assert _half_hessian(u).tobytes() == m.tobytes()
 
 
 @pytest.mark.parametrize("n,seeds", [(1, range(40)), (2, range(20)), (3, range(2))])
@@ -361,9 +364,9 @@ def test_quadform_centered_exact_terms_equal_the_product_path():
     a = QMatrix([[Quaternion(Fraction(5, 2)), q], [q.conjugate(), Quaternion(3)]])
     center = [0.5, -1.0, 0.0, 2.0, -0.25, 0.75, 1.5, -3.0]
     u = quadform(a, center=center)
-    terms, m_real = _product_path_quadform(a, center)
+    terms, m = _product_path_quadform(a, center)
     assert u.terms == terms
-    assert u.m_real.tobytes() == m_real.tobytes()
+    assert _half_hessian(u).tobytes() == m.tobytes()
     assert u.value([Fraction(c) for c in center]) == 0
 
 
@@ -379,21 +382,9 @@ def test_quadform_center_and_real_matrix():
     c = np.array([0.5, -1.0, 0.0, 2.0])
     u = quadform(a, center=c)
     assert u.value(c) == 0
-    np.testing.assert_allclose(u.m_real, 3 * np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(_half_hessian(u), 3 * np.eye(4), atol=1e-12)
     np.testing.assert_allclose(u.gradient(c + [1, 0, 0, 0]), [6, 0, 0, 0], atol=1e-12)
     np.testing.assert_allclose(u.hessian(np.zeros(4)), 6 * np.eye(4), atol=1e-12)
-
-
-def test_quadraticform_batch_matches_polynomial():
-    rng = np.random.default_rng(11)
-    q = Quaternion(0, Fraction(1, 2), 0, Fraction(-1, 4))
-    a = QMatrix([[Quaternion(1), q], [q.conjugate(), Quaternion(2)]])
-    u = quadform(a, center=rng.standard_normal(8))
-    pts = rand_pts(rng, 2, 23)
-    slow = [float(Polynomial.value(u, x)) for x in pts]
-    np.testing.assert_allclose(u.values(pts), slow, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(u.gradients(pts), [u.gradient(x) for x in pts], rtol=1e-12)
-    np.testing.assert_allclose(u.hessians(pts), [u.hessian(x) for x in pts], rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -746,12 +737,6 @@ def _pointwise_oracle(u, x):
     if isinstance(u, DerivedField):
         _, g, h = _pointwise_oracle(u.parent, x)
         return float(g[u.axis]), h[u.axis].copy(), _derived_hessian_by_point(u, x)
-    if isinstance(u, QuadraticForm):
-        # the matrix form at one point, not the batched einsum; the walk
-        # over the expanded terms leaves about 1e-15 where y = 0
-        y = x - u.center
-        return (float(y @ u.m_real @ y) + u.const, 2.0 * u.m_real @ y,
-                2.0 * u.m_real.copy())
     assert type(u) is Polynomial
     # one walk per first and second partial
     axes = range(u.dim)
@@ -830,8 +815,6 @@ def _close(got, want):
                                atol=1e-13 * max(1.0, float(np.abs(want).max())))
 
 
-# a point where the polynomial walk and the einsum of a QuadraticForm
-# differ in the last bit, for both leaves
 _LAST_BIT_POINT = np.array([0.1, 0.4, 0.7, -0.7, -0.4, -0.1, 0.2, 0.5])
 
 
@@ -872,8 +855,7 @@ def test_every_field_class_defines_one_side_of_each_pair():
             if vars(cls).get(m, vars(ScalarField)[m]) is not vars(ScalarField)[m]}
     trio = {"value", "gradient", "hessian"}
     assert {k: v for k, v in own_pointwise.items() if v} == {
-        "Polynomial": {"value"}, "QuadraticForm": {"value"},
-        "ClosedForm": trio, "BlackBox": trio, "GridField": trio}
+        "Polynomial": {"value"}, "ClosedForm": trio, "BlackBox": trio, "GridField": trio}
     assert not issubclass(InvShift, ClosedForm)
 
 

@@ -107,7 +107,7 @@ def _boundary_oracle(phi, pts):
        st.integers(0, 2 ** 32 - 1))
 def test_boundary_density_matches_pair_sum(case, seed):
     n, p = case
-    phi = Polynomial(n, normsq(n).terms) + p
+    phi = normsq(n) + p
     pts = np.random.default_rng(seed).standard_normal((5, 4 * n))
     # the density is defined on regular level sets only
     assume(np.linalg.norm(phi.gradients(pts), axis=1).min() > 1e-3)

@@ -24,6 +24,7 @@ from qma.potential import (
     sublevel_integral,
     surface_integral,
 )
+from test_fields import _TILTED, _product_path_quadform
 
 PI2 = math.pi**2
 PI4 = math.pi**4
@@ -74,6 +75,33 @@ def test_boundary_density_degenerate():
 # surface and sublevel quadrature
 
 
+def test_quadratic_geometry_of_any_positive_quadratic_polynomial():
+    x0 = Polynomial.coordinate(2, 0)
+    eye = np.eye(8)
+    for phi, m, const, round_ in [(2 * normsq(2), 2 * eye, 0.0, True),
+                                  (normsq(2) + 1, eye, 1.0, True),
+                                  (normsq(2) + x0 * x0, np.diag([2.0] + [1.0] * 7), 0.0, False)]:
+        center, got_m, got_const = potential._quadratic_geometry(phi)
+        assert np.array_equal(center, np.zeros(8))
+        assert np.array_equal(got_m, m) and got_const == const
+        assert potential._round(got_m) == round_
+    c = np.array([0.5, -1.0, 0.0, 2.0, -0.25, 0.75, 1.5, -3.0])
+    for phi, m in [(normsq(2, center=c), eye),
+                   (quadform(_TILTED[2], center=c), _product_path_quadform(_TILTED[2], c)[1])]:
+        center, got_m, const = potential._quadratic_geometry(phi)
+        assert got_m.tobytes() == m.tobytes()
+        np.testing.assert_allclose(center, c, rtol=0, atol=1e-12)
+        assert abs(const) < 1e-12
+
+
+def test_quadratic_geometry_refuses_what_has_no_ellipsoid():
+    x0 = Polynomial.coordinate(2, 0)
+    for phi in (x0 * x0,                      # singular
+                normsq(2) - 2 * x0 * x0,      # indefinite
+                normsq(2) + x0 ** 4):         # degree 4
+        assert potential._quadratic_geometry(phi) is None
+
+
 def test_surface_integral_sphere_path():
     value, error = surface_integral(normsq(1), 1.0)
     assert value == pytest.approx(2 * PI2, rel=1e-12)
@@ -91,17 +119,17 @@ def test_surface_integral_ellipsoid_matches_star_shaped_rule():
     a = QMatrix([[Quaternion(1), Quaternion(0)], [Quaternion(0), Quaternion(2)]])
     phi = quadform(a)
     exact_rule, _ = surface_integral(phi, 1.0, sphere_pow=10)
-    # the same level set through the star-shaped rule (plain Polynomial);
-    # direction error dominates on anisotropic surfaces, so use a full set
-    generic = Polynomial(2, phi.terms)
-    star, _ = surface_integral(generic, 1.0, sphere_pow=10)
+    # the same level set through the star-shaped rule; direction error
+    # dominates on anisotropic surfaces, so use a full set
+    star, _ = StarShapedRule(phi, 1.0, sphere_pow=10).integrate(
+        lambda pts: np.ones(len(pts)))
     assert star == pytest.approx(exact_rule, rel=2e-3)
 
 
 def test_surface_integral_star_shaped_on_radial_quartic():
     # phi = |q|^2 + |q|^4/4 has the unit sphere as its level set at 1.25
     u = normsq(1)
-    phi = Polynomial(1, u.terms) + Polynomial.__mul__(u, u) * 0.25
+    phi = u + u * u * 0.25
     value, error = surface_integral(phi, 1.25, sphere_pow=5)
     assert value == pytest.approx(2 * PI2, rel=2e-3)
     assert error < 0.05 * value
@@ -118,7 +146,7 @@ def test_sublevel_integral_ball_path():
 
 def test_sublevel_integral_ray_path():
     u = normsq(1)
-    phi = Polynomial(1, u.terms) + Polynomial.__mul__(u, u) * 0.25
+    phi = u + u * u * 0.25
     val, err = sublevel_integral(phi, 1.25, lambda pts: np.ones(len(pts)),
                                  sphere_pow=5)
     assert val == pytest.approx(PI2 / 2, rel=1e-10)
@@ -224,13 +252,13 @@ def _oracle_chain_radii(phi, levels, center, dirs):
 def _radial_quartic():
     # level 1.25 is the unit sphere
     u = normsq(1)
-    return Polynomial(1, u.terms) + Polynomial.__mul__(u, u) * 0.25, 1.25
+    return u + u * u * 0.25, 1.25
 
 
 def _shifted_quartic():
     # the benchmark's non-quadratic exhaustion normsq() + x0^4 at n = 2
     x0 = Polynomial.coordinate(2, 0)
-    return Polynomial(2, normsq(2).terms) + x0 * x0 * x0 * x0, 1.0
+    return normsq(2) + x0 * x0 * x0 * x0, 1.0
 
 
 def _integrand(kind, phi):
@@ -275,8 +303,7 @@ def test_star_shaped_surface_rule_is_the_limit_of_coarea_shells():
 
 
 def test_sublevel_ray_rule_matches_per_ray_oracle_on_a_tilted_quadform():
-    # a non-round quadratic form takes the ray rule, and its pointwise value
-    # differs from its batched values in the last bits
+    # a non-round quadratic form takes the ray rule
     phi = quadform(QMatrix([[Quaternion(2), Quaternion(0, 1, 0, 0)],
                             [Quaternion(0, -1, 0, 0), Quaternion(3)]]))
     for kind in ("ones", "polynomial", "ma_density"):
@@ -310,7 +337,7 @@ def test_ray_radii_equal_the_scalar_solve_of_each_entry(n, axis, c, shift, level
     # phi = normsq + c x_k^4 is convex along every ray, and phi(center) < 0.1
     # stays below every level, so each (ray, level) entry has one root
     x = Polynomial.coordinate(n, axis % (4 * n))
-    phi = Polynomial(n, normsq(n).terms) + x * x * x * x * c
+    phi = normsq(n) + x * x * x * x * c
     center = np.asarray(shift[:4 * n])
     levels = sorted(levels)
     dirs = sobol_sphere(4 * n, 3, 0)

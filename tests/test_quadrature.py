@@ -553,7 +553,7 @@ def test_star_shaped_rule_matches_ellipsoid():
     a = QMatrix([[Quaternion(2)]])
     u = quadform(a)
     star = StarShapedRule(u, level=1.0, sphere_pow=10, seed=5)
-    ell = EllipsoidRule(u.m_real, np.zeros(4), 1.0, sphere_pow=10, seed=5)
+    ell = EllipsoidRule(0.5 * u.hessian(np.zeros(4)), np.zeros(4), 1.0, sphere_pow=10, seed=5)
     sa, _ = star.integrate(lambda pts: np.ones(len(pts)))
     ea, _ = ell.integrate(lambda pts: np.ones(len(pts)))
     assert sa == pytest.approx(ea, rel=2e-3)
