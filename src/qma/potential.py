@@ -22,22 +22,16 @@ The Lelong-Jensen identity ties three quantities together:
         = integral_{-inf}^{r} dt integral_{B_phi(t)} laplace(V) ^ (laplace phi)^(n-1)
 
 and ``lelong_jensen`` evaluates all three with residuals and quadrature
-error estimates.  The boundary measure is a surface integral over the level
-set, with one rule per geometry: spherical and ellipsoidal level sets
-(phi a Polynomial of degree <= 2) use the exact sphere and ellipsoid rules,
-and any other level set, star-shaped around a center, uses
-``quadrature.StarShapedRule``.
-
-Off the quadratic path, the sublevel rule runs on a ray engine from a
-center, over the directions and weights of ``quadrature.sphere_rule``, the
-one place every rule takes its direction set from: ``_ray_radii`` solves
-the crossing radii of every (ray, level) pair in one batched Brent solve
-over the brackets of ``quadrature.ray_brackets``, the bracket search and
-tolerances that ``StarShapedRule`` uses too, and ``_ray_panel_sums``
-integrates from the center out to each level on Gauss-Legendre panels,
-handing the integrand the node blocks of ``quadrature.block_values``, as
-``BallQuadrature`` does.  The layered term of the identity solves all of
-its levels at once and sums the panels one level at a time.
+error estimates.  Each geometry has one rule on its level set and one
+inside it: a Polynomial phi of degree <= 2 with round level sets takes the
+sphere rule and ``BallQuadrature``, one with ellipsoidal level sets the
+ellipsoid rule and ``BallQuadrature`` pulled through y -> a + B y
+(``quadrature.ellipsoid_map``), and any other phi, star-shaped around 0,
+``quadrature.StarShapedRule`` and the ray rule: ``_ray_radii`` solves every
+(ray, level) crossing in one batched Brent solve over the brackets of
+``quadrature.ray_brackets``, and ``_ray_panel_sums`` integrates along the
+rays on Gauss-Legendre panels, in the node blocks of
+``quadrature.block_values``.  The layered term solves all its levels at once.
 """
 
 from __future__ import annotations
@@ -49,12 +43,12 @@ import numpy as np
 
 from .errors import DegenerateLevelSetError, DimensionError, QuadratureError
 from .calculus import delta_matrices, nabla_matrices
-from .fields import ChainField, Polynomial, ScalarField
+from .fields import ChainField
 from .monge_ampere import _to_real, ma_density, mixed_ma, mixed_pfaffian
 from .quadrature import (RAY_TOL, BallQuadrature, EllipsoidRule, SphereRule,
-                         StarShapedRule, block_values, brentq,
-                         gauss_legendre_panels, halving_estimate, ray_brackets,
-                         sphere_rule)
+                         StarShapedRule, block_values, brentq, ellipsoid_map,
+                         gauss_legendre_panels, halving_estimate,
+                         quadratic_geometry, ray_brackets, sphere_rule)
 
 _GRAD_FLOOR = 1e-6
 
@@ -82,61 +76,35 @@ def boundary_measure_density(phi, pts):
 # ---------------------------------------------------------------------------
 # surface and sublevel quadrature
 
-def _quadratic_geometry(phi):
-    """(center, M, const) with phi = (x - center)^T M (x - center) + const
-    when phi is a Polynomial of degree <= 2 with M positive definite, else
-    None.  M is half the Hessian at 0, exact at degree <= 2, where every
-    second partial is a constant of the ``Polynomial._plan`` template; the
-    center solves -2 M center = grad phi(0) and const is phi(center)."""
-    if not isinstance(phi, Polynomial) or phi.degree() > 2:
-        return None
-    zero = np.zeros(phi.dim)
-    m = 0.5 * phi.hessian(zero)
-    if np.linalg.eigvalsh(m).min() <= 0:
-        return None
-    center = np.linalg.solve(-2.0 * m, phi.gradient(zero))
-    return center, m, float(phi.value(center))
-
-
 def _round(m):
     """Whether the matrix of a quadratic phi is a multiple of the identity,
     so its level sets are round spheres."""
     return np.allclose(m, m[0, 0] * np.eye(len(m)), atol=1e-14 * abs(m[0, 0]))
 
 
-def _as_callable(f, n):
-    if f is None:
-        return lambda pts: np.ones(len(pts))
-    if isinstance(f, ScalarField):
-        return f.values
-    return f
-
-
-def surface_integral(phi, r, f=None, sphere_pow=10, seed=0, center=None):
-    """integral of f over the level set {phi = r} with respect to surface
+def surface_integral(phi, r, fn, sphere_pow=10, seed=0):
+    """integral of fn over the level set {phi = r} with respect to surface
     measure.
 
     Quadratic phi with positive definite part gets the exact sphere or
-    ellipsoid rule; any other phi gets ``StarShapedRule`` around ``center``:
-    the crossing radius of each Sobol ray and the area element
+    ellipsoid rule; any other phi gets ``StarShapedRule`` around 0: the
+    crossing radius of each Sobol ray and the area element
     rho^(d-1) |grad phi| / <grad phi, theta>.  Each rule's error estimate
     halves its direction set.  Returns (value, error).
     """
-    n = phi.n
-    fn = _as_callable(f, n)
-    geom = _quadratic_geometry(phi)
+    geom = quadratic_geometry(phi)
     if geom is not None:
         a, m, const = geom
         level = r - const
         if level <= 0:
             raise DegenerateLevelSetError("empty level set")
         if _round(m):
-            rule = SphereRule(n, math.sqrt(level / m[0, 0]), a,
+            rule = SphereRule(phi.n, math.sqrt(level / m[0, 0]), a,
                               sphere_pow=sphere_pow, seed=seed)
         else:
             rule = EllipsoidRule(m, a, level, sphere_pow=sphere_pow, seed=seed)
     else:
-        rule = StarShapedRule(phi, r, center=center, sphere_pow=sphere_pow, seed=seed)
+        rule = StarShapedRule(phi, r, sphere_pow=sphere_pow, seed=seed)
     return rule.integrate(fn)
 
 
@@ -153,71 +121,78 @@ def _ray_radii(phi, levels, center, dirs):
     return radii.reshape(len(dirs), len(levels))
 
 
-def _ray_panel_sums(fn, center, dirs, lo, hi, nodes):
+def _ray_panel_sums(fn, dirs, edges, nodes):
     """Per-ray Gauss-Legendre sums of fn * rho^(d-1) over the panels
-    [lo_i, hi_i] along the rays center + rho * dirs_i.
+    [0, edges_i] along the rays rho * dirs_i.
 
     Node k is panel node k % nodes on ray k // nodes; fn sees the nodes in
     the blocks of ``quadrature.block_values``.
     """
-    if np.any(hi <= lo):
+    if np.any(edges <= 0):
         raise QuadratureError("empty panel on a sample ray")
     d = dirs.shape[1]
     # the rule on [-1, 1], mapped to each panel as gauss_legendre_panels does
     x, w = gauss_legendre_panels([-1.0, 1.0], nodes)
-    half = (0.5 * (hi - lo))[:, None]
-    rho = ((0.5 * (lo + hi))[:, None] + half * x).ravel()
+    half = (0.5 * edges)[:, None]
+    rho = (half + half * x).ravel()
     w = (half * w).ravel()
 
     def build(start, stop):
         first = start // nodes
         ray_dirs = np.repeat(dirs[first:(stop - 1) // nodes + 1], nodes, axis=0)
-        return center + rho[start:stop, None] * ray_dirs[start - first * nodes:stop - first * nodes]
+        return rho[start:stop, None] * ray_dirs[start - first * nodes:stop - first * nodes]
 
     terms = w * block_values(fn, len(rho), build) * rho ** (d - 1)
     return terms.reshape(len(dirs), nodes).sum(axis=1)
 
 
-def sublevel_integral(phi, t, fn, center=None, sphere_pow=9, radial_nodes=12,
-                      seed=0):
+def sublevel_integral(phi, t, fn, sphere_pow=9, radial_nodes=12, seed=0):
     """integral of fn over the sublevel set {phi < t} (value, error)."""
-    center = np.zeros(4 * phi.n) if center is None else np.asarray(center, dtype=float)
-    return _sublevel_integrals(phi, (t,), fn, center, sphere_pow, radial_nodes, seed)[0]
+    return _sublevel_integrals(phi, (t,), fn, sphere_pow, radial_nodes, seed)[0]
 
 
-def _sublevel_integrals(phi, levels, fn, center, sphere_pow, radial_nodes, seed):
+def _sublevel_integrals(phi, levels, fn, sphere_pow, radial_nodes, seed):
     """(value, error) of the integral of fn over {phi < t} for each level t.
 
-    A round quadratic phi takes one BallQuadrature per level.  Any other
-    phi takes the ray rule: one ``sphere_rule`` set and one ``_ray_radii``
-    solve for all levels, then the panel sums one level at a time.  A level
-    at or below the minimum of phi (on the ray rule, phi at the center)
-    gives (0.0, 0.0)."""
-    geom = _quadratic_geometry(phi)
-    if geom is not None and _round(geom[1]):
+    A quadratic phi = (x - a)^T M (x - a) + const takes one BallQuadrature
+    per level: around a, of radius sqrt((t - const) / m), when M = m I, and
+    else of radius sqrt(t - const), fn pulled back through y -> a + B y and
+    the result times det B.  Any other phi takes the ray rule from 0: one
+    ``_ray_radii`` solve for all levels, then the panel sums level by level.
+    A level at or below the minimum of phi (rays: phi(0)) gives (0.0, 0.0)."""
+    geom = quadratic_geometry(phi)
+    if geom is not None:
         a, m, const = geom
+        if _round(m):
+            scale, center, integrand, det_b = m[0, 0], a, fn, 1.0
+        else:
+            b, _, det_b = ellipsoid_map(m)
+            # a plain einsum, as LinearSubstitution maps its points: no
+            # node's image depends on the rest of its block
+            scale, center = 1.0, None
+            integrand = lambda y: fn(np.einsum("ij,bj->bi", b, y) + a)
         out = []
         for t in levels:
-            level = t - const
-            if level <= 0:
+            if t - const <= 0:
                 out.append((0.0, 0.0))
                 continue
-            quad = BallQuadrature(phi.n, math.sqrt(level / m[0, 0]), center=a,
+            quad = BallQuadrature(phi.n, math.sqrt((t - const) / scale), center=center,
                                   sphere_pow=sphere_pow, radial_nodes=radial_nodes,
                                   seed=seed)
-            out.append(quad.integrate(fn))
+            val, err = quad.integrate(integrand)
+            out.append((val * det_b, err * det_b))
         return out
-    # phi at the center is evaluated as _ray_radii evaluates it
-    t_center = phi.values(center[None])[0]
+    origin = np.zeros(4 * phi.n)
+    # phi at the origin is evaluated as _ray_radii evaluates it
+    t_origin = phi.values(origin[None])[0]
     out = [(0.0, 0.0)] * len(levels)
-    solved = [k for k, t in enumerate(levels) if not t_center >= t]
+    solved = [k for k, t in enumerate(levels) if not t_origin >= t]
     if not solved:
         return out
     dirs, weights = sphere_rule(4 * phi.n, sphere_pow, seed)
-    edges = _ray_radii(phi, [levels[k] for k in solved], center, dirs)
+    edges = _ray_radii(phi, [levels[k] for k in solved], origin, dirs)
     for k, edge in zip(solved, edges.T):
-        contrib = _ray_panel_sums(fn, center, dirs, np.zeros(len(dirs)), edge,
-                                  radial_nodes)
+        contrib = _ray_panel_sums(fn, dirs, edge, radial_nodes)
         out[k] = halving_estimate(contrib, weights)
     return out
 
@@ -238,43 +213,45 @@ class JensenReport:
     errors: dict
 
 
-def lelong_jensen(phi, v, r, t_nodes=48, sphere_pow=9, radial_nodes=12,
-                  seed=0, center=None):
+def _mass_terms(phi, r, weight, sphere_pow, radial_nodes, seed):
+    """((value, error) of mu_{phi,r}(V), (value, error) of
+    integral_{B_phi(r)} V (laplace phi)^n), V given by ``weight(pts)``."""
+    boundary = surface_integral(
+        phi, r, lambda pts: boundary_measure_density(phi, pts) * weight(pts),
+        sphere_pow=sphere_pow + 1, seed=seed)
+    interior = sublevel_integral(
+        phi, r, lambda pts: ma_density(phi, pts) * weight(pts),
+        sphere_pow, radial_nodes, seed)
+    return boundary, interior
+
+
+def lelong_jensen(phi, v, r, t_nodes=48, sphere_pow=9, radial_nodes=12, seed=0):
     """Evaluate the Lelong-Jensen identity for exhaustion phi and potential
     v at level r; returns a JensenReport.
 
-    The layered term integrates the levels from phi(center) up to r, and
-    the ray rules start at center.  It defaults to the center of a
-    quadratic phi, its minimum, and to 0 otherwise."""
+    The layered term integrates the levels from the minimum of a quadratic
+    phi, and from phi(0) otherwise, up to r."""
     n = phi.n
     if v.n != n:
         raise DimensionError("phi and V live on different spaces")
-    if center is None:
-        geom = _quadratic_geometry(phi)
-        center = np.zeros(4 * n) if geom is None else geom[0]
-    center = np.asarray(center, dtype=float)
 
-    dens_fn = lambda pts: boundary_measure_density(phi, pts) * v.values(pts)
-    mu_v, mu_err = surface_integral(phi, r, dens_fn, sphere_pow=sphere_pow + 1,
-                                    seed=seed, center=center)
-
-    ma_fn = lambda pts: ma_density(phi, pts) * v.values(pts)
-    interior, interior_err = sublevel_integral(
-        phi, r, ma_fn, center, sphere_pow, radial_nodes, seed)
+    (mu_v, mu_err), (interior, interior_err) = _mass_terms(
+        phi, r, v.values, sphere_pow, radial_nodes, seed)
     lhs = mu_v - interior
 
     mixed_fields = [v] + [phi] * (n - 1)
     mixed_fn = lambda pts: mixed_ma(mixed_fields, pts)
     spatial_fn = lambda pts: (r - phi.values(pts)) * mixed_fn(pts)
     rhs_spatial, spatial_err = sublevel_integral(
-        phi, r, spatial_fn, center, sphere_pow, radial_nodes, seed)
+        phi, r, spatial_fn, sphere_pow, radial_nodes, seed)
 
-    t_min = float(phi.value(center))
+    geom = quadratic_geometry(phi)
+    t_min = float(phi.value(np.zeros(4 * n))) if geom is None else geom[2]
     if t_min >= r:
         rhs_layered, layered_err = 0.0, 0.0
     else:
         ts, ws = gauss_legendre_panels([t_min, r], t_nodes)
-        layers = _sublevel_integrals(phi, ts, mixed_fn, center, sphere_pow - 1,
+        layers = _sublevel_integrals(phi, ts, mixed_fn, sphere_pow - 1,
                                      radial_nodes, seed)
         rhs_layered = 0.0
         layered_err = 0.0
@@ -299,16 +276,12 @@ def lelong_jensen(phi, v, r, t_nodes=48, sphere_pow=9, radial_nodes=12,
     )
 
 
-def boundary_mass_residual(phi, r, sphere_pow=9, radial_nodes=12, seed=0,
-                           center=None):
-    """|mu_{phi,r}(1) - integral_{B_phi(r)} (laplace phi)^n| (the V = 1
-    instance of the identity; both sides are the total boundary mass)."""
-    n = phi.n
-    center = np.zeros(4 * n) if center is None else np.asarray(center, dtype=float)
-    mu1, _ = surface_integral(phi, r, lambda pts: boundary_measure_density(phi, pts),
-                              sphere_pow=sphere_pow + 1, seed=seed, center=center)
-    total, err = sublevel_integral(phi, r, lambda pts: ma_density(phi, pts),
-                                   center, sphere_pow, radial_nodes, seed)
+def boundary_mass_residual(phi, r, sphere_pow=9, radial_nodes=12, seed=0):
+    """|mu_{phi,r}(1) - integral_{B_phi(r)} (laplace phi)^n|, mu_{phi,r}(1)
+    and the integral: the total boundary mass both ways, the boundary and
+    interior terms of ``lelong_jensen`` at V = 1 bit for bit (x * 1.0 = x)."""
+    (mu1, _), (total, _) = _mass_terms(phi, r, lambda pts: 1.0, sphere_pow,
+                                       radial_nodes, seed)
     return abs(mu1 - total), mu1, total
 
 

@@ -155,9 +155,11 @@ def gauss_legendre_panels(breaks, nodes_per_panel):
 
 def graded_breaks(upper, scale=None):
     """Panel breakpoints on [0, upper]: four equal panels, or geometrically
-    refined toward 0 when a peak scale is given (doubling from `scale` up)."""
+    refined toward 0 from a finite positive peak scale (doubling it up)."""
     if upper <= 0:
         raise QuadratureError("upper limit must be positive")
+    if scale is not None and not 0 < scale < math.inf:
+        raise QuadratureError(f"peak scale must be finite and positive, got {scale!r}")
     if scale is None or scale >= upper:
         step = upper / 4
         return [step * k for k in range(5)]
@@ -614,9 +616,37 @@ class BallQuadrature:
         return halving_estimate(tw @ vals, self.dir_weights * 0.5)
 
 
+def quadratic_geometry(phi):
+    """(center, M, const) with phi = (x - center)^T M (x - center) + const
+    when phi is a Polynomial of degree <= 2 with M positive definite, else
+    None.  M is half the Hessian at 0, exact at degree <= 2, where every
+    second partial is a constant of the ``Polynomial._plan`` template; the
+    center solves -2 M center = grad phi(0) and const is phi(center)."""
+    if not isinstance(phi, Polynomial) or phi.degree() > 2:
+        return None
+    zero = np.zeros(phi.dim)
+    m = 0.5 * phi.hessian(zero)
+    if np.linalg.eigvalsh(m).min() <= 0:
+        return None
+    center = np.linalg.solve(-2.0 * m, phi.gradient(zero))
+    return center, m, float(phi.value(center))
+
+
+def ellipsoid_map(m):
+    """(B, B^(-T), det B) for B = M^(-1/2), M positive definite (else
+    DegenerateLevelSetError): y -> a + B y maps the ball of radius s onto
+    {(x - a)^T M (x - a) < s^2} and its sphere onto the boundary."""
+    evals, evecs = np.linalg.eigh(0.5 * (m + m.T))
+    if evals.min() <= 0:
+        raise DegenerateLevelSetError("quadratic form is not positive definite")
+    b = evecs @ np.diag(evals ** -0.5) @ evecs.T
+    b_inv_t = evecs @ np.diag(evals ** 0.5) @ evecs.T
+    return b, b_inv_t, float(np.prod(evals ** -0.5))
+
+
 class _SurfaceRule:
-    """Level-set nodes ``points``, area ``weights`` and outward unit
-    ``normals``; ``integrate(fn)`` is (value, error from the half set)."""
+    """Level-set nodes ``points`` and area ``weights``; ``integrate(fn)``
+    is (value, error from the half set)."""
 
     def integrate(self, fn):
         return halving_estimate(fn(self.points), self.weights)
@@ -628,8 +658,8 @@ class SphereRule(_SurfaceRule):
     def __init__(self, n, radius, center=None, sphere_pow=10, seed=0):
         radius = float(radius)
         center = np.zeros(4 * n) if center is None else np.asarray(center, dtype=float)
-        self.normals, weights = sphere_rule(4 * n, sphere_pow, seed, antithetic=True)
-        self.points = center[None, :] + radius * self.normals
+        dirs, weights = sphere_rule(4 * n, sphere_pow, seed, antithetic=True)
+        self.points = center[None, :] + radius * dirs
         self.weights = weights * radius ** (4 * n - 1)
 
 
@@ -638,7 +668,7 @@ class EllipsoidRule(_SurfaceRule):
     positive quadratic form (exact geometry, antithetic Sobol directions).
 
     Node weights carry the exact area element of the linear image of the
-    sphere: det(B) * |B^(-T) theta| per unit sphere element, B = M^(-1/2).
+    sphere: det(B) * |B^(-T) theta| per unit sphere element (``ellipsoid_map``).
     """
 
     def __init__(self, m, center, level, sphere_pow=10, seed=0):
@@ -646,34 +676,31 @@ class EllipsoidRule(_SurfaceRule):
         d = m.shape[0]
         if d % 4:
             raise DimensionError("ambient dimension must be a multiple of 4")
-        evals, evecs = np.linalg.eigh(0.5 * (m + m.T))
-        if evals.min() <= 0:
-            raise DegenerateLevelSetError("quadratic form is not positive definite")
+        b, b_inv_t, det_b = ellipsoid_map(m)
         if level <= 0:
             raise DegenerateLevelSetError("level must be positive")
-        b = evecs @ np.diag(evals ** -0.5) @ evecs.T
-        b_inv_t = evecs @ np.diag(evals ** 0.5) @ evecs.T
         theta, weights = sphere_rule(d, sphere_pow, seed, antithetic=True)
         root = math.sqrt(level)
         center = np.asarray(center, dtype=float)
         self.points = center[None, :] + root * theta @ b.T
-        det_b = float(np.prod(evals ** -0.5))
         stretch = np.linalg.norm(theta @ b_inv_t.T, axis=1)
         self.weights = weights * det_b * stretch * root ** (d - 1)
-        grad_dir = (self.points - center) @ m.T
-        self.normals = grad_dir / np.linalg.norm(grad_dir, axis=1)[:, None]
 
 
 class StarShapedRule(_SurfaceRule):
     """Surface rule for a level set {phi = level} star-shaped around a
     center: the crossing radii of all Sobol rays come from one batched
     ``brentq`` over the brackets of ``ray_brackets``, and the area element
-    uses the field gradient.
+    uses the field gradient.  The center defaults to the center of a
+    quadratic field (``quadratic_geometry``) and to 0 otherwise.
     """
 
     def __init__(self, field, level, center=None, sphere_pow=9, seed=0):
         d = 4 * field.n
-        center = np.zeros(d) if center is None else np.asarray(center, dtype=float)
+        if center is None:
+            geom = quadratic_geometry(field)
+            center = np.zeros(d) if geom is None else geom[0]
+        center = np.asarray(center, dtype=float)
         dirs, weights = sphere_rule(d, sphere_pow, seed)
         g, lo, hi, glo, ghi = ray_brackets(field, (level,), center, dirs)
         radii = brentq(g, lo, hi, xtol=RAY_TOL, rtol=RAY_TOL, fa=glo, fb=ghi)
@@ -684,4 +711,3 @@ class StarShapedRule(_SurfaceRule):
         if np.any(radial <= 0):
             raise DegenerateLevelSetError("gradient not outward along a ray")
         self.weights = weights * radii ** (d - 1) * gnorm / radial
-        self.normals = grads / gnorm[:, None]

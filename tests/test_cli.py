@@ -583,6 +583,48 @@ def test_cmd_boundary(tmp_path):
     assert by_name["density_negativity"]["value"] == 0.0
 
 
+_TILTED = "quadform([2, (0,1,0,0); (0,-1,0,0), 3])"
+
+
+def _run_boundary(tmp_path, n, seed, phi, r):
+    """(exit status, rows by quantity) of ``qma boundary`` on phi."""
+    tmp_path.mkdir(exist_ok=True)
+    cfg = _write(tmp_path, "boundary.ini", f"""\
+        [run]
+        command = boundary
+        n = {n}
+        seed = {seed}
+
+        [fields]
+        phi = {phi}
+
+        [params]
+        r = {r}
+        """)
+    status = _run("boundary", cfg, tmp_path / "out")
+    report = json.loads((tmp_path / "out" / "boundary.json").read_text())
+    return status, {row["quantity"]: row for row in report["rows"]}
+
+
+def test_jensen_and_boundary_pass_on_the_tilted_form(tmp_path):
+    # the ellipsoidal sublevel sets take the ball rule through phi's own map
+    for seed in range(10):
+        assert _run_jensen(tmp_path / f"jensen{seed}", 2, seed, _TILTED, 1.0)[0] == 0
+        status, rows = _run_boundary(tmp_path / f"boundary{seed}", 2, seed, _TILTED, 1.0)
+        assert status == 0 and rows["mass_residual"]["value"] < 1e-10
+
+
+def test_boundary_takes_an_off_center_quadratic_from_its_center(tmp_path):
+    # |q|^2 + x0^2 + 8 x0 has its minimum -8 at -2 e0: at r = -6 the level
+    # set does not surround 0, and the density floor's rays start at -2 e0
+    status, rows = _run_boundary(tmp_path / "below", 1, 0, "normsq() + x0^2 + 8*x0", -6.0)
+    assert status == 0 and rows["density_negativity"]["value"] == 0.0
+    for seed in range(10):
+        status, _ = _run_boundary(tmp_path / f"seed{seed}", 1, seed,
+                                  "normsq() + x0^2 + 8*x0", 1.0)
+        assert status == 0
+
+
 def test_cmd_cln(tmp_path):
     cfg = _write(tmp_path, "cln.ini", """\
         [run]

@@ -14,7 +14,8 @@ from qma.fields import ClosedForm, Polynomial, normsq, quadform
 from qma.hamilton import QMatrix, Quaternion
 from qma.monge_ampere import ma_density
 from qma.quadrature import (StarShapedRule, gauss_legendre_panels,
-                            halving_estimate, sobol_sphere, sphere_area)
+                            halving_estimate, integrate_polynomial_ball,
+                            sobol_sphere, sphere_area)
 from qma import potential, quadrature
 from qma.potential import (
     boundary_mass_residual,
@@ -81,14 +82,14 @@ def test_quadratic_geometry_of_any_positive_quadratic_polynomial():
     for phi, m, const, round_ in [(2 * normsq(2), 2 * eye, 0.0, True),
                                   (normsq(2) + 1, eye, 1.0, True),
                                   (normsq(2) + x0 * x0, np.diag([2.0] + [1.0] * 7), 0.0, False)]:
-        center, got_m, got_const = potential._quadratic_geometry(phi)
+        center, got_m, got_const = quadrature.quadratic_geometry(phi)
         assert np.array_equal(center, np.zeros(8))
         assert np.array_equal(got_m, m) and got_const == const
         assert potential._round(got_m) == round_
     c = np.array([0.5, -1.0, 0.0, 2.0, -0.25, 0.75, 1.5, -3.0])
     for phi, m in [(normsq(2, center=c), eye),
                    (quadform(_TILTED[2], center=c), _product_path_quadform(_TILTED[2], c)[1])]:
-        center, got_m, const = potential._quadratic_geometry(phi)
+        center, got_m, const = quadrature.quadratic_geometry(phi)
         assert got_m.tobytes() == m.tobytes()
         np.testing.assert_allclose(center, c, rtol=0, atol=1e-12)
         assert abs(const) < 1e-12
@@ -99,30 +100,33 @@ def test_quadratic_geometry_refuses_what_has_no_ellipsoid():
     for phi in (x0 * x0,                      # singular
                 normsq(2) - 2 * x0 * x0,      # indefinite
                 normsq(2) + x0 ** 4):         # degree 4
-        assert potential._quadratic_geometry(phi) is None
+        assert quadrature.quadratic_geometry(phi) is None
+
+
+def _ones(pts):
+    return np.ones(len(pts))
 
 
 def test_surface_integral_sphere_path():
-    value, error = surface_integral(normsq(1), 1.0)
+    value, error = surface_integral(normsq(1), 1.0, _ones)
     assert value == pytest.approx(2 * PI2, rel=1e-12)
     assert error < 1e-10
-    value, _ = surface_integral(normsq(1), 0.25, f=lambda pts: np.ones(len(pts)))
+    value, _ = surface_integral(normsq(1), 0.25, _ones)
     assert value == pytest.approx(2 * PI2 * 0.5**3, rel=1e-12)
 
 
 def test_surface_integral_empty_level():
     with pytest.raises(DegenerateLevelSetError):
-        surface_integral(normsq(1), -1.0)
+        surface_integral(normsq(1), -1.0, _ones)
 
 
 def test_surface_integral_ellipsoid_matches_star_shaped_rule():
     a = QMatrix([[Quaternion(1), Quaternion(0)], [Quaternion(0), Quaternion(2)]])
     phi = quadform(a)
-    exact_rule, _ = surface_integral(phi, 1.0, sphere_pow=10)
+    exact_rule, _ = surface_integral(phi, 1.0, _ones, sphere_pow=10)
     # the same level set through the star-shaped rule; direction error
     # dominates on anisotropic surfaces, so use a full set
-    star, _ = StarShapedRule(phi, 1.0, sphere_pow=10).integrate(
-        lambda pts: np.ones(len(pts)))
+    star, _ = StarShapedRule(phi, 1.0, sphere_pow=10).integrate(_ones)
     assert star == pytest.approx(exact_rule, rel=2e-3)
 
 
@@ -130,7 +134,7 @@ def test_surface_integral_star_shaped_on_radial_quartic():
     # phi = |q|^2 + |q|^4/4 has the unit sphere as its level set at 1.25
     u = normsq(1)
     phi = u + u * u * 0.25
-    value, error = surface_integral(phi, 1.25, sphere_pow=5)
+    value, error = surface_integral(phi, 1.25, _ones, sphere_pow=5)
     assert value == pytest.approx(2 * PI2, rel=2e-3)
     assert error < 0.05 * value
 
@@ -161,7 +165,7 @@ def test_ray_rules_raise_when_a_ray_misses_the_level_set():
     with pytest.raises(DegenerateLevelSetError, match="does not cross"):
         sublevel_integral(phi, 1.0, lambda pts: np.ones(len(pts)), sphere_pow=4)
     with pytest.raises(DegenerateLevelSetError, match="does not cross"):
-        surface_integral(phi, 1.0, sphere_pow=4)
+        surface_integral(phi, 1.0, _ones, sphere_pow=4)
 
 
 @pytest.mark.parametrize("nan_from, nan_to", [
@@ -302,15 +306,26 @@ def test_star_shaped_surface_rule_is_the_limit_of_coarea_shells():
     assert abs(shells[2] - star) <= fine_gap
 
 
-def test_sublevel_ray_rule_matches_per_ray_oracle_on_a_tilted_quadform():
-    # a non-round quadratic form takes the ray rule
-    phi = quadform(QMatrix([[Quaternion(2), Quaternion(0, 1, 0, 0)],
-                            [Quaternion(0, -1, 0, 0), Quaternion(3)]]))
-    for kind in ("ones", "polynomial", "ma_density"):
-        fn = _integrand(kind, phi)
-        assert sublevel_integral(phi, 1.0, fn, sphere_pow=5) == _oracle_sublevel(
-            phi, 1.0, fn, 5)
-    assert sublevel_integral(phi, 0.0, _integrand("ones", phi), sphere_pow=5) == (0.0, 0.0)
+def test_sublevel_integral_maps_a_tilted_quadform_onto_the_ball():
+    # a non-round quadratic form takes the ball rule through y -> B y,
+    # B = M^(-1/2): its sublevel set at 1 has volume pi^4 / 24 / sqrt(det M)
+    phi = quadform(_TILTED[2])
+    m = 0.5 * phi.hessian(np.zeros(8))
+    assert np.linalg.det(m) == pytest.approx(625.0, rel=1e-12)
+    volume, error = sublevel_integral(phi, 1.0, _ones)
+    assert volume == pytest.approx(PI4 / 24 / 25, rel=1e-13) and error < 1e-13
+    assert sublevel_integral(phi, 0.0, _ones) == (0.0, 0.0)
+    # a degree-2 polynomial against the exact ball integral of its pullback
+    # p(B y) det B, up to the angular rule's error
+    b, _, det_b = quadrature.ellipsoid_map(m)
+    ys = [Polynomial.coordinate(2, j) for j in range(8)]
+    xs = [sum((ys[j] * float(b[i, j]) for j in range(1, 8)), ys[0] * float(b[i, 0]))
+          for i in range(8)]
+    poly = lambda x: x[0] * x[0] + x[1] * x[5] * 3 + x[2] * x[6] + x[3] + 1.5
+    x = [Polynomial.coordinate(2, i) for i in range(8)]
+    want = float(integrate_polynomial_ball(poly(xs))) * PI4 * det_b
+    got, _ = sublevel_integral(phi, 1.0, poly(x).values)
+    assert got == pytest.approx(want, rel=1e-3)
 
 
 @pytest.mark.parametrize("geometry,sphere_pow", [(_radial_quartic, 5),
@@ -480,6 +495,22 @@ def test_boundary_mass_residual_normsq(r):
     assert mu1 == pytest.approx(4 * PI2 * r * r, rel=1e-10)
     assert interior == pytest.approx(mu1, rel=1e-9)
     assert resid < 1e-8 * mu1
+
+
+@pytest.mark.parametrize("geometry", ["round", "tilted", "off-center", "quartic"])
+def test_boundary_mass_residual_is_the_unit_potential_of_lelong_jensen(geometry):
+    # the boundary and interior terms of the identity at V = 1, bit for bit,
+    # on the sphere, ellipsoid and star-shaped rules
+    x0 = Polynomial.coordinate(1, 0)
+    phi, r = {"round": (normsq(1), 1.0),
+              "tilted": (quadform(_TILTED[2]), 1.0),
+              "off-center": (normsq(1) + x0 * x0 + x0 * 8, -6.0),
+              "quartic": _radial_quartic()}[geometry]
+    opts = {"sphere_pow": 5, "radial_nodes": 6, "seed": 2}
+    resid, mu1, interior = boundary_mass_residual(phi, r, **opts)
+    report = lelong_jensen(phi, Polynomial.constant(phi.n, 1), r, t_nodes=4, **opts)
+    assert (mu1, interior) == (report.boundary_term, report.interior_term)
+    assert resid == abs(report.lhs)
 
 
 # ---------------------------------------------------------------------------
