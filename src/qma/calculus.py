@@ -250,6 +250,14 @@ def delta_matrices(u, pts):
     return delta_from_hessians(u.n, u.hessians(pts))
 
 
+def constant_delta(u):
+    """Whether the delta matrix of u is the same at every point: u is a
+    Polynomial of degree <= 2, the case where ``delta_matrices`` returns
+    one cached row as a broadcast view.  A density built from such fields
+    alone is a constant, so a rule can evaluate it on one row."""
+    return isinstance(u, Polynomial) and u.degree() <= 2
+
+
 @lru_cache(maxsize=None)
 def _delta_gather(n):
     """(index, sign) table of a = V0 H V1^T over the flattened Hessian.
@@ -372,7 +380,7 @@ def _constant_delta_parts(u):
     parts = _gather(flat, idx, sgn)
     row = _antisymmetric_half(n, parts)[0]
     row.setflags(write=False)
-    if u.degree() <= 2:
+    if constant_delta(u):
         return row, None
     _, varying = u._plan()
     tables = _varying_gather(n, tuple((i, j) for i, j, _ in varying))

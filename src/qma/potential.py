@@ -32,6 +32,9 @@ ellipsoid rule and ``BallQuadrature`` pulled through y -> a + B y
 ``quadrature.ray_brackets``, and ``_ray_panel_sums`` integrates along the
 rays on Gauss-Legendre panels, in the node blocks of
 ``quadrature.block_values``.  The layered term solves all its levels at once.
+A density of fields whose delta matrices are the same everywhere
+(``calculus.constant_delta``) is evaluated once and integrated as a
+``quadrature.Constant``.
 """
 
 from __future__ import annotations
@@ -42,12 +45,12 @@ import math
 import numpy as np
 
 from .errors import DegenerateLevelSetError, DimensionError, QuadratureError
-from .calculus import delta_matrices, nabla_matrices
+from .calculus import constant_delta, delta_matrices, nabla_matrices
 from .fields import ChainField
 from .monge_ampere import _to_real, ma_density, mixed_ma, mixed_pfaffian
-from .quadrature import (RAY_TOL, BallQuadrature, EllipsoidRule, SphereRule,
-                         StarShapedRule, block_values, brentq, ellipsoid_map,
-                         gauss_legendre_panels, halving_estimate,
+from .quadrature import (RAY_TOL, BallQuadrature, Constant, EllipsoidRule,
+                         SphereRule, StarShapedRule, block_values, brentq,
+                         ellipsoid_map, gauss_legendre_panels, halving_estimate,
                          quadratic_geometry, ray_brackets, sphere_rule)
 
 _GRAD_FLOOR = 1e-6
@@ -168,9 +171,11 @@ def _sublevel_integrals(phi, levels, fn, sphere_pow, radial_nodes, seed):
         else:
             b, _, det_b = ellipsoid_map(m)
             # a plain einsum, as LinearSubstitution maps its points: no
-            # node's image depends on the rest of its block
+            # node's image depends on the rest of its block; a Constant
+            # has the same value at the image
             scale, center = 1.0, None
-            integrand = lambda y: fn(np.einsum("ij,bj->bi", b, y) + a)
+            integrand = fn if isinstance(fn, Constant) else (
+                lambda y: fn(np.einsum("ij,bj->bi", b, y) + a))
         out = []
         for t in levels:
             if t - const <= 0:
@@ -215,13 +220,20 @@ class JensenReport:
 
 def _mass_terms(phi, r, weight, sphere_pow, radial_nodes, seed):
     """((value, error) of mu_{phi,r}(V), (value, error) of
-    integral_{B_phi(r)} V (laplace phi)^n), V given by ``weight(pts)``."""
+    integral_{B_phi(r)} V (laplace phi)^n), V given by ``weight(pts)``, a
+    callable or a ``Constant``.  When (laplace phi)^n is a constant
+    (``constant_delta``) it is evaluated once, on one row: every row of a
+    batch call has its bits."""
     boundary = surface_integral(
         phi, r, lambda pts: boundary_measure_density(phi, pts) * weight(pts),
         sphere_pow=sphere_pow + 1, seed=seed)
-    interior = sublevel_integral(
-        phi, r, lambda pts: ma_density(phi, pts) * weight(pts),
-        sphere_pow, radial_nodes, seed)
+    if not constant_delta(phi):
+        density = lambda pts: ma_density(phi, pts) * weight(pts)
+    else:
+        c = ma_density(phi, np.zeros((1, 4 * phi.n)))[0]
+        density = (Constant(c * weight.value) if isinstance(weight, Constant)
+                   else lambda pts: c * weight(pts))
+    interior = sublevel_integral(phi, r, density, sphere_pow, radial_nodes, seed)
     return boundary, interior
 
 
@@ -240,7 +252,11 @@ def lelong_jensen(phi, v, r, t_nodes=48, sphere_pow=9, radial_nodes=12, seed=0):
     lhs = mu_v - interior
 
     mixed_fields = [v] + [phi] * (n - 1)
-    mixed_fn = lambda pts: mixed_ma(mixed_fields, pts)
+    if all(constant_delta(f) for f in mixed_fields):
+        # a constant mixed density, evaluated once as _mass_terms does
+        mixed_fn = Constant(mixed_ma(mixed_fields, np.zeros((1, 4 * n)))[0])
+    else:
+        mixed_fn = lambda pts: mixed_ma(mixed_fields, pts)
     spatial_fn = lambda pts: (r - phi.values(pts)) * mixed_fn(pts)
     rhs_spatial, spatial_err = sublevel_integral(
         phi, r, spatial_fn, sphere_pow, radial_nodes, seed)
@@ -280,7 +296,7 @@ def boundary_mass_residual(phi, r, sphere_pow=9, radial_nodes=12, seed=0):
     """|mu_{phi,r}(1) - integral_{B_phi(r)} (laplace phi)^n|, mu_{phi,r}(1)
     and the integral: the total boundary mass both ways, the boundary and
     interior terms of ``lelong_jensen`` at V = 1 bit for bit (x * 1.0 = x)."""
-    (mu1, _), (total, _) = _mass_terms(phi, r, lambda pts: 1.0, sphere_pow,
+    (mu1, _), (total, _) = _mass_terms(phi, r, Constant(1.0), sphere_pow,
                                        radial_nodes, seed)
     return abs(mu1 - total), mu1, total
 

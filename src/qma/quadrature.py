@@ -18,7 +18,9 @@ Three tiers, from exact to sampled:
    set (prefixes of a Sobol sequence at powers of two are balanced again).
    ``block_values`` is the one place a rule, here or the ray rule of
    ``potential``, splits its nodes into the integrand's calls: blocks of at
-   most ``_BLOCK_NODES`` nodes, each built when it is evaluated.
+   most ``_BLOCK_NODES`` nodes, each built when it is evaluated; a
+   ``Constant`` integrand (a density of fields whose delta matrices are
+   the same everywhere) fills every node with its one value instead.
 
 Everything is deterministic given the seed.
 
@@ -190,10 +192,27 @@ def halving_estimate(contrib, weights):
     return full, abs(full - half)
 
 
+class Constant:
+    """An integrand with one value at every node: called on an (N, d)
+    batch it is ``np.full(N, value)``, and ``block_values`` fills its nodes
+    without building them."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = float(value)
+
+    def __call__(self, pts):
+        return np.full(len(pts), self.value)
+
+
 def block_values(fn, count, nodes):
     """fn at ``count`` nodes as one (count,) float array, fn seeing at most
     ``_BLOCK_NODES`` of them per call: ``nodes(lo, hi)`` builds the rows
-    lo:hi, and only when that block is evaluated."""
+    lo:hi, and only when that block is evaluated.  A ``Constant`` is its
+    value at every node, with no node built and no call."""
+    if isinstance(fn, Constant):
+        return np.full(count, fn.value)
     out = np.empty(count)
     for lo in range(0, count, _BLOCK_NODES):
         hi = min(lo + _BLOCK_NODES, count)
