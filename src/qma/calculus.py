@@ -43,6 +43,7 @@ from .errors import DimensionError
 from .exterior import ExtElement, RationalComplex, wedge_sign
 from .fields import InvShift, LinearSubstitution, Polynomial, ScalarField, _as_number
 from .hamilton import QMatrix
+from .quadrature import Constant
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +257,16 @@ def constant_delta(u):
     one cached row as a broadcast view.  A density built from such fields
     alone is a constant, so a rule can evaluate it on one row."""
     return isinstance(u, Polynomial) and u.degree() <= 2
+
+
+def hoisted(fields, fn):
+    """fn, a density of ``fields`` on an (N, 4n) batch, as an integrand: a
+    ``quadrature.Constant`` of its value on one row when every field has a
+    constant delta matrix (``constant_delta``), every row of a batch call
+    then having that row's bits, and fn itself otherwise."""
+    if all(constant_delta(u) for u in fields):
+        return Constant(fn(np.zeros((1, 4 * fields[0].n)))[0])
+    return fn
 
 
 @lru_cache(maxsize=None)

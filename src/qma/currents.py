@@ -43,11 +43,11 @@ import dataclasses
 
 from .errors import DimensionError
 from .exterior import beta, random_strongly_positive
-from .calculus import FormField, constant_delta, delta_matrices, laplace
+from .calculus import FormField, delta_matrices, hoisted, laplace
 from .fields import GridField, InvShift, Polynomial, invshift, normsq
 from .hamilton import jmatrix
 from .monge_ampere import _to_real, mixed_pfaffian
-from .quadrature import (BallQuadrature, Constant, ball_moment_coefficient,
+from .quadrature import (BallQuadrature, ball_moment_coefficient,
                          gauss_legendre_panels, sphere_rule)
 
 SUP_SAMPLES_RANGE = (64, 4096)   # sup-norm directions of cln_ratio
@@ -163,10 +163,10 @@ def sigma_mass(current, a, r, sphere_pow=8, radial_nodes=16, seed=0):
 
     Returns (value, error), the error ``BallQuadrature``'s estimate from
     halving its direction set.  A current with no potentials
-    short-circuits to the exact ball volume formula.  When every potential
-    has a constant delta matrix (``constant_delta``) the density is a
-    constant, evaluated once at a and integrated as a ``Constant``.
-    Otherwise the ball rule's radial panels are refined toward the center
+    short-circuits to the exact ball volume formula.  The density goes
+    through ``calculus.hoisted``: a constant when every potential has a
+    constant delta matrix, evaluated once on one row.  The ball rule's
+    radial panels are refined toward the center
     at the smallest eps of the InvShift potentials (1e-6 for eps = 0), the
     scale where their densities peak.
     """
@@ -182,9 +182,8 @@ def sigma_mass(current, a, r, sphere_pow=8, radial_nodes=16, seed=0):
                       if isinstance(u, InvShift)), default=None)
     quad = BallQuadrature(n, r, center=a, peak_scale=peak_scale, sphere_pow=sphere_pow,
                           radial_nodes=radial_nodes, seed=seed)
-    if all(constant_delta(u) for u in current.potentials):
-        return quad.integrate(Constant(current.trace_density(probe, pad=p)[0]))
-    return quad.integrate(lambda pts: current.trace_density(pts, pad=p))
+    return quad.integrate(hoisted(current.potentials,
+                                  lambda pts: current.trace_density(pts, pad=p)))
 
 
 def cln_ratio(fields, inner_radius, outer_radius, center=None, sup_samples=4096,

@@ -32,9 +32,9 @@ ellipsoid rule and ``BallQuadrature`` pulled through y -> a + B y
 ``quadrature.ray_brackets``, and ``_ray_panel_sums`` integrates along the
 rays on Gauss-Legendre panels, in the node blocks of
 ``quadrature.block_values``.  The layered term solves all its levels at once.
-A density of fields whose delta matrices are the same everywhere
-(``calculus.constant_delta``) is evaluated once and integrated as a
-``quadrature.Constant``.
+A density of fields whose delta matrices are the same everywhere is
+evaluated once and integrated as a ``quadrature.Constant``
+(``calculus.hoisted``).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateLevelSetError, DimensionError, QuadratureError
-from .calculus import constant_delta, delta_matrices, nabla_matrices
+from .calculus import delta_matrices, hoisted, nabla_matrices
 from .fields import ChainField
 from .monge_ampere import _to_real, ma_density, mixed_ma, mixed_pfaffian
 from .quadrature import (RAY_TOL, BallQuadrature, Constant, EllipsoidRule,
@@ -171,11 +171,9 @@ def _sublevel_integrals(phi, levels, fn, sphere_pow, radial_nodes, seed):
         else:
             b, _, det_b = ellipsoid_map(m)
             # a plain einsum, as LinearSubstitution maps its points: no
-            # node's image depends on the rest of its block; a Constant
-            # has the same value at the image
+            # node's image depends on the rest of its block
             scale, center = 1.0, None
-            integrand = fn if isinstance(fn, Constant) else (
-                lambda y: fn(np.einsum("ij,bj->bi", b, y) + a))
+            integrand = lambda y: fn(np.einsum("ij,bj->bi", b, y) + a)
         out = []
         for t in levels:
             if t - const <= 0:
@@ -221,18 +219,15 @@ class JensenReport:
 def _mass_terms(phi, r, weight, sphere_pow, radial_nodes, seed):
     """((value, error) of mu_{phi,r}(V), (value, error) of
     integral_{B_phi(r)} V (laplace phi)^n), V given by ``weight(pts)``, a
-    callable or a ``Constant``.  When (laplace phi)^n is a constant
-    (``constant_delta``) it is evaluated once, on one row: every row of a
-    batch call has its bits."""
+    callable or a ``Constant``; (laplace phi)^n goes through ``hoisted``."""
     boundary = surface_integral(
         phi, r, lambda pts: boundary_measure_density(phi, pts) * weight(pts),
         sphere_pow=sphere_pow + 1, seed=seed)
-    if not constant_delta(phi):
-        density = lambda pts: ma_density(phi, pts) * weight(pts)
+    ma = hoisted([phi], lambda pts: ma_density(phi, pts))
+    if isinstance(ma, Constant) and isinstance(weight, Constant):
+        density = Constant(ma.value * weight.value)
     else:
-        c = ma_density(phi, np.zeros((1, 4 * phi.n)))[0]
-        density = (Constant(c * weight.value) if isinstance(weight, Constant)
-                   else lambda pts: c * weight(pts))
+        density = lambda pts: ma(pts) * weight(pts)
     interior = sublevel_integral(phi, r, density, sphere_pow, radial_nodes, seed)
     return boundary, interior
 
@@ -252,11 +247,7 @@ def lelong_jensen(phi, v, r, t_nodes=48, sphere_pow=9, radial_nodes=12, seed=0):
     lhs = mu_v - interior
 
     mixed_fields = [v] + [phi] * (n - 1)
-    if all(constant_delta(f) for f in mixed_fields):
-        # a constant mixed density, evaluated once as _mass_terms does
-        mixed_fn = Constant(mixed_ma(mixed_fields, np.zeros((1, 4 * n)))[0])
-    else:
-        mixed_fn = lambda pts: mixed_ma(mixed_fields, pts)
+    mixed_fn = hoisted(mixed_fields, lambda pts: mixed_ma(mixed_fields, pts))
     spatial_fn = lambda pts: (r - phi.values(pts)) * mixed_fn(pts)
     rhs_spatial, spatial_err = sublevel_integral(
         phi, r, spatial_fn, sphere_pow, radial_nodes, seed)

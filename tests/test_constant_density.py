@@ -2,8 +2,9 @@
 
 A Polynomial of degree <= 2 has the same delta matrix at every point
 (``calculus.constant_delta``), so ``ma_density``, ``mixed_ma`` and the
-trace density of a current built from such fields are constants.  The
-rules then integrate a ``quadrature.Constant`` evaluated on one row.  These
+trace density of a current built from such fields are constants.
+``calculus.hoisted`` turns such a density into a ``quadrature.Constant``
+evaluated on one row, which the rules integrate.  These
 tests pin that the one-row value is every row of a batch call, that
 ``block_values`` fills a Constant without building nodes, and that every
 reported number keeps the bits of the per-block path.
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qma import currents, potential, quadrature
-from qma.calculus import constant_delta
+from qma.calculus import constant_delta, hoisted
 from qma.currents import RegularizedCurrent, sigma_mass
 from qma.fields import Polynomial, normsq, quadform
 from qma.hamilton import random_hyperhermitian
@@ -113,10 +114,20 @@ def test_block_values_fills_a_constant_without_building_nodes(value, count):
     assert _bits(got) == _bits(hidden)
 
 
+def test_hoisted_is_a_constant_exactly_when_every_field_qualifies():
+    quadratic = quadform(_TILTED[2])
+    quartic = normsq(2) + Polynomial.coordinate(2, 0) ** 4
+    fn = lambda pts: ma_density(quadratic, pts)
+    got = hoisted([quadratic, normsq(2)], fn)
+    assert isinstance(got, Constant)
+    assert _bits(np.array([got.value])) == _bits(fn(np.zeros((1, 8))))
+    assert hoisted([quadratic, quartic], fn) is fn
+
+
 def _per_block(monkeypatch):
     """Send every density down the per-block path, as before the hoist."""
     for module in (potential, currents):
-        monkeypatch.setattr(module, "constant_delta", lambda u: False)
+        monkeypatch.setattr(module, "hoisted", lambda fields, fn: fn)
 
 
 @pytest.mark.parametrize("phi", ["normsq", "tilted"])
