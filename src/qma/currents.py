@@ -186,11 +186,10 @@ def sigma_mass(current, a, r, sphere_pow=8, radial_nodes=16, seed=0):
                                   lambda pts: current.trace_density(pts, pad=p)))
 
 
-def cln_ratio(fields, inner_radius, outer_radius, center=None, sup_samples=4096,
-              seed=0, **quad_opts):
+def cln_ratio(fields, inner_radius, outer_radius, sup_samples=4096, seed=0, **quad_opts):
     """|| laplace(u_1)^...^laplace(u_k) ||_L  /  prod_i sup_K |u_i|.
 
-    L = B(center, inner_radius) inside K = B(center, outer_radius); the sup
+    L = B(0, inner_radius) inside K = B(0, outer_radius); the sup
     norms are sampled on quasi-random nodes of K (reported bound, not a
     certified maximum) along sup_samples directions, rounded up to a power
     of two; a sup_samples outside ``SUP_SAMPLES_RANGE`` raises ValueError.
@@ -204,15 +203,13 @@ def cln_ratio(fields, inner_radius, outer_radius, center=None, sup_samples=4096,
     n = fields[0].n
     if inner_radius > outer_radius:
         raise ValueError("inner ball must sit inside the outer ball")
-    center = np.zeros(4 * n) if center is None else np.asarray(center, dtype=float)
+    origin = np.zeros(4 * n)
     t = RegularizedCurrent(n, fields)
-    norm, _ = sigma_mass(t, center, inner_radius, seed=seed, **quad_opts)
+    norm, _ = sigma_mass(t, origin, inner_radius, seed=seed, **quad_opts)
     dirs, _ = sphere_rule(4 * n, math.ceil(math.log2(sup_samples)), seed + 1)
     rng = np.random.default_rng(seed + 2)
     radii = outer_radius * rng.random(size=(len(dirs), 1)) ** (1.0 / (4 * n))
-    block = np.concatenate([center + dirs * outer_radius,
-                            center + dirs * radii,
-                            center[None, :]], axis=0)
+    block = np.concatenate([dirs * outer_radius, dirs * radii, origin[None, :]], axis=0)
     sups = []
     for u in fields:
         with np.errstate(divide="ignore", invalid="ignore"):  # checked below
@@ -328,15 +325,15 @@ def shell_identity_check(current, a, r1, r2, sphere_pow=9, radial_nodes=24,
 # ---------------------------------------------------------------------------
 # Stokes-type checks
 
-def bump_field(n, radius=1.0, center=None):
-    """(r^2 - |x - a|^2)^3 / r^6 inside the ball, as an exact polynomial.
+def bump_field(n, radius=1.0):
+    """(r^2 - |x|^2)^3 / r^6 inside the ball, as an exact polynomial.
 
     Vanishes to third order at the boundary, so first and second
     derivatives are continuous across it; the canonical compactly
-    supported test factor on B(a, r).
+    supported test factor on B(0, r).
     """
     r2 = Fraction(radius) ** 2
-    base = Polynomial.constant(n, r2) - normsq(n, center=center)
+    base = Polynomial.constant(n, r2) - normsq(n)
     return base ** 3 * (1 / r2 ** 3)
 
 

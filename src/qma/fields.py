@@ -10,9 +10,10 @@ provided, mirroring how much derivative information is trustworthy:
 * ``ClosedForm``   value with hand-written gradient and Hessian callables.
 * ``BlackBox``     value only; derivatives by central differences.
 
-``normsq`` and ``quadform`` build quadratic Polynomials, ``InvShift`` is the
-fundamental-solution family -1/(|q - a|^2 + eps), and ``GridField`` holds
-lattice samples for the mollification machinery.
+``normsq`` and ``quadform`` build quadratic Polynomials centered at 0
+(``quadrature.translate_polynomial(p, -a)`` centers one at a), ``InvShift``
+is the fundamental-solution family -1/(|q - a|^2 + eps), and ``GridField``
+holds lattice samples for the mollification machinery.
 
 All fields share pointwise ``value/gradient/hessian`` plus batched
 ``values/gradients/hessians`` (shape (N, 4n) in, used heavily by quadrature).
@@ -475,22 +476,21 @@ class DerivedField(ScalarField):
 
 
 class LinearSubstitution(ScalarField):
-    """u(x) = base(R x + t): pullback of a field along an affine map."""
+    """u(x) = base(R x): pullback of a field along a linear map."""
 
-    def __init__(self, base, rmat, shift=None):
+    def __init__(self, base, rmat):
         self.n = base.n
         self.base = base
         self.rmat = np.asarray(rmat, dtype=float)
         if self.rmat.shape != (4 * base.n, 4 * base.n):
             raise DimensionError("substitution matrix has wrong shape")
-        self.shift = np.zeros(4 * base.n) if shift is None else np.asarray(shift, dtype=float)
 
     # The products are plain einsums, no BLAS: a BLAS product rounds a row
     # according to how many rows share the call, and a field's value at a
     # point must not depend on the other points of its batch.
     def _mapped(self, pts):
-        """The points R x + t."""
-        return np.einsum("ij,bj->bi", self.rmat, np.asarray(pts, dtype=float)) + self.shift
+        """The points R x."""
+        return np.einsum("ij,bj->bi", self.rmat, np.asarray(pts, dtype=float))
 
     def values(self, pts):
         return self.base.values(self._mapped(pts))
@@ -623,55 +623,19 @@ def _monomial(d, *axes):
     return tuple(e)
 
 
-def normsq(n, center=None):
-    """|q - a|^2 as an exact Polynomial (Hessian 2*Id)."""
-    center = np.zeros(4 * n) if center is None else np.asarray(center, dtype=float)
-    c_exact = [Fraction(v) if float(v).is_integer() else v for v in center]
+def normsq(n):
+    """|q|^2 as an exact Polynomial (Hessian 2*Id)."""
     d = 4 * n
-    poly = Polynomial(n, {_monomial(d, m, m): Fraction(1) for m in range(d)})
-    for m in range(d):
-        if c_exact[m]:
-            poly = poly + Polynomial(n, {_monomial(d, m): -2 * c_exact[m]})
-    const = sum(Fraction(c) * Fraction(c) if isinstance(c, Fraction) else c * c for c in c_exact)
-    if const:
-        poly = poly + Polynomial.constant(n, const)
-    return poly
+    return Polynomial(n, {_monomial(d, m, m): Fraction(1) for m in range(d)})
 
 
-def _centered_lower_terms(r, c):
-    """Linear and constant coefficients of (x-c)^T R (x-c), block by block.
-
-    Block (j, k) of R, B, adds -(B c_k)_i to x_(j,i), -(c_j^T B)_m to
-    x_(k,m) and (c_j^T B) c_k to the constant.  Every sum runs left to right
-    over the block's index in the order q^bar_j a_jk q_k expands as
-    quaternion products, so the rounding of float coefficients is the
-    expansion's.
-    """
-    n = len(c)
-    lin, const = [0] * (4 * n), 0
-    for j, k in itertools.product(range(n), repeat=2):
-        b = r[4 * j:4 * j + 4, 4 * k:4 * k + 4]
-        if not any(b.flat):
-            continue
-        # v = c_j^T B; on the diagonal v_i joins the m = i term of (B c_k)_i
-        v = [sum(b[i, m] * c[j][i] for i in range(4)) for m in range(4)]
-        for i in range(4):
-            lin[4 * j + i] -= sum(b[i, m] * c[k][m] + (v[i] if j == k and m == i else 0)
-                                  for m in range(4))
-        if j != k:
-            for m in range(4):
-                lin[4 * k + m] -= v[m]
-        const += sum(v[m] * c[k][m] for m in range(4))
-    return lin, const
-
-
-def quadform(a_matrix, center=None):
-    """(q-a)^bar^T A (q-a) for hyperhermitian A, as an exact Polynomial.
+def quadform(a_matrix):
+    """q^bar^T A q for hyperhermitian A, as an exact Polynomial.
 
     With R the real representation of A (``QMatrix.real_rep``, exact on
-    exact entries) and y = x - a the value is y^T R y: y_i^2 carries R_ii
-    and y_i y_j carries R_ij + R_ji, so the Hessian is R + R^T.  Raises if
-    A is not hyperhermitian (the value would not be real).
+    exact entries) the value is x^T R x: x_i^2 carries R_ii and x_i x_j
+    carries R_ij + R_ji, so the Hessian is R + R^T.  Raises if A is not
+    hyperhermitian (the value would not be real).
     """
     a_matrix = a_matrix if isinstance(a_matrix, QMatrix) else QMatrix(a_matrix)
     if not is_hyperhermitian(a_matrix, tol=1e-12):
@@ -685,14 +649,6 @@ def quadform(a_matrix, center=None):
             c = r[i, i] if i == j else r[i, j] + r[j, i]
             if c:
                 terms[_monomial(d, i, j)] = c
-    if center is not None:
-        ctr = np.asarray(center, dtype=float).reshape(n, 4).tolist()
-        lin, const = _centered_lower_terms(r, ctr)
-        for m, c in enumerate(lin):
-            if c:
-                terms[_monomial(d, m)] = c
-        if const:
-            terms[_monomial(d)] = const
     return Polynomial(n, terms)
 
 

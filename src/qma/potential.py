@@ -81,8 +81,9 @@ def boundary_measure_density(phi, pts):
 
 def _round(m):
     """Whether the matrix of a quadratic phi is a multiple of the identity,
-    so its level sets are round spheres."""
-    return np.allclose(m, m[0, 0] * np.eye(len(m)), atol=1e-14 * abs(m[0, 0]))
+    so its level sets are round spheres: every entry within 1e-14 M[0, 0],
+    with no relative slack, which would pass |q|^2 + 1e-5 x1^2."""
+    return np.allclose(m, m[0, 0] * np.eye(len(m)), rtol=0, atol=1e-14 * abs(m[0, 0]))
 
 
 def surface_integral(phi, r, fn, sphere_pow=10, seed=0):

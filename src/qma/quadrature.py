@@ -710,16 +710,14 @@ class StarShapedRule(_SurfaceRule):
     """Surface rule for a level set {phi = level} star-shaped around a
     center: the crossing radii of all Sobol rays come from one batched
     ``brentq`` over the brackets of ``ray_brackets``, and the area element
-    uses the field gradient.  The center defaults to the center of a
-    quadratic field (``quadratic_geometry``) and to 0 otherwise.
+    uses the field gradient.  The center is that of a quadratic field
+    (``quadratic_geometry``) and 0 for any other field.
     """
 
-    def __init__(self, field, level, center=None, sphere_pow=9, seed=0):
+    def __init__(self, field, level, sphere_pow=9, seed=0):
         d = 4 * field.n
-        if center is None:
-            geom = quadratic_geometry(field)
-            center = np.zeros(d) if geom is None else geom[0]
-        center = np.asarray(center, dtype=float)
+        geom = quadratic_geometry(field)
+        center = np.zeros(d) if geom is None else geom[0]
         dirs, weights = sphere_rule(d, sphere_pow, seed)
         g, lo, hi, glo, ghi = ray_brackets(field, (level,), center, dirs)
         radii = brentq(g, lo, hi, xtol=RAY_TOL, rtol=RAY_TOL, fa=glo, fb=ghi)

@@ -23,7 +23,7 @@ from qma.fields import Polynomial, normsq, quadform
 from qma.hamilton import random_hyperhermitian
 from qma.monge_ampere import ma_density, mixed_ma
 from qma.potential import boundary_mass_residual, lelong_jensen
-from qma.quadrature import Constant, block_values
+from qma.quadrature import Constant, block_values, translate_polynomial
 from test_fields import _TILTED
 
 
@@ -38,10 +38,10 @@ def _quadratic(rng, n, round_):
     center = rng.uniform(-1.0, 1.0, size=d)
     const = float(rng.uniform(-2.0, 2.0))
     if round_:
-        return normsq(n, center) * float(rng.uniform(0.25, 4.0)) + const
-    u = quadform(random_hyperhermitian(rng, n), center)
+        return translate_polynomial(normsq(n), -center) * float(rng.uniform(0.25, 4.0)) + const
+    u = quadform(random_hyperhermitian(rng, n))
     lam = float(np.linalg.eigvalsh(0.5 * u.hessian(np.zeros(d))).min())
-    return u + normsq(n, center) * (max(0.0, -lam) + 0.5) + const
+    return translate_polynomial(u + normsq(n) * (max(0.0, -lam) + 0.5), -center) + const
 
 
 def _degree_two(rng, n):

@@ -248,9 +248,6 @@ def test_bump_field_shape():
     assert b.value([Fraction(1), 0, 0, 0]) == 0
     np.testing.assert_allclose(b.gradient([1.0, 0, 0, 0]), np.zeros(4), atol=1e-14)
     np.testing.assert_allclose(b.hessian([0.0, 1.0, 0, 0]), np.zeros((4, 4)), atol=1e-14)
-    b2 = bump_field(1, radius=Fraction(1, 2), center=[Fraction(1, 4), 0, 0, 0])
-    assert b2.value([Fraction(1, 4), 0, 0, 0]) == 1
-    assert b2.value([Fraction(3, 4), 0, 0, 0]) == 0
 
 
 def test_stokes_check_exact_polynomials():

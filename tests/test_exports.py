@@ -1,4 +1,5 @@
-"""Every function, class and method in ``src/qma`` has a caller in the package.
+"""Every function, class and method in ``src/qma`` has a caller in the
+package, and every option of one is set by a caller there.
 
 A helper only the tests call belongs in the test that calls it.  The few
 names with no caller in ``src/qma`` are listed below, each with the reason
@@ -13,6 +14,12 @@ not one on an imported module (``np.zeros`` does not call a ``zeros``
 method); a module-level function or class counts as called through a name
 read or such an attribute read.  A local variable of the same name is not a
 caller of a method.
+
+An option is a parameter with a default.  A call of the same name (a
+constructor's is its class name) sets it by keyword, by position, or by
+``*``/``**`` forwarding, which sets every parameter it can reach.  An
+option no call sets is a constant in disguise; the few that stay are
+listed below with their reason.
 """
 
 import ast
@@ -36,6 +43,24 @@ UNCALLED = {
     "BlackBox": "reference: finite-difference derivatives of a value oracle",
     "ClosedForm": "reference: a field given by its value, gradient and Hessian oracles",
     "sample": "check input: GridField.sample builds the lattice the mollify check smooths",
+}
+
+_CLAIM_CHECK = "claim check: a tunable of one of the paper's identities"
+UNSET = {
+    "closedness_residual.pts": "sample points of a non-polynomial form; "
+                               "the commands check polynomial forms exactly",
+    "main.argv": "the command line; the console script leaves it to sys.argv",
+    "random_qmatrix.cols": "test-suite generator: the rectangular matrices of the tests",
+    **{f"ClosedForm.{p}": "reference: the oracles a closed-form field is given"
+       for p in ("grad_fn", "hess_fn", "values_fn", "grads_fn", "hessians_fn", "name")},
+    "BlackBox.name": "reference: the label of a finite-difference field",
+    **{f"{check}.{p}": _CLAIM_CHECK for check, params in [
+        ("convergence_suite", ("radius", "sphere_pow", "radial_nodes", "seed")),
+        ("integration_by_parts_residual", ("radius", "sphere_pow", "radial_nodes", "seed")),
+        ("positivity_pairing_min", ("trials", "seed")),
+        ("shell_identity_check", ("sphere_pow", "radial_nodes", "seed")),
+        ("stokes_check", ("radius", "center", "sphere_pow", "radial_nodes", "seed")),
+    ] for p in params},
 }
 
 
@@ -113,3 +138,70 @@ def test_every_definition_has_a_caller_or_a_listed_reason():
     uncalled = (top_level - names - attributes) | (methods - attributes)
     assert sorted(uncalled - set(UNCALLED)) == [], "defined with no caller in src/qma"
     assert sorted(set(UNCALLED) - uncalled) == [], "listed, but defined with a caller"
+
+
+def _defaulted(args, bound):
+    """(position, name) of each parameter with a default, the first
+    ``bound`` (self or cls) dropped; a keyword-only one has position None."""
+    positional = (args.posonlyargs + args.args)[bound:]
+    first = len(positional) - len(args.defaults)
+    return ([(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None])
+
+
+def _options(modules):
+    """(label, name called, whether a name read calls it, defaulted
+    parameters) of every function, method and constructor; a constructor
+    is its class's ``__init__``, called by the class name.  A method's
+    first parameter is self or cls (the package has no staticmethod)."""
+    for module in modules:
+        for top in module.body:
+            if isinstance(top, ast.FunctionDef):
+                yield top.name, top.name, True, _defaulted(top.args, 0)
+            if not isinstance(top, ast.ClassDef):
+                continue
+            for item in top.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                if item.name == "__init__":
+                    yield top.name, top.name, True, _defaulted(item.args, 1)
+                elif not (item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{top.name}.{item.name}", item.name, False, _defaulted(item.args, 1)
+
+
+def _call_sites(modules):
+    """{(name, through a name read): [(positional count before any *,
+    any *, keywords, any **)]} of the calls in ``src/qma``."""
+    sites = {}
+    for module in modules:
+        imported = _imported_modules(module)
+        for call in ast.walk(module):
+            if not isinstance(call, ast.Call):
+                continue
+            if isinstance(call.func, ast.Name):
+                key = (call.func.id, True)
+            elif isinstance(call.func, ast.Attribute) and not _on_a_module(call.func, imported):
+                key = (call.func.attr, False)
+            else:
+                continue
+            starred = [i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)]
+            sites.setdefault(key, []).append((
+                starred[0] if starred else len(call.args), bool(starred),
+                {k.arg for k in call.keywords if k.arg is not None},
+                any(k.arg is None for k in call.keywords)))
+    return sites
+
+
+def test_every_option_is_set_by_a_caller_or_listed_with_a_reason():
+    modules = _package_modules()
+    sites = _call_sites(modules)
+    unset = set()
+    for label, name, by_name, defaulted in _options(modules):
+        calls = sites.get((name, False), []) + (sites.get((name, True), []) if by_name else [])
+        for slot, param in defaulted:
+            if not any(param in keywords or double_star
+                       or (slot is not None and (count > slot or star))
+                       for count, star, keywords, double_star in calls):
+                unset.add(f"{label}.{param}")
+    assert sorted(unset - set(UNSET)) == [], "an option no call in src/qma sets"
+    assert sorted(set(UNSET) - unset) == [], "listed, but set by a call"

@@ -28,6 +28,7 @@ from qma.fields import (
     quadform,
 )
 from qma.hamilton import QMatrix, Quaternion, QI, random_hyperhermitian
+from qma.quadrature import translate_polynomial
 
 
 def rand_pts(rng, n, count, scale=1.5):
@@ -240,14 +241,6 @@ def test_normsq_value_gradient_hessian(n):
     np.testing.assert_allclose(u.hessian(x), 2 * np.eye(4 * n), rtol=0, atol=0)
 
 
-def test_normsq_center():
-    c = [1.0, 0.0, -2.0, 0.5]
-    u = normsq(1, center=c)
-    assert u.value(c) == 0
-    assert u.value([2.0, 0.0, -2.0, 0.5]) == pytest.approx(1.0)
-    np.testing.assert_allclose(u.hessian(np.zeros(4)), 2 * np.eye(4))
-
-
 def test_normsq_is_exact_polynomial():
     u = normsq(1)
     assert type(u) is Polynomial
@@ -274,14 +267,9 @@ def test_quadform_matches_quaternion_arithmetic_exactly():
     assert u.value(x) == acc.components[0]
 
 
-def _quaternion_coordinate_polys(n, j, center=None, conjugate=False):
-    """The quaternion q_j - a_j as a 4-tuple of coordinate polynomials."""
-    comps = []
-    for m in range(4):
-        p = Polynomial.coordinate(n, 4 * j + m)
-        if center is not None:
-            p = p + Polynomial.constant(n, -center[4 * j + m])
-        comps.append(p)
+def _quaternion_coordinate_polys(n, j, conjugate=False):
+    """The quaternion q_j as a 4-tuple of coordinate polynomials."""
+    comps = [Polynomial.coordinate(n, 4 * j + m) for m in range(4)]
     if conjugate:
         comps = [comps[0], -comps[1], -comps[2], -comps[3]]
     return comps
@@ -299,19 +287,18 @@ def _qpoly_mul(a, b):
     )
 
 
-def _product_path_quadform(a_matrix, center=None):
-    """Oracle: (terms, M) of (q-a)^bar^T A (q-a) from quaternion
-    polynomial products, with M read back by exact differentiation."""
+def _product_path_quadform(a_matrix):
+    """Oracle: (terms, M) of q^bar^T A q from quaternion polynomial
+    products, with M read back by exact differentiation."""
     n = a_matrix.rows
-    center_arr = None if center is None else np.asarray(center, dtype=float)
     total = [Polynomial(n)] * 4
     for j in range(n):
-        qj_bar = _quaternion_coordinate_polys(n, j, center_arr, conjugate=True)
+        qj_bar = _quaternion_coordinate_polys(n, j, conjugate=True)
         for k in range(n):
             a = a_matrix[j, k]
             if not a:
                 continue
-            qk = _quaternion_coordinate_polys(n, k, center_arr)
+            qk = _quaternion_coordinate_polys(n, k)
             apoly = tuple(Polynomial.constant(n, comp) for comp in a.components)
             prod = _qpoly_mul(_qpoly_mul(qj_bar, apoly), qk)
             total = [t + p for t, p in zip(total, prod)]
@@ -324,16 +311,12 @@ def _product_path_quadform(a_matrix, center=None):
     return scalar.terms, m
 
 
-def _half_hessian(u):
-    """M of a quadratic u, half its Hessian at 0."""
-    return 0.5 * u.hessian(np.zeros(u.dim))
-
-
 def _assert_same_bits(u, terms, m):
+    """u has the oracle's terms, and M, half its Hessian at 0, its bytes."""
     assert set(u.terms) == set(terms)
     for e, c in terms.items():
         assert np.float64(u.terms[e]).tobytes() == np.float64(c).tobytes()
-    assert _half_hessian(u).tobytes() == m.tobytes()
+    assert (0.5 * u.hessian(np.zeros(u.dim))).tobytes() == m.tobytes()
 
 
 @pytest.mark.parametrize("n,seeds", [(1, range(40)), (2, range(20)), (3, range(2))])
@@ -341,11 +324,7 @@ def test_quadform_float_terms_equal_the_product_path_bitwise(n, seeds):
     for seed in seeds:
         rng = np.random.default_rng(seed)
         a = random_hyperhermitian(rng, n)
-        center = rng.standard_normal(4 * n)
-        center[::3] = 0.0
-        for c in (None, center):
-            u = quadform(a, center=c)
-            _assert_same_bits(u, *_product_path_quadform(a, c))
+        _assert_same_bits(quadform(a), *_product_path_quadform(a))
 
 
 def test_quadform_with_zero_components_equals_the_product_path_bitwise():
@@ -354,20 +333,7 @@ def test_quadform_with_zero_components_equals_the_product_path_bitwise():
     x = rng.standard_normal(4)
     a = QMatrix([[Quaternion(x[0]), Quaternion(x[1], 0.0, x[2], 0.0)],
                  [Quaternion(x[1], -0.0, -x[2], -0.0), Quaternion(x[3])]])
-    for c in (None, rng.standard_normal(8)):
-        _assert_same_bits(quadform(a, center=c), *_product_path_quadform(a, c))
-
-
-def test_quadform_centered_exact_terms_equal_the_product_path():
-    # dyadic entries and center: every product path coefficient is exact
-    q = Quaternion(Fraction(1, 2), Fraction(-3, 4), Fraction(1, 8), Fraction(2))
-    a = QMatrix([[Quaternion(Fraction(5, 2)), q], [q.conjugate(), Quaternion(3)]])
-    center = [0.5, -1.0, 0.0, 2.0, -0.25, 0.75, 1.5, -3.0]
-    u = quadform(a, center=center)
-    terms, m = _product_path_quadform(a, center)
-    assert u.terms == terms
-    assert _half_hessian(u).tobytes() == m.tobytes()
-    assert u.value([Fraction(c) for c in center]) == 0
+    _assert_same_bits(quadform(a), *_product_path_quadform(a))
 
 
 def test_quadform_rejects_non_hyperhermitian():
@@ -375,16 +341,6 @@ def test_quadform_rejects_non_hyperhermitian():
         quadform([[Quaternion(2), QI], [QI, Quaternion(3)]])
     with pytest.raises(ValueError):
         quadform([[QI]])
-
-
-def test_quadform_center_and_real_matrix():
-    a = QMatrix([[Quaternion(Fraction(3))]])
-    c = np.array([0.5, -1.0, 0.0, 2.0])
-    u = quadform(a, center=c)
-    assert u.value(c) == 0
-    np.testing.assert_allclose(_half_hessian(u), 3 * np.eye(4), atol=1e-12)
-    np.testing.assert_allclose(u.gradient(c + [1, 0, 0, 0]), [6, 0, 0, 0], atol=1e-12)
-    np.testing.assert_allclose(u.hessian(np.zeros(4)), 6 * np.eye(4), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +463,10 @@ def test_linear_substitution_chain_rule():
     rng = np.random.default_rng(31)
     base = quadform(QMatrix([[Quaternion(3)]]))
     rmat = rng.standard_normal((4, 4))
-    shift = rng.standard_normal(4)
-    u = LinearSubstitution(base, rmat, shift)
+    u = LinearSubstitution(base, rmat)
     bb = BlackBox(1, u.value)
     x = rng.standard_normal(4)
-    assert u.value(x) == pytest.approx(base.value(rmat @ x + shift))
+    assert u.value(x) == pytest.approx(base.value(rmat @ x))
     np.testing.assert_allclose(u.gradient(x), bb.gradient(x), rtol=1e-6, atol=1e-7)
     np.testing.assert_allclose(u.hessian(x), bb.hessian(x), rtol=1e-4, atol=1e-4)
     pts = rand_pts(rng, 1, 9)
@@ -531,7 +486,7 @@ def test_linear_substitution_rows_do_not_depend_on_the_batch():
     # through the third-derivative stencil of a DerivedField too
     rng = np.random.default_rng(0)
     rmat = np.eye(8) + 0.5 * rng.uniform(-1, 1, (8, 8))
-    u = LinearSubstitution(InvShift(2, 0.5), rmat, rng.uniform(-1, 1, 8))
+    u = LinearSubstitution(InvShift(2, 0.5, rng.uniform(-1, 1, 8)), rmat)
     pts = rng.uniform(-1, 1, (64, 8))
     for batched in (u.values, u.gradients, u.hessians, DerivedField(u, 3).hessians):
         full = batched(pts)
@@ -727,7 +682,7 @@ def _pointwise_oracle(u, x):
         return (float(u.f(t)), float(u.d1(t)) * g,
                 float(u.d2(t)) * np.outer(g, g) + float(u.d1(t)) * h)
     if isinstance(u, LinearSubstitution):
-        v, g, h = _pointwise_oracle(u.base, u.rmat @ x + u.shift)
+        v, g, h = _pointwise_oracle(u.base, u.rmat @ x)
         return v, u.rmat.T @ g, u.rmat.T @ h @ u.rmat
     if isinstance(u, InvShift):
         y = x - u.center
@@ -777,7 +732,7 @@ _TILTED = {1: QMatrix([[Quaternion(2)]]),
 def _composite_fields_and_points(draw):
     """A field over H^n (n in {1, 2}) built from InvShift, centered normsq,
     centered tilted quadform and cubic polynomial leaves by sums, scalings,
-    products, tanh chains, affine substitutions and partial derivatives,
+    products, tanh chains, linear substitutions and partial derivatives,
     plus 1 to 3 points."""
     n = draw(st.sampled_from([1, 2]))
     d = 4 * n
@@ -786,8 +741,8 @@ def _composite_fields_and_points(draw):
     leaves = st.one_of(
         st.builds(lambda eps, c: InvShift(n, eps, c),
                   st.floats(min_value=0.1, max_value=2.0), vec),
-        vec.map(lambda c: normsq(n, c)),
-        vec.map(lambda c: quadform(_TILTED[n], c)),
+        vec.map(lambda c: translate_polynomial(normsq(n), -c)),
+        vec.map(lambda c: translate_polynomial(quadform(_TILTED[n]), -c)),
         st.tuples(st.integers(0, d - 1), st.fractions(-2, 2, max_denominator=5)).map(
             lambda mc: normsq(n) + mc[1] * Polynomial.coordinate(n, mc[0]) ** 3),
     )
@@ -800,7 +755,7 @@ def _composite_fields_and_points(draw):
             st.builds(_ScaledField, inner, small),
             st.builds(_ProductField, inner, inner),
             inner.map(_tanh_chain),
-            st.builds(LinearSubstitution, inner, mat, vec),
+            st.builds(LinearSubstitution, inner, mat),
             st.builds(DerivedField, inner, st.integers(0, d - 1)),
         )
 
@@ -820,8 +775,8 @@ _LAST_BIT_POINT = np.array([0.1, 0.4, 0.7, -0.7, -0.4, -0.1, 0.2, 0.5])
 
 @settings(max_examples=120)
 @given(_composite_fields_and_points())
-@example((quadform(_TILTED[2], np.full(8, 0.25)), [_LAST_BIT_POINT]))
-@example((normsq(2, np.full(8, 0.25)), [_LAST_BIT_POINT]))
+@example((translate_polynomial(quadform(_TILTED[2]), np.full(8, -0.25)), [_LAST_BIT_POINT]))
+@example((translate_polynomial(normsq(2), np.full(8, -0.25)), [_LAST_BIT_POINT]))
 def test_pointwise_is_one_row_of_batched_and_matches_oracles(case):
     u, pts = case
     for x in pts:

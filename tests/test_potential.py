@@ -15,7 +15,7 @@ from qma.hamilton import QMatrix, Quaternion
 from qma.monge_ampere import ma_density
 from qma.quadrature import (StarShapedRule, gauss_legendre_panels,
                             halving_estimate, integrate_polynomial_ball,
-                            sobol_sphere, sphere_area)
+                            sobol_sphere, sphere_area, translate_polynomial)
 from qma import potential, quadrature
 from qma.potential import (
     boundary_mass_residual,
@@ -25,7 +25,7 @@ from qma.potential import (
     sublevel_integral,
     surface_integral,
 )
-from test_fields import _TILTED, _product_path_quadform
+from test_fields import _TILTED
 
 PI2 = math.pi**2
 PI4 = math.pi**4
@@ -86,10 +86,11 @@ def test_quadratic_geometry_of_any_positive_quadratic_polynomial():
         assert np.array_equal(center, np.zeros(8))
         assert np.array_equal(got_m, m) and got_const == const
         assert potential._round(got_m) == round_
+    # translating a form keeps the bytes of M and moves the center to c
     c = np.array([0.5, -1.0, 0.0, 2.0, -0.25, 0.75, 1.5, -3.0])
-    for phi, m in [(normsq(2, center=c), eye),
-                   (quadform(_TILTED[2], center=c), _product_path_quadform(_TILTED[2], c)[1])]:
-        center, got_m, const = quadrature.quadratic_geometry(phi)
+    for phi in (normsq(2), quadform(_TILTED[2])):
+        _, m, _ = quadrature.quadratic_geometry(phi)
+        center, got_m, const = quadrature.quadratic_geometry(translate_polynomial(phi, -c))
         assert got_m.tobytes() == m.tobytes()
         np.testing.assert_allclose(center, c, rtol=0, atol=1e-12)
         assert abs(const) < 1e-12
@@ -146,6 +147,15 @@ def test_sublevel_integral_ball_path():
         normsq(1), 1.0, lambda pts: np.einsum("bi,bi->b", pts, pts))
     assert val == pytest.approx(PI2 / 3, rel=1e-12)
     assert sublevel_integral(normsq(1), -2.0, lambda pts: np.ones(len(pts))) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-6])
+def test_sublevel_integral_of_a_nearly_round_quadratic(eps):
+    # |q|^2 + eps x1^2 is not round; the ball rule with the radius of
+    # M[0, 0] would be off by about eps / 2, so it takes the ellipsoid path
+    phi = normsq(1) + eps * Polynomial.coordinate(1, 1) ** 2
+    val, _ = sublevel_integral(phi, 1.0, _ones)
+    assert val == pytest.approx(PI2 / 2 / math.sqrt(1 + eps), rel=1e-12)
 
 
 def test_sublevel_integral_ray_path():

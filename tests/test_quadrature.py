@@ -588,7 +588,7 @@ def test_star_shaped_rule_is_one_brentq_call_of_per_ray_scalar_roots(monkeypatch
     # every ray is solved in one array brentq call, and each radius is the
     # float that a scalar brentq gives on that ray's own bracket
     phi = normsq(2) + Polynomial.coordinate(2, 0) ** 4
-    center, level, sphere_pow, seed = np.full(8, 0.1), 1.0, 6, 1
+    center, level, sphere_pow, seed = np.zeros(8), 1.0, 6, 1
     solve, calls = quadrature.brentq, []
 
     def counted(f, a, b, **kwargs):
@@ -597,7 +597,7 @@ def test_star_shaped_rule_is_one_brentq_call_of_per_ray_scalar_roots(monkeypatch
         return roots
 
     monkeypatch.setattr(quadrature, "brentq", counted)
-    rule = StarShapedRule(phi, level, center=center, sphere_pow=sphere_pow, seed=seed)
+    rule = StarShapedRule(phi, level, sphere_pow=sphere_pow, seed=seed)
     assert len(calls) == 1
     lo, hi, radii = calls[0]
     dirs = sobol_sphere(8, sphere_pow, seed)
