@@ -23,10 +23,11 @@ The Lelong-Jensen identity ties three quantities together:
 
 and ``lelong_jensen`` evaluates all three with residuals and quadrature
 error estimates.  Each geometry has one rule on its level set and one
-inside it: a Polynomial phi of degree <= 2 with round level sets takes the
-sphere rule and ``BallQuadrature``, one with ellipsoidal level sets the
-ellipsoid rule and ``BallQuadrature`` pulled through y -> a + B y
-(``quadrature.ellipsoid_map``), and any other phi, star-shaped around 0,
+inside it, from the a of ``quadrature.exhaustion_center``, the minimum of
+a Polynomial phi: a quadratic phi with round level sets takes the sphere
+rule and ``BallQuadrature``, one with ellipsoidal level sets the ellipsoid
+rule and ``BallQuadrature`` pulled through y -> a + B y
+(``quadrature.ellipsoid_map``), and any other phi, star-shaped around a,
 ``quadrature.StarShapedRule`` and the ray rule: ``_ray_radii`` solves every
 (ray, level) crossing in one batched Brent solve over the brackets of
 ``quadrature.ray_brackets``, and ``_ray_panel_sums`` integrates along the
@@ -50,8 +51,8 @@ from .fields import ChainField
 from .monge_ampere import _to_real, ma_density, mixed_ma, mixed_pfaffian
 from .quadrature import (RAY_TOL, BallQuadrature, Constant, EllipsoidRule,
                          SphereRule, StarShapedRule, block_values, brentq,
-                         ellipsoid_map, gauss_legendre_panels, halving_estimate,
-                         quadratic_geometry, ray_brackets, sphere_rule)
+                         ellipsoid_map, exhaustion_center, gauss_legendre_panels,
+                         halving_estimate, ray_brackets, sphere_rule)
 
 _GRAD_FLOOR = 1e-6
 
@@ -90,25 +91,22 @@ def surface_integral(phi, r, fn, sphere_pow=10, seed=0):
     """integral of fn over the level set {phi = r} with respect to surface
     measure.
 
-    Quadratic phi with positive definite part gets the exact sphere or
-    ellipsoid rule; any other phi gets ``StarShapedRule`` around 0: the
-    crossing radius of each Sobol ray and the area element
-    rho^(d-1) |grad phi| / <grad phi, theta>.  Each rule's error estimate
-    halves its direction set.  Returns (value, error).
+    Around the a of ``quadrature.exhaustion_center``, a quadratic phi gets
+    the exact sphere or ellipsoid rule, and any other phi ``StarShapedRule``:
+    the crossing radius of each Sobol ray and the area element rho^(d-1)
+    |grad phi| / <grad phi, theta>.  Each rule's error estimate halves its
+    direction set.  Returns (value, error).
     """
-    geom = quadratic_geometry(phi)
-    if geom is not None:
-        a, m, const = geom
-        level = r - const
-        if level <= 0:
-            raise DegenerateLevelSetError("empty level set")
-        if _round(m):
-            rule = SphereRule(phi.n, math.sqrt(level / m[0, 0]), a,
-                              sphere_pow=sphere_pow, seed=seed)
-        else:
-            rule = EllipsoidRule(m, a, level, sphere_pow=sphere_pow, seed=seed)
-    else:
+    a, t_min, m = exhaustion_center(phi)
+    if m is None:
         rule = StarShapedRule(phi, r, sphere_pow=sphere_pow, seed=seed)
+    elif not r > t_min:
+        raise DegenerateLevelSetError("empty level set")
+    elif _round(m):
+        rule = SphereRule(phi.n, math.sqrt((r - t_min) / m[0, 0]), a,
+                          sphere_pow=sphere_pow, seed=seed)
+    else:
+        rule = EllipsoidRule(m, a, r - t_min, sphere_pow=sphere_pow, seed=seed)
     return rule.integrate(fn)
 
 
@@ -125,9 +123,9 @@ def _ray_radii(phi, levels, center, dirs):
     return radii.reshape(len(dirs), len(levels))
 
 
-def _ray_panel_sums(fn, dirs, edges, nodes):
+def _ray_panel_sums(fn, center, dirs, edges, nodes):
     """Per-ray Gauss-Legendre sums of fn * rho^(d-1) over the panels
-    [0, edges_i] along the rays rho * dirs_i.
+    [0, edges_i] along the rays center + rho * dirs_i.
 
     Node k is panel node k % nodes on ray k // nodes; fn sees the nodes in
     the blocks of ``quadrature.block_values``.
@@ -144,7 +142,7 @@ def _ray_panel_sums(fn, dirs, edges, nodes):
     def build(start, stop):
         first = start // nodes
         ray_dirs = np.repeat(dirs[first:(stop - 1) // nodes + 1], nodes, axis=0)
-        return rho[start:stop, None] * ray_dirs[start - first * nodes:stop - first * nodes]
+        return center + rho[start:stop, None] * ray_dirs[start - first * nodes:stop - first * nodes]
 
     terms = w * block_values(fn, len(rho), build) * rho ** (d - 1)
     return terms.reshape(len(dirs), nodes).sum(axis=1)
@@ -158,46 +156,38 @@ def sublevel_integral(phi, t, fn, sphere_pow=9, radial_nodes=12, seed=0):
 def _sublevel_integrals(phi, levels, fn, sphere_pow, radial_nodes, seed):
     """(value, error) of the integral of fn over {phi < t} for each level t.
 
-    A quadratic phi = (x - a)^T M (x - a) + const takes one BallQuadrature
-    per level: around a, of radius sqrt((t - const) / m), when M = m I, and
-    else of radius sqrt(t - const), fn pulled back through y -> a + B y and
-    the result times det B.  Any other phi takes the ray rule from 0: one
-    ``_ray_radii`` solve for all levels, then the panel sums level by level.
-    A level at or below the minimum of phi (rays: phi(0)) gives (0.0, 0.0)."""
-    geom = quadratic_geometry(phi)
-    if geom is not None:
-        a, m, const = geom
-        if _round(m):
-            scale, center, integrand, det_b = m[0, 0], a, fn, 1.0
-        else:
-            b, _, det_b = ellipsoid_map(m)
-            # a plain einsum, as LinearSubstitution maps its points: no
-            # node's image depends on the rest of its block
-            scale, center = 1.0, None
-            integrand = lambda y: fn(np.einsum("ij,bj->bi", b, y) + a)
-        out = []
-        for t in levels:
-            if t - const <= 0:
-                out.append((0.0, 0.0))
-                continue
-            quad = BallQuadrature(phi.n, math.sqrt((t - const) / scale), center=center,
-                                  sphere_pow=sphere_pow, radial_nodes=radial_nodes,
-                                  seed=seed)
-            val, err = quad.integrate(integrand)
-            out.append((val * det_b, err * det_b))
-        return out
-    origin = np.zeros(4 * phi.n)
-    # phi at the origin is evaluated as _ray_radii evaluates it
-    t_origin = phi.values(origin[None])[0]
+    Every rule starts from the a of ``quadrature.exhaustion_center``, and a
+    level t <= phi(a) gives (0.0, 0.0).  A quadratic phi = (x - a)^T M
+    (x - a) + phi(a) takes one BallQuadrature per level: around a, of radius
+    sqrt((t - phi(a)) / m), when M = m I, and else of radius
+    sqrt(t - phi(a)), fn pulled back through y -> a + B y and the result
+    times det B.  Any other phi takes the ray rule from a: one ``_ray_radii``
+    solve for all levels, then the panel sums level by level."""
+    a, t_min, m = exhaustion_center(phi)
     out = [(0.0, 0.0)] * len(levels)
-    solved = [k for k, t in enumerate(levels) if not t_origin >= t]
+    solved = [k for k, t in enumerate(levels) if not t_min >= t]
     if not solved:
         return out
-    dirs, weights = sphere_rule(4 * phi.n, sphere_pow, seed)
-    edges = _ray_radii(phi, [levels[k] for k in solved], origin, dirs)
-    for k, edge in zip(solved, edges.T):
-        contrib = _ray_panel_sums(fn, dirs, edge, radial_nodes)
-        out[k] = halving_estimate(contrib, weights)
+    if m is None:
+        dirs, weights = sphere_rule(4 * phi.n, sphere_pow, seed)
+        edges = _ray_radii(phi, [levels[k] for k in solved], a, dirs)
+        for k, edge in zip(solved, edges.T):
+            out[k] = halving_estimate(_ray_panel_sums(fn, a, dirs, edge, radial_nodes),
+                                      weights)
+        return out
+    if _round(m):
+        scale, center, integrand, det_b = m[0, 0], a, fn, 1.0
+    else:
+        b, _, det_b = ellipsoid_map(m)
+        # a plain einsum, as LinearSubstitution maps its points: no
+        # node's image depends on the rest of its block
+        scale, center = 1.0, None
+        integrand = lambda y: fn(np.einsum("ij,bj->bi", b, y) + a)
+    for k in solved:
+        val, err = BallQuadrature(phi.n, math.sqrt((levels[k] - t_min) / scale),
+                                  center=center, sphere_pow=sphere_pow,
+                                  radial_nodes=radial_nodes, seed=seed).integrate(integrand)
+        out[k] = (val * det_b, err * det_b)
     return out
 
 
@@ -237,8 +227,8 @@ def lelong_jensen(phi, v, r, t_nodes=48, sphere_pow=9, radial_nodes=12, seed=0):
     """Evaluate the Lelong-Jensen identity for exhaustion phi and potential
     v at level r; returns a JensenReport.
 
-    The layered term integrates the levels from the minimum of a quadratic
-    phi, and from phi(0) otherwise, up to r."""
+    The layered term integrates the levels from phi(a), at the minimum a of
+    ``quadrature.exhaustion_center``, up to r."""
     n = phi.n
     if v.n != n:
         raise DimensionError("phi and V live on different spaces")
@@ -253,8 +243,7 @@ def lelong_jensen(phi, v, r, t_nodes=48, sphere_pow=9, radial_nodes=12, seed=0):
     rhs_spatial, spatial_err = sublevel_integral(
         phi, r, spatial_fn, sphere_pow, radial_nodes, seed)
 
-    geom = quadratic_geometry(phi)
-    t_min = float(phi.value(np.zeros(4 * n))) if geom is None else geom[2]
+    _, t_min, _ = exhaustion_center(phi)
     if t_min >= r:
         rhs_layered, layered_err = 0.0, 0.0
     else:

@@ -40,11 +40,13 @@ the package loads no scipy module:
   float of its own scalar call; a scalar call is that iteration on one
   entry, so there is one Brent loop.
 
-Every level-set root is found one way: ``ray_brackets`` brackets each
-crossing of a ray with {phi = level} on its own, and one array ``brentq``
-at xtol = rtol = ``RAY_TOL`` solves all of them.  ``StarShapedRule``, the
-surface rule of every level set that is not a sphere or an ellipsoid, makes
-that call here, and the sublevel rule of ``potential`` makes it there.
+Every level-set rule starts from the point a of ``exhaustion_center``, the
+minimum of a ``Polynomial`` phi and 0 for any other field, and every root
+is found one way: ``ray_brackets`` brackets each crossing of a ray from a
+with {phi = level} on its own, and one array ``brentq`` at xtol = rtol =
+``RAY_TOL`` solves all of them.  ``StarShapedRule``, the surface rule of
+every level set that is not a sphere or an ellipsoid, makes that call here,
+and the sublevel rule of ``potential`` makes it there.
 """
 
 from __future__ import annotations
@@ -635,20 +637,32 @@ class BallQuadrature:
         return halving_estimate(tw @ vals, self.dir_weights * 0.5)
 
 
-def quadratic_geometry(phi):
-    """(center, M, const) with phi = (x - center)^T M (x - center) + const
-    when phi is a Polynomial of degree <= 2 with M positive definite, else
-    None.  M is half the Hessian at 0, exact at degree <= 2, where every
-    second partial is a constant of the ``Polynomial._plan`` template; the
-    center solves -2 M center = grad phi(0) and const is phi(center)."""
-    if not isinstance(phi, Polynomial) or phi.degree() > 2:
-        return None
-    zero = np.zeros(phi.dim)
-    m = 0.5 * phi.hessian(zero)
-    if np.linalg.eigvalsh(m).min() <= 0:
-        return None
-    center = np.linalg.solve(-2.0 * m, phi.gradient(zero))
-    return center, m, float(phi.value(center))
+def exhaustion_center(phi):
+    """(a, phi(a), M or None): the start point of every level-set rule of
+    phi, and M with phi = (x - a)^T M (x - a) + phi(a) for a quadratic phi.
+    For a ``Polynomial``, a is its minimum by Newton's method on grad phi
+    from 0 with the exact batched Hessian, each step taken only where it is
+    positive definite (Nocedal & Wright, *Numerical Optimization*, 2006,
+    ch. 3), until a step is below 1e-12 (1 + |a|), at most 50 steps.  At
+    degree <= 2 the one step is exact and M is half the Hessian; a quadratic
+    part that is not positive definite, whose sublevel sets are unbounded,
+    raises DegenerateLevelSetError.  Any other field keeps a = 0."""
+    a = np.zeros(phi.dim)
+    if not isinstance(phi, Polynomial):
+        return a, phi.value(a), None
+    quadratic = phi.degree() <= 2
+    for _ in range(50):
+        h = phi.hessian(a)
+        if np.linalg.eigvalsh(h).min() <= 0:
+            if quadratic:
+                raise DegenerateLevelSetError("phi is quadratic but not positive "
+                                              "definite: not an exhaustion")
+            break
+        step = np.linalg.solve(-h, phi.gradient(a))
+        a = a + step
+        if quadratic or not np.abs(step).max() > 1e-12 * (1.0 + np.abs(a).max()):
+            break
+    return a, phi.value(a), 0.5 * h if quadratic else None
 
 
 def ellipsoid_map(m):
@@ -707,17 +721,14 @@ class EllipsoidRule(_SurfaceRule):
 
 
 class StarShapedRule(_SurfaceRule):
-    """Surface rule for a level set {phi = level} star-shaped around a
-    center: the crossing radii of all Sobol rays come from one batched
-    ``brentq`` over the brackets of ``ray_brackets``, and the area element
-    uses the field gradient.  The center is that of a quadratic field
-    (``quadratic_geometry``) and 0 for any other field.
-    """
+    """Surface rule for a level set {phi = level} star-shaped around the a
+    of ``exhaustion_center``: the crossing radii of all Sobol rays from a
+    come from one batched ``brentq`` over the brackets of ``ray_brackets``,
+    and the area element uses the field gradient."""
 
     def __init__(self, field, level, sphere_pow=9, seed=0):
         d = 4 * field.n
-        geom = quadratic_geometry(field)
-        center = np.zeros(d) if geom is None else geom[0]
+        center, _, _ = exhaustion_center(field)
         dirs, weights = sphere_rule(d, sphere_pow, seed)
         g, lo, hi, glo, ghi = ray_brackets(field, (level,), center, dirs)
         radii = brentq(g, lo, hi, xtol=RAY_TOL, rtol=RAY_TOL, fa=glo, fb=ghi)

@@ -625,6 +625,48 @@ def test_boundary_takes_an_off_center_quadratic_from_its_center(tmp_path):
         assert status == 0
 
 
+def test_boundary_takes_a_tilted_quartic_from_its_minimum(tmp_path):
+    # |q|^2 + x0^4 + 4 x0 has its minimum -2.157 at x0 = -0.835: the level
+    # set at r = -1 does not surround 0, and every ray starts at the minimum
+    tmp_path.mkdir(exist_ok=True)
+    cfg = _write(tmp_path, "boundary.ini", """\
+        [run]
+        command = boundary
+        n = 1
+        seed = 0
+
+        [fields]
+        phi = normsq() + x0^4 + 4*x0
+
+        [params]
+        r = -1.0
+
+        [quadrature]
+        sphere_pow = 11
+        """)
+    assert _run("boundary", cfg, tmp_path / "out") == 0
+
+
+@pytest.mark.parametrize("command", ["jensen", "boundary"])
+def test_exit_1_on_a_quadratic_that_is_not_an_exhaustion(tmp_path, capsys, command):
+    # the sublevel sets of x0^2 on H^2 are unbounded slabs
+    cfg = _write(tmp_path, f"{command}.ini", f"""\
+        [run]
+        command = {command}
+        n = 2
+
+        [fields]
+        phi = x0^2
+        {"v = x0^2 + 3/2" if command == "jensen" else ""}
+
+        [params]
+        r = 1.0
+        """)
+    assert _run(command, cfg, tmp_path / "out") == 1
+    assert "not an exhaustion" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cmd_cln(tmp_path):
     cfg = _write(tmp_path, "cln.ini", """\
         [run]

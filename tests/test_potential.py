@@ -76,32 +76,91 @@ def test_boundary_density_degenerate():
 # surface and sublevel quadrature
 
 
-def test_quadratic_geometry_of_any_positive_quadratic_polynomial():
+def test_exhaustion_center_of_any_positive_quadratic_polynomial():
     x0 = Polynomial.coordinate(2, 0)
     eye = np.eye(8)
     for phi, m, const, round_ in [(2 * normsq(2), 2 * eye, 0.0, True),
                                   (normsq(2) + 1, eye, 1.0, True),
                                   (normsq(2) + x0 * x0, np.diag([2.0] + [1.0] * 7), 0.0, False)]:
-        center, got_m, got_const = quadrature.quadratic_geometry(phi)
+        center, got_const, got_m = quadrature.exhaustion_center(phi)
         assert np.array_equal(center, np.zeros(8))
         assert np.array_equal(got_m, m) and got_const == const
         assert potential._round(got_m) == round_
     # translating a form keeps the bytes of M and moves the center to c
     c = np.array([0.5, -1.0, 0.0, 2.0, -0.25, 0.75, 1.5, -3.0])
     for phi in (normsq(2), quadform(_TILTED[2])):
-        _, m, _ = quadrature.quadratic_geometry(phi)
-        center, got_m, const = quadrature.quadratic_geometry(translate_polynomial(phi, -c))
+        _, _, m = quadrature.exhaustion_center(phi)
+        center, const, got_m = quadrature.exhaustion_center(translate_polynomial(phi, -c))
         assert got_m.tobytes() == m.tobytes()
         np.testing.assert_allclose(center, c, rtol=0, atol=1e-12)
         assert abs(const) < 1e-12
 
 
-def test_quadratic_geometry_refuses_what_has_no_ellipsoid():
+def test_exhaustion_center_refuses_a_quadratic_that_is_not_an_exhaustion():
+    # a quadratic part that is not positive definite has unbounded sublevel
+    # sets; a higher degree has no M, and normsq + x0^4 its minimum at 0
     x0 = Polynomial.coordinate(2, 0)
     for phi in (x0 * x0,                      # singular
-                normsq(2) - 2 * x0 * x0,      # indefinite
-                normsq(2) + x0 ** 4):         # degree 4
-        assert quadrature.quadratic_geometry(phi) is None
+                normsq(2) - 2 * x0 * x0):     # indefinite
+        with pytest.raises(DegenerateLevelSetError, match="not an exhaustion"):
+            quadrature.exhaustion_center(phi)
+    center, const, m = quadrature.exhaustion_center(normsq(2) + x0 ** 4)   # degree 4
+    assert m is None and np.array_equal(center, np.zeros(8)) and const == 0.0
+
+
+def _positive_quadratic(n, entries, diagonal):
+    """x^T M x with M = A A^T + diag(diagonal), A read row-major from entries."""
+    d = 4 * n
+    a = np.asarray(entries[:d * d]).reshape(d, d)
+    m = a @ a.T + np.diag(diagonal[:d])
+    terms = {}
+    for i in range(d):
+        for j in range(i, d):
+            expo = [0] * d
+            expo[i] += 1
+            expo[j] += 1
+            terms[tuple(expo)] = m[i, i] if i == j else 2 * m[i, j]
+    return Polynomial(n, terms)
+
+
+_ENTRIES = st.lists(st.floats(-1.0, 1.0), min_size=64, max_size=64)
+_DIAGONAL = st.lists(st.floats(0.1, 2.0), min_size=8, max_size=8)
+_VECTOR = st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8)
+
+
+@settings(max_examples=25)
+@given(n=st.sampled_from([1, 2]), entries=_ENTRIES, diagonal=_DIAGONAL,
+       linear=_VECTOR, const=st.floats(-2.0, 2.0))
+def test_quadratic_center_is_the_center_solve_it_replaces(n, entries, diagonal, linear, const):
+    # the one Newton step from 0 is the solve of -2 M a = grad phi(0), M
+    # half the Hessian at 0, with the same bits; the sum 0 + step turns a
+    # -0.0 of the solve into 0.0
+    phi = _positive_quadratic(n, entries, diagonal) + const
+    for i, b in enumerate(linear[:4 * n]):
+        phi = phi + Polynomial.coordinate(n, i) * b
+    zero = np.zeros(4 * n)
+    m = 0.5 * phi.hessian(zero)
+    want = np.linalg.solve(-2.0 * m, phi.gradient(zero))
+    center, got_const, got_m = quadrature.exhaustion_center(phi)
+    assert center.tobytes() == (zero + want).tobytes()
+    assert got_m.tobytes() == m.tobytes()
+    assert got_const == float(phi.value(want))
+
+
+@settings(max_examples=25)
+@given(n=st.sampled_from([1, 2]), entries=_ENTRIES, diagonal=_DIAGONAL,
+       quartic=st.lists(st.floats(0.0, 2.0), min_size=8, max_size=8), c=_VECTOR)
+def test_newton_finds_the_center_of_a_translated_convex_quartic(n, entries, diagonal,
+                                                                quartic, c):
+    # x^T M x + sum k_i x_i^4 with k_i >= 0 has its minimum at 0, so the
+    # same polynomial translated by c has it at c
+    phi = _positive_quadratic(n, entries, diagonal)
+    for i, k in enumerate(quartic[:4 * n]):
+        phi = phi + Polynomial.coordinate(n, i) ** 4 * k
+    c = np.asarray(c[:4 * n])
+    center, _, m = quadrature.exhaustion_center(translate_polynomial(phi, -c))
+    assert (m is None) == any(quartic[:4 * n])
+    np.testing.assert_allclose(center, c, rtol=0, atol=1e-10)
 
 
 def _ones(pts):
@@ -169,9 +228,11 @@ def test_sublevel_integral_ray_path():
 
 
 def test_ray_rules_raise_when_a_ray_misses_the_level_set():
-    # {x0^2 - x1^2 = 1} does not meet the rays with |theta_0| <= |theta_1|
+    # {x0^2 - x1^2 - x1^4 = 1} does not meet the rays with
+    # |theta_0| <= |theta_1|; the Hessian at 0 is indefinite, so the rays
+    # start at 0
     x0, x1 = Polynomial.coordinate(1, 0), Polynomial.coordinate(1, 1)
-    phi = x0 * x0 - x1 * x1
+    phi = x0 * x0 - x1 * x1 - x1 ** 4
     with pytest.raises(DegenerateLevelSetError, match="does not cross"):
         sublevel_integral(phi, 1.0, lambda pts: np.ones(len(pts)), sphere_pow=4)
     with pytest.raises(DegenerateLevelSetError, match="does not cross"):
@@ -236,7 +297,7 @@ def _oracle_coarea_shell(phi, r, fn, delta, center, sphere_pow, seed, radial_nod
 
 def _oracle_sublevel(phi, t, fn, sphere_pow, seed=0, radial_nodes=12):
     d = 4 * phi.n
-    center = np.zeros(d)
+    center, _, _ = quadrature.exhaustion_center(phi)
     dirs = sobol_sphere(d, sphere_pow, seed)
     contrib = np.empty(len(dirs))
     for i, theta in enumerate(dirs):
@@ -275,6 +336,15 @@ def _shifted_quartic():
     return normsq(2) + x0 * x0 * x0 * x0, 1.0
 
 
+# a translation of the benchmark quartic, with its minimum at _SHIFT
+_SHIFT = np.array([0.25, -0.5, 0.125, 0.0, 0.375, -0.25, 0.0, 0.5])
+
+
+def _translated_quartic():
+    phi, level = _shifted_quartic()
+    return translate_polynomial(phi, -_SHIFT), level
+
+
 def _integrand(kind, phi):
     n = phi.n
     v = Polynomial.coordinate(n, 0) * Polynomial.coordinate(n, 0) + 1.5
@@ -287,7 +357,8 @@ def _integrand(kind, phi):
 
 @pytest.mark.parametrize("geometry,sphere_pow", [(_radial_quartic, 5),
                                                  (_shifted_quartic, 5),
-                                                 (_shifted_quartic, 6)])
+                                                 (_shifted_quartic, 6),
+                                                 (_translated_quartic, 5)])
 @pytest.mark.parametrize("kind", ["ones", "polynomial", "ma_density"])
 def test_ray_rules_match_per_ray_oracle(monkeypatch, geometry, sphere_pow, kind):
     phi, level = geometry()
@@ -492,6 +563,33 @@ def test_lelong_jensen_linear_potential():
     assert abs(report.boundary_term) < 1e-10
     assert abs(report.interior_term) < 1e-10
     assert abs(report.lhs) < 1e-10
+
+
+def test_lelong_jensen_is_translation_invariant():
+    # every rule starts from the minimum of phi, so the benchmark's quartic
+    # and v, both translated by _SHIFT, give every term of the report
+    x0 = Polynomial.coordinate(2, 0)
+    phi, v = normsq(2) + x0 ** 4, x0 * x0 + 1.5
+    opts = {"sphere_pow": 6, "radial_nodes": 8, "t_nodes": 8}
+    base = lelong_jensen(phi, v, 1.0, **opts)
+    moved = lelong_jensen(translate_polynomial(phi, -_SHIFT),
+                          translate_polynomial(v, -_SHIFT), 1.0, **opts)
+    for name in ("boundary_term", "interior_term", "lhs", "rhs_spatial", "rhs_layered",
+                 "residual_spatial", "residual_layered"):
+        assert getattr(moved, name) == pytest.approx(getattr(base, name), rel=1e-12)
+    for name, err in base.errors.items():
+        assert moved.errors[name] == pytest.approx(err, rel=1e-12)
+
+
+def test_lelong_jensen_layers_a_tilted_quartic_from_its_minimum():
+    # normsq + x0^4 + 4 x0 has its minimum -2.157 at x0 = -0.835: the layers
+    # below phi(0) = 0 belong to the layered term, which then agrees with
+    # the spatial term within their summed estimates
+    x0 = Polynomial.coordinate(2, 0)
+    phi = normsq(2) + x0 ** 4 + x0 * 4
+    report = lelong_jensen(phi, x0 * x0 + 1.5, 1.0, sphere_pow=13, radial_nodes=16)
+    gap = abs(report.rhs_layered - report.rhs_spatial)
+    assert gap <= report.errors["layered"] + report.errors["spatial"]
 
 
 def test_lelong_jensen_dimension_guard():

@@ -615,14 +615,19 @@ def test_star_shaped_rule_is_one_brentq_call_of_per_ray_scalar_roots(monkeypatch
 
 def test_star_shaped_rule_guards():
     x0, x1 = Polynomial.coordinate(1, 0), Polynomial.coordinate(1, 1)
-    # rays where |x1| > |x0| never reach {x0^2 - x1^2 = 1}
+    # a quadratic that is not positive definite is no exhaustion
+    for phi in (x0**2 - x1**2, -1 * normsq(1)):
+        with pytest.raises(DegenerateLevelSetError, match="not an exhaustion"):
+            StarShapedRule(phi, level=1.0, sphere_pow=4)
+    # the quartic terms keep the Hessian at 0 indefinite, so the rays start
+    # at 0; rays where |x1| > |x0| never reach {x0^2 - x1^2 - x1^4 = 1}
     with pytest.raises(DegenerateLevelSetError, match="does not cross"):
-        StarShapedRule(x0**2 - x1**2, level=1.0, sphere_pow=4)
-    down = -1 * normsq(1)
-    # -|q|^2 = 0.25 has no point at all
+        StarShapedRule(x0**2 - x1**2 - x1**4, level=1.0, sphere_pow=4)
+    down = -1 * normsq(1) - x0**4
+    # -|q|^2 - x0^4 = 0.25 has no point at all
     with pytest.raises(DegenerateLevelSetError, match="does not cross"):
         StarShapedRule(down, level=0.25, sphere_pow=4)
-    # -|q|^2 = -0.25 is the sphere of radius 1/2, but the gradient points in
+    # -|q|^2 - x0^4 = -0.25 crosses every ray, but the gradient points in
     with pytest.raises(DegenerateLevelSetError, match="not outward"):
         StarShapedRule(down, level=-0.25, sphere_pow=4)
 
