@@ -184,8 +184,10 @@ class Polynomial(ScalarField):
     """
 
     # _delta_row holds calculus's read-only cache of the parts of the delta
-    # matrix that read only constant second partials
-    __slots__ = ("n", "terms", "_tables", "_diff_cache", "_hessian_plan", "_delta_row")
+    # matrix that read only constant second partials, _center quadrature's
+    # of exhaustion_center
+    __slots__ = ("n", "terms", "_tables", "_diff_cache", "_hessian_plan", "_delta_row",
+                 "_center")
 
     def __init__(self, n, terms=None):
         self.n = n
@@ -205,6 +207,7 @@ class Polynomial(ScalarField):
         self._diff_cache = {}
         self._hessian_plan = None
         self._delta_row = None
+        self._center = None
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -246,17 +249,6 @@ class Polynomial(ScalarField):
         return Polynomial(self.n, {e: c * other for e, c in self.terms.items()})
 
     __rmul__ = __mul__
-
-    def __pow__(self, k):
-        _check_exponent(k)
-        acc = Polynomial.constant(self.n, Fraction(1))
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return acc
 
     def __eq__(self, other):
         if isinstance(other, (int, float, Fraction)):

@@ -74,10 +74,6 @@ def perfect_matchings(n):
     return tuple(out)
 
 
-# entries of the (points x terms) product array evaluated per chunk of points
-_TERM_BUDGET = 1 << 20
-
-
 @lru_cache(maxsize=None)
 def _term_table(n, mask, labels):
     """Signed terms of the matching expansion of ``mixed_pfaffian``.
@@ -124,6 +120,10 @@ def mixed_pfaffian(n, factors, mask=0):
     assignments that only permute it, so the term count is
     (2m-1)!! * m! / prod_i k_i!.  Returns a complex (N,) array.
 
+    The batch is evaluated whole, one gather and product per pair slot and
+    one dot with the coefficients; every quadrature rule bounds it by
+    ``quadrature._BLOCK_NODES`` nodes.
+
     Constant factors (every one a stride-0 broadcast along the points, as
     ``delta_matrices`` gives for a polynomial whose second partials are all
     constant) are expanded at row 0 only, each distinct array sliced once so
@@ -137,15 +137,11 @@ def mixed_pfaffian(n, factors, mask=0):
         return np.broadcast_to(row, (npts,))
     labels = tuple(next(j for j, g in enumerate(factors) if g is f) for f in factors)
     coefs, slots = _term_table(n, mask, labels)
-    out = np.empty(npts, dtype=complex)
-    step = max(1, _TERM_BUDGET // len(coefs))
-    for lo in range(0, npts, step):
-        prod = None
-        for label, a, b in slots:
-            vals = factors[label][lo:lo + step, a, b]
-            prod = vals if prod is None else prod * vals
-        out[lo:lo + step] = prod @ coefs
-    return out
+    prod = None
+    for label, a, b in slots:
+        vals = factors[label][:, a, b]
+        prod = vals if prod is None else prod * vals
+    return prod @ coefs
 
 
 # the largest imaginary residue of a density, relative to max(1, |density|),

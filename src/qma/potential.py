@@ -142,7 +142,10 @@ def _ray_panel_sums(fn, center, dirs, edges, nodes):
     def build(start, stop):
         first = start // nodes
         ray_dirs = np.repeat(dirs[first:(stop - 1) // nodes + 1], nodes, axis=0)
-        return center + rho[start:stop, None] * ray_dirs[start - first * nodes:stop - first * nodes]
+        pts = ray_dirs[start - first * nodes:stop - first * nodes]
+        pts *= rho[start:stop, None]
+        pts += center
+        return pts
 
     terms = w * block_values(fn, len(rho), build) * rho ** (d - 1)
     return terms.reshape(len(dirs), nodes).sum(axis=1)

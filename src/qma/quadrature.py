@@ -16,11 +16,12 @@ Three tiers, from exact to sampled:
    place any rule, here, in ``potential`` or in ``currents``, chooses its
    directions and weights.  Error estimates come from halving the direction
    set (prefixes of a Sobol sequence at powers of two are balanced again).
-   ``block_values`` is the one place a rule, here or the ray rule of
-   ``potential``, splits its nodes into the integrand's calls: blocks of at
-   most ``_BLOCK_NODES`` nodes, each built when it is evaluated; a
-   ``Constant`` integrand (a density of fields whose delta matrices are
-   the same everywhere) fills every node with its one value instead.
+   ``block_values`` is where every rule, the ball and surface rules here
+   and the ray rule of ``potential``, splits its nodes into the
+   integrand's calls: blocks of at most ``_BLOCK_NODES`` nodes, each built
+   when it is evaluated; a ``Constant`` integrand (a density of fields
+   whose delta matrices are the same everywhere) fills every node with its
+   one value instead.  The density kernels bound no batch of their own.
 
 Everything is deterministic given the seed.
 
@@ -66,9 +67,9 @@ from .errors import (DegenerateLevelSetError, DimensionError,
 from .exterior import MAX_N
 from .fields import Polynomial
 
-# most nodes per integrand call of every rule that hands its integrand node
-# blocks (BallQuadrature, the ray panels of potential): bounds the batches,
-# and with them the memory, of the density kernels
+# most nodes per integrand call of every rule (the ball and surface rules,
+# the ray panels of potential): bounds the batches, and with them the
+# memory, of the density kernels
 _BLOCK_NODES = 1024
 
 # ---------------------------------------------------------------------------
@@ -598,7 +599,8 @@ class BallQuadrature:
     """Product rule (graded radial panels x Sobol directions) on a ball.
 
     ``integrate(fn)`` evaluates fn on (N, 4n) node blocks of at most
-    ``_BLOCK_NODES`` nodes (``block_values``) and returns (value,
+    ``_BLOCK_NODES`` nodes (``block_values``, as every rule does; a
+    ``Constant`` fn is filled, not called) and returns (value,
     error_estimate); the estimate compares the full direction set against
     its leading half.  Node k is radial node k // len(dirs) on direction
     k % len(dirs), and a block's nodes are built when it is evaluated, so
@@ -646,10 +648,16 @@ def exhaustion_center(phi):
     ch. 3), until a step is below 1e-12 (1 + |a|), at most 50 steps.  At
     degree <= 2 the one step is exact and M is half the Hessian; a quadratic
     part that is not positive definite, whose sublevel sets are unbounded,
-    raises DegenerateLevelSetError.  Any other field keeps a = 0."""
-    a = np.zeros(phi.dim)
+    raises DegenerateLevelSetError.  Any other field keeps a = 0.  The
+    arrays are read-only, and a Polynomial's result is solved once and
+    cached on it."""
     if not isinstance(phi, Polynomial):
+        a = np.zeros(phi.dim)
+        a.flags.writeable = False
         return a, phi.value(a), None
+    if phi._center is not None:
+        return phi._center
+    a = np.zeros(phi.dim)
     quadratic = phi.degree() <= 2
     for _ in range(50):
         h = phi.hessian(a)
@@ -662,7 +670,12 @@ def exhaustion_center(phi):
         a = a + step
         if quadratic or not np.abs(step).max() > 1e-12 * (1.0 + np.abs(a).max()):
             break
-    return a, phi.value(a), 0.5 * h if quadratic else None
+    a.flags.writeable = False
+    m = 0.5 * h if quadratic else None
+    if m is not None:
+        m.flags.writeable = False
+    phi._center = a, phi.value(a), m
+    return phi._center
 
 
 def ellipsoid_map(m):
@@ -679,10 +692,14 @@ def ellipsoid_map(m):
 
 class _SurfaceRule:
     """Level-set nodes ``points`` and area ``weights``; ``integrate(fn)``
-    is (value, error from the half set)."""
+    is (value, error from the half set).  fn sees slices of ``points`` of
+    at most ``_BLOCK_NODES`` rows (``block_values``), and a ``Constant`` is
+    filled with its value; no node's value depends on its block, so the
+    result is that of one call on all the points."""
 
     def integrate(self, fn):
-        return halving_estimate(fn(self.points), self.weights)
+        vals = block_values(fn, len(self.points), lambda lo, hi: self.points[lo:hi])
+        return halving_estimate(vals, self.weights)
 
 
 class SphereRule(_SurfaceRule):

@@ -3,11 +3,13 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 import textwrap
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1028,10 +1030,12 @@ def test_module_entry_point(tmp_path):
         [output]
         format = json
         """)
+    # the child imports the qma this test imported
     proc = subprocess.run(
         [sys.executable, "-m", "qma.cli", "boundary",
          "--config", str(cfg), "--out", str(tmp_path / "out")],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().endswith("status: ok")
     assert (tmp_path / "out" / "boundary.json").exists()

@@ -628,7 +628,7 @@ def _dict_product(a, b):
 
 @settings(max_examples=80)
 @given(_exact_quadratics, _exact_quadratics, _NUMBERS,
-       st.floats(min_value=0.1, max_value=2.0), st.integers(0, 3))
+       st.floats(min_value=0.1, max_value=2.0), st.integers(0, 5))
 def test_one_field_algebra(p, q, c, eps, k):
     # exact Polynomials stay exact under every operator, term by term
     zero = (0, 0, 0, 0)

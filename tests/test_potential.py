@@ -108,6 +108,32 @@ def test_exhaustion_center_refuses_a_quadratic_that_is_not_an_exhaustion():
     assert m is None and np.array_equal(center, np.zeros(8)) and const == 0.0
 
 
+@pytest.mark.parametrize("phi", [normsq(2) + 1,
+                                 translate_polynomial(normsq(2) + Polynomial.coordinate(2, 0) ** 4,
+                                                      -np.full(8, 0.5))],
+                         ids=["quadratic", "translated-quartic"])
+def test_exhaustion_center_is_solved_once_per_polynomial(monkeypatch, phi):
+    # Newton runs on the first call only; every later call returns the same
+    # read-only arrays
+    calls = []
+    hessians = Polynomial.hessians
+    monkeypatch.setattr(Polynomial, "hessians",
+                        lambda self, pts: calls.append(len(pts)) or hessians(self, pts))
+    first = quadrature.exhaustion_center(phi)
+    steps = len(calls)
+    assert steps >= 1
+    for _ in range(3):
+        again = quadrature.exhaustion_center(phi)
+        assert len(calls) == steps
+        assert all(x is y for x, y in zip(again, first))
+    a, _, m = first
+    assert (m is None) == (phi.degree() > 2)
+    for arr in (a,) if m is None else (a, m):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        a[0] = 1.0
+
+
 def _positive_quadratic(n, entries, diagonal):
     """x^T M x with M = A A^T + diag(diagonal), A read row-major from entries."""
     d = 4 * n

@@ -1,9 +1,11 @@
 """Exact moments, radial rules, and the Sobol product/surface rules."""
 
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -403,8 +405,10 @@ def test_import_loads_no_scipy():
             "g = GridField.sample(normsq(1), [-0.5] * 4, 0.125, (9, 9, 9, 9)); "
             "assert mollify(g, 0.25).data.shape == (5, 5, 5, 5); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    # the child imports the qma this test imported
+    env = dict(os.environ, PYTHONPATH=str(Path(quadrature.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True)
+                          text=True, check=True, env=env)
     assert proc.stdout.strip() == "[]"
 
 
@@ -630,6 +634,52 @@ def test_star_shaped_rule_guards():
     # -|q|^2 - x0^4 = -0.25 crosses every ray, but the gradient points in
     with pytest.raises(DegenerateLevelSetError, match="not outward"):
         StarShapedRule(down, level=-0.25, sphere_pow=4)
+
+
+_SURFACE_KINDS = ["sphere", "ellipsoid", "star-shaped"]
+
+
+def _surface_rule(kind, sphere_pow):
+    """An n = 2 surface rule of each kind: a shifted sphere, a tilted
+    ellipsoid and the level set {|q|^2 + x0^4 = 1}."""
+    if kind == "sphere":
+        return SphereRule(2, 0.75, np.full(8, 0.25), sphere_pow=sphere_pow, seed=1)
+    if kind == "ellipsoid":
+        m = np.diag([1.0, 2.0, 4.0, 0.5, 1.5, 3.0, 0.75, 1.0])
+        return EllipsoidRule(m, np.zeros(8), 1.3, sphere_pow=sphere_pow, seed=3)
+    phi = normsq(2) + Polynomial.coordinate(2, 0) ** 4
+    return StarShapedRule(phi, 1.0, sphere_pow=sphere_pow, seed=2)
+
+
+@pytest.mark.parametrize("kind", _SURFACE_KINDS)
+def test_surface_rules_hand_their_integrand_node_blocks(kind):
+    # 2,048 nodes reach the integrand in blocks of at most _BLOCK_NODES, and
+    # the (value, error) is that of one call on the whole node set
+    rule = _surface_rule(kind, sphere_pow=11)
+    assert len(rule.points) == 2048
+    u = normsq(2) + Polynomial.coordinate(2, 0) ** 4
+    fn = lambda pts: ma_density(u, pts) * (1.0 + pts[:, 0])
+    sizes = []
+    got = rule.integrate(lambda pts: sizes.append(len(pts)) or fn(pts))
+    assert max(sizes) <= quadrature._BLOCK_NODES
+    assert sum(sizes) == len(rule.points)
+    assert got == halving_estimate(fn(rule.points), rule.weights)
+
+
+class _UncallableConstant(quadrature.Constant):
+    __slots__ = ()
+
+    def __call__(self, pts):
+        raise AssertionError("a Constant integrand is filled, not called")
+
+
+@pytest.mark.parametrize("kind", _SURFACE_KINDS)
+def test_a_constant_integrates_on_every_surface_rule_without_a_call(kind):
+    # the rule fills a Constant's nodes with its value instead of calling it
+    rule = _surface_rule(kind, sphere_pow=8)
+    val, err = rule.integrate(_UncallableConstant(2.5))
+    assert (val, err) == halving_estimate(np.full(len(rule.points), 2.5), rule.weights)
+    assert val == pytest.approx(2.5 * rule.weights.sum(), rel=1e-13)
 
 
 @pytest.mark.parametrize("n, sphere_pow, seed", [(1, 5, 0), (1, 9, 4), (2, 7, 3)])
