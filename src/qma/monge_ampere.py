@@ -118,11 +118,8 @@ def mixed_pfaffian(n, factors, mask=0):
     as a permutation, and sigma over the assignments of the factors to the
     pairs.  Passing one array several times (``[D] * n``) merges the
     assignments that only permute it, so the term count is
-    (2m-1)!! * m! / prod_i k_i!.  Returns a complex (N,) array.
-
-    The batch is evaluated whole, one gather and product per pair slot and
-    one dot with the coefficients; every quadrature rule bounds it by
-    ``quadrature._BLOCK_NODES`` nodes.
+    (2m-1)!! * m! / prod_i k_i!.  Returns a complex (N,) array, the batch
+    evaluated whole (every quadrature rule bounds N by ``_BLOCK_NODES``).
 
     Constant factors (every one a stride-0 broadcast along the points, as
     ``delta_matrices`` gives for a polynomial whose second partials are all

@@ -17,11 +17,10 @@ Three tiers, from exact to sampled:
    directions and weights.  Error estimates come from halving the direction
    set (prefixes of a Sobol sequence at powers of two are balanced again).
    ``block_values`` is where every rule, the ball and surface rules here
-   and the ray rule of ``potential``, splits its nodes into the
-   integrand's calls: blocks of at most ``_BLOCK_NODES`` nodes, each built
-   when it is evaluated; a ``Constant`` integrand (a density of fields
-   whose delta matrices are the same everywhere) fills every node with its
-   one value instead.  The density kernels bound no batch of their own.
+   and the ray rule of ``potential``, splits its nodes into the integrand's
+   calls: blocks of at most ``_BLOCK_NODES`` nodes, each built when it is
+   evaluated; a ``Constant`` integrand (a density of fields whose delta
+   matrices are the same everywhere) fills every node with its value.
 
 Everything is deterministic given the seed.
 
@@ -598,11 +597,10 @@ def sphere_rule(d, m_pow, seed, antithetic=False):
 class BallQuadrature:
     """Product rule (graded radial panels x Sobol directions) on a ball.
 
-    ``integrate(fn)`` evaluates fn on (N, 4n) node blocks of at most
-    ``_BLOCK_NODES`` nodes (``block_values``, as every rule does; a
-    ``Constant`` fn is filled, not called) and returns (value,
-    error_estimate); the estimate compares the full direction set against
-    its leading half.  Node k is radial node k // len(dirs) on direction
+    ``integrate(fn)`` evaluates fn, as every rule does, on (N, 4n) node
+    blocks of at most ``_BLOCK_NODES`` nodes (``block_values``) and returns
+    (value, error_estimate); the estimate compares the full direction set
+    against its leading half.  Node k is radial node k // len(dirs) on direction
     k % len(dirs), and a block's nodes are built when it is evaluated, so
     memory is bounded by the block, not the rule.  The value does not
     depend on the block size: the per-direction sums are one product over
@@ -692,10 +690,8 @@ def ellipsoid_map(m):
 
 class _SurfaceRule:
     """Level-set nodes ``points`` and area ``weights``; ``integrate(fn)``
-    is (value, error from the half set).  fn sees slices of ``points`` of
-    at most ``_BLOCK_NODES`` rows (``block_values``), and a ``Constant`` is
-    filled with its value; no node's value depends on its block, so the
-    result is that of one call on all the points."""
+    is (value, error from the half set), fn seeing ``points`` in the blocks
+    of ``block_values``."""
 
     def integrate(self, fn):
         vals = block_values(fn, len(self.points), lambda lo, hi: self.points[lo:hi])
