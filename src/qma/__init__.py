@@ -28,7 +28,7 @@ from .fields import (ScalarField, Polynomial, ClosedForm, BlackBox,
                      InvShift, normsq, quadform, invshift)
 from .calculus import (CxField, nabla, nabla_matrices, z_field,
                        delta_field, delta_matrix, delta_matrices, laplace,
-                       d_scalar, FormField, closedness_residual, real_rep,
+                       d_scalar, FormField, closedness_residual,
                        change_of_variables_check)
 from .monge_ampere import (ma_density, mixed_ma, psh_test, PshResult,
                            moore_equivalence_residual, fundamental_ma_density,

@@ -596,17 +596,6 @@ def closedness_residual(form, pts=None):
 # ---------------------------------------------------------------------------
 # change of variables
 
-def real_rep(a_matrix):
-    """The 4n x 4n real matrix of q -> A q acting on stacked components.
-
-    Each quaternion entry a contributes the left-multiplication block
-    [[a0,-a1,-a2,-a3],[a1,a0,-a3,a2],[a2,a3,a0,-a1],[a3,-a2,a1,a0]]
-    (``QMatrix.real_rep``, here in floats).
-    """
-    a_matrix = a_matrix if isinstance(a_matrix, QMatrix) else QMatrix(a_matrix)
-    return a_matrix.real_rep().astype(float)
-
-
 def change_of_variables_check(u_tilde, a_matrix, pts):
     """Residual of the delta-matrix transformation law under q -> A q.
 
@@ -616,8 +605,7 @@ def change_of_variables_check(u_tilde, a_matrix, pts):
     """
     a_matrix = a_matrix if isinstance(a_matrix, QMatrix) else QMatrix(a_matrix)
     tau_a = a_matrix.tau()
-    r = real_rep(a_matrix)
-    u = LinearSubstitution(u_tilde, r)
+    u = LinearSubstitution(u_tilde, a_matrix.real_rep().astype(float))
     pts = np.asarray(pts, dtype=float)
     lhs = delta_matrices(u, pts)
     rhs = np.einsum("pi,bij,jq->bpq", tau_a.T, delta_matrices(u_tilde, u._mapped(pts)),

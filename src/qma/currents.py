@@ -23,9 +23,13 @@ remaining indices over the assignments of the factors.  On top of that sit:
                        estimate (Lelong masses, CLN norms);
 * ``lelong_number``    the radial profile sigma(a, r)/r^(4p) and its
                        small-radius limit;
-* ``shell_identity_check``  the two-radius shell identity for the profile;
-* ``stokes_check`` / ``integration_by_parts_residual``  quadrature checks
-                       of the duality between d_alpha and wedging;
+* ``shell_identity_check``  the two-radius shell identity for the profile,
+                       both sides differences of ``sigma_mass`` at the two
+                       radii;
+* ``stokes_check`` / ``integration_by_parts_residual``  checks of the
+                       duality between d_alpha and wedging, integrated by
+                       one ball integral, ``_ball_integral`` (exact moments
+                       for Polynomial data, else ``BallQuadrature``);
 * ``convergence_suite``    pairings of decreasing potential sequences
                        against their limit;
 * ``mollify``          grid convolution with a compact smooth bump (n = 1),
@@ -43,12 +47,12 @@ import dataclasses
 
 from .errors import DimensionError
 from .exterior import beta, random_strongly_positive
-from .calculus import FormField, delta_matrices, hoisted, laplace
+from .calculus import CxField, FormField, delta_matrices, hoisted, laplace
 from .fields import GridField, InvShift, Polynomial, invshift, normsq
 from .hamilton import jmatrix
 from .monge_ampere import _to_real, mixed_pfaffian
 from .quadrature import (BallQuadrature, ball_moment_coefficient,
-                         gauss_legendre_panels, sphere_rule)
+                         integrate_polynomial_ball, sphere_rule)
 
 SUP_SAMPLES_RANGE = (64, 4096)   # sup-norm directions of cln_ratio
 
@@ -286,7 +290,10 @@ def shell_identity_check(current, a, r1, r2, sphere_pow=9, radial_nodes=24,
 
     The kernel power on the left carries delta matrices that scale like
     8/|q-a|^4 per factor, which is where the 8^p on the right comes from.
-    Returns |lhs - rhs|.
+    The left side is sigma_mass of T ^ (laplace K)^p over B(a, r2) minus
+    that over B(a, r1): the pole of K at a is integrable against T when
+    p < n, (laplace K)^n vanishes off it, and ``sigma_mass`` grades its
+    radial panels toward a.  Returns |lhs - rhs|.
     """
     n = current.n
     p = (2 * n - current.degree) // 2
@@ -296,29 +303,15 @@ def shell_identity_check(current, a, r1, r2, sphere_pow=9, radial_nodes=24,
     if r1 == r2:
         return 0.0
     kernel = invshift(n, 0.0, center=a)
-
     shell_current = RegularizedCurrent(n, current.potentials + (kernel,) * p,
                                        current.constant)
 
-    # product rule on the shell: geometric t-panels between the two radii
-    t_lo, t_hi = r1 ** 2, r2 ** 2
-    panels = 12
-    ratio = (t_hi / t_lo) ** (1.0 / panels)
-    breaks = [t_lo * ratio ** k for k in range(panels + 1)]
-    t, w = gauss_legendre_panels(breaks, radial_nodes)
-    dirs, weights = sphere_rule(4 * n, sphere_pow, seed, antithetic=True)
-    lhs = 0.0
-    for ti, wi in zip(t, w):
-        pts = a[None, :] + math.sqrt(ti) * dirs
-        dens = shell_current.trace_density(pts, pad=0)
-        lhs += wi * ti ** (2 * n - 1) * float(dens @ weights)
-    lhs *= 0.5
+    def mass(t, r):
+        return sigma_mass(t, a, r, sphere_pow=sphere_pow, radial_nodes=radial_nodes,
+                          seed=seed)[0]
 
-    s2, _ = sigma_mass(current, a, r2, sphere_pow=sphere_pow, radial_nodes=radial_nodes,
-                       seed=seed)
-    s1, _ = sigma_mass(current, a, r1, sphere_pow=sphere_pow, radial_nodes=radial_nodes,
-                       seed=seed)
-    rhs = (8.0 ** p) * (s2 / r2 ** (4 * p) - s1 / r1 ** (4 * p))
+    lhs = mass(shell_current, r2) - mass(shell_current, r1)
+    rhs = (8.0 ** p) * (mass(current, r2) / r2 ** (4 * p) - mass(current, r1) / r1 ** (4 * p))
     return abs(lhs - rhs)
 
 
@@ -354,28 +347,26 @@ def stokes_check(h, tform, radius=1.0, center=None, sphere_pow=9,
         lhs_form = hf.wedge(tform.d(alpha))
         rhs_form = hf.d(alpha).wedge(tform)
         total = lhs_form + rhs_form  # = d_alpha(h T), integrates to 0
-        full = (1 << (2 * n)) - 1
-        coeff = total.coeffs.get(full)
-        if coeff is None:
-            continue
-        if coeff.is_exact():
-            val_re = _exact_ball_integral(coeff.re, radius, center)
-            val_im = _exact_ball_integral(coeff.im, radius, center)
-            worst = max(worst, math.hypot(val_re, val_im))
-        else:
-            quad = BallQuadrature(n, radius, center=center, sphere_pow=sphere_pow,
-                                  radial_nodes=radial_nodes, seed=seed)
-            vr, _ = quad.integrate(lambda pts: coeff.re.values(pts))
-            vi, _ = quad.integrate(lambda pts: coeff.im.values(pts))
-            worst = max(worst, math.hypot(vr, vi))
+        coeff = total.coeffs.get((1 << (2 * n)) - 1)
+        if coeff is not None:
+            val = _ball_integral(coeff, radius, center, sphere_pow, radial_nodes, seed)
+            worst = max(worst, math.hypot(val.real, val.imag))
     return worst
 
 
-def _exact_ball_integral(poly, radius, center):
-    from .quadrature import integrate_polynomial_ball
-    r = Fraction(radius).limit_denominator(10 ** 12)
-    c = None if center is None else [Fraction(x).limit_denominator(10 ** 12) for x in center]
-    return float(integrate_polynomial_ball(poly, r, c)) * math.pi ** (2 * poly.n)
+def _ball_integral(f, radius, center, sphere_pow, radial_nodes, seed):
+    """Integral of the CxField f over B(center, radius), a complex number:
+    exact ball moments when both parts are Polynomials, else one
+    BallQuadrature for both parts."""
+    if f.is_exact():
+        r = Fraction(radius).limit_denominator(10 ** 12)
+        c = None if center is None else [Fraction(x).limit_denominator(10 ** 12) for x in center]
+        scale = math.pi ** (2 * f.n)
+        return complex(float(integrate_polynomial_ball(f.re, r, c)) * scale,
+                       float(integrate_polynomial_ball(f.im, r, c)) * scale)
+    quad = BallQuadrature(f.n, radius, center=center, sphere_pow=sphere_pow,
+                          radial_nodes=radial_nodes, seed=seed)
+    return complex(quad.integrate(f.re.values)[0], quad.integrate(f.im.values)[0])
 
 
 def integration_by_parts_residual(fields, radius=1.0, sphere_pow=9,
@@ -402,19 +393,12 @@ def integration_by_parts_residual(fields, radius=1.0, sphere_pow=9,
     u1 = fields[0]
 
     full = (1 << (2 * n)) - 1
-    top_l = t_lhs.form().coeffs.get(full)
-    top_r = t_rhs.form().coeffs.get(full)
-    exact = (isinstance(u1, Polynomial)
-             and (top_l is None or top_l.is_exact())
-             and (top_r is None or top_r.is_exact()))
-    if exact:
-        def integral(coeff, weight):
-            if coeff is None:
-                return 0.0
-            vr = _exact_ball_integral(coeff.re * weight, radius, None)
-            vi = _exact_ball_integral(coeff.im * weight, radius, None)
-            return complex(vr, vi)
-        return abs(integral(top_l, b) - integral(top_r, u1))
+    zero = CxField(Polynomial(n))
+    top_l = t_lhs.form().coeffs.get(full, zero)
+    top_r = t_rhs.form().coeffs.get(full, zero)
+    if isinstance(u1, Polynomial) and top_l.is_exact() and top_r.is_exact():
+        return abs(_ball_integral(top_l * b, radius, None, sphere_pow, radial_nodes, seed)
+                   - _ball_integral(top_r * u1, radius, None, sphere_pow, radial_nodes, seed))
 
     quad = BallQuadrature(n, radius, sphere_pow=sphere_pow,
                           radial_nodes=radial_nodes, seed=seed)

@@ -163,9 +163,10 @@ def _sublevel_integrals(phi, levels, fn, sphere_pow, radial_nodes, seed):
     level t <= phi(a) gives (0.0, 0.0).  A quadratic phi = (x - a)^T M
     (x - a) + phi(a) takes one BallQuadrature per level: around a, of radius
     sqrt((t - phi(a)) / m), when M = m I, and else of radius
-    sqrt(t - phi(a)), fn pulled back through y -> a + B y and the result
-    times det B.  Any other phi takes the ray rule from a: one ``_ray_radii``
-    solve for all levels, then the panel sums level by level."""
+    sqrt(t - phi(a)), fn pulled back through y -> a + B y (a Constant
+    kept as it is) and the result times det B.  Any other phi takes the ray
+    rule from a: one ``_ray_radii`` solve for all levels, then the panel
+    sums level by level."""
     a, t_min, m = exhaustion_center(phi)
     out = [(0.0, 0.0)] * len(levels)
     solved = [k for k, t in enumerate(levels) if not t_min >= t]
@@ -182,10 +183,13 @@ def _sublevel_integrals(phi, levels, fn, sphere_pow, radial_nodes, seed):
         scale, center, integrand, det_b = m[0, 0], a, fn, 1.0
     else:
         b, _, det_b = ellipsoid_map(m)
-        # a plain einsum, as LinearSubstitution maps its points: no
-        # node's image depends on the rest of its block
+        # a Constant passes through as it is, for block_values to fill;
+        # any other fn sees its nodes mapped by a plain einsum, as
+        # LinearSubstitution maps its points: no node's image depends on
+        # the rest of its block
         scale, center = 1.0, None
-        integrand = lambda y: fn(np.einsum("ij,bj->bi", b, y) + a)
+        integrand = fn if isinstance(fn, Constant) else (
+            lambda y: fn(np.einsum("ij,bj->bi", b, y) + a))
     for k in solved:
         val, err = BallQuadrature(phi.n, math.sqrt((levels[k] - t_min) / scale),
                                   center=center, sphere_pow=sphere_pow,

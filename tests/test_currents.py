@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from qma.calculus import d_scalar
+from qma import quadrature
+from qma.calculus import CxField, d_scalar
 from qma.errors import DimensionError
 from qma.exterior import ExtElement, beta, indices_to_mask
-from qma.fields import GridField, Polynomial, invshift, normsq, quadform
+from qma.fields import GridField, LinearSubstitution, Polynomial, invshift, normsq, quadform
 from qma.hamilton import QMatrix, Quaternion
 from qma.monge_ampere import fundamental_mass_exact, ma_density
 from qma.currents import (
     RadialProfile,
+    _ball_integral,
     RegularizedCurrent,
     bt_product,
     bump_field,
@@ -237,6 +239,40 @@ def test_shell_identity_two_radii():
         shell_identity_check(t, np.zeros(8), 1.0, 0.5)
 
 
+@pytest.mark.parametrize("current, sphere_pow, radial_nodes, bound", [
+    # a radial current: both sides exact up to rounding (scale 200)
+    (RegularizedCurrent.from_laplace(invshift(2, 0.3)), 7, 16, 1e-12),
+    # the unit current, p = n: (laplace K)^2 vanishes off the pole, and
+    # both sides are 0 (scale 520)
+    (_unit(2), 7, 16, 1e-13),
+    # a current that is not radial: the residual is the angular error of
+    # the direction set (scale 524)
+    (RegularizedCurrent.from_laplace(normsq(2) + Polynomial.coordinate(2, 0) ** 4),
+     9, 24, 0.013),
+], ids=["invshift", "unit", "quartic"])
+def test_shell_identity_on_more_currents(current, sphere_pow, radial_nodes, bound):
+    resid = shell_identity_check(current, np.zeros(8), 0.5, 1.0, sphere_pow=sphere_pow,
+                                 radial_nodes=radial_nodes)
+    assert resid < bound
+
+
+def test_shell_identity_hands_the_density_node_blocks(monkeypatch):
+    # both sides are sigma_mass calls, so the density sees at most
+    # _BLOCK_NODES rows at a time, not a whole direction set per radial node
+    rows = []
+    density = RegularizedCurrent.trace_density
+
+    def recording(self, pts, pad=None):
+        rows.append(len(pts))
+        return density(self, pts, pad)
+
+    monkeypatch.setattr(RegularizedCurrent, "trace_density", recording)
+    t = RegularizedCurrent.from_laplace(normsq(2))
+    resid = shell_identity_check(t, np.zeros(8), 0.5, 1.0, sphere_pow=11, radial_nodes=2)
+    assert max(rows) == quadrature._BLOCK_NODES
+    assert resid < 1e-8 * 16 * PI4 / 3 * (1 - 0.5**4)
+
+
 # ---------------------------------------------------------------------------
 # Stokes-type checks
 
@@ -263,6 +299,27 @@ def test_stokes_check_numeric_fallback():
     h = bump_field(1)
     t = d_scalar(invshift(1, 0.5), 1)
     assert stokes_check(h, t, sphere_pow=9) < 5e-3
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_ball_integral_lanes_agree(n):
+    # a radial polynomial about the center plus odd ones: the product rule
+    # integrates both exactly (Gauss-Legendre in t, antithetic directions),
+    # so the quadrature lane, reached through fields that are not
+    # Polynomials, gives the exact lane's value
+    d = 4 * n
+    center = [0.25, -0.5] + [0.0] * (d - 3) + [0.125]
+    x = [Polynomial.coordinate(n, i) for i in range(d)]
+    q = normsq(n)
+    shift = [-c for c in center]
+    re = quadrature.translate_polynomial(q * q + q * 3 + x[0] ** 3 + x[0] * x[1] * x[2], shift)
+    im = quadrature.translate_polynomial(q * 2 - x[1] ** 5, shift)
+    exact = _ball_integral(CxField(re, im), 0.75, center, 7, 12, 0)
+    eye = np.eye(d)
+    wrapped = CxField(LinearSubstitution(re, eye), LinearSubstitution(im, eye))
+    quad = _ball_integral(wrapped, 0.75, center, 7, 12, 0)
+    assert exact.real > 0 and exact.imag > 0
+    assert abs(quad - exact) <= 1e-12 * abs(exact)
 
 
 def test_stokes_check_degree_guard():

@@ -435,6 +435,19 @@ def test_sublevel_integral_maps_a_tilted_quadform_onto_the_ball():
     assert got == pytest.approx(want, rel=1e-3)
 
 
+class _UncallableConstant(quadrature.Constant):
+    def __call__(self, pts):
+        raise AssertionError("a Constant integrand is filled, not called")
+
+
+def test_a_constant_passes_through_the_ellipsoid_pullback():
+    # y -> a + B y does not wrap a Constant, so block_values still fills it
+    phi = quadform(_TILTED[2])
+    got = sublevel_integral(phi, 1.0, _UncallableConstant(1.5))
+    assert got == sublevel_integral(phi, 1.0, lambda pts: np.full(len(pts), 1.5))
+    assert got[0] == pytest.approx(1.5 * PI4 / 24 / 25, rel=1e-13)
+
+
 @pytest.mark.parametrize("geometry,sphere_pow", [(_radial_quartic, 5),
                                                  (_shifted_quartic, 5),
                                                  (_shifted_quartic, 6)])
