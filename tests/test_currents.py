@@ -16,8 +16,8 @@ from qma.hamilton import QMatrix, Quaternion
 from qma.monge_ampere import fundamental_mass_exact, ma_density
 from qma.currents import (
     RadialProfile,
-    _ball_integral,
     RegularizedCurrent,
+    _ball_integral,
     bt_product,
     bump_field,
     cln_ratio,
