@@ -23,8 +23,8 @@ boundary     boundary-measure mass identity and density floor
              [params] r (required); [tolerances] boundary, positivity
 cln          mass-over-sup-norm ratios on nested balls
              [fields] any names, at least one; [quadrature] sphere_pow,
-             radial_nodes, sup_samples; [params] inner_radius, outer_radius,
-             trials; [tolerances] cln
+             radial_nodes; [params] inner_radius, outer_radius, trials;
+             [tolerances] cln
 
 Each run reads one config file, evaluates every tolerance it declares, and
 writes ``<command>.csv`` / ``<command>.json`` into the output directory
@@ -42,15 +42,14 @@ read, negative tolerances, ``[quadrature]`` counts below 1 (below 32 for
 ``fundamental``'s ``radial_nodes``, below 2 for ``jensen``'s
 ``sphere_pow``), a ``sphere_pow`` above 29 for ``jensen`` and ``boundary``
 (their surface rule runs at ``sphere_pow + 1``) or above 30 for ``lelong``
-and ``cln`` (no rule draws more than 2^30 directions), a ``cln``
-``sup_samples`` outside [64, 4096], a negative
+and ``cln`` (no rule draws more than 2^30 directions), a negative
 ``trials``, for ``ma`` and ``fundamental`` a ball radius ``r <= 0``, a
 ``lelong`` ``center`` without 4n components, ``lelong`` ``radii`` with fewer
-than two distinct values or a value ``<= 0``, a ``fundamental`` ``eps <= 0``
-and a ``cln`` ``inner_radius`` above its ``outer_radius`` are rejected with
-the offending line number (``jensen`` and ``boundary`` read ``r`` as a
-level, which may be negative).  Unset ``[quadrature]`` keys take the
-library's defaults.
+than two distinct values or a value ``<= 0``, a ``fundamental`` ``eps <= 0``,
+a ``cln`` ``inner_radius <= 0`` and a ``cln`` ``inner_radius`` above its
+``outer_radius`` are rejected with the offending line number (``jensen``
+and ``boundary`` read ``r`` as a level, which may be negative).  Unset
+``[quadrature]`` keys take the library's defaults.
 
 Field expressions
 -----------------
@@ -84,7 +83,7 @@ from pathlib import Path
 import numpy as np
 
 from .calculus import closedness_residual, delta_matrix, laplace, nabla, z_field
-from .currents import SUP_SAMPLES_RANGE, RegularizedCurrent, cln_ratio, lelong_number
+from .currents import RegularizedCurrent, cln_ratio, lelong_number
 from .errors import ConfigError, NumericalInconsistencyError, QmaError
 from .exterior import beta, positivity_test, random_strongly_positive, top_coefficient
 from .fields import Polynomial, ScalarField, invshift, normsq, quadform
@@ -93,7 +92,7 @@ from .hamilton import (QMatrix, Quaternion, _tau_blocks, jmatrix, moore_det,
 from .monge_ampere import (fundamental_mass_exact, fundamental_mass_limit_coefficient,
                            ma_density, mixed_ma, moore_equivalence_residual, psh_test)
 from .potential import boundary_mass_residual, boundary_measure_density, lelong_jensen
-from .quadrature import _SOBOL_BITS, StarShapedRule, radial_ball_integral
+from .quadrature import _SOBOL_BITS, StarShapedRule, ball_points, radial_ball_integral
 
 SCHEMA_VERSION = 2
 
@@ -101,8 +100,7 @@ _REQUIRED = object()  # a [params] value a command cannot run without
 
 # typed key tables; every config key must appear here (or be a field name)
 _RUN_KEYS = {"command": "str", "n": "int", "seed": "int"}
-_QUAD_KEYS = {"sphere_pow": "int", "radial_nodes": "int", "t_nodes": "int",
-              "sup_samples": "int"}
+_QUAD_KEYS = {"sphere_pow": "int", "radial_nodes": "int", "t_nodes": "int"}
 _PARAM_KEYS = {"r": "float", "radii": "floats", "eps": "floats", "center": "floats",
                "inner_radius": "float", "outer_radius": "float", "trials": "int"}
 _TOL_KEYS = {"identity": "float", "moore": "float", "mass": "float",
@@ -273,10 +271,6 @@ def _check_values(command, n, params, quadrature, lines):
             raise ConfigError(f"line {lines['sphere_pow']}: {command} needs 'sphere_pow' "
                               f"at most {high} (at most 2**{_SOBOL_BITS} directions per "
                               f"rule), got {quadrature['sphere_pow']}")
-    low, high = SUP_SAMPLES_RANGE
-    if command == "cln" and not low <= quadrature.get("sup_samples", low) <= high:
-        raise ConfigError(f"line {lines['sup_samples']}: 'sup_samples' must lie in "
-                          f"[{low}, {high}], got {quadrature['sup_samples']}")
     # ma and fundamental read r as a ball radius, jensen and boundary as a level
     if command in ("ma", "fundamental") and params.get("r", 1) <= 0:
         raise ConfigError(f"line {lines['r']}: ball radius must be positive, "
@@ -302,6 +296,9 @@ def _check_values(command, n, params, quadrature, lines):
                                   f"positive eps values, got {eps!r}")
     if command == "cln":
         radii = {**_COMMANDS["cln"].params, **params}
+        if radii["inner_radius"] <= 0:
+            raise ConfigError(f"line {lines['inner_radius']}: inner ball radius must "
+                              f"be positive, got {radii['inner_radius']!r}")
         if radii["inner_radius"] > radii["outer_radius"]:
             key = "inner_radius" if "inner_radius" in params else "outer_radius"
             raise ConfigError(f"line {lines[key]}: inner_radius "
@@ -586,14 +583,6 @@ def _parsed_fields(cfg):
     return out
 
 
-def _ball_points(n, r, count, seed):
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((count, 4 * n))
-    dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
-    radii = r * rng.random((count, 1)) ** (1.0 / (4 * n))
-    return dirs * radii
-
-
 def _psd_quadratic(a, n):
     """Shift a hyperhermitian quadratic form until it is plurisubharmonic."""
     u = quadform(a)
@@ -684,7 +673,7 @@ def _cmd_verify(cfg, params, tol):
 
     shift = QMatrix.identity(n) * 4
     quad = quadform(random_hyperhermitian(rng, n, exact=True) + shift)
-    ball = _ball_points(n, 1.0, 16, cfg.seed + 1)
+    _, ball = ball_points(n, 1.0, 16, cfg.seed + 1)
     check("moore-matching-equivalence", moore_equivalence_residual(quad, ball),
           tol_moore)
 
@@ -711,7 +700,7 @@ def _cmd_verify(cfg, params, tol):
 def _cmd_ma(cfg, params, tol):
     n, r, tol_moore = cfg.n, params["r"], tol["moore"]
     fields = _parsed_fields(cfg)
-    pts = _ball_points(n, r, 32, cfg.seed)
+    _, pts = ball_points(n, r, 32, cfg.seed)
 
     rows = []
     psh_flags = {}
@@ -892,7 +881,7 @@ _COMMANDS = {
                          params={"r": _REQUIRED},
                          tolerances={"boundary": 1e-3, "positivity": 1e-9}),
     "cln": _Command(_cmd_cln, ("case", "ratio", "bound", "status"), fields=None,
-                    quadrature=dict.fromkeys(("sphere_pow", "radial_nodes", "sup_samples")),
+                    quadrature=dict.fromkeys(("sphere_pow", "radial_nodes")),
                     params={"inner_radius": 0.5, "outer_radius": 1.0, "trials": 0},
                     tolerances={"cln": 1e12}),
 }

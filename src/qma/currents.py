@@ -51,10 +51,8 @@ from .calculus import CxField, FormField, delta_matrices, hoisted, laplace
 from .fields import GridField, InvShift, Polynomial, invshift, normsq
 from .hamilton import jmatrix
 from .monge_ampere import _to_real, mixed_pfaffian
-from .quadrature import (BallQuadrature, ball_moment_coefficient,
-                         integrate_polynomial_ball, sphere_rule)
-
-SUP_SAMPLES_RANGE = (64, 4096)   # sup-norm directions of cln_ratio
+from .quadrature import (BallQuadrature, ball_moment_coefficient, ball_points,
+                         integrate_polynomial_ball)
 
 
 def wedge_top_density(n, constant_coeffs, dmats):
@@ -190,30 +188,25 @@ def sigma_mass(current, a, r, sphere_pow=8, radial_nodes=16, seed=0):
                                   lambda pts: current.trace_density(pts, pad=p)))
 
 
-def cln_ratio(fields, inner_radius, outer_radius, sup_samples=4096, seed=0, **quad_opts):
+def cln_ratio(fields, inner_radius, outer_radius, seed=0, **quad_opts):
     """|| laplace(u_1)^...^laplace(u_k) ||_L  /  prod_i sup_K |u_i|.
 
-    L = B(0, inner_radius) inside K = B(0, outer_radius); the sup
-    norms are sampled on quasi-random nodes of K (reported bound, not a
-    certified maximum) along sup_samples directions, rounded up to a power
-    of two; a sup_samples outside ``SUP_SAMPLES_RANGE`` raises ValueError.
+    L = B(0, inner_radius) inside K = B(0, outer_radius); the sup norms are
+    sampled (a reported bound, not a certified maximum) at the origin and
+    along the 4,096 directions of ``ball_points(n, outer_radius, 4096,
+    seed + 1)``, on the sphere of K and at that draw's uniform points in K.
     """
     fields = list(fields)
     if not fields:
         raise ValueError("need at least one potential")
-    low, high = SUP_SAMPLES_RANGE
-    if not low <= sup_samples <= high:
-        raise ValueError(f"sup_samples must lie in [{low}, {high}], got {sup_samples!r}")
     n = fields[0].n
     if inner_radius > outer_radius:
         raise ValueError("inner ball must sit inside the outer ball")
     origin = np.zeros(4 * n)
     t = RegularizedCurrent(n, fields)
     norm, _ = sigma_mass(t, origin, inner_radius, seed=seed, **quad_opts)
-    dirs, _ = sphere_rule(4 * n, math.ceil(math.log2(sup_samples)), seed + 1)
-    rng = np.random.default_rng(seed + 2)
-    radii = outer_radius * rng.random(size=(len(dirs), 1)) ** (1.0 / (4 * n))
-    block = np.concatenate([dirs * outer_radius, dirs * radii, origin[None, :]], axis=0)
+    dirs, inside = ball_points(n, outer_radius, 4096, seed + 1)
+    block = np.concatenate([dirs * outer_radius, inside, origin[None, :]], axis=0)
     sups = []
     for u in fields:
         with np.errstate(divide="ignore", invalid="ignore"):  # checked below
@@ -508,10 +501,7 @@ def convergence_suite(sequences, limits, radius=1.0, sphere_pow=8,
     if any(len(s) != steps for s in sequences):
         raise ValueError("sequences have unequal lengths")
     n = limits[0].n
-    rng = np.random.default_rng(seed)
-    sample = rng.normal(size=(64, 4 * n))
-    sample *= (radius * 0.9) / np.linalg.norm(sample, axis=1)[:, None]
-    sample *= rng.random(size=(64, 1)) ** (1.0 / (4 * n))
+    _, sample = ball_points(n, 0.9 * radius, 64, seed)
     for seq in sequences:
         prev = None
         for u in seq:

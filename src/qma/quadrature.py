@@ -14,8 +14,10 @@ Three tiers, from exact to sampled:
    rules for spheres, ellipsoids (exact level sets of quadratic forms) and
    star-shaped level sets of general fields.  ``sphere_rule`` is the one
    place any rule, here, in ``potential`` or in ``currents``, chooses its
-   directions and weights.  Error estimates come from halving the direction
-   set (prefixes of a Sobol sequence at powers of two are balanced again).
+   directions and weights, and ``ball_points`` the one pseudo-random draw
+   of unweighted points in a ball (sampled checks and sup norms).  Error
+   estimates come from halving the direction set (prefixes of a Sobol
+   sequence at powers of two are balanced again).
    ``block_values`` is where every rule, the ball and surface rules here
    and the ray rule of ``potential``, splits its nodes into the integrand's
    calls: blocks of at most ``_BLOCK_NODES`` nodes, each built when it is
@@ -592,6 +594,18 @@ def sphere_rule(d, m_pow, seed, antithetic=False):
     weights = np.full(len(dirs), sphere_area(d // 4) / len(dirs))
     weights.flags.writeable = False
     return dirs, weights
+
+
+def ball_points(n, r, count, seed):
+    """(dirs, points): count Gaussian directions on S^(4n-1) and, along
+    them, points uniform in the closed ball B(0, r), both drawn from
+    ``np.random.default_rng(seed)``.  The one draw of evaluation points that
+    carry no weights (sampled checks, sup norms); integrals use
+    ``sphere_rule``."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((count, 4 * n))
+    dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
+    return dirs, dirs * (r * rng.random((count, 1)) ** (1.0 / (4 * n)))
 
 
 class BallQuadrature:

@@ -155,16 +155,13 @@ def test_parse_config_full_round_trip():
      "line 5: 'radial_nodes' must be at least 1"),
     ("[run]\ncommand = jensen\n[quadrature]\nt_nodes = -1\n",
      "line 4: 't_nodes' must be at least 1"),
-    ("[run]\ncommand = cln\n[quadrature]\nsup_samples = -5\n",
-     "line 4: 'sup_samples' must be at least 1"),
     # the layered term runs at sphere_pow - 1: one direction, no error estimate
     ("[run]\ncommand = jensen\n[quadrature]\nsphere_pow = 1\n",
      "line 4: jensen needs 'sphere_pow' at least 2, got 1"),
-    # cln_ratio used to clamp these to 64 and 4096 directions
-    ("[run]\ncommand = cln\n[quadrature]\nsup_samples = 1\n",
-     "line 4: 'sup_samples' must lie in \\[64, 4096\\], got 1"),
-    ("[run]\ncommand = cln\n[quadrature]\nsup_samples = 100000\n",
-     "line 4: 'sup_samples' must lie in \\[64, 4096\\], got 100000"),
+    # cln takes its sup norms along a fixed draw; the key that once sized it
+    # (and evaluated 2 * 128 + 1 points for a setting of 100) is unknown now
+    ("[run]\ncommand = cln\n[quadrature]\nsup_samples = 100\n",
+     "line 4: unknown key 'sup_samples' in \\[quadrature\\]"),
     # jensen's surface rule runs at sphere_pow + 1 and no rule draws more
     # than 2**30 directions; both used to fail in the rule, naming no line
     ("[run]\ncommand = jensen\n[quadrature]\nsphere_pow = 30\n",
@@ -175,6 +172,11 @@ def test_parse_config_full_round_trip():
      "per rule\\), got 31"),
     ("[run]\ncommand = cln\n[params]\ntrials = -4\n",
      "line 4: 'trials' must not be negative"),
+    # an empty inner ball
+    ("[run]\ncommand = cln\n[params]\ninner_radius = 0\n",
+     "line 4: inner ball radius must be positive, got 0.0"),
+    ("[run]\ncommand = cln\n[params]\nouter_radius = 2\ninner_radius = -1\n",
+     "line 5: inner ball radius must be positive, got -1.0"),
     ("[run]\ncommand = verify\n[output]\nformat = yaml\n", "csv, json or both"),
     ("[run]\ncommand = verify\n[fields]\nnormsq = x0\n", "reserved"),
     ("[run]\ncommand = verify\n[fields]\nx3 = x0\n", "reserved"),
@@ -212,14 +214,14 @@ _READ_KEYS = {
                "params": ("r",), "tolerances": ("jensen", "jensen_layered")},
     "boundary": {"fields": ("phi",), "quadrature": ("sphere_pow", "radial_nodes"),
                  "params": ("r",), "tolerances": ("boundary", "positivity")},
-    "cln": {"fields": None, "quadrature": ("sphere_pow", "radial_nodes", "sup_samples"),
+    "cln": {"fields": None, "quadrature": ("sphere_pow", "radial_nodes"),
             "params": ("inner_radius", "outer_radius", "trials"),
             "tolerances": ("cln",)},
 }
 _KEY_VALUES = {
     "fields": dict.fromkeys(("u", "w", "phi", "v"), "normsq()"),
     "quadrature": {**dict.fromkeys(("radial_nodes", "t_nodes"), "40"),
-                   "sphere_pow": "8", "sup_samples": "64"},
+                   "sphere_pow": "8"},
     "params": {"r": "0.5", "radii": "0.5, 1.0", "eps": "0.1", "center": "0, 0, 0, 0",
                "inner_radius": "0.5", "outer_radius": "1.0", "trials": "1"},
     "tolerances": dict.fromkeys(("identity", "moore", "mass", "jensen",
@@ -680,9 +682,6 @@ def test_cmd_cln(tmp_path):
 
         [params]
         trials = 2
-
-        [quadrature]
-        sup_samples = 1024
         """)
     assert _run("cln", cfg, tmp_path / "out") == 0
     report = json.loads((tmp_path / "out" / "cln.json").read_text())
@@ -850,8 +849,12 @@ def test_exit_1_on_negative_ball_radius(tmp_path, capsys, command, fields, param
      "line 9: fundamental needs strictly positive eps values, got -0.1"),
     ("cln", "u = normsq()", "inner_radius = 2.0",
      "line 9: inner_radius 2.0 must not exceed outer_radius 1.0"),
+    # used to fail in the ball rule with "ball radius must be positive, got
+    # 0.0", naming no line
+    ("cln", "u = normsq()", "inner_radius = 0",
+     "line 9: inner ball radius must be positive, got 0.0"),
 ], ids=["lelong-center", "lelong-one-radius", "lelong-repeated-radius",
-        "lelong-radius-sign", "fundamental-eps", "cln-radii"])
+        "lelong-radius-sign", "fundamental-eps", "cln-radii", "cln-inner-radius"])
 def test_exit_1_on_param_value_names_its_line(tmp_path, capsys, command, fields, params,
                                               message):
     # checked while parsing, before any field is parsed or evaluated

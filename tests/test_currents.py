@@ -168,10 +168,21 @@ def test_cln_ratio_guards():
     # the sup-norm sample includes the center, where -1/|q|^2 has its pole
     with pytest.raises(ValueError, match="not finite"):
         cln_ratio([invshift(1)], 0.5, 1.0)
-    # refused, not clamped to 64 or 4096 directions
-    for samples in (1, 63, 4097, 100000):
-        with pytest.raises(ValueError, match="sup_samples must lie in \\[64, 4096\\]"):
-            cln_ratio([normsq(1)], 0.5, 1.0, sup_samples=samples)
+
+
+def test_cln_ratio_draws_no_sobol_set_beyond_its_ball_rule(monkeypatch):
+    # the sup norms are a max over ball_points; only sigma_mass's antithetic
+    # ball rule (sphere_pow directions, built on a half set) asks for Sobol
+    asked = []
+    real = quadrature.sobol_sphere
+
+    def recording(d, m_pow, *args):
+        asked.append(m_pow)
+        return real(d, m_pow, *args)
+
+    monkeypatch.setattr(quadrature, "sobol_sphere", recording)
+    cln_ratio([normsq(2)], 0.5, 1.0, sphere_pow=5, seed=3)
+    assert asked and set(asked) <= {5, 4}
 
 
 # ---------------------------------------------------------------------------

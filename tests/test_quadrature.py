@@ -27,6 +27,7 @@ from qma.quadrature import (
     SphereRule,
     StarShapedRule,
     ball_moment_coefficient,
+    ball_points,
     brentq,
     gauss_legendre_panels,
     graded_breaks,
@@ -236,6 +237,22 @@ def test_sphere_rule_weights_sum_to_the_sphere_area(d, m_pow, seed, antithetic):
     assert not dirs.flags.writeable and not weights.flags.writeable
     area = sphere_area(d // 4)
     assert abs(weights.sum() - area) <= 1e-15 * area
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ball_points_lie_in_the_closed_ball_along_unit_directions(n):
+    r = 0.75
+    dirs, pts = ball_points(n, r, 4096, 11)
+    assert dirs.shape == pts.shape == (4096, 4 * n)
+    assert np.abs(np.linalg.norm(dirs, axis=1) - 1.0).max() <= 1e-15
+    assert np.linalg.norm(pts, axis=1).max() <= r
+    # each point lies on its own direction
+    assert np.allclose(pts, dirs * np.linalg.norm(pts, axis=1)[:, None], rtol=0, atol=1e-15)
+    # uniform in volume: the fraction inside B(r/2) is 2^(-4n)
+    inside = np.mean(np.linalg.norm(pts, axis=1) < r / 2)
+    assert abs(inside - 0.5 ** (4 * n)) <= 4 * math.sqrt(0.5 ** (4 * n) / 4096)
+    again = ball_points(n, r, 4096, 11)
+    assert np.array_equal(again[0], dirs) and np.array_equal(again[1], pts)
 
 
 def test_sphere_rule_refuses_a_single_direction():
