@@ -158,8 +158,7 @@ def test_parse_config_full_round_trip():
     # the layered term runs at sphere_pow - 1: one direction, no error estimate
     ("[run]\ncommand = jensen\n[quadrature]\nsphere_pow = 1\n",
      "line 4: jensen needs 'sphere_pow' at least 2, got 1"),
-    # cln takes its sup norms along a fixed draw; the key that once sized it
-    # (and evaluated 2 * 128 + 1 points for a setting of 100) is unknown now
+    # cln takes its sup norms along a fixed draw, which no key sizes
     ("[run]\ncommand = cln\n[quadrature]\nsup_samples = 100\n",
      "line 4: unknown key 'sup_samples' in \\[quadrature\\]"),
     # jensen's surface rule runs at sphere_pow + 1 and no rule draws more
