@@ -765,7 +765,8 @@ def _cmd_lelong(cfg, params, tol):
              "status": "fail" if k in bad else "pass"} for k, (r, v, e)
             in enumerate(zip(profile.radii, profile.values, profile.errors))]
     summary = {"nu": nu, "center": list(map(float, center)),
-               "monotone_violations": sorted(bad)}
+               "monotone_violations": sorted(bad),
+               "rule": "radial" if current.radial_about(center) else "ball"}
     return rows, summary
 
 

@@ -20,7 +20,8 @@ remaining indices over the assignments of the factors.  On top of that sit:
 
 * ``bt_product``       wedge with another laplacian (degree +2);
 * ``sigma_mass``       integral of T ^ beta^p over a ball, with an error
-                       estimate (Lelong masses, CLN norms);
+                       estimate (Lelong masses, CLN norms); on one ray when
+                       the density is radial about the ball's center;
 * ``lelong_number``    the radial profile sigma(a, r)/r^(4p) and its
                        small-radius limit;
 * ``shell_identity_check``  the two-radius shell identity for the profile,
@@ -52,7 +53,7 @@ from .fields import GridField, InvShift, Polynomial, invshift, normsq
 from .hamilton import jmatrix
 from .monge_ampere import _to_real, mixed_pfaffian
 from .quadrature import (BallQuadrature, ball_moment_coefficient, ball_points,
-                         integrate_polynomial_ball)
+                         integrate_polynomial_ball, radial_ball_integral)
 
 
 def wedge_top_density(n, constant_coeffs, dmats):
@@ -117,6 +118,16 @@ class RegularizedCurrent:
             raise DimensionError("no two-form factors to expand")
         return mats
 
+    def radial_about(self, a):
+        """True when the density of T ^ beta^p depends only on |q - a| by
+        structure: at least one potential, every one an ``InvShift``
+        centered at a, and no constant factor.  ``sigma_mass`` then
+        integrates it on one ray."""
+        a = np.asarray(a, dtype=float)
+        return (self.constant is None and bool(self.potentials)
+                and all(isinstance(u, InvShift) and np.array_equal(u.center, a)
+                        for u in self.potentials))
+
     def trace_density(self, pts, pad=None):
         """Density of T ^ beta^pad (default: pad up to top degree)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -163,14 +174,19 @@ def bt_product(u, current):
 def sigma_mass(current, a, r, sphere_pow=8, radial_nodes=16, seed=0):
     """Lelong mass sigma_T(a, r) = integral of T ^ beta^p over B(a, r).
 
-    Returns (value, error), the error ``BallQuadrature``'s estimate from
-    halving its direction set.  A current with no potentials
-    short-circuits to the exact ball volume formula.  The density goes
-    through ``calculus.hoisted``: a constant when every potential has a
-    constant delta matrix, evaluated once on one row.  The ball rule's
-    radial panels are refined toward the center
-    at the smallest eps of the InvShift potentials (1e-6 for eps = 0), the
-    scale where their densities peak.
+    Returns (value, error).  A current with no potentials short-circuits
+    to the exact ball volume formula.  A current radial about a
+    (``RegularizedCurrent.radial_about``) is integrated on the one ray
+    a + rho e_0 by ``radial_ball_integral``; its error is 0.0, since the
+    angular halving estimate of a radial integrand vanishes, and
+    ``sphere_pow`` and ``seed`` play no part.  Every other current goes
+    through ``BallQuadrature``, the error its estimate from halving its
+    direction set, and the density through ``calculus.hoisted``: a
+    constant when every potential has a constant delta matrix, evaluated
+    once on one row.  The radial error stays unestimated on both routes.
+    Both refine their radial panels toward the center at the smallest eps
+    of the InvShift potentials (1e-6 for eps = 0), the scale where their
+    densities peak, with the same Gauss-Legendre t-panels.
     """
     n = current.n
     p = (2 * n - current.degree) // 2
@@ -182,6 +198,12 @@ def sigma_mass(current, a, r, sphere_pow=8, radial_nodes=16, seed=0):
         return dens * vol, 0.0
     peak_scale = min((u.eps if u.eps > 0 else 1e-6 for u in current.potentials
                       if isinstance(u, InvShift)), default=None)
+    if current.radial_about(a):
+        ray = np.eye(4 * n)[0]
+        value = radial_ball_integral(
+            n, lambda rho: current.trace_density(probe + rho[:, None] * ray, pad=p),
+            r, peak_scale=peak_scale, nodes=radial_nodes)
+        return value, 0.0
     quad = BallQuadrature(n, r, center=a, peak_scale=peak_scale, sphere_pow=sphere_pow,
                           radial_nodes=radial_nodes, seed=seed)
     return quad.integrate(hoisted(current.potentials,
@@ -244,9 +266,12 @@ class RadialProfile:
 def lelong_number(current, a, radii=None, **quad_opts):
     """(RadialProfile, nu) for the current at the point a.
 
-    nu is read off at the smallest radius whose quadrature error estimate is
-    at most 5% of the value scale (the profile tends to its limit from
-    above as r decreases for closed positive currents).
+    Each radius is one ``sigma_mass`` call: a current radial about a takes
+    its one-ray tier, whose errors read 0.0 and where ``sphere_pow`` and
+    ``seed`` play no part; any other current takes the ball rule.  nu is
+    read off at the smallest radius whose quadrature error estimate is at
+    most 5% of the value scale (the profile tends to its limit from above
+    as r decreases for closed positive currents).
     """
     n = current.n
     p = (2 * n - current.degree) // 2

@@ -502,6 +502,31 @@ def test_cmd_lelong(tmp_path):
     assert math.isfinite(report["summary"]["nu"])
 
 
+@pytest.mark.parametrize("center, rule", [("", "radial"),
+                                          ("center = 0.5, 0, 0, 0, 0, 0, 0, 0", "ball")],
+                         ids=["pole", "off-pole"])
+def test_lelong_summary_names_its_rule(tmp_path, center, rule):
+    # about its own pole invshift's profile is integrated on one ray, where
+    # sphere_pow and seed play no part; off the pole it takes the ball rule
+    cfg = _write(tmp_path, "lelong.ini", f"""\
+        [run]
+        command = lelong
+        n = 2
+
+        [fields]
+        u = invshift(0.001)
+
+        [params]
+        radii = 0.125, 0.25, 0.5, 1.0
+        {center}
+        """)
+    assert _run("lelong", cfg, tmp_path / "out") == 0
+    report = json.loads((tmp_path / "out" / "lelong.json").read_text())
+    assert report["summary"]["rule"] == rule
+    errors = [row["error"] for row in report["rows"]]
+    assert (errors == [0.0] * 4) if rule == "radial" else any(errors)
+
+
 def test_cmd_jensen(tmp_path):
     cfg = _write(tmp_path, "jensen.ini", """\
         [run]

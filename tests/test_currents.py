@@ -5,13 +5,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy import ndimage
 
-from qma import quadrature
-from qma.calculus import CxField, d_scalar
+from qma import currents, quadrature
+from qma.calculus import CxField, d_scalar, hoisted
+from qma.cli import parse_field_expr
 from qma.errors import DimensionError
 from qma.exterior import ExtElement, beta, indices_to_mask
-from qma.fields import GridField, LinearSubstitution, Polynomial, invshift, normsq, quadform
+from qma.fields import (GridField, InvShift, LinearSubstitution, Polynomial, invshift, normsq,
+                        quadform)
 from qma.hamilton import QMatrix, Quaternion
 from qma.monge_ampere import fundamental_mass_exact, ma_density
 from qma.currents import (
@@ -146,6 +149,91 @@ def test_sigma_mass_fundamental_family():
     assert value == pytest.approx(want, rel=1e-9)
 
 
+def _ball_route(current, a, r):
+    """sigma_mass by the product rule on 2^8 directions, whatever the
+    current: the rule every current took before the one-ray tier."""
+    p = (2 * current.n - current.degree) // 2
+    peak_scale = min((u.eps if u.eps > 0 else 1e-6 for u in current.potentials
+                      if isinstance(u, InvShift)), default=None)
+    quad = quadrature.BallQuadrature(current.n, r, center=a, peak_scale=peak_scale,
+                                     sphere_pow=8, radial_nodes=16)
+    return quad.integrate(hoisted(current.potentials,
+                                  lambda pts: current.trace_density(pts, pad=p)))
+
+
+@settings(max_examples=20)
+@given(n=st.sampled_from([1, 2, 3]), data=st.data(), r=st.floats(0.05, 2.0))
+def test_radial_tier_matches_the_ball_rule(n, data, r):
+    # 1..n InvShift potentials sharing a center a: sigma_mass integrates
+    # them on one ray, and must give the ball rule's value.  eps is 0 or at
+    # least 1e-3: the ball rule refines its radial panels down to eps, one
+    # panel per halving, and takes seconds a call below that
+    eps = data.draw(st.lists(st.just(0.0) | st.floats(1e-3, 0.5), min_size=1,
+                             max_size=n))
+    a = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=4 * n,
+                                    max_size=4 * n)))
+    # (laplace u)^n of the eps = 0 kernel vanishes off its pole: both rules
+    # read rounding noise there, which the ball rule's imaginary-residue
+    # check refuses at n = 3
+    assume(len(eps) < n or max(eps) > 0)
+    t = RegularizedCurrent(n, [invshift(n, e, center=a) for e in eps])
+    assert t.radial_about(a)
+    value, error = sigma_mass(t, a, r)
+    want, _ = _ball_route(t, a, r)
+    assert error == 0.0
+    assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.fixture
+def ball_rules(monkeypatch):
+    """The arguments of every BallQuadrature that ``currents`` builds."""
+    built = []
+    real = quadrature.BallQuadrature
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(currents, "BallQuadrature", counting)
+    return built
+
+
+_OFF = np.zeros(8)
+_OFF[1] = 0.3
+
+
+@pytest.mark.parametrize("current, radial", [
+    (RegularizedCurrent.from_laplace(invshift(2, 0.001, center=_OFF)), False),
+    (RegularizedCurrent.from_laplace(normsq(2) + Polynomial.coordinate(2, 0) ** 4), False),
+    (RegularizedCurrent.from_laplace(invshift(2, 0.001) + normsq(2)), False),
+    (RegularizedCurrent(2, (invshift(2, 0.001),), beta(2)), False),
+    (RegularizedCurrent.from_laplace(invshift(2, 0.001)), True),
+], ids=["off-center", "quartic", "composite", "constant", "invshift"])
+def test_sigma_mass_builds_a_ball_rule_only_off_the_radial_tier(ball_rules, current,
+                                                                radial):
+    a = np.zeros(8)
+    value, error = sigma_mass(current, a, 0.5)
+    assert current.radial_about(a) is radial
+    assert len(ball_rules) == (0 if radial else 1)
+    if not radial:
+        # the ball route keeps every bit
+        assert (value, error) == _ball_route(current, a, 0.5)
+
+
+def test_cln_ratio_keeps_the_ball_rule(ball_rules):
+    # the potentials of the cln benchmark run are not radial: one ball
+    # rule per call, and the ratio is the ball rule's norm over the sampled
+    # sup norms, to the bit
+    fields = [parse_field_expr("normsq() + x0^4", 2),
+              parse_field_expr("quadform([2, (0,1,0,0); (0,-1,0,0), 3])", 2)]
+    ratio = cln_ratio(fields, 0.5, 1.0, sphere_pow=8, radial_nodes=16)
+    assert len(ball_rules) == 1
+    norm, _ = _ball_route(RegularizedCurrent(2, fields), np.zeros(8), 0.5)
+    dirs, inside = quadrature.ball_points(2, 1.0, 4096, 1)
+    block = np.concatenate([dirs, inside, np.zeros((1, 8))])
+    assert ratio == norm / math.prod(float(np.abs(u.values(block)).max()) for u in fields)
+
+
 def test_cln_norm_and_ratio():
     # the CLN norm is sigma_mass over the inner ball
     norm, _ = sigma_mass(RegularizedCurrent.from_laplace(normsq(1)), np.zeros(4), 0.5)
@@ -229,6 +317,25 @@ def test_lelong_number_smooth_current_vanishes_at_small_radii():
     np.testing.assert_allclose(profile.values, [want / 16, want], rtol=1e-10)
     assert nu == pytest.approx(want / 16, rel=1e-10)
     assert profile.monotone_violations() == []
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("eps", [0.1, 0.01, 0.001])
+def test_lelong_profile_of_invshift_has_its_closed_form(n, eps):
+    """About its center the normalized mass of laplace(invshift(eps)) is
+
+        2 (n - 1)! |S^(4n-1)| (r^2/(r^2 + eps))^2.
+
+    Stokes turns the mass on B(r) into a sphere flux, which gives the
+    dependence on r; the constant 2 (n - 1)! was fitted to computed
+    profiles, not derived."""
+    radii = [0.125, 0.25, 0.5, 1.0]
+    t = RegularizedCurrent.from_laplace(invshift(n, eps))
+    profile, _ = lelong_number(t, np.zeros(4 * n), radii)
+    r2 = np.asarray(radii) ** 2
+    want = 2 * math.factorial(n - 1) * quadrature.sphere_area(n) * (r2 / (r2 + eps)) ** 2
+    np.testing.assert_allclose(profile.values, want, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(profile.errors, 0.0)
 
 
 def test_lelong_number_guards():
