@@ -185,8 +185,11 @@ def sigma_mass(current, a, r, sphere_pow=8, radial_nodes=16, seed=0):
     constant when every potential has a constant delta matrix, evaluated
     once on one row.  The radial error stays unestimated on both routes.
     Both refine their radial panels toward the center at the smallest eps
-    of the InvShift potentials (1e-6 for eps = 0), the scale where their
-    densities peak, with the same Gauss-Legendre t-panels.
+    of the InvShift potentials, the scale where their densities peak, with
+    the same Gauss-Legendre t-panels.  The scale is floored at 1e-6 for
+    eps = 0 and for a potential whose pole is not a, since panels graded
+    toward a do not resolve a peak elsewhere: an off-center eps = 1e-300
+    would otherwise add one panel per halving down to 1e-300.
     """
     n = current.n
     p = (2 * n - current.degree) // 2
@@ -196,8 +199,9 @@ def sigma_mass(current, a, r, sphere_pow=8, radial_nodes=16, seed=0):
         vol = float(ball_moment_coefficient(4 * n, (0,) * 4 * n, Fraction(r).limit_denominator(10 ** 12))) \
             * math.pi ** (2 * n)
         return dens * vol, 0.0
-    peak_scale = min((u.eps if u.eps > 0 else 1e-6 for u in current.potentials
-                      if isinstance(u, InvShift)), default=None)
+    # a pole at a keeps its eps > 0; one elsewhere grades no finer than 1e-6
+    peak_scale = min((u.eps if u.eps > 0 and np.array_equal(u.center, a) else max(u.eps, 1e-6)
+                      for u in current.potentials if isinstance(u, InvShift)), default=None)
     if current.radial_about(a):
         ray = np.eye(4 * n)[0]
         value = radial_ball_integral(

@@ -20,13 +20,12 @@ The module carries three structures tied to the quaternionic picture:
   (2n, 2k) array tau(g), for instance ``QMatrix.tau()`` of its n x k
   quaternionic matrix; no wrapper type stands between the two.
 
-By Cauchy-Binet the pullback of sum_I c_I omega^I has coefficient
-sum_I c_I det(tau(g)[I, J]) on omega^J.  A float or complex tau(g) takes
-that route: every (I, J) minor of one call goes through batched
-``np.linalg.det`` calls of at most ``_MINOR_BUDGET`` minors each.  An
-object-dtype tau(g) holds exact entries and is pulled back by the chain of
-wedges of the images of the basis covectors instead, which keeps the exact
-lane apart from the float one.
+``pullback`` has one algorithm for every entry type: the chain of wedges
+of the images of the basis covectors, so exact entries stay exact.  By
+Cauchy-Binet the pullback of sum_I c_I omega^I has coefficient
+sum_I c_I det(tau(g)[I, J]) on omega^J; ``positivity_test`` needs only the
+top coefficient, J = all columns, and computes that one sum itself with a
+batched ``np.linalg.det`` over its float samples.
 
 Coefficients may be python complex numbers or exact RationalComplex values;
 all structural operations (wedge, rho, pullback on exact tau data) preserve
@@ -42,7 +41,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -51,10 +49,6 @@ from .hamilton import _tau_blocks
 
 #: Cap on the half-dimension n of the algebra; bitmasks use 2n bits.
 MAX_N = 8
-
-#: Minors per batched determinant call of the float pullback; a call
-#: gathers at most _MINOR_BUDGET * p^2 complex entries at degree p.
-_MINOR_BUDGET = 1 << 12
 
 #: How far rho(j) may move an element, relative to max(1, its largest
 #: coefficient), for ``is_real`` to call it real.
@@ -381,25 +375,17 @@ def is_real(a):
     return d.norm_inf() <= _REAL_TOL * max(1.0, a.norm_inf())
 
 
-@lru_cache(maxsize=None)
-def _subsets(width, p):
-    """Every p-subset of range(width): an (m, p) index array and the masks."""
-    combos = list(itertools.combinations(range(width), p))
-    return np.array(combos, dtype=np.intp), [indices_to_mask(c) for c in combos]
-
-
 def pullback(a, tau_g):
     """Pull a back along the map with embedding matrix tau_g (2n x 2k).
 
     The element lives over C^(2n); the result lives over C^(2k).  Algebra
     homomorphism: pullback(a ^ b) = pullback(a) ^ pullback(b).
 
-    A float or complex tau_g is pulled back by Cauchy-Binet: the coefficient
-    of omega^J is sum_I c_I det(tau_g[I, J]), with every (I, J) minor taken
-    in batched ``np.linalg.det`` calls of at most ``_MINOR_BUDGET`` minors.
-    An object-dtype tau_g holds exact entries (int, Fraction,
-    RationalComplex); it takes the wedge chain of the images of the basis
-    covectors, so exact data stays exact.
+    Each term c_I omega^I maps to c_I times the wedge of the images
+    g* omega^i = sum_j tau_g[i, j] omega^j of its covectors.  This one
+    algorithm takes every entry type, float, complex or exact (int,
+    Fraction, RationalComplex in an object array), and keeps exact data
+    exact.
     """
     tau_g = np.asarray(tau_g)
     rows, cols = tau_g.shape
@@ -409,35 +395,14 @@ def pullback(a, tau_g):
     if cols % 2:
         raise DimensionError("embedding matrix must have an even column count")
     k = cols // 2
-    p = a.degree
-    if p > 2 * k:
+    if a.degree > 2 * k:
         return ExtElement(k, 2 * k)  # vanishes above the target's top degree
-    if p == 0:
+    if a.degree == 0:
         return ExtElement(k, 0, a.coeffs)
-    if tau_g.dtype == object:
-        return _wedge_chain(a, tau_g, k)
-    if not a.coeffs:
-        return ExtElement(k, p)
-    sources = np.array([mask_to_indices(m) for m in a.coeffs], dtype=np.intp)
-    weights = np.array([complex(c) for c in a.coeffs.values()])
-    targets, masks = _subsets(cols, p)
-    out = np.zeros(len(masks), dtype=complex)
-    t_step = min(len(masks), _MINOR_BUDGET)
-    s_step = max(1, _MINOR_BUDGET // t_step)
-    for s in range(0, len(sources), s_step):
-        src = sources[s:s + s_step, None, :, None]
-        for t in range(0, len(masks), t_step):
-            minors = tau_g[src, targets[None, t:t + t_step, None, :]]
-            out[t:t + t_step] += weights[s:s + s_step] @ np.linalg.det(minors)
-    return ExtElement(k, p, dict(zip(masks, out.tolist())))
-
-
-def _wedge_chain(a, tau_g, k):
-    """Exact-lane pullback: wedge the images of each term's covectors."""
     # image of each basis covector as a 1-element over C^(2k)
-    images = [ExtElement(k, 1, {1 << j: tau_g[p, j] for j in range(2 * k)
-                                if not _negligible(tau_g[p, j])})
-              for p in range(len(tau_g))]
+    images = [ExtElement(k, 1, {1 << j: tau_g[i, j] for j in range(cols)
+                                if not _negligible(tau_g[i, j])})
+              for i in range(rows)]
     out = ExtElement(k, a.degree)
     for mask, c in a.coeffs.items():
         term = ExtElement.scalar(k, c)
@@ -457,10 +422,10 @@ def elementary_sp(tau_eta):
     eta_i: H^n -> H.  Returns eta_1*omega~^0 ^ eta_1*omega~^1 ^ ... ^
     eta_k*omega~^0 ^ eta_k*omega~^1, where eta_i*omega~^p is the 1-element
     with coefficients tau_eta[2i + p, :]: the pullback of omega_top(k) along
-    eta, taken on the exact lane's wedge chain.
+    eta by the one ``pullback``, whose entry type it keeps (an object array
+    of exact entries gives an exact element).
     """
-    tau_eta = np.asarray(tau_eta)
-    return pullback(omega_top(len(tau_eta) // 2), tau_eta.astype(object))
+    return pullback(omega_top(len(tau_eta) // 2), tau_eta)
 
 
 def random_elementary_sp(rng, n, k):
@@ -501,10 +466,13 @@ def positivity_test(a, samples=512, seed=0):
     An element is positive iff every pullback along a right-linear
     g: H^k -> H^n is a nonnegative multiple of the volume element of C^(2k).
     This draws `samples` Gaussian maps and checks the pulled-back top
-    coefficient kappa; a negative real part or a nonreal kappa beyond
-    ``_POSITIVITY_TOL`` yields NOT_POSITIVE with the witness map's (2n, 2k)
-    embedding tau(g) as ``witness``.  A clean sweep is
-    only LIKELY_POSITIVE: the criterion is sampled, never proven.
+    coefficient kappa.  Only that coefficient is needed, so it is read by
+    Cauchy-Binet, kappa = sum_I c_I det(tau(g)[I, :]), one batched
+    ``np.linalg.det`` per sample, rather than through ``pullback``, which
+    builds the whole pulled-back element.  A negative real part or a
+    nonreal kappa beyond ``_POSITIVITY_TOL`` yields NOT_POSITIVE with the
+    witness map's (2n, 2k) embedding tau(g) as ``witness``.  A clean sweep
+    is only LIKELY_POSITIVE: the criterion is sampled, never proven.
 
     Elements that are not rho(j)-real are rejected immediately; fewer than
     one sample is a ValueError, since an empty sweep would pass anything.
@@ -523,16 +491,17 @@ def positivity_test(a, samples=512, seed=0):
     scale = a.norm_inf()
     if scale == 0.0:
         return PositivityResult(LIKELY_POSITIVE, 0.0, 0)
-    # float coefficients, read through complex() as the float pullback reads
-    # them: an exact RationalComplex cannot take a float scale
-    b = ExtElement(a.n, a.degree,
-                   {m: complex(c) * (1.0 / scale) for m, c in a.coeffs.items()})
+    # Cauchy-Binet for the top coefficient of the pullback: the rows I of
+    # each term and its weight c_I / scale, read through complex() since an
+    # exact RationalComplex cannot take a float scale
+    rows = np.array([mask_to_indices(m) for m in a.coeffs], dtype=np.intp)
+    weights = np.array([complex(c) * (1.0 / scale) for c in a.coeffs.values()])
     rng = np.random.default_rng(seed)
     min_kappa = float("inf")
     for _ in range(samples):
         # the draws and tau bytes of random_qmatrix(rng, a.n, k).tau()
         g = _tau_blocks(rng.standard_normal((a.n, k, 4)))
-        kappa = complex(top_coefficient(pullback(b, g)))
+        kappa = complex(weights @ np.linalg.det(g[rows]))
         bound = _POSITIVITY_TOL * max(1.0, abs(kappa))
         if abs(kappa.imag) > bound or kappa.real < -bound:
             return PositivityResult(NOT_POSITIVE, kappa.real * scale, samples, g)

@@ -1,5 +1,6 @@
 """The benchmark's output gate, in process: every invocation of
-``perfbench/workloads.py`` at seed 0 must stay within the gate's allowance of
+``perfbench/workloads.py`` at seed 0, and each of the seven ``short-checks``
+invocations at seeds 1-4 as well, must stay within the gate's allowance of
 the reference values in ``perfbench/reference.json``.  And the benchmark's
 traced child: each module's ``brentq`` is counted as its own root solver,
 and every span ``perfbench/run.py`` requires of a workload fires on it.
@@ -42,19 +43,24 @@ finally:
 REFERENCE = json.loads((BENCH / "reference.json").read_text())
 
 CASES = [(name, inv) for name, invs in workloads.WORKLOADS.items() for inv in invs]
+# the short runs (verify, ma, fundamental) are also gated at seeds 1-4
+GATED = ([(name, inv, SEED) for name, inv in CASES]
+         + [(name, inv, seed) for seed in range(1, 5)
+            for name, inv in CASES if name == "short-checks"])
 
 
-@pytest.mark.parametrize("workload, inv", CASES, ids=[f"{w}-{i.label}" for w, i in CASES])
-def test_workload_outputs_pass_the_benchmark_gate(tmp_path, capsys, workload, inv):
+@pytest.mark.parametrize("workload, inv, seed", GATED, ids=[
+    f"{w}-{i.label}" + (f"-seed{s}" if s != SEED else "") for w, i, s in GATED])
+def test_workload_outputs_pass_the_benchmark_gate(tmp_path, capsys, workload, inv, seed):
     out_dir = tmp_path / "out"
     config = tmp_path / f"{inv.label}.ini"
-    config.write_text(inv.config_text(SEED, out_dir))
+    config.write_text(inv.config_text(seed, out_dir))
     status = main([inv.command, "--config", str(config)])
     capsys.readouterr()
     assert status in (0, 2)
     report, _ = gate.read_report(out_dir, inv.command)
     assert report["passed"] == (status == 0)
-    gate.compare(gate.gated_values(report), REFERENCE[workload][str(SEED)][inv.label])
+    gate.compare(gate.gated_values(report), REFERENCE[workload][str(seed)][inv.label])
 
 
 # (invocation, the root solves it makes in each module): potential.root

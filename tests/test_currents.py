@@ -220,6 +220,26 @@ def test_sigma_mass_builds_a_ball_rule_only_off_the_radial_tier(ball_rules, curr
         assert (value, error) == _ball_route(current, a, 0.5)
 
 
+def test_an_off_center_tiny_eps_grades_as_eps_zero(monkeypatch):
+    # the pole at 0 is off a = 0.1 e_0: eps = 1e-300 grades no finer than
+    # 1e-6, the 21 t-panels of eps = 0 on [0, 1], where it built 998
+    panels = []
+    real = quadrature.BallQuadrature
+
+    def counting(*args, **kwargs):
+        quad = real(*args, **kwargs)
+        panels.append(len(quad.t_nodes) // kwargs["radial_nodes"])
+        return quad
+
+    monkeypatch.setattr(currents, "BallQuadrature", counting)
+    a = np.zeros(8)
+    a[0] = 0.1
+    tiny, _ = sigma_mass(RegularizedCurrent.from_laplace(invshift(2, 1e-300)), a, 1.0)
+    zero, _ = sigma_mass(RegularizedCurrent.from_laplace(invshift(2, 0.0)), a, 1.0)
+    assert panels == [21, 21]
+    assert abs(tiny - zero) <= 1e-12 * abs(zero)
+
+
 def test_cln_ratio_keeps_the_ball_rule(ball_rules):
     # the potentials of the cln benchmark run are not radial: one ball
     # rule per call, and the ratio is the ball rule's norm over the sampled

@@ -20,12 +20,17 @@ constructor's is its class name) sets it by keyword, by position, or by
 ``*``/``**`` forwarding, which sets every parameter it can reach.  An
 option no call sets is a constant in disguise; the few that stay are
 listed below with their reason.
+
+A ``ScalarField`` kind is reached by a command when the config grammar
+builds it; the kinds it cannot build are listed with their reason too.
 """
 
 import ast
 import pathlib
 
 import qma
+from qma.cli import parse_field_expr
+from qma.fields import ScalarField
 
 UNCALLED = {
     "bt_product": "claim check: the Bedford-Taylor product laplace(u) ^ T",
@@ -62,6 +67,22 @@ UNSET = {
         ("stokes_check", ("radius", "center", "sphere_pow", "radial_nodes", "seed")),
     ] for p in params},
 }
+
+UNPARSED = {
+    "BlackBox": "reference: finite-difference derivatives of a value oracle",
+    "ClosedForm": "reference: a field given by its value, gradient and Hessian oracles",
+    "DerivedField": "ScalarField.diff of a field that is not a Polynomial",
+    "LinearSubstitution": "claim check: the field change_of_variables_check "
+                          "substitutes (ROADMAP item 18)",
+    "ChainField": "claim check: the members of smooth_max_family",
+    "GridField": "claim check: the lattice mollify smooths (ROADMAP item 3)",
+}
+
+#: One expression per production of the grammar that builds a field:
+#: variables, normsq, quadform, invshift, + - * ^ and unary minus.
+GRAMMAR = ["x0^4 + normsq()", "quadform([2, (0,1,0,0); (0,-1,0,0), 3])",
+           "invshift(0.001) + normsq()", "invshift(0.001) - x1", "2 * invshift(0.001)",
+           "-invshift(0.001)", "invshift(0.001) * invshift(0.1)", "invshift(0.001)^2"]
 
 
 def _package_modules():
@@ -205,3 +226,27 @@ def test_every_option_is_set_by_a_caller_or_listed_with_a_reason():
                 unset.add(f"{label}.{param}")
     assert sorted(unset - set(UNSET)) == [], "an option no call in src/qma sets"
     assert sorted(set(UNSET) - unset) == [], "listed, but set by a call"
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def _field_kinds(field):
+    """The class names of a field and of every field it is built from."""
+    kinds = {type(field).__name__}
+    for part in getattr(field, "__dict__", {}).values():
+        if isinstance(part, ScalarField):
+            kinds |= _field_kinds(part)
+    return kinds
+
+
+def test_every_field_kind_is_parsed_or_listed_with_a_reason():
+    kinds = {c.__name__ for c in _subclasses(ScalarField) if c.__module__.startswith("qma.")}
+    parsed = set().union(*(_field_kinds(parse_field_expr(e, 2)) for e in GRAMMAR))
+    assert parsed == {"Polynomial", "InvShift", "_SumField", "_ScaledField", "_ProductField"}
+    assert sorted(kinds - parsed - set(UNPARSED)) == [], "a field kind no config builds"
+    assert sorted(set(UNPARSED) & parsed) == [], "listed, but built by the grammar"
+    assert sorted(set(UNPARSED) - kinds) == [], "listed, but not a ScalarField kind"

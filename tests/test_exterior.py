@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qma import exterior
 from qma.exterior import (LIKELY_POSITIVE, NOT_POSITIVE, ExtElement, RationalComplex,
                           beta, elementary_sp, indices_to_mask, is_real,
                           mask_to_indices, omega_top, perm_sign, positivity_test,
@@ -105,53 +104,38 @@ def test_pullback_by_identity():
     assert pullback(b, ident) == b
 
 
-def _random_element(rng, n, p, density=0.7):
+def _random_element(rng, n, p):
+    # Gaussian complex coefficients on about 70% of the degree-p masks
     masks = [indices_to_mask(c) for c in itertools.combinations(range(2 * n), p)]
     return ExtElement(n, p, {m: complex(*rng.normal(size=2)) for m in masks
-                             if rng.random() < density})
+                             if rng.random() < 0.7})
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 3), k=st.integers(1, 3), data=st.data(),
        seed=st.integers(0, 2**32 - 1))
 def test_pullback_minors_equal_the_wedge_chain(n, k, data, seed):
-    # Cauchy-Binet on a complex tau against the exact lane's wedge chain,
-    # which an object-dtype copy of the same tau takes
+    # the wedge chain on a complex tau against Cauchy-Binet, sum_I c_I
+    # det(tau[I, J]) on omega^J, and against an object-dtype copy of the
+    # same tau, which runs the same chain on python complex entries
     p = data.draw(st.integers(0, 2 * n), label="degree")
     rng = np.random.default_rng(seed)
     a = _random_element(rng, n, p)
     tau = random_qmatrix(rng, n, k).tau()
     got = pullback(a, tau)
-    want = pullback(a, tau.astype(object))
+    assert got == pullback(a, tau.astype(object))
+    if p > 2 * k:
+        assert got == ExtElement(k, 2 * k)
+        return
+    want = ExtElement(k, p, {indices_to_mask(cols): sum(
+        c * np.linalg.det(tau[np.ix_(mask_to_indices(m), cols)]) for m, c in a.coeffs.items())
+        for cols in itertools.combinations(range(2 * k), p)})
     assert (got.n, got.degree) == (want.n, want.degree)
     # Hadamard: |det tau[I, J]| <= prod of the row norms of tau[I, :]
     rows = np.linalg.norm(tau, axis=1)
     scale = sum(abs(c) * math.prod(rows[list(mask_to_indices(m))])
                 for m, c in a.coeffs.items())
     assert (got - want).norm_inf() <= 1e-12 * max(1.0, scale)
-
-
-@pytest.mark.parametrize("k,budget", [(3, 7), (2, 9)])
-def test_pullback_minors_respect_the_chunk_cap(monkeypatch, k, budget):
-    # chunks split the target subsets (k = 3) or group source terms (k = 2)
-    rng = np.random.default_rng(5)
-    a = _random_element(rng, 3, 3, density=1.0)
-    tau = random_qmatrix(rng, 3, k).tau()
-    whole = pullback(a, tau)
-    calls = []
-    det = np.linalg.det
-
-    def counted(m):
-        calls.append(len(m) * len(m[0]))
-        return det(m)
-
-    monkeypatch.setattr(exterior, "_MINOR_BUDGET", budget)
-    monkeypatch.setattr(np.linalg, "det", counted)
-    chunked = pullback(a, tau)
-    # every (source triple, target triple) minor once, at most budget per call
-    assert sum(calls) == 20 * math.comb(2 * k, 3)
-    assert max(calls) <= budget and len(calls) > 1
-    assert (chunked - whole).norm_inf() <= 1e-12 * max(1.0, whole.norm_inf())
 
 
 def _exact_det(m):
@@ -293,16 +277,22 @@ def test_positivity_rejects_non_real():
 
 
 def _oracle_positivity(a, samples, seed, exact, tol=1e-9):
-    # positivity_test's sampling loop, each pullback on the exact lane's
-    # wedge chain (exact=True) or on the float lane
+    # positivity_test's sampling loop, each kappa the top coefficient of the
+    # wedge chain pullback on python complex entries (exact=True) or the
+    # Cauchy-Binet sum sum_I c_I det(tau(g)[I, :]) over the terms of a
     k = a.degree // 2
     scale = a.norm_inf()
     b = ExtElement(a.n, a.degree, {m: complex(c) * (1.0 / scale) for m, c in a.coeffs.items()})
+    rows = np.array([mask_to_indices(m) for m in a.coeffs], dtype=np.intp)
+    weights = np.array([complex(c) * (1.0 / scale) for c in a.coeffs.values()])
     rng = np.random.default_rng(seed)
     min_kappa = float("inf")
     for _ in range(samples):
         g = random_qmatrix(rng, a.n, k).tau()
-        kappa = complex(top_coefficient(pullback(b, g.astype(object) if exact else g)))
+        if exact:
+            kappa = complex(top_coefficient(pullback(b, g.astype(object))))
+        else:
+            kappa = complex(weights @ np.linalg.det(g[rows]))
         bound = tol * max(1.0, abs(kappa))
         if abs(kappa.imag) > bound or kappa.real < -bound:
             return NOT_POSITIVE, kappa.real * scale, g
@@ -337,8 +327,8 @@ def test_positivity_matches_the_exact_lane_loop(case, seed):
     verdict, min_kappa, witness = _oracle_positivity(elem, 64, seed, exact=True)
     assert res.verdict == verdict
     assert res.min_kappa == pytest.approx(min_kappa, rel=1e-12, abs=1e-12)
-    # the float lane of the same loop gives the same floats, and the witness
-    # is the sample's tau byte for byte
+    # the Cauchy-Binet sum of the same loop gives the same floats, and the
+    # witness is the sample's tau byte for byte
     assert (res.verdict, res.min_kappa) == _oracle_positivity(elem, 64, seed, exact=False)[:2]
     if witness is None:
         assert res.witness is None
@@ -346,6 +336,34 @@ def test_positivity_matches_the_exact_lane_loop(case, seed):
         assert res.witness.shape == (2 * elem.n, elem.degree)
         assert res.witness.tobytes() == witness.tobytes()
     if kind != "sp":
+        assert verdict == NOT_POSITIVE
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_positivity_agrees_with_the_wedge_chain_loop(n, data, seed):
+    # rho(j)-real 2k-elements: strongly positive draws, their negatives,
+    # and a + rho(j) a of a Gaussian a, which is indefinite in general
+    k = data.draw(st.integers(1, n), label="k")
+    kind = data.draw(st.sampled_from(["sp", "negative", "gaussian"]), label="kind")
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        a = _random_element(rng, n, 2 * k)
+        elem = a + rho_j(a)
+    else:
+        elem = random_strongly_positive(rng, n, k)
+        elem = elem.scale(-1) if kind == "negative" else elem
+    if elem.is_zero():
+        return
+    res = positivity_test(elem, samples=16, seed=seed)
+    verdict, min_kappa, witness = _oracle_positivity(elem, 16, seed, exact=True)
+    assert res.verdict == verdict
+    assert res.min_kappa == pytest.approx(min_kappa, rel=1e-12, abs=1e-12)
+    if witness is None:
+        assert res.witness is None
+    else:
+        assert res.witness.tobytes() == witness.tobytes()
+    if kind == "negative":
         assert verdict == NOT_POSITIVE
 
 
