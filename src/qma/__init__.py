@@ -24,7 +24,7 @@ from .exterior import (RationalComplex, ExtElement, beta, omega_top,
                        random_elementary_sp, random_strongly_positive,
                        positivity_test, PositivityResult)
 from .fields import (ScalarField, Polynomial, ClosedForm, BlackBox,
-                     DerivedField, LinearSubstitution, ChainField, GridField,
+                     LinearSubstitution, ChainField, GridField,
                      InvShift, normsq, quadform, invshift)
 from .calculus import (CxField, nabla, nabla_matrices, z_field,
                        delta_field, delta_matrix, delta_matrices, laplace,

@@ -28,7 +28,9 @@ built from them:
   gathers from a full Hessian sweep, all with the sweep's bits.
 
 Complex-valued fields are pairs of real fields (``CxField``), so exact
-polynomial inputs stay exact through every operator.
+polynomial inputs stay exact through every operator; the symbolic ones
+refuse any other component (TypeError from ``ScalarField.diff``), and
+floats enter only through the batched Hessians of ``delta_matrices``.
 """
 
 from __future__ import annotations
@@ -79,9 +81,6 @@ class CxField:
     def values(self, pts):
         return self.re.values(pts) + 1j * self.im.values(pts)
 
-    def diff(self, axis):
-        return CxField(self.re.diff(axis), self.im.diff(axis))
-
     def conj(self):
         return CxField(self.re, -self.im)
 
@@ -119,9 +118,6 @@ class CxField:
     def is_exact_zero(self):
         return (isinstance(self.re, Polynomial) and self.re.is_zero()
                 and isinstance(self.im, Polynomial) and self.im.is_zero())
-
-    def is_exact(self):
-        return isinstance(self.re, Polynomial) and isinstance(self.im, Polynomial)
 
 
 def _as_cx(v, n):
@@ -165,7 +161,7 @@ def _nabla_parts(j, alpha):
 def nabla(f, j, alpha):
     """Apply nabla_{j,alpha} to a real or complex field; returns a CxField.
 
-    Exact when f has exact polynomial components.
+    Exact: f's components must be Polynomials (else TypeError).
     """
     if isinstance(f, CxField):
         gr = nabla(f.re, j, alpha)
@@ -548,9 +544,6 @@ class FormField(ExtElement):
                 out[m] = out[m] + g if m in out else g
         return FormField(self.n, self.degree + 1, out)
 
-    def is_exact(self):
-        return all(f.is_exact() for f in self.coeffs.values())
-
 
 def laplace(u):
     """The closed 2-form with coefficients 2 delta_{ij} u at mask {i, j}.
@@ -567,30 +560,18 @@ def d_scalar(u, alpha):
     return FormField.from_scalar(u).d(alpha)
 
 
-def closedness_residual(form, pts=None):
-    """Max |coefficient| of d0(form) and d1(form).
-
-    Exact-polynomial forms are checked symbolically (returns 0.0 when both
-    differentials vanish identically); otherwise `pts` samples are required.
+def closedness_residual(form):
+    """Max |coefficient| of d0(form) and d1(form) over the real and
+    imaginary parts of their Polynomial coefficients, exactly: 0.0 when
+    both vanish identically.  A non-Polynomial coefficient raises TypeError.
     """
-    if form.is_exact():
-        worst = Fraction(0)
-        for alpha in (0, 1):
-            for f in form.d(alpha).coeffs.values():
-                for part in (f.re, f.im):
-                    for c in part.terms.values():
-                        worst = max(worst, abs(Fraction(c)) if not isinstance(c, float)
-                                    else Fraction(abs(c)))
-        return float(worst)
-    if pts is None:
-        raise ValueError("sample points are required for non-polynomial forms")
-    worst = 0.0
+    worst = Fraction(0)
     for alpha in (0, 1):
         for f in form.d(alpha).coeffs.values():
-            arr = f.values(pts)
-            if len(arr):
-                worst = max(worst, float(np.abs(arr).max()))
-    return worst
+            for part in (f.re, f.im):
+                for c in part.terms.values():
+                    worst = max(worst, abs(Fraction(c)))
+    return float(worst)
 
 
 # ---------------------------------------------------------------------------

@@ -89,8 +89,8 @@ from .exterior import beta, positivity_test, random_strongly_positive, top_coeff
 from .fields import Polynomial, ScalarField, invshift, normsq, quadform
 from .hamilton import (QMatrix, Quaternion, _tau_blocks, jmatrix, moore_det,
                        random_hyperhermitian, random_qmatrix)
-from .monge_ampere import (fundamental_mass_exact, fundamental_mass_limit_coefficient,
-                           ma_density, mixed_ma, moore_equivalence_residual, psh_test)
+from .monge_ampere import (fundamental_ma_density, fundamental_mass_exact, ma_density, mixed_ma,
+                           fundamental_mass_limit_coefficient, moore_equivalence_residual, psh_test)
 from .potential import boundary_mass_residual, boundary_measure_density, lelong_jensen
 from .quadrature import _SOBOL_BITS, StarShapedRule, ball_points, radial_ball_integral
 
@@ -726,11 +726,11 @@ def _cmd_fundamental(cfg, params, tol):
     n, r, tol_mass = cfg.n, params["r"], tol["mass"]
     nodes = _settings(cfg, "quadrature")["radial_nodes"]
     limit = float(fundamental_mass_limit_coefficient(n)) * math.pi ** (2 * n)
-    coeff = (8.0 ** n) * math.factorial(n)
+    ray = np.eye(4 * n)[0]
 
     rows = []
     for eps in params["eps"]:
-        dens = lambda rho: coeff * eps / (rho ** 2 + eps) ** (2 * n + 1)
+        dens = lambda rho: fundamental_ma_density(n, eps, rho[:, None] * ray)
         mass_quad = radial_ball_integral(n, dens, r, peak_scale=eps, nodes=nodes)
         mass_exact = float(fundamental_mass_exact(n, eps, r)) * math.pi ** (2 * n)
         rel = abs(mass_quad - mass_exact) / abs(mass_exact)

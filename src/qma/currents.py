@@ -28,9 +28,9 @@ remaining indices over the assignments of the factors.  On top of that sit:
                        both sides differences of ``sigma_mass`` at the two
                        radii;
 * ``stokes_check`` / ``integration_by_parts_residual``  checks of the
-                       duality between d_alpha and wedging, integrated by
-                       one ball integral, ``_ball_integral`` (exact moments
-                       for Polynomial data, else ``BallQuadrature``);
+                       duality between d_alpha and wedging: exact ball
+                       moments for Polynomial data (``_ball_integral``),
+                       else ``BallQuadrature`` of the trace density;
 * ``convergence_suite``    pairings of decreasing potential sequences
                        against their limit;
 * ``mollify``          grid convolution with a compact smooth bump (n = 1),
@@ -150,7 +150,8 @@ class RegularizedCurrent:
         return self.trace_density(pts, pad=0)
 
     def form(self):
-        """Symbolic FormField (wedge of laplacians times the constant)."""
+        """Symbolic FormField (wedge of laplacians times the constant) of
+        Polynomial potentials; any other kind raises TypeError."""
         f = None
         for u in self.potentials:
             lf = laplace(u)
@@ -352,13 +353,12 @@ def bump_field(n, radius=1.0):
     return base ** 3 * (1 / r2 ** 3)
 
 
-def stokes_check(h, tform, radius=1.0, center=None, sphere_pow=9,
-                 radial_nodes=12, seed=0):
+def stokes_check(h, tform, radius=1.0, center=None):
     """max_alpha | integral h d_alpha(T) + integral d_alpha(h) ^ T |.
 
     h must vanish at the boundary of the ball (e.g. a ``bump_field``
-    multiple); T is a smooth (2n-1)-form field.  Exact polynomial data is
-    integrated exactly; anything else falls back to the product rule.
+    multiple); T is a (2n-1)-form field.  Both must be Polynomial data,
+    which is differentiated and integrated exactly (else TypeError).
     """
     n = tform.n
     if tform.degree != 2 * n - 1:
@@ -371,24 +371,19 @@ def stokes_check(h, tform, radius=1.0, center=None, sphere_pow=9,
         total = lhs_form + rhs_form  # = d_alpha(h T), integrates to 0
         coeff = total.coeffs.get((1 << (2 * n)) - 1)
         if coeff is not None:
-            val = _ball_integral(coeff, radius, center, sphere_pow, radial_nodes, seed)
+            val = _ball_integral(coeff, radius, center)
             worst = max(worst, math.hypot(val.real, val.imag))
     return worst
 
 
-def _ball_integral(f, radius, center, sphere_pow, radial_nodes, seed):
-    """Integral of the CxField f over B(center, radius), a complex number:
-    exact ball moments when both parts are Polynomials, else one
-    BallQuadrature for both parts."""
-    if f.is_exact():
-        r = Fraction(radius).limit_denominator(10 ** 12)
-        c = None if center is None else [Fraction(x).limit_denominator(10 ** 12) for x in center]
-        scale = math.pi ** (2 * f.n)
-        return complex(float(integrate_polynomial_ball(f.re, r, c)) * scale,
-                       float(integrate_polynomial_ball(f.im, r, c)) * scale)
-    quad = BallQuadrature(f.n, radius, center=center, sphere_pow=sphere_pow,
-                          radial_nodes=radial_nodes, seed=seed)
-    return complex(quad.integrate(f.re.values)[0], quad.integrate(f.im.values)[0])
+def _ball_integral(f, radius, center):
+    """Integral over B(center, radius) of the CxField f, whose parts are
+    Polynomials, as a complex number from the exact ball moments."""
+    r = Fraction(radius).limit_denominator(10 ** 12)
+    c = None if center is None else [Fraction(x).limit_denominator(10 ** 12) for x in center]
+    scale = math.pi ** (2 * f.n)
+    return complex(float(integrate_polynomial_ball(f.re, r, c)) * scale,
+                   float(integrate_polynomial_ball(f.im, r, c)) * scale)
 
 
 def integration_by_parts_residual(fields, radius=1.0, sphere_pow=9,
@@ -397,8 +392,8 @@ def integration_by_parts_residual(fields, radius=1.0, sphere_pow=9,
                   = integral u_1 laplace(u_2)^...^laplace(u_k) ^ laplace(b) ^ beta^(n-k)
 
     with psi = bump * beta^(n-k) and b the bump itself (compact support in
-    the unit ball makes the boundary terms vanish).  All-polynomial data is
-    integrated exactly; otherwise the ball product rule is used.
+    the unit ball makes the boundary terms vanish).  All-Polynomial data is
+    integrated exactly; otherwise ``trace_density`` by the ball product rule.
     """
     fields = list(fields)
     if not fields:
@@ -414,13 +409,13 @@ def integration_by_parts_residual(fields, radius=1.0, sphere_pow=9,
     t_rhs = RegularizedCurrent(n, tuple(fields[1:]) + (b,), pad)
     u1 = fields[0]
 
-    full = (1 << (2 * n)) - 1
-    zero = CxField(Polynomial(n))
-    top_l = t_lhs.form().coeffs.get(full, zero)
-    top_r = t_rhs.form().coeffs.get(full, zero)
-    if isinstance(u1, Polynomial) and top_l.is_exact() and top_r.is_exact():
-        return abs(_ball_integral(top_l * b, radius, None, sphere_pow, radial_nodes, seed)
-                   - _ball_integral(top_r * u1, radius, None, sphere_pow, radial_nodes, seed))
+    if all(isinstance(u, Polynomial) for u in fields):
+        full = (1 << (2 * n)) - 1
+        zero = CxField(Polynomial(n))
+        top_l = t_lhs.form().coeffs.get(full, zero)
+        top_r = t_rhs.form().coeffs.get(full, zero)
+        return abs(_ball_integral(top_l * b, radius, None)
+                   - _ball_integral(top_r * u1, radius, None))
 
     quad = BallQuadrature(n, radius, sphere_pow=sphere_pow,
                           radial_nodes=radial_nodes, seed=seed)

@@ -6,7 +6,8 @@ provided, mirroring how much derivative information is trustworthy:
 
 * ``Polynomial``   exact sparse multivariate polynomials (Fraction or float
                    coefficients); differentiation is exact, so these drive
-                   every identity that must hold to the last bit.
+                   every identity that must hold to the last bit; no
+                   other kind has a symbolic ``diff`` (TypeError).
 * ``ClosedForm``   value with hand-written gradient and Hessian callables.
 * ``BlackBox``     value only; derivatives by central differences.
 
@@ -19,8 +20,8 @@ All fields share pointwise ``value/gradient/hessian`` plus batched
 ``values/gradients/hessians`` (shape (N, 4n) in, used heavily by quadrature).
 A field states its math once, in its batched methods: ``ScalarField``'s
 pointwise trio returns row 0 of the batched trio at ``x[None]``, so every
-gradient and Hessian, a ``Polynomial``'s and ``DerivedField``'s among them,
-has one evaluator.  Only these define pointwise methods of their own:
+gradient and Hessian, a ``Polynomial``'s among them, has one evaluator.
+Only these define pointwise methods of their own:
 
 * the exact lane, ``Polynomial.value``: the scalar walk keeps Fraction
   points exact and gives a float point the bits of ``values`` without a
@@ -85,10 +86,11 @@ class ScalarField:
         return self.hessians(np.asarray(x, dtype=float)[None])[0]
 
     def diff(self, axis):
-        """The field d(self)/dx_axis.  Exact for polynomials, oracle-backed
-        otherwise (value from gradient, gradient from Hessian, Hessian by
-        differencing the parent Hessian)."""
-        return DerivedField(self, axis)
+        """The field d(self)/dx_axis, exact, so only a Polynomial has one;
+        any other kind raises TypeError, its derivatives being read through
+        its batched ``gradients`` and ``hessians`` instead."""
+        raise TypeError(f"{type(self).__name__} has no symbolic derivative; "
+                        "only a Polynomial is differentiated exactly")
 
     # --- batched interface: a loop over the pointwise methods ----------------
     def values(self, pts):
@@ -432,39 +434,6 @@ class BlackBox(ScalarField):
                        + self._value(xmm)) / (4.0 * hi * hj)
                 out[i, j] = out[j, i] = val
         return out
-
-
-class DerivedField(ScalarField):
-    """d(parent)/dx_axis for non-polynomial parents.
-
-    Value comes from the parent's gradient, gradient from the parent's
-    Hessian, and the Hessian from a central difference of the parent's
-    Hessian row (third derivatives are rarely needed; accuracy ~1e-10 on
-    smooth O(1) fields).
-    """
-
-    def __init__(self, parent, axis):
-        self.n = parent.n
-        self.parent = parent
-        self.axis = axis
-
-    def values(self, pts):
-        return self.parent.gradients(pts)[:, self.axis]
-
-    def gradients(self, pts):
-        return self.parent.hessians(pts)[:, self.axis, :]
-
-    def hessians(self, pts):
-        # one axis at a time over all points: step _H1 (1 + |x_m|) per point
-        pts = np.asarray(pts, dtype=float)
-        steps = _H1 * (1.0 + np.abs(pts))
-        out = np.empty((len(pts), self.dim, self.dim))
-        for m in range(self.dim):
-            xp = pts.copy(); xp[:, m] += steps[:, m]
-            xm = pts.copy(); xm[:, m] -= steps[:, m]
-            out[:, m] = (self.parent.hessians(xp)[:, self.axis]
-                         - self.parent.hessians(xm)[:, self.axis]) / (2.0 * steps[:, m, None])
-        return 0.5 * (out + np.swapaxes(out, 1, 2))
 
 
 class LinearSubstitution(ScalarField):

@@ -69,11 +69,12 @@ def test_cxfield_arithmetic():
 def test_cxfield_exactness_flags():
     x0 = Polynomial.coordinate(1, 0)
     f = CxField(x0)
-    assert f.is_exact()
+    assert isinstance(f.re, Polynomial) and isinstance(f.im, Polynomial)
     assert not f.is_exact_zero()
     assert (f - f).is_exact_zero()
     g = CxField(invshift(1, 1.0))
-    assert not g.is_exact()
+    assert not isinstance(g.re, Polynomial)
+    assert not g.is_exact_zero()
 
 
 def test_cxfield_guards():
@@ -560,7 +561,8 @@ def test_form_field_algebra_is_the_exterior_algebra(data):
                        (fa.scale(s), a.scale(s)), (fa.wedge(fb), a.wedge(b)),
                        (fa.wedge(b), a.wedge(b))]:
         assert isinstance(form, FormField)
-        assert form.is_exact()
+        assert all(isinstance(part, Polynomial)
+                   for f in form.coeffs.values() for part in (f.re, f.im))
         assert _exact_at(form, x) == want
     # coefficients that cancel exactly leave no term
     assert (fa - fa).is_zero()
@@ -688,13 +690,26 @@ def test_laplace_of_product_chain():
     assert (lhs - rhs).is_zero()
 
 
-def test_closedness_residual_numeric_fields():
-    u = invshift(1, eps=1.0)
-    rng = np.random.default_rng(19)
-    pts = 0.8 * rng.standard_normal((12, 4))
-    assert closedness_residual(laplace(u), pts) < 1e-6
-    with pytest.raises(ValueError):
-        closedness_residual(laplace(u))
+@pytest.mark.parametrize("coeff, want", [
+    (Fraction(3, 2) * Polynomial.coordinate(1, 2), 1.5),
+    # the norm is the largest |coefficient| over real and imaginary parts
+    (CxField(Polynomial.coordinate(1, 2), 2 * Polynomial.coordinate(1, 2)), 2.0),
+])
+def test_closedness_residual_reads_the_largest_coefficient(coeff, want):
+    # d of c(x2) w^0 has the constant coefficients nabla_{1,alpha} c at w^1 ^ w^0
+    assert closedness_residual(FormField(1, 1, {0b01: coeff})) == want
+
+
+@pytest.mark.parametrize("op, kind", [
+    (lambda: nabla(invshift(1, 1.0), 0, 0), "InvShift"),
+    (lambda: laplace(LinearSubstitution(normsq(1), np.eye(4))), "LinearSubstitution"),
+    (lambda: d_scalar(normsq(1) + invshift(1, 1.0), 0), "_SumField"),
+    (lambda: closedness_residual(FormField(1, 1, {0b01: invshift(1, 1.0)})), "InvShift"),
+], ids=["nabla", "laplace", "d_scalar", "closedness_residual"])
+def test_symbolic_operators_refuse_non_polynomial_fields(op, kind):
+    # symbolic differentiation is exact only: no finite-difference field
+    with pytest.raises(TypeError, match=f"^{kind} has no symbolic derivative"):
+        op()
 
 
 # ---------------------------------------------------------------------------

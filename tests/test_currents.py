@@ -9,18 +9,16 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import ndimage
 
 from qma import currents, quadrature
-from qma.calculus import CxField, d_scalar, hoisted
+from qma.calculus import d_scalar, hoisted
 from qma.cli import parse_field_expr
 from qma.errors import DimensionError
 from qma.exterior import ExtElement, beta, indices_to_mask
-from qma.fields import (GridField, InvShift, LinearSubstitution, Polynomial, invshift, normsq,
-                        quadform)
+from qma.fields import GridField, InvShift, Polynomial, invshift, normsq, quadform
 from qma.hamilton import QMatrix, Quaternion
 from qma.monge_ampere import fundamental_mass_exact, ma_density
 from qma.currents import (
     RadialProfile,
     RegularizedCurrent,
-    _ball_integral,
     bt_product,
     bump_field,
     cln_ratio,
@@ -433,33 +431,6 @@ def test_stokes_check_exact_polynomials():
     assert stokes_check(h * poly, d_scalar(poly * normsq(1), 0)) == 0.0
 
 
-def test_stokes_check_numeric_fallback():
-    h = bump_field(1)
-    t = d_scalar(invshift(1, 0.5), 1)
-    assert stokes_check(h, t, sphere_pow=9) < 5e-3
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_ball_integral_lanes_agree(n):
-    # a radial polynomial about the center plus odd ones: the product rule
-    # integrates both exactly (Gauss-Legendre in t, antithetic directions),
-    # so the quadrature lane, reached through fields that are not
-    # Polynomials, gives the exact lane's value
-    d = 4 * n
-    center = [0.25, -0.5] + [0.0] * (d - 3) + [0.125]
-    x = [Polynomial.coordinate(n, i) for i in range(d)]
-    q = normsq(n)
-    shift = [-c for c in center]
-    re = quadrature.translate_polynomial(q * q + q * 3 + x[0] ** 3 + x[0] * x[1] * x[2], shift)
-    im = quadrature.translate_polynomial(q * 2 - x[1] ** 5, shift)
-    exact = _ball_integral(CxField(re, im), 0.75, center, 7, 12, 0)
-    eye = np.eye(d)
-    wrapped = CxField(LinearSubstitution(re, eye), LinearSubstitution(im, eye))
-    quad = _ball_integral(wrapped, 0.75, center, 7, 12, 0)
-    assert exact.real > 0 and exact.imag > 0
-    assert abs(quad - exact) <= 1e-12 * abs(exact)
-
-
 def test_stokes_check_degree_guard():
     with pytest.raises(DimensionError):
         stokes_check(bump_field(1), d_scalar(normsq(2), 0))
@@ -473,9 +444,16 @@ def test_integration_by_parts_exact():
 
 
 def test_integration_by_parts_numeric():
-    # radial data keeps the product rule exact in the directions
+    # radial data keeps the product rule exact in the directions; the
+    # trace_density lane builds no symbolic form, and its float is pinned
     resid = integration_by_parts_residual([invshift(1, 1.0)], radial_nodes=20)
     assert resid < 1e-8
+    assert resid == 2.220446049250313e-16
+
+
+def test_symbolic_form_refuses_non_polynomial_potentials():
+    with pytest.raises(TypeError, match="InvShift has no symbolic derivative"):
+        RegularizedCurrent.from_laplace(invshift(2, 0.1)).form()
 
 
 def test_integration_by_parts_guards():

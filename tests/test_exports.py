@@ -44,7 +44,6 @@ UNCALLED = {
     "shell_identity_check": "claim check: the two-radius shell identity of the Lelong profile",
     "smooth_max_family": "claim check: the smooth max family of the exhaustion argument",
     "stokes_check": "claim check: Stokes duality between d_alpha and wedging",
-    "fundamental_ma_density": "reference: the closed-form density ma_density is compared to",
     "BlackBox": "reference: finite-difference derivatives of a value oracle",
     "ClosedForm": "reference: a field given by its value, gradient and Hessian oracles",
     "sample": "check input: GridField.sample builds the lattice the mollify check smooths",
@@ -52,8 +51,6 @@ UNCALLED = {
 
 _CLAIM_CHECK = "claim check: a tunable of one of the paper's identities"
 UNSET = {
-    "closedness_residual.pts": "sample points of a non-polynomial form; "
-                               "the commands check polynomial forms exactly",
     "main.argv": "the command line; the console script leaves it to sys.argv",
     "random_qmatrix.cols": "test-suite generator: the rectangular matrices of the tests",
     **{f"ClosedForm.{p}": "reference: the oracles a closed-form field is given"
@@ -64,14 +61,13 @@ UNSET = {
         ("integration_by_parts_residual", ("radius", "sphere_pow", "radial_nodes", "seed")),
         ("positivity_pairing_min", ("trials", "seed")),
         ("shell_identity_check", ("sphere_pow", "radial_nodes", "seed")),
-        ("stokes_check", ("radius", "center", "sphere_pow", "radial_nodes", "seed")),
+        ("stokes_check", ("radius", "center")),
     ] for p in params},
 }
 
 UNPARSED = {
     "BlackBox": "reference: finite-difference derivatives of a value oracle",
     "ClosedForm": "reference: a field given by its value, gradient and Hessian oracles",
-    "DerivedField": "ScalarField.diff of a field that is not a Polynomial",
     "LinearSubstitution": "claim check: the field change_of_variables_check "
                           "substitutes (ROADMAP item 18)",
     "ChainField": "claim check: the members of smooth_max_family",

@@ -276,6 +276,19 @@ def test_positivity_rejects_non_real():
     assert not res
 
 
+@pytest.mark.parametrize("elem, verdict, kappa", [
+    (ExtElement(2, 1, {indices_to_mask((0,)): 1}), NOT_POSITIVE, math.nan),
+    (ExtElement.scalar(2, 1.5), LIKELY_POSITIVE, 1.5),
+    (ExtElement.scalar(2, -1.0), NOT_POSITIVE, -1.0),
+    (ExtElement(2, 2), LIKELY_POSITIVE, 0.0),
+], ids=["odd-degree", "positive-scalar", "negative-scalar", "zero"])
+def test_positivity_early_exits_draw_no_sample(elem, verdict, kappa):
+    res = positivity_test(elem)
+    assert res.verdict == verdict
+    assert res.min_kappa == kappa or (math.isnan(kappa) and math.isnan(res.min_kappa))
+    assert res.samples == 0 and res.witness is None
+
+
 def _oracle_positivity(a, samples, seed, exact, tol=1e-9):
     # positivity_test's sampling loop, each kappa the top coefficient of the
     # wedge chain pullback on python complex entries (exact=True) or the

@@ -14,7 +14,6 @@ from qma.fields import (
     BlackBox,
     ChainField,
     ClosedForm,
-    DerivedField,
     GridField,
     InvShift,
     LinearSubstitution,
@@ -375,7 +374,7 @@ def test_invshift_eps_zero_singular_family():
 
 
 # ---------------------------------------------------------------------------
-# ClosedForm / BlackBox / DerivedField
+# ClosedForm / BlackBox
 
 
 def test_closed_form_requires_oracles():
@@ -397,43 +396,6 @@ def test_blackbox_derivatives_on_quartic():
     np.testing.assert_allclose(
         u.hessian(x), 4 * s * np.eye(4) + 8 * np.outer(x, x), rtol=1e-5, atol=1e-5
     )
-
-
-def test_derived_field_reads_parent_oracles():
-    u = InvShift(1, eps=1.0)
-    d0 = u.diff(0)
-    rng = np.random.default_rng(9)
-    x = rng.standard_normal(4)
-    assert d0.value(x) == u.gradient(x)[0]
-    np.testing.assert_allclose(d0.gradient(x), u.hessian(x)[0], rtol=1e-14)
-    pts = rand_pts(rng, 1, 7)
-    np.testing.assert_allclose(d0.values(pts), u.gradients(pts)[:, 0], rtol=1e-14)
-    np.testing.assert_allclose(d0.gradients(pts), u.hessians(pts)[:, 0, :], rtol=1e-14)
-
-
-def test_derived_field_hessian_third_derivative():
-    # parent |x|^4 has Hessian 4s*I + 8xx^T, so d(parent)/dx_a has Hessian
-    # 8(x_m d_la + x_l d_ma + x_a d_ml); the parent Hessian is quadratic, so
-    # the internal central difference is exact up to roundoff
-    def hess(x):
-        s = float(np.dot(x, x))
-        return 4 * s * np.eye(4) + 8 * np.outer(x, x)
-
-    u = ClosedForm(
-        1,
-        lambda x: float(np.dot(x, x)) ** 2,
-        lambda x: 4 * float(np.dot(x, x)) * x,
-        hess,
-    )
-    x = np.array([0.3, -0.7, 1.1, 0.4])
-    a = 2
-    expected = np.zeros((4, 4))
-    for m in range(4):
-        for l in range(4):
-            expected[m, l] = 8 * (
-                x[m] * (l == a) + x[l] * (m == a) + x[a] * (m == l)
-            )
-    np.testing.assert_allclose(u.diff(a).hessian(x), expected, atol=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -482,13 +444,12 @@ def test_linear_substitution_shape_guard():
 
 def test_linear_substitution_rows_do_not_depend_on_the_batch():
     # a BLAS product rounds a row according to how many rows share the call;
-    # each row of a 64-point batch must have the bits of its one-point read,
-    # through the third-derivative stencil of a DerivedField too
+    # each row of a 64-point batch must have the bits of its one-point read
     rng = np.random.default_rng(0)
     rmat = np.eye(8) + 0.5 * rng.uniform(-1, 1, (8, 8))
     u = LinearSubstitution(InvShift(2, 0.5, rng.uniform(-1, 1, 8)), rmat)
     pts = rng.uniform(-1, 1, (64, 8))
-    for batched in (u.values, u.gradients, u.hessians, DerivedField(u, 3).hessians):
+    for batched in (u.values, u.gradients, u.hessians):
         full = batched(pts)
         for k in range(len(pts)):
             assert np.array_equal(full[k], batched(pts[k:k + 1])[0])
@@ -689,30 +650,11 @@ def _pointwise_oracle(u, x):
         s = u.eps + np.sum(y * y, axis=-1)
         return (-1.0 / s, 2.0 * y / s ** 2,
                 2.0 * np.eye(len(x)) / s ** 2 - 8.0 * np.outer(y, y) / s ** 3)
-    if isinstance(u, DerivedField):
-        _, g, h = _pointwise_oracle(u.parent, x)
-        return float(g[u.axis]), h[u.axis].copy(), _derived_hessian_by_point(u, x)
     assert type(u) is Polynomial
     # one walk per first and second partial
     axes = range(u.dim)
     return (u.value(x), np.array([u.diff(m).value(x) for m in axes]),
             np.array([[u.diff(i).diff(j).value(x) for j in axes] for i in axes]))
-
-
-def _derived_hessian_by_point(u, x):
-    """Central differences of the parent's Hessian row at one point, one
-    axis at a time with step _H1 (1 + |x_m|), then the symmetric part.  The
-    parent's Hessian is differenced, not its oracle's: a difference
-    quotient would magnify the oracle's last-bit deviations beyond the
-    test's tolerance."""
-    d = u.dim
-    out = np.empty((d, d))
-    for m in range(d):
-        step = qma.fields._H1 * (1.0 + abs(x[m]))
-        xp = x.copy(); xp[m] += step
-        xm = x.copy(); xm[m] -= step
-        out[m] = (u.parent.hessian(xp)[u.axis] - u.parent.hessian(xm)[u.axis]) / (2.0 * step)
-    return 0.5 * (out + out.T)
 
 
 def _tanh_chain(phi):
@@ -732,8 +674,7 @@ _TILTED = {1: QMatrix([[Quaternion(2)]]),
 def _composite_fields_and_points(draw):
     """A field over H^n (n in {1, 2}) built from InvShift, centered normsq,
     centered tilted quadform and cubic polynomial leaves by sums, scalings,
-    products, tanh chains, linear substitutions and partial derivatives,
-    plus 1 to 3 points."""
+    products, tanh chains and linear substitutions, plus 1 to 3 points."""
     n = draw(st.sampled_from([1, 2]))
     d = 4 * n
     small = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -756,7 +697,6 @@ def _composite_fields_and_points(draw):
             st.builds(_ProductField, inner, inner),
             inner.map(_tanh_chain),
             st.builds(LinearSubstitution, inner, mat),
-            st.builds(DerivedField, inner, st.integers(0, d - 1)),
         )
 
     field = draw(st.recursive(leaves, extend, max_leaves=4))
@@ -782,9 +722,9 @@ def test_pointwise_is_one_row_of_batched_and_matches_oracles(case):
     for x in pts:
         v, g, h = _pointwise_oracle(u, x)
         assert isinstance(u.value(x), float)
-        # every gradient and Hessian, a Polynomial's and a DerivedField's
-        # among them, is row 0 of its batch; so is a float point's value,
-        # which a Polynomial walks pointwise with the bits of values
+        # every gradient and Hessian, a Polynomial's among them, is row 0
+        # of its batch; so is a float point's value, which a Polynomial
+        # walks pointwise with the bits of values
         assert u.value(x) == u.values(x[None])[0]
         assert np.array_equal(u.gradient(x), u.gradients(x[None])[0])
         assert np.array_equal(u.hessian(x), u.hessians(x[None])[0])
