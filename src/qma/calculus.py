@@ -191,8 +191,11 @@ def nabla_matrices(n):
 # ---------------------------------------------------------------------------
 # exact complex coordinates
 
+@lru_cache(maxsize=None)
 def z_field(n, j, alpha):
-    """The complex coordinate z^{j,alpha} as an exact CxField."""
+    """The complex coordinate z^{j,alpha} as an exact CxField: one shared
+    value per (n, j, alpha), built on first use, whose parts keep their
+    derivative caches between uses."""
     base = 4 * (j >> 1)
     c = lambda m: Polynomial.coordinate(n, m)
     if j % 2 == 0:

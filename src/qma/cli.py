@@ -429,9 +429,13 @@ class _ExprParser:
         if not m:
             self.fail("expected a number")
         text = m.group(0)
-        self.pos = m.end()
         if "." in text or "e" in text or "E" in text:
-            return float(text)
+            v = float(text)
+            if not math.isfinite(v):
+                self.fail(f"number {text!r} is not finite")
+            self.pos = m.end()
+            return v
+        self.pos = m.end()
         num = int(text)
         # rational literal: integer '/' integer
         save = self.pos

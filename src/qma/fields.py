@@ -37,6 +37,14 @@ A Polynomial's ``value`` and ``values`` share one walk over a cached term
 table per lane: exact points use the stored coefficients, float arrays use
 float(c), and a float point gives the same bits pointwise and batched.
 
+A Polynomial is a value: nothing mutates its ``terms`` after construction
+(nor the parts of a ``calculus.CxField``), and every cache on it is a
+function of its terms.  So ``normsq(n)`` is one shared instance per n,
+built on first use, and the results of Polynomial's own algebra (``+``,
+``*``, scaling, ``diff``) skip the validation that ``Polynomial(n,
+terms)`` gives terms from outside, their exponent keys being valid by
+construction.
+
 Field arithmetic has one spelling, the operators ``+ - * ** unary-``: they
 build the sum, scaling and product combinators, and ``u ** k`` is the
 repeated product ((u * u) * u) ...  A Polynomial stays an exact Polynomial
@@ -51,7 +59,10 @@ orders, so a sum grows no layer for it.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -150,6 +161,11 @@ def _zero_exponent(n):
     return (0,) * (4 * n)
 
 
+def _check_same_n(a, b):
+    if a.n != b.n:
+        raise DimensionError("field dimensions differ")
+
+
 def _check_exponent(k):
     if not isinstance(k, int) or k < 0:
         raise ValueError("field powers must be nonnegative integers")
@@ -192,63 +208,93 @@ class Polynomial(ScalarField):
                  "_center")
 
     def __init__(self, n, terms=None):
-        self.n = n
-        self.terms = {}
+        """Validate terms from outside: each exponent tuple has length 4n
+        and nonnegative integral entries (``operator.index``, so a numpy
+        integer passes and 1.5 raises TypeError); keys equal as int tuples
+        merge."""
+        merged = {}
         if terms:
             d = 4 * n
             for expo, c in terms.items():
-                expo = tuple(int(e) for e in expo)
+                try:
+                    expo = tuple(operator.index(e) for e in expo)
+                except TypeError:
+                    raise TypeError(f"exponents must be integers, got {tuple(expo)!r}") from None
                 if len(expo) != d:
                     raise DimensionError(f"exponent tuple must have length {d}")
                 if any(e < 0 for e in expo):
                     raise ValueError("negative exponent")
                 if c:
-                    self.terms[expo] = self.terms.get(expo, 0) + c
-            self.terms = {e: c for e, c in self.terms.items() if c}
+                    merged[expo] = merged.get(expo, 0) + c
+        self._start(n, merged)
+
+    def _start(self, n, terms):
+        """Set the slots from terms whose keys are valid, dropping zero
+        coefficients."""
+        self.n = n
+        self.terms = {e: c for e, c in terms.items() if c}
         self._tables = None
         self._diff_cache = {}
         self._hessian_plan = None
         self._delta_row = None
         self._center = None
 
+    @classmethod
+    def _built(cls, n, terms):
+        """The Polynomial of terms that Polynomial's own algebra made: the
+        keys are valid exponent tuples of length 4n, so only zero
+        coefficients are dropped."""
+        p = cls.__new__(cls)
+        p._start(n, terms)
+        return p
+
     # ------------------------------------------------------------------ build
     @classmethod
     def constant(cls, n, c):
-        return cls(n, {_zero_exponent(n): c})
+        return cls._built(n, {_zero_exponent(n): c})
 
     @classmethod
     def coordinate(cls, n, axis):
         e = [0] * (4 * n)
         e[axis] = 1
-        return cls(n, {tuple(e): Fraction(1)})
+        return cls._built(n, {tuple(e): Fraction(1)})
 
     # ------------------------------------------------------------------ algebra
     def __add__(self, other):
         if not isinstance(other, ScalarField):
             other = Polynomial.constant(self.n, _as_number(other))
         if isinstance(other, Polynomial):
+            _check_same_n(self, other)
+            # an exact zero is the identity
+            if not other.terms:
+                return self
+            if not self.terms:
+                return other
             out = dict(self.terms)
             for e, c in other.terms.items():
                 out[e] = out.get(e, 0) + c
-            return Polynomial(self.n, out)
+            return Polynomial._built(self.n, out)
         return super().__add__(other)
 
     __radd__ = __add__
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
+            _check_same_n(self, other)
             out = {}
             for ea, ca in self.terms.items():
                 for eb, cb in other.terms.items():
                     e = tuple(a + b for a, b in zip(ea, eb))
                     out[e] = out.get(e, 0) + ca * cb
-            return Polynomial(self.n, out)
+            return Polynomial._built(self.n, out)
         if isinstance(other, ScalarField):
             return super().__mul__(other)
         other = _as_number(other)
+        if not self.terms:
+            return self
         if not other:
             return Polynomial(self.n)
-        return Polynomial(self.n, {e: c * other for e, c in self.terms.items()})
+        return Polynomial._built(self.n, {e: c * other for e, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -282,7 +328,7 @@ class Polynomial(ScalarField):
                     ne = list(e)
                     ne[axis] = k - 1
                     out[tuple(ne)] = c * k
-            cached = Polynomial(self.n, out)
+            cached = Polynomial._built(self.n, out)
             self._diff_cache[axis] = cached
         return cached
 
@@ -496,8 +542,7 @@ class ChainField(ScalarField):
 
 class _SumField(ScalarField):
     def __init__(self, a, b):
-        if a.n != b.n:
-            raise DimensionError("field dimensions differ")
+        _check_same_n(a, b)
         self.n = a.n
         self.a, self.b = a, b
 
@@ -529,8 +574,7 @@ class _ScaledField(ScalarField):
 
 class _ProductField(ScalarField):
     def __init__(self, a, b):
-        if a.n != b.n:
-            raise DimensionError("field dimensions differ")
+        _check_same_n(a, b)
         self.n = a.n
         self.a, self.b = a, b
 
@@ -584,10 +628,13 @@ def _monomial(d, *axes):
     return tuple(e)
 
 
+@lru_cache(maxsize=None)
 def normsq(n):
-    """|q|^2 as an exact Polynomial (Hessian 2*Id)."""
+    """|q|^2 as an exact Polynomial (Hessian 2*Id): one shared value per n,
+    built on first use, whose derivative, Hessian and delta-row caches
+    serve every later use."""
     d = 4 * n
-    return Polynomial(n, {_monomial(d, m, m): Fraction(1) for m in range(d)})
+    return Polynomial._built(n, {_monomial(d, m, m): Fraction(1) for m in range(d)})
 
 
 def quadform(a_matrix):
@@ -617,14 +664,15 @@ class InvShift(ScalarField):
     """The fundamental-solution family u = -1/(|q - a|^2 + eps).
 
     eps = 0 is allowed; the field is then singular at the center and must not
-    be evaluated there.
+    be evaluated there.  A negative or non-finite eps raises ValueError.
     """
 
     def __init__(self, n, eps=0.0, center=None):
-        if eps < 0:
-            raise ValueError("eps must be >= 0")
+        eps = float(eps)
+        if not 0.0 <= eps < math.inf:
+            raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
         self.n = n
-        self.eps = float(eps)
+        self.eps = eps
         self.center = np.zeros(4 * n) if center is None else np.asarray(center, dtype=float)
 
     def _shifted(self, pts):

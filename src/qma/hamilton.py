@@ -83,14 +83,7 @@ class Quaternion:
         if isinstance(other, (int, float, Fraction)):
             return Quaternion(self.x0 * other, self.x1 * other,
                               self.x2 * other, self.x3 * other)
-        a0, a1, a2, a3 = self.components
-        b0, b1, b2, b3 = _coerce(other).components
-        return Quaternion(
-            a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-        )
+        return Quaternion(*_hamilton(self.components, _coerce(other).components))
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, Fraction)):
@@ -115,6 +108,17 @@ class Quaternion:
 
     def __repr__(self):
         return f"Quaternion({self.x0!r}, {self.x1!r}, {self.x2!r}, {self.x3!r})"
+
+
+def _hamilton(a, b):
+    """The Hamilton product of two component 4-tuples, in the components'
+    own arithmetic."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
 
 
 def _coerce(value):
@@ -311,6 +315,27 @@ def _cycles_decreasing_leader(perm):
     return cycles
 
 
+def _moore_expansion(x):
+    """The cycle-ordered permutation expansion of ``moore_det`` on a square
+    list of component 4-tuples, in their own arithmetic: the sum, from 0,
+    of each permutation's signed product, as a 4-tuple."""
+    m = len(x)
+    total = (0, 0, 0, 0)
+    for perm in itertools.permutations(range(m)):
+        term = None
+        cycles = _cycles_decreasing_leader(perm)
+        for cyc in cycles:
+            factor = x[cyc[0]][cyc[1 % len(cyc)]]
+            for s in range(1, len(cyc)):
+                factor = _hamilton(factor, x[cyc[s]][cyc[(s + 1) % len(cyc)]])
+            term = factor if term is None else _hamilton(term, factor)
+        # the sign of a permutation is (-1)^(m - number of cycles)
+        if (m - len(cycles)) % 2:
+            term = tuple(-c for c in term)
+        total = tuple(t + c for t, c in zip(total, term))
+    return total
+
+
 def moore_det(a):
     """Moore determinant of a hyperhermitian quaternionic matrix.
 
@@ -318,35 +343,43 @@ def moore_det(a):
     it as disjoint cycles each led by its smallest element, order the cycles
     by decreasing leader, and multiply the entries a[c0,c1]*a[c1,c2]*...*
     a[cl,c0] along each cycle in that fixed order; sum with the permutation
-    sign.  Exact on exact (int/Fraction) entries.
+    sign.
+
+    Exact (int/Fraction) entries give a Fraction.  The expansion then runs
+    on Python ints: every component is scaled by the lcm D of the
+    denominators, and the Moore determinant of an m x m matrix is
+    homogeneous of degree m, so the integer total over D**m is the value.
+    Any float entry sends the expansion through the components' own
+    arithmetic.
 
     The result is a real scalar for hyperhermitian input; a vector residue
-    beyond ``_MOORE_TOL`` (relative) raises NumericalInconsistencyError.
+    beyond ``_MOORE_TOL`` (relative to the real part) raises
+    NumericalInconsistencyError, read on exact input from the total over
+    D**m.
     """
     if not isinstance(a, QMatrix):
         a = QMatrix(a)
     if a.rows != a.cols:
         raise DimensionError("moore_det needs a square matrix")
-    m = a.rows
-    total = Quaternion()
-    for perm in itertools.permutations(range(m)):
-        term = None
-        cycles = _cycles_decreasing_leader(perm)
-        for cyc in cycles:
-            factor = a[cyc[0], cyc[1 % len(cyc)]] if len(cyc) > 1 else a[cyc[0], cyc[0]]
-            for s in range(1, len(cyc)):
-                factor = factor * a[cyc[s], cyc[(s + 1) % len(cyc)]]
-            term = factor if term is None else term * factor
-        # the sign of a permutation is (-1)^(m - number of cycles)
-        if (m - len(cycles)) % 2:
-            term = -term
-        total = total + term
-    vec = max(abs(float(c)) for c in (total.x1, total.x2, total.x3))
-    scale = max(1.0, abs(float(total.x0)))
-    if vec > _MOORE_TOL * scale:
+    x = [[q.components for q in row] for row in a._data]
+    flat = [c for row in x for q in row for c in q]
+    if all(isinstance(c, (int, Fraction)) for c in flat):
+        scale = math.lcm(*(c.denominator for c in flat))
+        total = _moore_expansion([[tuple(c.numerator * (scale // c.denominator) for c in q)
+                                   for q in row] for row in x])
+        den = scale ** a.rows
+        # int / int is the correctly rounded float of the Fraction
+        parts = [abs(c) / den for c in total]
+        result = Fraction(total[0], den)
+    else:
+        total = _moore_expansion(x)
+        parts = [abs(float(c)) for c in total]
+        result = total[0]
+    vec = max(parts[1:])
+    if vec > _MOORE_TOL * max(1.0, parts[0]):
         raise NumericalInconsistencyError(
             f"moore_det: vector residue {vec:.3e} on input that should be hyperhermitian")
-    return total.x0
+    return result
 
 
 def mixed_discriminant(*matrices):
@@ -397,6 +430,14 @@ def random_qmatrix(rng, rows, cols=None, exact=False):
 
 
 def random_hyperhermitian(rng, m, exact=False):
+    """(B + B^*) / 2 for B = random_qmatrix(rng, m, exact=exact).  Exact
+    entries are the Fractions (k + s k') / 8, summed on the integer
+    numerators k of B's quarters k/4, s the conjugation's sign."""
     b = random_qmatrix(rng, m, exact=exact)
-    return (b + b.conj_transpose()) * Fraction(1, 2)
-
+    if not exact:
+        return (b + b.conj_transpose()) * Fraction(1, 2)
+    k = [[[c.numerator * (4 // c.denominator) for c in q.components] for q in row]
+         for row in b._data]
+    return QMatrix([[Quaternion(*(Fraction(x + (y if c == 0 else -y), 8)
+                                  for c, (x, y) in enumerate(zip(k[i][j], k[j][i]))))
+                     for j in range(m)] for i in range(m)])

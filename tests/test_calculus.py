@@ -471,7 +471,10 @@ def _arrays(obj):
             yield from _arrays(item)
 
 
-@pytest.mark.parametrize("u", [normsq(2), normsq(2) + _X[0] ** 4], ids=["quadform", "quartic"])
+# normsq(2) is one shared instance that earlier tests may have used, so the
+# quadratic case is a fresh polynomial with its terms
+@pytest.mark.parametrize("u", [Polynomial(2, normsq(2).terms), normsq(2) + _X[0] ** 4],
+                         ids=["quadform", "quartic"])
 def test_polynomial_delta_row_is_cached_read_only(monkeypatch, u):
     # the constant parts are gathered once, from one Hessian row, and kept
     # on the polynomial; a later call reads no Hessian row and reuses them

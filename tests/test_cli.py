@@ -371,6 +371,7 @@ def test_expr_composite_field_evaluates():
     ("quadform([1, 0; 2])", "ragged matrix rows"),
     ("quadform([(0,1,0,0)])", "column"),
     ("invshift(1)?", "trailing"),
+    ("invshift(1e999)", "column 10: number '1e999' is not finite"),
 ])
 def test_expr_errors_carry_column(src, match):
     with pytest.raises(ConfigError, match=match):
@@ -826,6 +827,17 @@ def test_exit_1_on_missing_config(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("expr,column", [("invshift(1e999)", 10),
+                                         ("normsq() + 1e999*x0^2", 12)])
+def test_exit_1_on_a_number_literal_that_overflows(tmp_path, capsys, expr, column):
+    # 1e999 reads as inf: refused where it stands, not run to a pass row or
+    # a NaN density
+    cfg = _write(tmp_path, "ma.ini", f"[run]\ncommand = ma\nn = 1\n\n[fields]\nu = {expr}\n")
+    assert _run("ma", cfg, tmp_path / "out") == 1
+    assert f"field 'u': column {column}: number '1e999' is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_1_on_command_mismatch(tmp_path, capsys):
     cfg = _write(tmp_path, "v.ini", "[run]\ncommand = verify\n")
     assert _run("ma", cfg, tmp_path / "out") == 1
@@ -1025,6 +1037,29 @@ def test_verify_runs_are_byte_identical(tmp_path):
             == (tmp_path / "two" / "verify.csv").read_bytes())
     assert ((tmp_path / "one" / "verify.json").read_bytes()
             == (tmp_path / "two" / "verify.json").read_bytes())
+
+
+def test_verify_runs_share_no_state_in_one_process(tmp_path):
+    # normsq and z_field are shared per process: verify at n = 3, 1, 3 in
+    # this process writes the bytes of a fresh process at each n
+    def config(n):
+        return _write(tmp_path, f"v{n}.ini", f"[run]\ncommand = verify\nn = {n}\nseed = 5\n")
+
+    def outputs(out):
+        return [(out / name).read_bytes() for name in ("verify.csv", "verify.json")]
+
+    fresh = {}
+    for n in (1, 3):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qma.cli", "verify",
+             "--config", str(config(n)), "--out", str(tmp_path / f"fresh{n}")],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])))
+        assert proc.returncode == 0, proc.stderr
+        fresh[n] = outputs(tmp_path / f"fresh{n}")
+    for k, n in enumerate((3, 1, 3)):
+        assert _run("verify", config(n), tmp_path / f"run{k}") == 0
+        assert outputs(tmp_path / f"run{k}") == fresh[n]
 
 
 def test_seed_override_flag(tmp_path):

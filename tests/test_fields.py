@@ -82,6 +82,13 @@ def test_polynomial_guards():
         Polynomial(1, {(1, 0): 1})
     with pytest.raises(ValueError):
         Polynomial(1, {(-1, 0, 0, 0): 1})
+    # exponents are integers, not truncated floats; a numpy integer passes
+    for bad in (1.5, np.float64(2.7)):
+        with pytest.raises(TypeError, match="exponents must be integers"):
+            Polynomial(1, {(bad, 0, 0, 0): 1})
+    p = Polynomial(1, {(np.int64(2), 0, 0, 0): 1})
+    assert p.terms == {(2, 0, 0, 0): 1}
+    assert all(type(e) is int for e in next(iter(p.terms)))
     with pytest.raises(ValueError):
         Polynomial.coordinate(1, 0) ** -2
 
@@ -373,6 +380,12 @@ def test_invshift_eps_zero_singular_family():
         invshift(1, eps=-1e-6)
 
 
+@pytest.mark.parametrize("eps", [-1e-6, float("nan"), float("inf")])
+def test_invshift_refuses_a_negative_or_non_finite_eps(eps):
+    with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+        InvShift(1, eps)
+
+
 # ---------------------------------------------------------------------------
 # ClosedForm / BlackBox
 
@@ -619,6 +632,41 @@ def test_one_field_algebra(p, q, c, eps, k):
                       (p * u, pv * uv),
                       (u ** 3, uv * uv * uv)]:
         assert np.array_equal(got.values(pts), want)
+
+
+@st.composite
+def _algebra_results(draw):
+    """A Polynomial over H^n (n in {1, 2}) made by one to four steps of
+    Polynomial's own algebra: sums, products, scalings and diffs of
+    polynomials with Fraction and float coefficients."""
+    n = draw(st.sampled_from([1, 2]))
+    d = 4 * n
+    monomial = st.lists(st.integers(0, d - 1), max_size=3).map(
+        lambda axes: tuple(axes.count(m) for m in range(d)))
+    coeff = st.one_of(_SMALL_FRACTIONS, st.floats(-3, 3, allow_nan=False))
+    operands = st.dictionaries(monomial, coeff, max_size=4).map(lambda t: Polynomial(n, t))
+    p = draw(operands)
+    for step in draw(st.lists(st.sampled_from("+*sd"), min_size=1, max_size=4)):
+        if step == "+":
+            p = p + draw(operands)
+        elif step == "*":
+            p = p * draw(operands)
+        elif step == "s":
+            p = p * draw(_NUMBERS)
+        else:
+            p = p.diff(draw(st.integers(0, d - 1)))
+    return p
+
+
+@settings(max_examples=150)
+@given(_algebra_results())
+def test_algebra_results_equal_their_validated_rebuild(p):
+    # the algebra builds its results without validating their keys; the
+    # validating constructor rebuilds the same polynomial and term tables
+    q = Polynomial(p.n, dict(p.terms))
+    assert q == p
+    for exact in (True, False):
+        assert q._table(exact) == p._table(exact)
 
 
 # ---------------------------------------------------------------------------

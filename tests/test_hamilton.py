@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qma.hamilton import (MAX_MATRIX_DIM, QI, QJ, QK, QONE, QMatrix, Quaternion,
                           _cycles_decreasing_leader, _tau_blocks, is_hyperhermitian,
                           jmatrix, mixed_discriminant, moore_det, random_hyperhermitian,
                           random_qmatrix, random_quaternion, tau)
-from qma.errors import DimensionError
+from qma.errors import DimensionError, NumericalInconsistencyError
 from qma.exterior import perm_sign
 
 
@@ -195,6 +195,76 @@ def test_moore_det_exact_rationals():
     md = moore_det(a)
     assert md == Fraction(2) * Fraction(3, 2) - 2
     assert isinstance(md, Fraction)
+
+
+def _moore_reference(a):
+    """moore_det's expansion on Quaternion entries in their own arithmetic
+    (Fraction products on exact input), with its vector-residue check."""
+    m = a.rows
+    total = Quaternion()
+    for perm in itertools.permutations(range(m)):
+        term = None
+        cycles = _cycles_decreasing_leader(perm)
+        for cyc in cycles:
+            factor = a[cyc[0], cyc[1 % len(cyc)]]
+            for s in range(1, len(cyc)):
+                factor = factor * a[cyc[s], cyc[(s + 1) % len(cyc)]]
+            term = factor if term is None else term * factor
+        if (m - len(cycles)) % 2:
+            term = -term
+        total = total + term
+    vec = max(abs(float(c)) for c in (total.x1, total.x2, total.x3))
+    if vec > 1e-9 * max(1.0, abs(float(total.x0))):
+        raise NumericalInconsistencyError(f"vector residue {vec:.3e}")
+    return total.x0
+
+
+@st.composite
+def _exact_moore_inputs(draw):
+    """(matrix, hyperhermitian): an m x m matrix, m in 1..4, of ints in
+    [-8, 8] or of k/4 and k/8 entries as random_hyperhermitian draws them;
+    hyperhermitian, or that with one entry moved by a draw of the same kind."""
+    m = draw(st.integers(1, 4))
+    den = draw(st.sampled_from([1, 4, 8]))
+    num = st.integers(-8, 8).map(lambda k: k if den == 1 else Fraction(k, den))
+    quat = st.builds(Quaternion, num, num, num, num)
+    rows = [[None] * m for _ in range(m)]
+    for i in range(m):
+        rows[i][i] = Quaternion(draw(num))
+        for j in range(i + 1, m):
+            rows[i][j] = draw(quat)
+            rows[j][i] = rows[i][j].conjugate()
+    hyper = draw(st.booleans())
+    if not hyper:
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        rows[i][j] = rows[i][j] + draw(quat)
+    return QMatrix(rows), hyper
+
+
+@settings(max_examples=200)
+@given(_exact_moore_inputs())
+def test_exact_moore_det_equals_the_fraction_expansion(case):
+    # the integer expansion over D**m is the Fraction expansion, and raises
+    # on the same inputs
+    a, hyper = case
+    try:
+        want = _moore_reference(a)
+    except NumericalInconsistencyError:
+        assert not hyper
+        with pytest.raises(NumericalInconsistencyError):
+            moore_det(a)
+        return
+    got = moore_det(a)
+    assert isinstance(got, Fraction)
+    assert got == want
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_float_moore_det_keeps_the_quaternion_loop_bits(m):
+    rng = np.random.default_rng(90 + m)
+    for _ in range(10):
+        a = random_hyperhermitian(rng, m)
+        assert np.float64(moore_det(a)).tobytes() == np.float64(_moore_reference(a)).tobytes()
 
 
 def test_mixed_discriminant_diagonal_case():
